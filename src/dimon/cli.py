@@ -2,8 +2,10 @@
 
 Verbs: build, verify-presentation, enumerate, check-relations, forms,
 tietze, green, formulas.  Reports are line-oriented text by default
-and machine-readable JSON behind --json; the exit code is 0 exactly
-when every requested verdict is PASS.
+and machine-readable JSON behind --json.  The exit code is 0 when
+every requested verdict is PASS, 1 when one is FAIL or INDETERMINATE,
+and 2 for a usage or input error: an invalid option value, an --n
+outside the family's range, or a malformed --presentation file.
 
     dimon build --family odi --n 5 --out m.json
     dimon verify-presentation --family R --n 4
@@ -18,19 +20,7 @@ import click
 from . import congruence, monoids, presentations
 from .congruence import EnumerationCaps, Verdict
 from .monoids import MonoidFamily
-from .presentations import RelationFamily
-
-# the monoid each relation family presents
-TARGET_MONOID = {
-    RelationFamily.R: MonoidFamily.ODI,
-    RelationFamily.V: MonoidFamily.ODI,
-    RelationFamily.U: MonoidFamily.OCI,
-    RelationFamily.VBAR: MonoidFamily.MDI,
-    RelationFamily.VBAR_PRIME: MonoidFamily.MDI,
-    RelationFamily.Q: MonoidFamily.OPDI,
-    RelationFamily.Q_PRIME: MonoidFamily.OPDI,
-    RelationFamily.Q0: MonoidFamily.CI,
-}
+from .presentations import TARGET_MONOID, RelationFamily
 
 # printed in the order of the standard count table
 COUNT_ORDER = (
@@ -54,18 +44,12 @@ def _emit(lines, payload, ok, as_json):
     sys.exit(0 if ok else 1)
 
 
-def _monoid_family(text):
+def _from_input(param, call, *args):
+    """call(*args) on command-line input; its ValueError is a usage error."""
     try:
-        return MonoidFamily.parse(text)
+        return call(*args)
     except ValueError as exc:
-        raise click.BadParameter(str(exc))
-
-
-def _relation_family(text):
-    try:
-        return RelationFamily.parse(text)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+        raise click.BadParameter(str(exc), param_hint=param) from exc
 
 
 def _caps(max_classes, max_steps):
@@ -105,8 +89,8 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 def build(family, n, out, dot, as_json):
     """Build a monoid family by closure and report its size."""
-    fam = _monoid_family(family)
-    m = monoids.build_named(fam, n)
+    fam = _from_input("'--family'", MonoidFamily.parse, family)
+    m = _from_input("'--n'", monoids.build_named, fam, n)
     lines = [f"{fam.value} n={n}: size {m.size}, degree {m.degree}, "
              f"{len(m.generators)} generators"]
     if out:
@@ -127,14 +111,14 @@ def build(family, n, out, dot, as_json):
 @click.option("--family", required=True,
               help="relation family (R, U, V, Vbar, VbarPrime, Q, Q0, QPrime)")
 @click.option("--n", type=int, required=True)
-@click.option("--max-classes", type=int, default=None)
-@click.option("--max-steps", type=int, default=None)
+@click.option("--max-classes", type=click.IntRange(min=1), default=None)
+@click.option("--max-steps", type=click.IntRange(min=1), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def verify_presentation(family, n, max_classes, max_steps, as_json):
     """Check a relation family presents its monoid, by enumeration."""
-    fam = _relation_family(family)
+    fam = _from_input("'--family'", RelationFamily.parse, family)
     target = TARGET_MONOID[fam]
-    p = presentations.build_relations(fam, n)
+    p = _from_input("'--n'", presentations.build_relations, fam, n)
     a = presentations.build_assignment(fam, n)
     m = monoids.build_named(target, n)
     v = congruence.verify_presentation(p, a, m, _caps(max_classes, max_steps))
@@ -153,17 +137,23 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     _emit(lines, payload, v.verdict is Verdict.PASS, as_json)
 
 
-@main.command()
+@main.command("enumerate")
 @click.option("--presentation", "path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="presentation JSON file")
-@click.option("--max-classes", type=int, default=None)
-@click.option("--max-steps", type=int, default=None)
+@click.option("--max-classes", type=click.IntRange(min=1), default=None)
+@click.option("--max-steps", type=click.IntRange(min=1), default=None)
 @click.option("--json", "as_json", is_flag=True)
-def enumerate(path, max_classes, max_steps, as_json):
+def enumerate_presentation(path, max_classes, max_steps, as_json):
     """Enumerate the congruence classes of a presentation file."""
     with open(path) as fh:
-        p = presentations.Presentation.from_json_dict(_json.load(fh))
+        try:
+            p = presentations.Presentation.from_json_dict(_json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise click.BadParameter(
+                f"malformed presentation: {type(exc).__name__}: {exc}",
+                param_hint="'--presentation'",
+            ) from exc
     r = congruence.enumerate_classes(p, _caps(max_classes, max_steps))
     if r.is_complete:
         lines = [f"{p.label}: complete, {r.class_count} classes"]
@@ -181,8 +171,8 @@ def enumerate(path, max_classes, max_steps, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def check_relations(family, n, as_json):
     """Check every relation of a family holds under its generator maps."""
-    fam = _relation_family(family)
-    p = presentations.build_relations(fam, n)
+    fam = _from_input("'--family'", RelationFamily.parse, family)
+    p = _from_input("'--n'", presentations.build_relations, fam, n)
     a = presentations.build_assignment(fam, n)
     report = presentations.check_relations_hold(p, a)
     if report.all_hold:
@@ -202,8 +192,8 @@ def check_relations(family, n, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def forms(family, n, as_json):
     """Verify the candidate forms set is a transversal of the classes."""
-    fam = _relation_family(family)
-    p = presentations.build_relations(fam, n)
+    fam = _from_input("'--family'", RelationFamily.parse, family)
+    p = _from_input("'--n'", presentations.build_relations, fam, n)
     if fam is RelationFamily.R:
         base = congruence.enumerate_classes(
             presentations.build_relations(RelationFamily.U, n))
@@ -238,10 +228,10 @@ def forms(family, n, as_json):
 def tietze(chain, n, as_json):
     """Replay a generator-elimination chain and re-verify class counts."""
     if chain == "odi":
-        steps = presentations.odi_elimination_chain(n)
+        steps = _from_input("'--n'", presentations.odi_elimination_chain, n)
         target = MonoidFamily.ODI
     else:
-        steps = presentations.opdi_elimination_chain(n)
+        steps = _from_input("'--n'", presentations.opdi_elimination_chain, n)
         target = MonoidFamily.OPDI
     m = monoids.build_named(target, n)
     lines = []
@@ -270,8 +260,8 @@ def tietze(chain, n, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def green(family, n, as_json):
     """Report Green's relation class counts for a monoid family."""
-    fam = _monoid_family(family)
-    m = monoids.build_named(fam, n)
+    fam = _from_input("'--family'", MonoidFamily.parse, family)
+    m = _from_input("'--n'", monoids.build_named, fam, n)
     g = monoids.green_classes(m)
     c = g.counts()
     lines = [f"{fam.value} n={n}: size {m.size}, R-classes {c['r']}, "
@@ -299,7 +289,7 @@ def formulas(n_range, as_json):
         cards = {}
         parts = []
         for fam in (MonoidFamily.ODI, MonoidFamily.MDI, MonoidFamily.OCI):
-            want = monoids.cardinality_formula(fam, n)
+            want = _from_input("'--n-range'", monoids.cardinality_formula, fam, n)
             got = monoids.build_named(fam, n).size
             ok &= want == got
             cards[fam.value] = {"formula": want, "built": got,

@@ -99,8 +99,7 @@ class EnumerationResult:
 
     @functools.cached_property
     def _letter_ids(self) -> "dict[str, int]":
-        # builtin enumerate is shadowed by the module-level alias below
-        return dict(zip(self.letters, range(len(self.letters))))
+        return {name: k for k, name in enumerate(self.letters)}
 
     def word_class(self, w: "tuple[str, ...]") -> int:
         """Class of a word, by replaying letter actions from class 0."""
@@ -305,7 +304,4 @@ def normal_forms(r: EnumerationResult, alphabet) -> FormsSet:
     return FormsSet(label="shortlex", letters=names, words=tuple(reps))
 
 
-# the operation is called enumerate; the module-internal name avoids
-# shadowing the builtin
 enumerate_classes = enumerate_congruence
-enumerate = enumerate_congruence

@@ -22,10 +22,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from collections.abc import Sequence
 
 from .iperm import (
     PartialPerm,
@@ -126,7 +123,9 @@ def closure(
 
     Breadth-first over (element, generator) pairs: elements are indexed
     in discovery order starting from the identity, generators in the
-    given order.
+    given order.  Only the right products are composed; the left table
+    is read off the right one through each element's BFS parent
+    (Froidure & Pin, 1997).
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
@@ -141,12 +140,15 @@ def closure(
     elements: list[PartialPerm] = [one]
     index: dict[PartialPerm, int] = {one: 0}
     rows: list[list[int]] = []
+    # elements[t] == elements[parent[t]] * gens[last[t]] for t >= 1
+    parent = [0]
+    last = [0]
 
     pos = 0
     while pos < len(elements):
         current = elements[pos]
         row = []
-        for gen in gens:
+        for k, gen in enumerate(gens):
             product = compose(current, gen)
             target = index.get(product)
             if target is None:
@@ -157,18 +159,23 @@ def closure(
                 target = len(elements)
                 index[product] = target
                 elements.append(product)
+                parent.append(pos)
+                last.append(k)
             row.append(target)
         rows.append(row)
         pos += 1
 
-    left_rows = [
-        [index[compose(gen, f)] for gen in gens]
-        for f in elements
-    ]
+    # gen * elements[t] == (gen * elements[parent[t]]) * gens[last[t]],
+    # and parent[t] < t, so its left row is already known
+    generators = [index[g] for g in gens]
+    left_rows = [generators]
+    for t in range(1, len(elements)):
+        k = last[t]
+        left_rows.append([rows[i][k] for i in left_rows[parent[t]]])
     return FiniteMonoid(
         degree=degree,
         elements=tuple(elements),
-        generators=tuple(index[g] for g in gens),
+        generators=tuple(generators),
         right_cayley=tuple(tuple(r) for r in rows),
         left_cayley=tuple(tuple(r) for r in left_rows),
     )
@@ -314,15 +321,26 @@ def rank_formula(family: MonoidFamily, n: int) -> int:
 def verify_generates(
     m: FiniteMonoid, gens: "list[PartialPerm] | tuple[PartialPerm, ...]"
 ) -> bool:
-    """True iff the closure of gens has exactly m's element set."""
+    """True iff the closure of gens has exactly m's element set.
+
+    Breadth-first from the identity over the products with gens, each
+    looked up in m's index: False at the first product outside m.
+    """
     for f in gens:
         if f.degree != m.degree:
             raise ValueError(f"generator degree {f.degree} != {m.degree}")
-    try:
-        generated = closure(m.degree, gens, max_elements=m.size + 1)
-    except ClosureCapError:
-        return False
-    return set(generated.elements) == set(m.elements)
+    seen = [False] * m.size
+    seen[0] = True
+    queue = [0]
+    for i in queue:
+        for f in gens:
+            j = m._index.get(compose(m.elements[i], f))
+            if j is None:
+                return False
+            if not seen[j]:
+                seen[j] = True
+                queue.append(j)
+    return len(queue) == m.size
 
 
 @dataclasses.dataclass(frozen=True)
@@ -354,28 +372,57 @@ class GreenClasses:
         return tuple(i for i, c in enumerate(labels) if c == class_id)
 
 
-def _canonical_labels(labels: "np.ndarray") -> tuple[int, ...]:
-    # connected_components gives arbitrary label values; renumber by
-    # first occurrence so results are platform-independent.
-    remap: dict[int, int] = {}
-    out = []
-    for raw in labels:
-        raw = int(raw)
-        if raw not in remap:
-            remap[raw] = len(remap)
-        out.append(remap[raw])
-    return tuple(out)
+def _dense(keys) -> tuple[int, ...]:
+    """Renumber hashable keys 0, 1, ... by first occurrence."""
+    ids: dict = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
 
 
-def _scc(size: int, edges: "list[tuple[int, int]]") -> tuple[int, ...]:
-    if not edges:
-        return tuple(range(size))
-    rows, cols = zip(*edges)
-    graph = csr_matrix(
-        (np.ones(len(edges), dtype=np.int8), (rows, cols)), shape=(size, size)
-    )
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    return _canonical_labels(labels)
+def _scc(succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Strongly connected components of the graph i -> succ[i].
+
+    Iterative Tarjan (a recursive one would overflow the stack on the
+    larger monoids); components are labelled by first occurrence.
+    """
+    size = len(succ)
+    order = [-1] * size  # discovery time, -1 while unvisited
+    low = [0] * size
+    comp = [-1] * size  # -1 while on the Tarjan stack or unvisited
+    stack: list[int] = []
+    clock = 0
+    found = 0
+    for root in range(size):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = clock
+        clock += 1
+        stack.append(root)
+        path = [(root, 0)]  # (vertex, position of its next edge)
+        while path:
+            v, pos = path[-1]
+            if pos < len(succ[v]):
+                path[-1] = (v, pos + 1)
+                w = succ[v][pos]
+                if order[w] < 0:
+                    order[w] = low[w] = clock
+                    clock += 1
+                    stack.append(w)
+                    path.append((w, 0))
+                elif comp[w] < 0:
+                    low[v] = min(low[v], order[w])
+                continue
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == order[v]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = found
+                    if w == v:
+                        break
+                found += 1
+    return _dense(comp)
 
 
 def green_classes(m: FiniteMonoid) -> GreenClasses:
@@ -385,23 +432,10 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
     graph, L-classes of the left one, D-classes of their union; H is
     the common refinement of R and L.
     """
-    size = m.size
-    right_edges = [
-        (i, t) for i, row in enumerate(m.right_cayley) for t in row
-    ]
-    left_edges = [
-        (i, t) for i, row in enumerate(m.left_cayley) for t in row
-    ]
-    r = _scc(size, right_edges)
-    l = _scc(size, left_edges)
-    d = _scc(size, right_edges + left_edges)
-    pair_ids: dict[tuple[int, int], int] = {}
-    h = []
-    for pair in zip(r, l):
-        if pair not in pair_ids:
-            pair_ids[pair] = len(pair_ids)
-        h.append(pair_ids[pair])
-    return GreenClasses(r=r, l=l, h=tuple(h), d=d)
+    r = _scc(m.right_cayley)
+    l = _scc(m.left_cayley)
+    d = _scc([a + b for a, b in zip(m.right_cayley, m.left_cayley)])
+    return GreenClasses(r=r, l=l, h=_dense(zip(r, l)), d=d)
 
 
 def elements_of_rank(m: FiniteMonoid, r: int) -> tuple[PartialPerm, ...]:

@@ -32,6 +32,7 @@ import enum
 import functools
 
 from .iperm import PartialPerm, compose, identity, named_generator
+from .monoids import MonoidFamily
 
 Word = "tuple[str, ...]"
 
@@ -178,6 +179,19 @@ class RelationFamily(enum.Enum):
                 return fam
         valid = ", ".join(f.value for f in cls)
         raise ValueError(f"unknown relation family {text!r}; expected one of {valid}")
+
+
+# the monoid each relation family presents
+TARGET_MONOID = {
+    RelationFamily.R: MonoidFamily.ODI,
+    RelationFamily.V: MonoidFamily.ODI,
+    RelationFamily.U: MonoidFamily.OCI,
+    RelationFamily.VBAR: MonoidFamily.MDI,
+    RelationFamily.VBAR_PRIME: MonoidFamily.MDI,
+    RelationFamily.Q: MonoidFamily.OPDI,
+    RelationFamily.Q_PRIME: MonoidFamily.OPDI,
+    RelationFamily.Q0: MonoidFamily.CI,
+}
 
 
 def _alphabet(names) -> "tuple[Letter, ...]":

@@ -5,6 +5,9 @@ representing a partial injection as a frozenset of (point, image)
 pairs.  Tests compare the package's breadth-first closures, cardinality
 formulas and Green's classes against these direct constructions, so a
 bug would have to appear in two unrelated code paths to go unnoticed.
+The one exception is o_mutual_reachability, which reads the package's
+Cayley tables but finds their strongly connected components by brute
+force, for monoids that are not inverse.
 """
 
 from __future__ import annotations
@@ -90,3 +93,58 @@ def o_family_elements(family: str, n: int) -> set[Graph]:
 
 def o_family_size(family: str, n: int) -> int:
     return len(o_family_elements(family, n))
+
+
+def _dense(keys) -> tuple[int, ...]:
+    """Renumber keys 0, 1, ... by first occurrence."""
+    ids: dict = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
+def o_green(elements: list[Graph]) -> dict[str, tuple[int, ...]]:
+    """Green's classes of an inverse monoid of partial injections.
+
+    No Cayley table: f R g iff dom f = dom g, f L g iff im f = im g, and
+    the D-classes are those of the domains joined by every element's
+    dom(f) ~ im(f).  Classes are numbered by first occurrence in the
+    given order.  Valid only when the elements form an inverse monoid.
+    """
+    dom = [frozenset(p for p, _ in f) for f in elements]
+    im = [frozenset(q for _, q in f) for f in elements]
+    parent: dict[frozenset, frozenset] = {}
+
+    def find(s: frozenset) -> frozenset:
+        parent.setdefault(s, s)
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    for a, b in zip(dom, im):
+        parent[find(a)] = find(b)
+    return {
+        "r": _dense(dom),
+        "l": _dense(im),
+        "h": _dense(zip(dom, im)),
+        "d": _dense(find(a) for a in dom),
+    }
+
+
+def o_mutual_reachability(succ) -> tuple[int, ...]:
+    """Classes of mutually reachable vertices of the graph i -> succ[i].
+
+    Brute force: one search per vertex, then i ~ j iff each reaches the
+    other.  Numbered by first occurrence.
+    """
+    reach = []
+    for start in range(len(succ)):
+        seen = {start}
+        todo = [start]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return _dense(
+        frozenset(j for j in reach[i] if i in reach[j]) for i in range(len(succ))
+    )

@@ -1,10 +1,14 @@
 """Command-line verbs, exit codes, and report schemas."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import dimon
 from dimon.cli import main
 from dimon.presentations import RelationFamily, build_relations
 
@@ -151,3 +155,48 @@ def test_formulas_range_json(runner):
 def test_formulas_bad_range(runner):
     assert runner.invoke(main, ["formulas", "--n-range", "abc"]).exit_code == 2
     assert runner.invoke(main, ["formulas", "--n-range", "6..4"]).exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-presentation", "--family", "R", "--n", "3"],
+    ["build", "--family", "odi", "--n", "2"],
+    ["formulas", "--n-range", "2..3"],
+    ["check-relations", "--family", "Q", "--n", "1"],
+    ["forms", "--family", "Q", "--n", "2"],
+    ["tietze", "--chain", "opdi", "--n", "3"],
+    ["green", "--family", "di", "--n", "2"],
+    ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", "0"],
+], ids=lambda args: " ".join(args[:1] + args[2:]))
+def test_out_of_range_input_is_a_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "Invalid value for '--" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("text", [
+    '{"label": "p", "letters": ["a"], "relations": [{"lhs": ["a", "b"], "rhs": []}]}',
+    '{"letters": ["a"], "relations": []}',
+    '{"label": "p", "letters": ["a"],',
+    '[]',
+], ids=["unknown-letter", "missing-key", "not-json", "not-an-object"])
+def test_enumerate_malformed_file_is_a_usage_error(runner, tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    res = runner.invoke(main, ["enumerate", "--presentation", str(path)])
+    assert res.exit_code == 2
+    assert "Invalid value for '--presentation': malformed presentation" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    src = os.path.dirname(os.path.dirname(dimon.__file__))
+    code = (
+        "import sys, dimon, dimon.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from dimon.iperm import (
     all_partial_perms,
     compose,
     identity,
+    inverse,
     is_monotone,
     is_order_preserving,
     is_orientation_preserving,
@@ -33,7 +34,7 @@ from dimon.monoids import (
     right_cayley_dot,
     verify_generates,
 )
-from oracles import o_family_elements, o_family_size
+from oracles import o_family_elements, o_family_size, o_green, o_mutual_reachability
 
 ALL_FAMILIES = (
     MonoidFamily.DI,
@@ -135,6 +136,19 @@ def test_verify_generates_rejects_subset():
     assert not verify_generates(m, [maps["g"], maps["e_1"]])
 
 
+def test_verify_generates_rejects_map_outside():
+    m = build_named(MonoidFamily.ODI, 5)
+    maps = [f for _, f in generating_maps(MonoidFamily.ODI, 5)]
+    assert verify_generates(m, maps)
+    assert not verify_generates(m, maps + [named_generator("h", 5)])
+
+
+def test_verify_generates_degree_mismatch():
+    m = build_named(MonoidFamily.ODI, 5)
+    with pytest.raises(ValueError):
+        verify_generates(m, [named_generator("x", 4)])
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_family_intersections_exhaustive(n):
     di = {frozenset(f.pairs()): f for f in build_named(MonoidFamily.DI, n).elements}
@@ -204,6 +218,27 @@ def test_monoid_json_round_trip():
 def test_green_classes_di4():
     g = green_classes(build_named(MonoidFamily.DI, 4))
     assert g.counts() == {"r": 16, "l": 16, "h": 54, "d": 6}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_green_classes_match_oracle(family, n):
+    m = build_named(family, n)
+    g = green_classes(m)
+    want = o_green([frozenset(f.pairs()) for f in m.elements])
+    assert (g.r, g.l, g.h, g.d) == (want["r"], want["l"], want["h"], want["d"])
+
+
+@pytest.mark.parametrize("gens", [[("x",)], [("x",), ("y_i", 1)]])
+def test_green_classes_non_inverse(gens):
+    """Not inverse, so no domain/image oracle: SCCs by brute force."""
+    m = closure(5, [named_generator(name, 5, *i) for name, *i in gens])
+    assert not all(inverse(f) in m for f in m.elements)
+    g = green_classes(m)
+    both = [a + b for a, b in zip(m.right_cayley, m.left_cayley)]
+    assert g.r == o_mutual_reachability(m.right_cayley)
+    assert g.l == o_mutual_reachability(m.left_cayley)
+    assert g.d == o_mutual_reachability(both)
 
 
 def test_green_classes_structure():
