@@ -6,7 +6,6 @@ Run as: python3 benchmarks/bench_tc.py
 import time
 
 from dimon import _tc_py
-from dimon.congruence import _compiled_relations
 from dimon.presentations import RelationFamily, build_relations
 
 try:
@@ -36,7 +35,7 @@ def main():
     print(f"{'presentation':>16s} {'classes':>8s} {'pure':>9s} {'compiled':>9s} {'speedup':>8s}")
     for family, n in CASES:
         p = build_relations(family, n)
-        rels = _compiled_relations(p)
+        rels = p.relation_ids
         t_py, classes = timed(_tc_py, len(p.letters), rels)
         if _tc_core is None:
             print(f"{p.label:>16s} {classes:8d} {t_py:8.3f}s {'-':>9s} {'-':>8s}")

@@ -1,33 +1,24 @@
 """Build hook for the optional compiled congruence kernel.
 
-The package works without the extension: dimon.congruence falls back to
-the pure-Python kernel when dimon._tc_core is missing.  Building needs
-Cython and a C compiler; failure to build is non-fatal.
+``dimon._tc_core`` is compiled from the shipped ``src/dimon/_tc_core.c``
+with the C compiler and the Python headers; Cython is not needed.  The
+extension is optional: when it fails to build the package still installs,
+and dimon.congruence falls back to the pure-Python kernel in dimon._tc_py.
+``dimon.congruence.BACKEND`` says which kernel is active.
+
+The ``.c`` file is Cython's output for ``src/dimon/_tc_core.pyx``, whose
+header carries the compiler directives.  After editing the ``.pyx``,
+regenerate it with Cython 3 and commit both:
+
+    cython src/dimon/_tc_core.pyx
+
+``tests/test_build.py`` fails while the ``.c`` is stale.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-ext_modules = []
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "dimon._tc_core",
-                ["src/dimon/_tc_core.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("dimon._tc_core", ["src/dimon/_tc_core.c"], optional=True)
+    ]
+)

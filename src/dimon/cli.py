@@ -2,10 +2,13 @@
 
 Verbs: build, verify-presentation, enumerate, check-relations, forms,
 tietze, green, formulas.  Reports are line-oriented text by default
-and machine-readable JSON behind --json.  The exit code is 0 when
-every requested verdict is PASS, 1 when one is FAIL or INDETERMINATE,
-and 2 for a usage or input error: an invalid option value, an --n
-outside the family's range, or a malformed --presentation file.
+and machine-readable JSON behind --json; the JSON of every verb that
+runs the enumeration kernel names it under "backend".  The exit code is
+0 when every requested verdict is PASS, 1 when one is FAIL, 3 when one
+is INDETERMINATE (an enumeration hit its cap), and 2 for a usage or
+input error: an invalid option value, an --n outside the family's
+range, a malformed --presentation file, or a malformed
+DIMON_MAX_CLASSES.
 
     dimon build --family odi --n 5 --out m.json
     dimon verify-presentation --family R --n 4
@@ -18,7 +21,7 @@ import sys
 import click
 
 from . import congruence, monoids, presentations
-from .congruence import EnumerationCaps, Verdict
+from .congruence import MAX_CLASSES, MAX_STEPS, EnumerationCaps, Verdict
 from .monoids import MonoidFamily
 from .presentations import TARGET_MONOID, RelationFamily
 
@@ -34,14 +37,16 @@ COUNT_ORDER = (
     RelationFamily.Q0,
 )
 
+EXIT_CODES = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INDETERMINATE: 3}
 
-def _emit(lines, payload, ok, as_json):
+
+def _emit(lines, payload, verdict, as_json):
     if as_json:
         click.echo(_json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
             click.echo(line)
-    sys.exit(0 if ok else 1)
+    sys.exit(EXIT_CODES[verdict])
 
 
 def _from_input(param, call, *args):
@@ -52,13 +57,13 @@ def _from_input(param, call, *args):
         raise click.BadParameter(str(exc), param_hint=param) from exc
 
 
-def _caps(max_classes, max_steps):
-    caps = EnumerationCaps.default()
-    if max_classes is not None:
-        caps = EnumerationCaps(max_classes=max_classes, max_steps=caps.max_steps)
-    if max_steps is not None:
-        caps = EnumerationCaps(max_classes=caps.max_classes, max_steps=max_steps)
-    return caps
+def _caps(max_classes=None, max_steps=None):
+    """The default caps, overridden by the --max-classes/--max-steps values."""
+    caps = _from_input("DIMON_MAX_CLASSES", EnumerationCaps.default)
+    return EnumerationCaps(
+        max_classes=caps.max_classes if max_classes is None else max_classes,
+        max_steps=caps.max_steps if max_steps is None else max_steps,
+    )
 
 
 def _parse_range(text):
@@ -104,15 +109,15 @@ def build(family, n, out, dot, as_json):
     payload = {"verb": "build", "family": fam.value, "n": n, "size": m.size,
                "degree": m.degree, "generators": len(m.generators),
                "out": out, "dot": dot}
-    _emit(lines, payload, True, as_json)
+    _emit(lines, payload, Verdict.PASS, as_json)
 
 
 @main.command("verify-presentation")
 @click.option("--family", required=True,
               help="relation family (R, U, V, Vbar, VbarPrime, Q, Q0, QPrime)")
 @click.option("--n", type=int, required=True)
-@click.option("--max-classes", type=click.IntRange(min=1), default=None)
-@click.option("--max-steps", type=click.IntRange(min=1), default=None)
+@click.option("--max-classes", type=click.IntRange(1, MAX_CLASSES), default=None)
+@click.option("--max-steps", type=click.IntRange(1, MAX_STEPS), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def verify_presentation(family, n, max_classes, max_steps, as_json):
     """Check a relation family presents its monoid, by enumeration."""
@@ -133,16 +138,16 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     payload = {"verb": "verify-presentation", "family": fam.value, "n": n,
                "monoid": target.value, "verdict": v.verdict.value,
                "classes": v.class_count, "size": v.monoid_size,
-               "failing": list(v.failing_tags)}
-    _emit(lines, payload, v.verdict is Verdict.PASS, as_json)
+               "failing": list(v.failing_tags), "backend": congruence.BACKEND}
+    _emit(lines, payload, v.verdict, as_json)
 
 
 @main.command("enumerate")
 @click.option("--presentation", "path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="presentation JSON file")
-@click.option("--max-classes", type=click.IntRange(min=1), default=None)
-@click.option("--max-steps", type=click.IntRange(min=1), default=None)
+@click.option("--max-classes", type=click.IntRange(1, MAX_CLASSES), default=None)
+@click.option("--max-steps", type=click.IntRange(1, MAX_STEPS), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def enumerate_presentation(path, max_classes, max_steps, as_json):
     """Enumerate the congruence classes of a presentation file."""
@@ -161,8 +166,9 @@ def enumerate_presentation(path, max_classes, max_steps, as_json):
         lines = [f"{p.label}: capped at max_classes={r.caps.max_classes}, "
                  f"max_steps={r.caps.max_steps}"]
     payload = {"verb": "enumerate", "presentation": path, "label": p.label,
-               "result": r.to_json_dict()}
-    _emit(lines, payload, r.is_complete, as_json)
+               "result": r.to_json_dict(), "backend": congruence.BACKEND}
+    verdict = Verdict.PASS if r.is_complete else Verdict.INDETERMINATE
+    _emit(lines, payload, verdict, as_json)
 
 
 @main.command("check-relations")
@@ -183,7 +189,7 @@ def check_relations(family, n, as_json):
     payload = {"verb": "check-relations", "family": fam.value, "n": n,
                "relations": len(p.relations), "all_hold": report.all_hold,
                "failing": [rel.tag for rel in report.failing]}
-    _emit(lines, payload, report.all_hold, as_json)
+    _emit(lines, payload, Verdict.PASS if report.all_hold else Verdict.FAIL, as_json)
 
 
 @main.command()
@@ -194,13 +200,14 @@ def forms(family, n, as_json):
     """Verify the candidate forms set is a transversal of the classes."""
     fam = _from_input("'--family'", RelationFamily.parse, family)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
+    caps = _caps()
     if fam is RelationFamily.R:
         base = congruence.enumerate_classes(
-            presentations.build_relations(RelationFamily.U, n))
+            presentations.build_relations(RelationFamily.U, n), caps)
         fs = presentations.build_forms(fam, n, base)
     elif fam is RelationFamily.VBAR:
         base = congruence.enumerate_classes(
-            presentations.build_relations(RelationFamily.V, n))
+            presentations.build_relations(RelationFamily.V, n), caps)
         fs = presentations.build_forms(fam, n, base)
     elif fam is RelationFamily.Q:
         fs = presentations.build_forms(fam, n)
@@ -208,17 +215,20 @@ def forms(family, n, as_json):
         raise click.BadParameter(f"no forms construction for {fam.value}")
     a = presentations.build_assignment(fam, n)
     m = monoids.build_named(TARGET_MONOID[fam], n)
-    v = congruence.verify_forms_set(p, fs, a, m)
+    v = congruence.verify_forms_set(p, fs, a, m, caps)
     if v.verdict is Verdict.PASS:
         lines = [f"PASS, {v.forms_count} forms cover {v.class_count} classes "
                  f"of a monoid of size {v.monoid_size}"]
-    else:
+    elif v.verdict is Verdict.FAIL:
         lines = [f"FAIL: {'; '.join(v.problems)}"]
+    else:
+        lines = [f"INDETERMINATE, enumeration capped before {v.monoid_size}"]
     payload = {"verb": "forms", "family": fam.value, "n": n,
                "monoid": TARGET_MONOID[fam].value, "verdict": v.verdict.value,
                "forms": v.forms_count, "classes": v.class_count,
-               "size": v.monoid_size, "problems": list(v.problems)}
-    _emit(lines, payload, v.verdict is Verdict.PASS, as_json)
+               "size": v.monoid_size, "problems": list(v.problems),
+               "backend": congruence.BACKEND}
+    _emit(lines, payload, v.verdict, as_json)
 
 
 @main.command()
@@ -234,24 +244,30 @@ def tietze(chain, n, as_json):
         steps = _from_input("'--n'", presentations.opdi_elimination_chain, n)
         target = MonoidFamily.OPDI
     m = monoids.build_named(target, n)
+    caps = _caps()
     lines = []
     rows = []
     counts = []
     for p in steps:
-        r = congruence.enumerate_classes(p)
+        r = congruence.enumerate_classes(p, caps)
         counts.append(r.class_count)
         lines.append(f"{p.label}: {len(p.letters)} letters, "
                      f"{r.class_count} classes")
         rows.append({"label": p.label, "letters": len(p.letters),
                      "classes": r.class_count})
-    ok = len(set(counts)) == 1 and counts[0] == m.size
-    if ok:
+    if None in counts:
+        verdict = Verdict.INDETERMINATE
+        lines.append(f"INDETERMINATE, enumeration capped before {m.size}")
+    elif len(set(counts)) == 1 and counts[0] == m.size:
+        verdict = Verdict.PASS
         lines.append(f"PASS, class count preserved at {m.size} = |{target.value}({n})|")
     else:
+        verdict = Verdict.FAIL
         lines.append(f"FAIL, class counts {counts} vs size {m.size}")
     payload = {"verb": "tietze", "chain": chain, "n": n, "steps": rows,
-               "verdict": "PASS" if ok else "FAIL", "size": m.size}
-    _emit(lines, payload, ok, as_json)
+               "verdict": verdict.value, "size": m.size,
+               "backend": congruence.BACKEND}
+    _emit(lines, payload, verdict, as_json)
 
 
 @main.command()
@@ -269,7 +285,7 @@ def green(family, n, as_json):
     payload = {"verb": "green", "family": fam.value, "n": n, "size": m.size,
                "r_classes": c["r"], "l_classes": c["l"],
                "h_classes": c["h"], "d_classes": c["d"]}
-    _emit(lines, payload, True, as_json)
+    _emit(lines, payload, Verdict.PASS, as_json)
 
 
 @main.command()
@@ -306,7 +322,7 @@ def formulas(n_range, as_json):
     lines.append("cardinality cross-checks " + ("ok" if ok else "FAILED"))
     payload = {"verb": "formulas", "rows": rows,
                "verdict": "PASS" if ok else "FAIL"}
-    _emit(lines, payload, ok, as_json)
+    _emit(lines, payload, Verdict.PASS if ok else Verdict.FAIL, as_json)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,18 @@ smaller class id surviving.  Capped runs are reported as such, never
 as a wrong answer; a completed run can overcount nothing and
 undercount nothing.
 
-The kernel is the compiled extension dimon._tc_core when available,
-with dimon._tc_py as the pure-Python fallback; both implement the
-identical procedure.  The environment variable DIMON_MAX_CLASSES
-overrides the default class cap.
+The kernel is the compiled extension dimon._tc_core when it was built,
+and the pure-Python dimon._tc_py otherwise; both implement the identical
+procedure and return identical tables.  BACKEND names the active one
+("compiled" or "pure").  setup.py compiles the extension from the
+shipped _tc_core.c, so no Cython is needed to build it; the .c is
+regenerated with Cython after an edit of _tc_core.pyx, and
+tests/test_build.py fails while it is stale.  The kernel reads each
+presentation's relations as Presentation.relation_ids, encoded once.
+
+The environment variable DIMON_MAX_CLASSES overrides the default class
+cap.  Caps are checked where they are made: the compiled kernel holds
+class ids in a C int and its step count in a C long long.
 """
 
 from __future__ import annotations
@@ -62,6 +70,12 @@ class Verdict(enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
+# the compiled kernel doubles its class capacity in a C int, and counts
+# steps in a C long long
+MAX_CLASSES = 2**30
+MAX_STEPS = 2**63 - 1
+
+
 @dataclasses.dataclass(frozen=True)
 class EnumerationCaps:
     """Budgets for one enumeration run."""
@@ -72,11 +86,27 @@ class EnumerationCaps:
     def __post_init__(self):
         if self.max_classes <= 0 or self.max_steps <= 0:
             raise ValueError("caps must be positive")
+        if self.max_classes > MAX_CLASSES:
+            raise ValueError(
+                f"max_classes must be at most 2**30, got {self.max_classes}"
+            )
+        if self.max_steps > MAX_STEPS:
+            raise ValueError(
+                f"max_steps must be at most 2**63 - 1, got {self.max_steps}"
+            )
 
     @classmethod
     def default(cls) -> "EnumerationCaps":
+        """The default caps, with max_classes from DIMON_MAX_CLASSES if set."""
         env = os.environ.get("DIMON_MAX_CLASSES")
-        return cls(max_classes=int(env)) if env else cls()
+        if not env:
+            return cls()
+        try:
+            return cls(max_classes=int(env))
+        except ValueError as exc:
+            raise ValueError(
+                f"DIMON_MAX_CLASSES={env!r} is not a class cap: {exc}"
+            ) from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,10 +150,6 @@ class EnumerationResult:
         }
 
 
-def _compiled_relations(p: Presentation):
-    return [(p.word_ids(r.lhs), p.word_ids(r.rhs)) for r in p.relations]
-
-
 def enumerate_congruence(
     p: Presentation, caps: "EnumerationCaps | None" = None
 ) -> EnumerationResult:
@@ -137,7 +163,7 @@ def enumerate_congruence(
     caps = caps or EnumerationCaps.default()
     status, table, _ = _kernel.run(
         len(p.letters),
-        _compiled_relations(p),
+        p.relation_ids,
         caps.max_classes,
         caps.max_steps,
         None,
@@ -170,7 +196,7 @@ def is_consequence(
     watch = (p.word_ids(rel.lhs), p.word_ids(rel.rhs))
     status, _, watch_equal = _kernel.run(
         len(p.letters),
-        _compiled_relations(p),
+        p.relation_ids,
         caps.max_classes,
         caps.max_steps,
         watch,

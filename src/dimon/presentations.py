@@ -91,6 +91,17 @@ class Presentation:
     def word_ids(self, w: "tuple[str, ...]") -> "tuple[int, ...]":
         return tuple(self._ids[name] for name in w)
 
+    @functools.cached_property
+    def relation_ids(self) -> "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]":
+        """Every relation as its (lhs, rhs) pair of letter-id words.
+
+        This is the enumeration kernel's input, encoded once per
+        presentation.
+        """
+        return tuple(
+            (self.word_ids(r.lhs), self.word_ids(r.rhs)) for r in self.relations
+        )
+
     def tagged(self, prefix: str) -> "tuple[Relation, ...]":
         """Relations whose tag is prefix or prefix[indices].
 
@@ -975,6 +986,10 @@ def delete_relation(p: Presentation, rel: Relation, checked: bool = True, caps=N
         raise KeyError(f"{rel.lhs} = {rel.rhs} not present")
     remaining = p.relations[:index] + p.relations[index + 1:]
     smaller = Presentation(p.label, p.letters, remaining)
+    # the parent's encoding minus one entry, stored where the
+    # cached_property keeps its value, so nothing is encoded again
+    ids = p.relation_ids
+    smaller.__dict__["relation_ids"] = ids[:index] + ids[index + 1:]
     if checked:
         from .congruence import is_consequence
 

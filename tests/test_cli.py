@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import dimon
+from dimon import congruence
 from dimon.cli import main
 from dimon.presentations import RelationFamily, build_relations
 
@@ -70,7 +71,7 @@ def test_verify_presentation_indeterminate(runner):
         main,
         ["verify-presentation", "--family", "R", "--n", "5", "--max-classes", "20"],
     )
-    assert res.exit_code == 1
+    assert res.exit_code == 3
     assert "INDETERMINATE" in res.output
 
 
@@ -83,10 +84,48 @@ def test_enumerate_file(runner, tmp_path):
     res = runner.invoke(
         main, ["enumerate", "--presentation", str(path), "--max-classes", "9", "--json"]
     )
-    assert res.exit_code == 1
+    assert res.exit_code == 3
     data = json.loads(res.output)
     assert data["result"]["status"] == "capped"
     assert data["result"]["max_classes"] == 9
+
+
+def test_json_names_the_backend(runner, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(build_relations(RelationFamily.Q, 4).to_json_dict()))
+    for args in (
+        ["verify-presentation", "--family", "R", "--n", "4"],
+        ["enumerate", "--presentation", str(path)],
+        ["forms", "--family", "Q", "--n", "4"],
+        ["tietze", "--chain", "odi", "--n", "4"],
+    ):
+        res = runner.invoke(main, args + ["--json"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["backend"] == congruence.BACKEND
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-presentation", "--family", "R", "--n", "4"],
+    ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", "100"],
+    ["forms", "--family", "R", "--n", "4"],
+    ["tietze", "--chain", "odi", "--n", "4"],
+], ids=lambda args: " ".join(args[:1] + args[5:]))
+def test_malformed_class_cap_variable_is_a_usage_error(runner, args):
+    res = runner.invoke(main, args, env={"DIMON_MAX_CLASSES": "abc"})
+    assert res.exit_code == 2
+    assert "Invalid value for DIMON_MAX_CLASSES: DIMON_MAX_CLASSES='abc'" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_capped_forms_and_tietze_are_indeterminate(runner):
+    res = runner.invoke(main, ["forms", "--family", "Q", "--n", "4"],
+                        env={"DIMON_MAX_CLASSES": "20"})
+    assert res.exit_code == 3
+    assert res.output.startswith("INDETERMINATE")
+    res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4", "--json"],
+                        env={"DIMON_MAX_CLASSES": "20"})
+    assert res.exit_code == 3
+    assert json.loads(res.output)["verdict"] == "INDETERMINATE"
 
 
 def test_check_relations(runner):
@@ -166,6 +205,8 @@ def test_formulas_bad_range(runner):
     ["tietze", "--chain", "opdi", "--n", "3"],
     ["green", "--family", "di", "--n", "2"],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", "0"],
+    ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", str(2**30 + 1)],
+    ["verify-presentation", "--family", "R", "--n", "4", "--max-steps", str(2**63)],
 ], ids=lambda args: " ".join(args[:1] + args[2:]))
 def test_out_of_range_input_is_a_usage_error(runner, args):
     res = runner.invoke(main, args)

@@ -1,7 +1,13 @@
 """Congruence enumeration: counts, verdicts, consequences, invariants."""
 
 import doctest
+import importlib.util
+import pathlib
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import pytest
 
@@ -34,10 +40,7 @@ from dimon.presentations import (
     evaluate,
 )
 
-try:
-    from dimon import _tc_core
-except ImportError:
-    _tc_core = None
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # class counts double-checked against the closure sizes
 CLASS_COUNTS = {
@@ -81,9 +84,25 @@ def test_caps_validation():
     assert caps.max_classes == 10**6
 
 
+def test_caps_fit_the_compiled_kernel():
+    """Class ids are C ints whose capacity doubles, steps a C long long."""
+    assert EnumerationCaps(max_classes=2**30, max_steps=2**63 - 1).max_classes == 2**30
+    with pytest.raises(ValueError, match="max_classes must be at most 2\\*\\*30"):
+        EnumerationCaps(max_classes=2**30 + 1)
+    with pytest.raises(ValueError, match="max_steps must be at most"):
+        EnumerationCaps(max_steps=2**63)
+
+
 def test_caps_env_override(monkeypatch):
     monkeypatch.setenv("DIMON_MAX_CLASSES", "123")
     assert EnumerationCaps.default().max_classes == 123
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "1.5", str(2**31)])
+def test_caps_env_malformed(monkeypatch, value):
+    monkeypatch.setenv("DIMON_MAX_CLASSES", value)
+    with pytest.raises(ValueError, match=f"DIMON_MAX_CLASSES='{value}'"):
+        EnumerationCaps.default()
 
 
 def test_enumerate_trivial():
@@ -164,32 +183,72 @@ def test_enumeration_is_deterministic():
     assert r1.class_count == r2.class_count
 
 
-@pytest.mark.skipif(_tc_core is None, reason="compiled kernel not built")
-def test_backends_identical():
-    from dimon.congruence import _compiled_relations
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The kernel that setup.py compiles from the shipped _tc_core.c.
 
+    It is built into a temporary directory and loaded from there, so the
+    tests run it on a fresh checkout and write nothing under src/.
+    """
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    headers = pathlib.Path(sysconfig.get_paths()["include"], "Python.h")
+    if shutil.which(cc) is None or not headers.is_file():
+        pytest.skip("no C compiler or no Python headers to build the compiled kernel")
+    out = tmp_path_factory.mktemp("tc_core")
+    done = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = sorted((out / "lib" / "dimon").glob("_tc_core*"))
+    if not built:
+        pytest.fail(f"setup.py built no kernel:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    spec = importlib.util.spec_from_file_location("dimon._tc_core", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_backends_identical(compiled_kernel):
     for family, n in (
         (RelationFamily.R, 4),
         (RelationFamily.VBAR, 5),
         (RelationFamily.Q_PRIME, 5),
     ):
         p = build_relations(family, n)
-        rels = _compiled_relations(p)
+        rels = p.relation_ids
         out_py = _tc_py.run(len(p.letters), rels, 10**6, 10**8)
-        out_c = _tc_core.run(len(p.letters), rels, 10**6, 10**8)
+        out_c = compiled_kernel.run(len(p.letters), rels, 10**6, 10**8)
         assert out_py == out_c
     # watch and cap outcomes agree as well
     p = Presentation(
         "t", letters("h", "x", "y"),
         (Relation(("h", "h"), (), "s"), Relation(("h", "x"), ("y", "h"), "c")),
     )
-    rels = _compiled_relations(p)
+    rels = p.relation_ids
     watch = (p.word_ids(("h", "y")), p.word_ids(("x", "h")))
-    assert _tc_py.run(3, rels, 10**6, 10**8, watch) == _tc_core.run(
+    assert _tc_py.run(3, rels, 10**6, 10**8, watch) == compiled_kernel.run(
         3, rels, 10**6, 10**8, watch
     )
-    free = Presentation("free", letters("a"), ())
-    assert _tc_py.run(1, (), 7, 10**8) == _tc_core.run(1, (), 7, 10**8)
+    assert _tc_py.run(1, (), 7, 10**8) == compiled_kernel.run(1, (), 7, 10**8)
+
+
+@pytest.mark.parametrize("family", [RelationFamily.R, RelationFamily.Q])
+def test_backends_identical_on_deletions(compiled_kernel, family):
+    """Each relation of the family at n = 4 deleted in turn, under a
+    500-class cap: the plain run and the run watching the deleted pair
+    return equal tuples from both kernels, capped, merged or complete."""
+    p = build_relations(family, 4)
+    statuses = set()
+    for rel in p.relations:
+        smaller = delete_relation(p, rel, checked=False)
+        watch = (p.word_ids(rel.lhs), p.word_ids(rel.rhs))
+        for w in (None, watch):
+            args = (len(p.letters), smaller.relation_ids, 500, 10**8, w)
+            out_py = _tc_py.run(*args)
+            assert out_py == compiled_kernel.run(*args), (rel.tag, w)
+            statuses.add(out_py[0])
+    assert {_tc_py.STATUS_CAPPED, _tc_py.STATUS_WATCH_MERGED} <= statuses
 
 
 def test_power_identities_follow_from_u():

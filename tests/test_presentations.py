@@ -273,6 +273,22 @@ def test_add_delete_relation_checked():
         delete_relation(p, Relation(("x",), ("y",), "absent"), checked=False)
 
 
+def test_relation_ids_survive_deletion():
+    """delete_relation hands on its parent's encoding minus one entry; it
+    equals the encoding of the smaller presentation built from scratch."""
+    p = build_relations(RelationFamily.Q, 4)
+    assert p.relation_ids == tuple(
+        (p.word_ids(r.lhs), p.word_ids(r.rhs)) for r in p.relations
+    )
+    # a relation that appears twice: the first copy is the one removed
+    twice = Presentation(p.label, p.letters, p.relations + p.relations[:1])
+    for q in (p, twice):
+        for rel in q.relations:
+            smaller = delete_relation(q, rel, checked=False)
+            fresh = Presentation(smaller.label, smaller.letters, smaller.relations)
+            assert smaller.relation_ids == fresh.relation_ids
+
+
 def test_wprime1_words_count_and_alphabet():
     for n in (4, 5, 6, 7):
         words = wprime1_words(n)
