@@ -1,9 +1,26 @@
 """Pure-Python congruence enumeration kernel.
 
-Table-filling over the right action of letters on classes, with
-relations applied at every class and a FIFO coincidence queue.  The
-compiled kernel in _tc_core implements the same procedure step for
-step; both produce identical renumbered tables.
+Table-filling over the right action of letters on classes, in the HLT
+style: classes are visited in creation order, every relation is traced
+at each live class (defining classes along the way), the class's row
+is then filled with new classes, and coincidences go through a FIFO
+queue with the smaller class id surviving.  This module is the
+reference and the fallback when no C compiler is available; the
+compiled kernel, the hand-written C extension _tc_core, implements the
+same procedure step for step, so both return equal tuples and stop
+at the same step cap.
+
+No final pass re-checks the relations, because every relation holds
+at every live class once the main loop ends:
+
+- A relation scanned at class c leaves both sides traced from c ending
+  in one class.  A coincidence merges rows without dropping an entry,
+  and the queue is drained before the scan returns, so the two traces
+  from find(c) still end in one class after any later coincidence.
+- The loop visits every class ever created, and a class never comes
+  back to life once merged away.  A class live at the end was live
+  when the loop reached it, so every relation was scanned at that very
+  class and its row was filled then.
 
 Protocol constants shared by both kernels:
 
@@ -25,6 +42,24 @@ class _Capped(Exception):
     pass
 
 
+def _checked(word, n_letters):
+    """word as a tuple of letter ids, each in range(n_letters)."""
+    word = tuple(word)
+    for a in word:
+        if not 0 <= a < n_letters:
+            raise ValueError(f"letter id {a!r} is not in range({n_letters})")
+    return word
+
+
+def _checked_pair(pair, n_letters):
+    pair = tuple(pair)
+    if len(pair) != 2:
+        raise ValueError(
+            f"expected an (lhs, rhs) pair of words, got {len(pair)} items"
+        )
+    return _checked(pair[0], n_letters), _checked(pair[1], n_letters)
+
+
 def run(n_letters, relations, max_classes, max_steps, watch=None):
     """Enumerate the classes of the two-sided congruence.
 
@@ -35,8 +70,14 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     Returns (status, table, watch_equal).  table is a list of rows
     (one per class, class 0 = empty word) when status is 0, else None.
     watch_equal is None without a watch, else a bool (True when status
-    is 2).
+    is 2).  A letter id outside range(n_letters), in a relation or in
+    the watch pair, raises ValueError, as does a negative n_letters.
     """
+    if n_letters < 0:
+        raise ValueError(f"n_letters must be non-negative, got {n_letters}")
+    relations = [_checked_pair(pair, n_letters) for pair in relations]
+    if watch is not None:
+        watch = _checked_pair(watch, n_letters)
     parent = [0]
     table = [[UNDEF] * n_letters]
     queue = deque()
@@ -118,13 +159,6 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
             if t != p:
                 coincide(t, p)
 
-    def trace_total(c, word):
-        nonlocal steps
-        for a in word:
-            steps += 1
-            c = find(table[c][a])
-        return c
-
     w1 = w2 = UNDEF
 
     def watch_merged():
@@ -154,27 +188,6 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
                     if row[k] == UNDEF:
                         row[k] = new_class()
             c_idx += 1
-
-        # stability sweep: merged rows can violate already-scanned
-        # relations, so re-scan until a pass makes no change
-        changed = True
-        while changed:
-            changed = False
-            for c_idx in range(len(parent)):
-                if steps > max_steps:
-                    return (STATUS_CAPPED, None, None)
-                if find(c_idx) != c_idx:
-                    continue
-                for lhs, rhs in relations:
-                    if find(c_idx) != c_idx:
-                        break
-                    p = trace_total(c_idx, lhs)
-                    q = trace_total(c_idx, rhs)
-                    if p != q:
-                        coincide(p, q)
-                        changed = True
-                        if watch_merged():
-                            return (STATUS_WATCH_MERGED, None, True)
     except _Capped:
         return (STATUS_CAPPED, None, None)
 

@@ -18,10 +18,10 @@ The kernel is the compiled extension dimon._tc_core when it was built,
 and the pure-Python dimon._tc_py otherwise; both implement the identical
 procedure and return identical tables.  BACKEND names the active one
 ("compiled" or "pure").  setup.py compiles the extension from the
-shipped _tc_core.c, so no Cython is needed to build it; the .c is
-regenerated with Cython after an edit of _tc_core.pyx, and
-tests/test_build.py fails while it is stale.  The kernel reads each
-presentation's relations as Presentation.relation_ids, encoded once.
+hand-written C source _tc_core.c, which follows _tc_py step for step.
+The kernel reads each presentation's relations as
+Presentation.relation_ids, encoded once; both kernels raise ValueError
+for a letter id outside range(n_letters).
 
 The environment variable DIMON_MAX_CLASSES overrides the default class
 cap.  Caps are checked where they are made: the compiled kernel holds
@@ -254,8 +254,11 @@ def verify_presentation(
 
 @dataclasses.dataclass(frozen=True)
 class FormsVerdict:
+    """forms_count is None when the forms could not be built: their seed
+    enumeration was capped."""
+
     verdict: Verdict
-    forms_count: int
+    forms_count: "int | None"
     class_count: "int | None"
     monoid_size: int
     problems: "tuple[str, ...]"

@@ -118,10 +118,18 @@ def test_malformed_class_cap_variable_is_a_usage_error(runner, args):
 
 
 def test_capped_forms_and_tietze_are_indeterminate(runner):
-    res = runner.invoke(main, ["forms", "--family", "Q", "--n", "4"],
+    # R and Vbar read their forms off a seed enumeration (of U, of V),
+    # which the cap stops first
+    for family in ("R", "Vbar", "Q"):
+        res = runner.invoke(main, ["forms", "--family", family, "--n", "4"],
+                            env={"DIMON_MAX_CLASSES": "20"})
+        assert res.exit_code == 3, (family, res.output)
+        assert res.output.startswith("INDETERMINATE")
+    res = runner.invoke(main, ["forms", "--family", "R", "--n", "4", "--json"],
                         env={"DIMON_MAX_CLASSES": "20"})
     assert res.exit_code == 3
-    assert res.output.startswith("INDETERMINATE")
+    data = json.loads(res.output)
+    assert data["verdict"] == "INDETERMINATE" and data["forms"] is None
     res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4", "--json"],
                         env={"DIMON_MAX_CLASSES": "20"})
     assert res.exit_code == 3

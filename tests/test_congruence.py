@@ -2,6 +2,7 @@
 
 import doctest
 import importlib.util
+import os
 import pathlib
 import random
 import shutil
@@ -185,7 +186,7 @@ def test_enumeration_is_deterministic():
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
-    """The kernel that setup.py compiles from the shipped _tc_core.c.
+    """The kernel that setup.py compiles from the hand-written _tc_core.c.
 
     It is built into a temporary directory and loaded from there, so the
     tests run it on a fresh checkout and write nothing under src/.
@@ -195,10 +196,13 @@ def compiled_kernel(tmp_path_factory):
     if shutil.which(cc) is None or not headers.is_file():
         pytest.skip("no C compiler or no Python headers to build the compiled kernel")
     out = tmp_path_factory.mktemp("tc_core")
+    # -Werror joins Python's own warning flags: a compiler warning fails
+    cflags = f"{os.environ.get('CFLAGS', '')} -Werror".strip()
     done = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
         cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "CFLAGS": cflags},
     )
     built = sorted((out / "lib" / "dimon").glob("_tc_core*"))
     if not built:
@@ -209,6 +213,33 @@ def compiled_kernel(tmp_path_factory):
     return module
 
 
+@pytest.fixture(params=["pure", "compiled"])
+def kernel(request):
+    """Each kernel in turn: _tc_py, then the compiled one."""
+    if request.param == "pure":
+        return _tc_py
+    return request.getfixturevalue("compiled_kernel")
+
+
+def assert_relations_hold_at_every_class(table, relation_ids):
+    """Every relation, traced from every class of a complete table, ends
+    in one class on both sides."""
+
+    def trace(c, word):
+        for a in word:
+            c = table[c][a]
+        return c
+
+    for c in range(len(table)):
+        for lhs, rhs in relation_ids:
+            assert trace(c, lhs) == trace(c, rhs), (c, lhs, rhs)
+
+
+# step caps from a first class to past completion: a step counted in a
+# different place shows as a capped run on one side, a complete on the other
+STEP_CAPS = (*range(0, 400, 7), *range(400, 12_000, 97), 10**5, 10**6)
+
+
 def test_backends_identical(compiled_kernel):
     for family, n in (
         (RelationFamily.R, 4),
@@ -217,9 +248,13 @@ def test_backends_identical(compiled_kernel):
     ):
         p = build_relations(family, n)
         rels = p.relation_ids
-        out_py = _tc_py.run(len(p.letters), rels, 10**6, 10**8)
-        out_c = compiled_kernel.run(len(p.letters), rels, 10**6, 10**8)
-        assert out_py == out_c
+        statuses = set()
+        for max_steps in STEP_CAPS:
+            out_py = _tc_py.run(len(p.letters), rels, 10**6, max_steps)
+            out_c = compiled_kernel.run(len(p.letters), rels, 10**6, max_steps)
+            assert out_py == out_c, (p.label, max_steps)
+            statuses.add(out_py[0])
+        assert statuses == {_tc_py.STATUS_CAPPED, _tc_py.STATUS_COMPLETE}
     # watch and cap outcomes agree as well
     p = Presentation(
         "t", letters("h", "x", "y"),
@@ -227,17 +262,30 @@ def test_backends_identical(compiled_kernel):
     )
     rels = p.relation_ids
     watch = (p.word_ids(("h", "y")), p.word_ids(("x", "h")))
-    assert _tc_py.run(3, rels, 10**6, 10**8, watch) == compiled_kernel.run(
-        3, rels, 10**6, 10**8, watch
-    )
+    for max_steps in STEP_CAPS:
+        assert _tc_py.run(3, rels, 10**6, max_steps, watch) == compiled_kernel.run(
+            3, rels, 10**6, max_steps, watch
+        )
     assert _tc_py.run(1, (), 7, 10**8) == compiled_kernel.run(1, (), 7, 10**8)
 
 
-@pytest.mark.parametrize("family", [RelationFamily.R, RelationFamily.Q])
+# under a 500-class cap every deletion from R(4) caps or merges, while
+# some from Q(4) complete
+DELETION_OUTCOMES = {
+    RelationFamily.R: {_tc_py.STATUS_CAPPED, _tc_py.STATUS_WATCH_MERGED},
+    RelationFamily.Q: {
+        _tc_py.STATUS_COMPLETE, _tc_py.STATUS_CAPPED, _tc_py.STATUS_WATCH_MERGED
+    },
+}
+
+
+@pytest.mark.parametrize("family", tuple(DELETION_OUTCOMES))
 def test_backends_identical_on_deletions(compiled_kernel, family):
     """Each relation of the family at n = 4 deleted in turn, under a
     500-class cap: the plain run and the run watching the deleted pair
-    return equal tuples from both kernels, capped, merged or complete."""
+    return equal tuples from both kernels, capped, merged or complete.
+    Every complete table satisfies every remaining relation at every
+    class."""
     p = build_relations(family, 4)
     statuses = set()
     for rel in p.relations:
@@ -248,7 +296,70 @@ def test_backends_identical_on_deletions(compiled_kernel, family):
             out_py = _tc_py.run(*args)
             assert out_py == compiled_kernel.run(*args), (rel.tag, w)
             statuses.add(out_py[0])
-    assert {_tc_py.STATUS_CAPPED, _tc_py.STATUS_WATCH_MERGED} <= statuses
+            if out_py[0] == _tc_py.STATUS_COMPLETE:
+                assert_relations_hold_at_every_class(out_py[1], smaller.relation_ids)
+    assert statuses == DELETION_OUTCOMES[family]
+
+
+@pytest.mark.parametrize("family", tuple(RelationFamily))
+def test_every_relation_holds_at_every_class(kernel, family):
+    """No final sweep re-checks the relations, so the main loop alone
+    must leave each of them holding at every class, not only at class 0."""
+    for n in (4, 5):
+        p = build_relations(family, n)
+        status, table, _ = kernel.run(len(p.letters), p.relation_ids, 10**6, 10**8)
+        assert status == kernel.STATUS_COMPLETE
+        assert len(table) == CLASS_COUNTS[family][n]
+        assert_relations_hold_at_every_class(table, p.relation_ids)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_letter_ids_checked_at_the_kernel(kernel, bad):
+    """An id outside range(n_letters), in a relation or in the watch pair,
+    is refused before any class is read or written."""
+    ok = ((0, 1), (2,))
+    for relations, watch in (
+        ([((bad,), ())], None),
+        ([ok, ((0,), (1, bad))], None),
+        ([ok], ((bad,), ())),
+        ([ok], ((0,), (2, bad))),
+    ):
+        with pytest.raises(ValueError, match=f"letter id {bad} is not in range\\(3\\)"):
+            kernel.run(3, relations, 100, 10**6, watch)
+    with pytest.raises(ValueError, match="n_letters must be non-negative"):
+        kernel.run(-1, [], 100, 10**6)
+
+
+@pytest.mark.parametrize(
+    "relations, error",
+    [
+        ([((0,), (1,), (0,))], ValueError),  # three words, not a pair
+        ([((0,),)], ValueError),  # one word
+        ([5], TypeError),  # a pair that is no sequence
+        ([((0,), 1)], TypeError),  # a word that is no sequence
+        ([((0,), ("a",))], TypeError),  # a letter id that is no integer
+    ],
+)
+def test_malformed_relations_rejected(kernel, relations, error):
+    """A relation or watch that is not a pair of integer words raises."""
+    with pytest.raises(error):
+        kernel.run(2, relations, 100, 10**6)
+    with pytest.raises(error):
+        kernel.run(2, [], 100, 10**6, relations[0])
+
+
+def test_compiled_caps_beyond_c_types(compiled_kernel):
+    """Class ids are C ints and the step count a C long long."""
+    with pytest.raises(OverflowError):
+        compiled_kernel.run(1, (), 2**31, 10)
+    with pytest.raises(OverflowError):
+        compiled_kernel.run(1, (), 10, 2**63)
+    with pytest.raises(OverflowError):
+        compiled_kernel.run(2**31, (), 10, 10)
+    # the largest caps are accepted (a negative step cap stops at once)
+    capped = (_tc_py.STATUS_CAPPED, None, None)
+    assert compiled_kernel.run(1, (), 2**31 - 1, -1) == capped
+    assert compiled_kernel.run(1, (), 10, 2**63 - 1) == capped
 
 
 def test_power_identities_follow_from_u():
