@@ -22,7 +22,7 @@ from .congruence import (
     EnumerationCaps,
     IndeterminateError,
     Verdict,
-    enumerate_classes,
+    enumerate_congruence,
     is_consequence,
     normal_forms,
     verify_forms_set,
@@ -72,7 +72,7 @@ __all__ = [
     "check_relations_hold",
     "closure",
     "compose",
-    "enumerate_classes",
+    "enumerate_congruence",
     "expected_relation_count",
     "green_classes",
     "inverse",

@@ -319,7 +319,9 @@ enumerate(State *s, const Words *w, Py_ssize_t n_rels, int *w1, int *w2)
         if (find(s, c_idx) == c_idx) {
             for (k = 0; k < s->n_letters; k++) {
                 if (row(s, c_idx)[k] == UNDEF) {
-                    int cid = new_class(s);
+                    int cid;
+                    s->steps++;
+                    cid = new_class(s);
                     if (cid < 0)
                         return cid == CAPPED ? STATUS_CAPPED : FAILED;
                     row(s, c_idx)[k] = cid;

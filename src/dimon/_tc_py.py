@@ -10,6 +10,11 @@ compiled kernel, the hand-written C extension _tc_core, implements the
 same procedure step for step, so both return equal tuples and stop
 at the same step cap.
 
+A step is one letter traced, one letter of a row merged in a
+coincidence, or one class defined while filling a row.  The budget is
+checked before each class is visited, so max_steps bounds a run whose
+classes all come from row filling, such as one with no relations.
+
 No final pass re-checks the relations, because every relation holds
 at every live class once the main loop ends:
 
@@ -186,6 +191,7 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
                 row = table[c_idx]
                 for k in range(n_letters):
                     if row[k] == UNDEF:
+                        steps += 1
                         row[k] = new_class()
             c_idx += 1
     except _Capped:

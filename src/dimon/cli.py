@@ -159,7 +159,7 @@ def enumerate_presentation(path, max_classes, max_steps, as_json):
                 f"malformed presentation: {type(exc).__name__}: {exc}",
                 param_hint="'--presentation'",
             ) from exc
-    r = congruence.enumerate_classes(p, _caps(max_classes, max_steps))
+    r = congruence.enumerate_congruence(p, _caps(max_classes, max_steps))
     if r.is_complete:
         lines = [f"{p.label}: complete, {r.class_count} classes"]
     else:
@@ -202,10 +202,10 @@ def forms(family, n, as_json):
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     caps = _caps()
     if fam is RelationFamily.R:
-        base = congruence.enumerate_classes(
+        base = congruence.enumerate_congruence(
             presentations.build_relations(RelationFamily.U, n), caps)
     elif fam is RelationFamily.VBAR:
-        base = congruence.enumerate_classes(
+        base = congruence.enumerate_congruence(
             presentations.build_relations(RelationFamily.V, n), caps)
     elif fam is RelationFamily.Q:
         base = None
@@ -252,7 +252,7 @@ def tietze(chain, n, as_json):
     rows = []
     counts = []
     for p in steps:
-        r = congruence.enumerate_classes(p, caps)
+        r = congruence.enumerate_congruence(p, caps)
         counts.append(r.class_count)
         lines.append(f"{p.label}: {len(p.letters)} letters, "
                      f"{r.class_count} classes")

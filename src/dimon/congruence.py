@@ -179,10 +179,6 @@ def enumerate_congruence(
     )
 
 
-def word_class(r: EnumerationResult, w: "tuple[str, ...]") -> int:
-    return r.word_class(w)
-
-
 def is_consequence(
     p: Presentation, rel: Relation, caps: "EnumerationCaps | None" = None
 ) -> bool:
@@ -331,6 +327,3 @@ def normal_forms(r: EnumerationResult, alphabet) -> FormsSet:
                 reps[t] = reps[c] + (name,)
                 queue.append(t)
     return FormsSet(label="shortlex", letters=names, words=tuple(reps))
-
-
-enumerate_classes = enumerate_congruence

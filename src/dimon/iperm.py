@@ -18,8 +18,7 @@ they have the same degree and the same graph.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 Point = int
 
@@ -168,97 +167,6 @@ def empty_map(n: int) -> PartialPerm:
     return PartialPerm(n, (0,) * n)
 
 
-def restrict(f: PartialPerm, points: Iterable[Point]) -> PartialPerm:
-    """Restrict f to the points of its domain that lie in `points`."""
-    keep = set(points)
-    for p in keep:
-        if not 1 <= p <= f.degree:
-            raise ValueError(f"point {p} outside 1..{f.degree}")
-    return PartialPerm(
-        f.degree,
-        tuple(
-            img if img and p in keep else 0
-            for p, img in enumerate(f.images, start=1)
-        ),
-    )
-
-
-def is_restriction_of(f: PartialPerm, g: PartialPerm) -> bool:
-    """True when f agrees with the total map g on all of dom(f).
-
-    >>> h, g = named_generator("h", 4), named_generator("g", 4)
-    >>> is_restriction_of(PartialPerm.from_pairs(4, [(1, 1), (2, 4)]), compose(h, g))
-    True
-    """
-    if f.degree != g.degree:
-        raise ValueError(f"degree mismatch: {f.degree} != {g.degree}")
-    if not g.is_total():
-        raise ValueError("second argument must be a total map")
-    return all(
-        img == 0 or img == g.images[p]
-        for p, img in enumerate(f.images)
-    )
-
-
-class SequenceKind(NamedTuple):
-    """Circular shape of the image sequence over the sorted domain.
-
-    `cyclic` means at most one descent reading the sequence cyclically,
-    `anti_cyclic` at most one ascent.  Sequences of length <= 2 are both.
-    """
-
-    cyclic: bool
-    anti_cyclic: bool
-
-
-def classify_image_sequence(f: PartialPerm) -> SequenceKind:
-    """Classify the image sequence (a_1, ..., a_t) of f, domain sorted.
-
-    >>> classify_image_sequence(named_generator("g", 5))
-    SequenceKind(cyclic=True, anti_cyclic=False)
-    >>> classify_image_sequence(named_generator("h", 5))
-    SequenceKind(cyclic=False, anti_cyclic=True)
-    """
-    seq = [img for img in f.images if img]
-    t = len(seq)
-    descents = sum(seq[k] > seq[(k + 1) % t] for k in range(t))
-    ascents = sum(seq[k] < seq[(k + 1) % t] for k in range(t))
-    return SequenceKind(cyclic=descents <= 1, anti_cyclic=ascents <= 1)
-
-
-def is_order_preserving(f: PartialPerm) -> bool:
-    """p < q implies p.f < q.f on the domain."""
-    seq = [img for img in f.images if img]
-    return all(a < b for a, b in zip(seq, seq[1:]))
-
-
-def is_order_reversing(f: PartialPerm) -> bool:
-    """p < q implies p.f > q.f on the domain."""
-    seq = [img for img in f.images if img]
-    return all(a > b for a, b in zip(seq, seq[1:]))
-
-
-def is_monotone(f: PartialPerm) -> bool:
-    """Order-preserving or order-reversing."""
-    return is_order_preserving(f) or is_order_reversing(f)
-
-
-def is_orientation_preserving(f: PartialPerm) -> bool:
-    """The image sequence over the sorted domain is cyclic."""
-    return classify_image_sequence(f).cyclic
-
-
-def is_orientation_reversing(f: PartialPerm) -> bool:
-    """The image sequence over the sorted domain is anti-cyclic."""
-    return classify_image_sequence(f).anti_cyclic
-
-
-def is_oriented(f: PartialPerm) -> bool:
-    """Orientation-preserving or orientation-reversing."""
-    kind = classify_image_sequence(f)
-    return kind.cyclic or kind.anti_cyclic
-
-
 #: Valid `kind` arguments of named_generator.
 GENERATOR_KINDS = ("g", "h", "e_i", "x", "y", "x_i", "y_i")
 
@@ -308,17 +216,3 @@ def named_generator(kind: str, n: int, i: int | None = None) -> PartialPerm:
     if kind == "y_i":
         return inverse(named_generator("x_i", n, i))
     raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def all_partial_perms(n: int) -> Iterator[PartialPerm]:
-    """Every partial permutation of degree n, smallest rank first.
-
-    >>> sum(1 for _ in all_partial_perms(3))
-    34
-    """
-    points = range(1, n + 1)
-    for k in range(n + 1):
-        for dom in itertools.combinations(points, k):
-            for img_set in itertools.combinations(points, k):
-                for img in itertools.permutations(img_set):
-                    yield PartialPerm.from_pairs(n, zip(dom, img))

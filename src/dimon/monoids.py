@@ -24,16 +24,7 @@ import enum
 import functools
 from collections.abc import Sequence
 
-from .iperm import (
-    PartialPerm,
-    compose,
-    identity,
-    is_monotone,
-    is_order_preserving,
-    is_orientation_preserving,
-    is_restriction_of,
-    named_generator,
-)
+from .iperm import PartialPerm, compose, identity, named_generator
 
 
 class MonoidFamily(enum.Enum):
@@ -89,10 +80,6 @@ class FiniteMonoid:
 
     def __contains__(self, f: PartialPerm) -> bool:
         return f in self._index
-
-    def product(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]."""
-        return self.index(compose(self.elements[i], self.elements[j]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -438,75 +425,14 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
     return GreenClasses(r=r, l=l, h=_dense(zip(r, l)), d=d)
 
 
-def elements_of_rank(m: FiniteMonoid, r: int) -> tuple[PartialPerm, ...]:
-    """All elements whose image has exactly r points, in element order."""
-    if not 0 <= r <= m.degree:
-        raise ValueError(f"rank {r} outside 0..{m.degree}")
-    return tuple(f for f in m.elements if f.rank() == r)
-
-
-def dihedral_permutations(n: int) -> tuple[PartialPerm, ...]:
-    """The 2n symmetries of the n-gon as total maps: rotations first."""
-    g = named_generator("g", n)
-    h = named_generator("h", n)
-    rotations = [identity(n)]
-    for _ in range(n - 1):
-        rotations.append(compose(rotations[-1], g))
-    return tuple(rotations) + tuple(compose(h, rot) for rot in rotations)
-
-
-def cyclic_permutations(n: int) -> tuple[PartialPerm, ...]:
-    """The n rotations as total maps."""
-    return dihedral_permutations(n)[:n]
-
-
-def family_predicate(family: MonoidFamily, n: int):
-    """Membership test defining each family pointwise.
-
-    Returns a predicate PartialPerm -> bool.  The ambient condition is
-    extendability to a symmetry (DI and its submonoids) or to a
-    rotation (CI and OCI); the group families additionally require
-    total maps.
-    """
-    symmetries = dihedral_permutations(n) if n >= 2 else (identity(n),)
-    rotations = symmetries[:n]
-
-    def in_di(f: PartialPerm) -> bool:
-        return any(is_restriction_of(f, p) for p in symmetries)
-
-    def in_ci(f: PartialPerm) -> bool:
-        return any(is_restriction_of(f, p) for p in rotations)
-
-    if family == MonoidFamily.DI:
-        return in_di
-    if family == MonoidFamily.CI:
-        return in_ci
-    if family == MonoidFamily.ODI:
-        return lambda f: in_di(f) and is_order_preserving(f)
-    if family == MonoidFamily.MDI:
-        return lambda f: in_di(f) and is_monotone(f)
-    if family == MonoidFamily.OPDI:
-        return lambda f: in_di(f) and is_orientation_preserving(f)
-    if family == MonoidFamily.OCI:
-        return lambda f: in_ci(f) and is_order_preserving(f)
-    if family == MonoidFamily.DIHEDRAL_GROUP:
-        return lambda f: f.is_total() and in_di(f)
-    if family == MonoidFamily.CYCLIC_GROUP:
-        return lambda f: f.is_total() and in_ci(f)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def right_cayley_dot(m: FiniteMonoid, gen_names: "list[str] | None" = None) -> str:
-    """GraphViz source of the right Cayley graph, edges labeled by generator."""
-    names = gen_names or [f"g{k}" for k in range(len(m.generators))]
-    if len(names) != len(m.generators):
-        raise ValueError("one name per generator required")
+def right_cayley_dot(m: FiniteMonoid) -> str:
+    """GraphViz source of the right Cayley graph, edge k labeled g<k>."""
     lines = ["digraph right_cayley {"]
     for i, f in enumerate(m.elements):
         label = ",".join(f"{p}:{q}" for p, q in f.pairs()) or "empty"
         lines.append(f'  n{i} [label="{i}: {label}"];')
     for i, row in enumerate(m.right_cayley):
         for k, target in enumerate(row):
-            lines.append(f'  n{i} -> n{target} [label="{names[k]}"];')
+            lines.append(f'  n{i} -> n{target} [label="g{k}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -27,6 +27,7 @@ The families:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import functools
@@ -84,9 +85,6 @@ class Presentation:
     @functools.cached_property
     def _ids(self) -> "dict[str, int]":
         return {letter.name: letter.id for letter in self.letters}
-
-    def id_of(self, name: str) -> int:
-        return self._ids[name]
 
     def word_ids(self, w: "tuple[str, ...]") -> "tuple[int, ...]":
         return tuple(self._ids[name] for name in w)
@@ -961,16 +959,6 @@ def eliminate_generator(
     )
 
 
-def add_relation(p: Presentation, rel: Relation, checked: bool = True, caps=None) -> Presentation:
-    """Append a relation; in checked mode it must be a consequence of p."""
-    if checked:
-        from .congruence import is_consequence
-
-        if not is_consequence(p, rel, caps):
-            raise ValueError(f"{rel.lhs} = {rel.rhs} is not a consequence")
-    return Presentation(p.label, p.letters, p.relations + (rel,))
-
-
 def delete_relation(p: Presentation, rel: Relation, checked: bool = True, caps=None) -> Presentation:
     """Remove the first relation with the same sides as rel.
 
@@ -984,11 +972,13 @@ def delete_relation(p: Presentation, rel: Relation, checked: bool = True, caps=N
     )
     if index is None:
         raise KeyError(f"{rel.lhs} = {rel.rhs} not present")
-    remaining = p.relations[:index] + p.relations[index + 1:]
-    smaller = Presentation(p.label, p.letters, remaining)
-    # the parent's encoding minus one entry, stored where the
-    # cached_property keeps its value, so nothing is encoded again
+    # the parent passed __post_init__'s checks, and its letters with fewer
+    # relations pass them too, so copy it rather than check again; its
+    # encoding minus one entry goes where the cached_property keeps its
+    # value, so nothing is encoded again either
     ids = p.relation_ids
+    smaller = copy.copy(p)
+    smaller.__dict__["relations"] = p.relations[:index] + p.relations[index + 1:]
     smaller.__dict__["relation_ids"] = ids[:index] + ids[index + 1:]
     if checked:
         from .congruence import is_consequence

@@ -5,14 +5,17 @@ representing a partial injection as a frozenset of (point, image)
 pairs.  Tests compare the package's breadth-first closures, cardinality
 formulas and Green's classes against these direct constructions, so a
 bug would have to appear in two unrelated code paths to go unnoticed.
-The one exception is o_mutual_reachability, which reads the package's
-Cayley tables but finds their strongly connected components by brute
-force, for monoids that are not inverse.
+Two helpers touch the package: o_mutual_reachability reads its Cayley
+tables but finds their strongly connected components by brute force,
+for monoids that are not inverse, and all_partial_perms enumerates test
+inputs as the package's PartialPerm.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from dimon.iperm import PartialPerm
 
 Graph = frozenset  # of (point, image) pairs
 
@@ -148,3 +151,13 @@ def o_mutual_reachability(succ) -> tuple[int, ...]:
     return _dense(
         frozenset(j for j in reach[i] if i in reach[j]) for i in range(len(succ))
     )
+
+
+def all_partial_perms(n: int):
+    """Every partial permutation of degree n, smallest rank first."""
+    points = range(1, n + 1)
+    for k in range(n + 1):
+        for dom in itertools.combinations(points, k):
+            for img_set in itertools.combinations(points, k):
+                for img in itertools.permutations(img_set):
+                    yield PartialPerm.from_pairs(n, zip(dom, img))

@@ -20,7 +20,7 @@ import pytest
 
 from dimon.congruence import (
     Verdict,
-    enumerate_classes,
+    enumerate_congruence,
     is_consequence,
     verify_forms_set,
     verify_presentation,
@@ -49,6 +49,7 @@ from dimon.presentations import (
     vbar_prime_clause_counts,
     w1_w2_words,
 )
+from oracles import o_monotone, o_order_preserving, o_orientation_preserving
 
 THEOREMS = (
     (RelationFamily.R, MonoidFamily.ODI),
@@ -164,7 +165,7 @@ def test_criterion_5_tietze_chains():
             (opdi_elimination_chain(n), MonoidFamily.OPDI),
         ):
             size = build_named(target, n).size
-            counts = [enumerate_classes(p).class_count for p in chain]
+            counts = [enumerate_congruence(p).class_count for p in chain]
             assert counts == [size] * len(chain), (target, n, counts)
     for n in range(4, 9):
         vbar = build_relations(RelationFamily.VBAR, n)
@@ -183,7 +184,7 @@ def test_criterion_6_forms_sets():
     for n in (4, 5):
         w = build_forms(
             RelationFamily.R, n,
-            enumerate_classes(build_relations(RelationFamily.U, n)),
+            enumerate_congruence(build_relations(RelationFamily.U, n)),
         )
         v = verify_forms_set(
             build_relations(RelationFamily.R, n), w,
@@ -194,7 +195,7 @@ def test_criterion_6_forms_sets():
 
         wbar = build_forms(
             RelationFamily.VBAR, n,
-            enumerate_classes(build_relations(RelationFamily.V, n)),
+            enumerate_congruence(build_relations(RelationFamily.V, n)),
         )
         v = verify_forms_set(
             build_relations(RelationFamily.VBAR, n), wbar,
@@ -280,23 +281,19 @@ def test_criterion_8_structural_properties():
                 compose(_power(y, i - 1), y_i), _power(x, n - i - 1)
             )
     # submonoid = ambient + order predicate, exhaustively
-    from dimon.iperm import is_monotone, is_order_preserving, is_orientation_preserving
-
     for n in (4, 5, 6):
-        di = build_named(MonoidFamily.DI, n).elements
-        ci = build_named(MonoidFamily.CI, n).elements
-        assert set(build_named(MonoidFamily.ODI, n).elements) == {
-            f for f in di if is_order_preserving(f)
+        def graphs(family):
+            return {frozenset(f.pairs()) for f in build_named(family, n).elements}
+
+        di = graphs(MonoidFamily.DI)
+        ci = graphs(MonoidFamily.CI)
+        assert ci <= di
+        assert graphs(MonoidFamily.ODI) == {f for f in di if o_order_preserving(f)}
+        assert graphs(MonoidFamily.MDI) == {f for f in di if o_monotone(f)}
+        assert graphs(MonoidFamily.OPDI) == {
+            f for f in di if o_orientation_preserving(f)
         }
-        assert set(build_named(MonoidFamily.MDI, n).elements) == {
-            f for f in di if is_monotone(f)
-        }
-        assert set(build_named(MonoidFamily.OPDI, n).elements) == {
-            f for f in di if is_orientation_preserving(f)
-        }
-        assert set(build_named(MonoidFamily.OCI, n).elements) == {
-            f for f in ci if is_order_preserving(f)
-        }
+        assert graphs(MonoidFamily.OCI) == {f for f in ci if o_order_preserving(f)}
     # standard generating sets generate, with exactly rank many members
     for n in range(4, 8):
         for family in (MonoidFamily.ODI, MonoidFamily.MDI, MonoidFamily.OPDI):

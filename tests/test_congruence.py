@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 
 import pytest
 
@@ -19,12 +20,11 @@ from dimon.congruence import (
     IndeterminateError,
     Status,
     Verdict,
-    enumerate_classes,
+    enumerate_congruence,
     is_consequence,
     normal_forms,
     verify_forms_set,
     verify_presentation,
-    word_class,
 )
 from dimon.monoids import MonoidFamily, build_named
 from dimon.presentations import (
@@ -108,7 +108,7 @@ def test_caps_env_malformed(monkeypatch, value):
 
 def test_enumerate_trivial():
     p = Presentation("t", letters("a"), (Relation(("a", "a"), ("a",), "sq"),))
-    r = enumerate_classes(p)
+    r = enumerate_congruence(p)
     assert r.is_complete and r.class_count == 2
     assert r.word_class(()) == 0
     assert r.word_class(("a",)) == r.word_class(("a", "a", "a"))
@@ -117,7 +117,7 @@ def test_enumerate_trivial():
 
 def test_enumerate_caps_out():
     free = Presentation("free", letters("a"), ())
-    r = enumerate_classes(free, EnumerationCaps(max_classes=10))
+    r = enumerate_congruence(free, EnumerationCaps(max_classes=10))
     assert r.status is Status.CAPPED
     assert not r.is_complete
     assert r.class_count is None
@@ -129,16 +129,16 @@ def test_enumerate_caps_out():
 @pytest.mark.parametrize("family", tuple(RelationFamily))
 @pytest.mark.parametrize("n", [4, 5])
 def test_class_counts(family, n):
-    r = enumerate_classes(build_relations(family, n))
+    r = enumerate_congruence(build_relations(family, n))
     assert r.class_count == CLASS_COUNTS[family][n]
 
 
 def test_word_class_examples():
-    r = enumerate_classes(build_relations(RelationFamily.R, 4))
-    assert word_class(r, ("x", "y")) == word_class(r, ("e_4",))
-    assert word_class(r, ("y", "x")) == word_class(r, ("e_1",))
-    assert word_class(r, ()) == 0
-    assert word_class(r, ("x",)) != word_class(r, ("y",))
+    r = enumerate_congruence(build_relations(RelationFamily.R, 4))
+    assert r.word_class(("x", "y")) == r.word_class(("e_4",))
+    assert r.word_class(("y", "x")) == r.word_class(("e_1",))
+    assert r.word_class(()) == 0
+    assert r.word_class(("x",)) != r.word_class(("y",))
 
 
 @pytest.mark.parametrize("family", tuple(RelationFamily))
@@ -146,7 +146,7 @@ def test_soundness_every_relation_resolves_equal(family):
     """A completed table must satisfy the relations it was built from."""
     for n in (4, 5):
         p = build_relations(family, n)
-        r = enumerate_classes(p)
+        r = enumerate_congruence(p)
         for rel in p.relations:
             assert r.word_class(rel.lhs) == r.word_class(rel.rhs), rel.tag
 
@@ -155,7 +155,7 @@ def test_soundness_every_relation_resolves_equal(family):
 def test_lower_bound_class_count(family):
     n = 4
     m = build_named(TARGETS[family], n)
-    r = enumerate_classes(build_relations(family, n))
+    r = enumerate_congruence(build_relations(family, n))
     assert r.class_count >= m.size
 
 
@@ -165,7 +165,7 @@ def test_classes_agree_with_evaluation():
     n = 4
     p = build_relations(RelationFamily.R, n)
     a = build_assignment(RelationFamily.R, n)
-    r = enumerate_classes(p)
+    r = enumerate_congruence(p)
     reps = normal_forms(r, p.letters)
     class_image = [evaluate(w, a) for w in reps.words]
     assert len(set(class_image)) == r.class_count
@@ -178,8 +178,8 @@ def test_classes_agree_with_evaluation():
 
 def test_enumeration_is_deterministic():
     p = build_relations(RelationFamily.VBAR, 5)
-    r1 = enumerate_classes(p)
-    r2 = enumerate_classes(p)
+    r1 = enumerate_congruence(p)
+    r2 = enumerate_congruence(p)
     assert r1.table == r2.table
     assert r1.class_count == r2.class_count
 
@@ -267,6 +267,13 @@ def test_backends_identical(compiled_kernel):
             3, rels, 10**6, max_steps, watch
         )
     assert _tc_py.run(1, (), 7, 10**8) == compiled_kernel.run(1, (), 7, 10**8)
+    assert _tc_py.run(0, (), 1, 0) == compiled_kernel.run(0, (), 1, 0)
+    # no relations: every class is defined while filling a row, and each
+    # definition is a step, so the step cap binds long before the class cap
+    for max_steps in (0, 1, 2, 3, 10, 999, 12_000):
+        out_py = _tc_py.run(2, (), 10**5, max_steps)
+        assert out_py == compiled_kernel.run(2, (), 10**5, max_steps)
+        assert out_py == (_tc_py.STATUS_CAPPED, None, None)
 
 
 # under a 500-class cap every deletion from R(4) caps or merges, while
@@ -311,6 +318,21 @@ def test_every_relation_holds_at_every_class(kernel, family):
         assert status == kernel.STATUS_COMPLETE
         assert len(table) == CLASS_COUNTS[family][n]
         assert_relations_hold_at_every_class(table, p.relation_ids)
+
+
+def test_row_filling_counts_steps(kernel):
+    """With no relations every class is defined while filling a row.  Each
+    definition is a step, so a step cap ends the run after a few classes,
+    long before the class cap lets the class arrays grow."""
+    tracemalloc.start()
+    try:
+        out = kernel.run(2, (), 10**5, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == (kernel.STATUS_CAPPED, None, None)
+    # 10**5 classes would take 1.2 MB in the compiled kernel's arrays
+    assert peak < 2**18
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -490,7 +512,7 @@ def test_single_deletions_never_shrink_qprime():
     caps = EnumerationCaps(max_classes=5000, max_steps=10**7)
     for rel in p.relations:
         mutated = delete_relation(p, rel, checked=False)
-        r = enumerate_classes(mutated, caps)
+        r = enumerate_congruence(mutated, caps)
         if r.is_complete:
             assert r.class_count >= 77
         # capped runs are fine: the deletion freed an infinite quotient
@@ -511,7 +533,7 @@ def test_verify_forms_set_trivial():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_verify_forms_sets_pass(n):
-    base_u = enumerate_classes(build_relations(RelationFamily.U, n))
+    base_u = enumerate_congruence(build_relations(RelationFamily.U, n))
     w = build_forms(RelationFamily.R, n, base_u)
     v = verify_forms_set(
         build_relations(RelationFamily.R, n), w,
@@ -519,7 +541,7 @@ def test_verify_forms_sets_pass(n):
     )
     assert v.verdict is Verdict.PASS and not v.problems
 
-    base_v = enumerate_classes(build_relations(RelationFamily.V, n))
+    base_v = enumerate_congruence(build_relations(RelationFamily.V, n))
     wbar = build_forms(RelationFamily.VBAR, n, base_v)
     v = verify_forms_set(
         build_relations(RelationFamily.VBAR, n), wbar,
@@ -557,7 +579,7 @@ def test_verify_forms_set_reports_problems():
 
 def test_normal_forms_u4():
     p = build_relations(RelationFamily.U, 4)
-    r = enumerate_classes(p)
+    r = enumerate_congruence(p)
     fs = normal_forms(r, build_alphabet(RelationFamily.U, 4))
     assert len(fs.words) == 38
     assert fs.words[0] == ()
@@ -571,6 +593,6 @@ def test_normal_forms_u4():
     with pytest.raises(ValueError):
         normal_forms(r, build_alphabet(RelationFamily.Q, 4))
     free = Presentation("free", letters("a"), ())
-    capped = enumerate_classes(free, EnumerationCaps(max_classes=5))
+    capped = enumerate_congruence(free, EnumerationCaps(max_classes=5))
     with pytest.raises(IndeterminateError):
         normal_forms(capped, ("a",))

@@ -6,20 +6,15 @@ import random
 import pytest
 
 import dimon.presentations as presentations
-from dimon.iperm import (
-    compose,
-    identity,
-    is_restriction_of,
-    named_generator,
-)
-from dimon.monoids import MonoidFamily, build_named, cyclic_permutations, dihedral_permutations
+from dimon.congruence import is_consequence
+from dimon.iperm import compose, identity, named_generator
+from dimon.monoids import MonoidFamily, build_named
 from dimon.presentations import (
     Assignment,
     Letter,
     Presentation,
     Relation,
     RelationFamily,
-    add_relation,
     build_alphabet,
     build_assignment,
     build_extension_presentation,
@@ -35,6 +30,7 @@ from dimon.presentations import (
     w1_w2_words,
     wprime1_words,
 )
+from oracles import o_rotations, o_symmetries
 
 ALL_RELATION_FAMILIES = tuple(RelationFamily)
 
@@ -156,7 +152,6 @@ def test_presentation_validation():
         Presentation("p", (a, b), (Relation(("a", "c"), ("b",), "t"),))
     p = Presentation("p", (a, b), (Relation(("a", "b"), (), "t"),))
     assert p.letter_names == ("a", "b")
-    assert p.id_of("b") == 1
     assert p.word_ids(("b", "a", "b")) == (1, 0, 1)
 
 
@@ -195,7 +190,8 @@ def test_evaluate_is_a_homomorphism():
 
 def test_check_relations_hold_reports_failures():
     p = build_relations(RelationFamily.R, 4)
-    bad = add_relation(p, Relation(("x",), ("y",), "bogus"), checked=False)
+    bogus = Relation(("x",), ("y",), "bogus")
+    bad = Presentation(p.label, p.letters, p.relations + (bogus,))
     report = check_relations_hold(bad, build_assignment(RelationFamily.R, 4))
     assert not report.all_hold
     assert [rel.tag for rel in report.failing] == ["bogus"]
@@ -262,13 +258,18 @@ def test_elimination_chains_shape():
 
 def test_add_delete_relation_checked():
     p = build_relations(RelationFamily.U, 4)
-    bigger = add_relation(p, Relation(("x", "y"), ("e_4",), "known"), checked=True)
-    assert len(bigger.relations) == len(p.relations) + 1
-    with pytest.raises(ValueError):
-        add_relation(p, Relation(("x",), ("y",), "wrong"), checked=True)
-    # deleting the added redundant relation is allowed under checking
-    back = delete_relation(bigger, bigger.tagged("known")[0], checked=True)
+    known = Relation(("x", "y"), ("e_4",), "known")
+    wrong = Relation(("x",), ("y",), "wrong")
+    assert is_consequence(p, known)
+    assert not is_consequence(p, wrong)
+    # deleting an added redundant relation is allowed under checking
+    bigger = Presentation(p.label, p.letters, p.relations + (known,))
+    back = delete_relation(bigger, known, checked=True)
     assert len(back.relations) == len(p.relations)
+    # deleting an added relation that does not follow is refused
+    bad = Presentation(p.label, p.letters, p.relations + (wrong,))
+    with pytest.raises(ValueError):
+        delete_relation(bad, wrong, checked=True)
     with pytest.raises(KeyError):
         delete_relation(p, Relation(("x",), ("y",), "absent"), checked=False)
 
@@ -315,12 +316,13 @@ def test_w1_w2_images_characterized(n):
     odi = set(build_named(MonoidFamily.ODI, n).elements)
     oci = set(build_named(MonoidFamily.OCI, n).elements)
     assert images == odi - oci
-    rotations = cyclic_permutations(n)
-    reflections = [p for p in dihedral_permutations(n) if p not in rotations]
+    rotations = o_rotations(n)
+    reflections = o_symmetries(n)[n:]
     for f in images:
         assert f.rank() == 2
-        assert any(is_restriction_of(f, p) for p in reflections)
-        assert not any(is_restriction_of(f, p) for p in rotations)
+        graph = frozenset(f.pairs())
+        assert any(graph <= s for s in reflections)
+        assert not any(graph <= s for s in rotations)
 
 
 def test_build_forms_requires_enumeration():
