@@ -155,8 +155,8 @@ def enumerate_congruence(
 ) -> EnumerationResult:
     """Classes of the smallest congruence containing p's relations.
 
-    >>> from .presentations import Presentation, Relation, _alphabet
-    >>> p = Presentation("t", _alphabet(["a"]), (Relation(("a", "a"), ("a",), ""),))
+    >>> from .presentations import Presentation, Relation
+    >>> p = Presentation("t", ("a",), (Relation(("a", "a"), ("a",), ""),))
     >>> enumerate_congruence(p).class_count
     2
     """
@@ -169,10 +169,10 @@ def enumerate_congruence(
         None,
     )
     if status == _kernel.STATUS_CAPPED:
-        return EnumerationResult(Status.CAPPED, p.letter_names, None, None, caps)
+        return EnumerationResult(Status.CAPPED, p.letters, None, None, caps)
     return EnumerationResult(
         Status.COMPLETE,
-        p.letter_names,
+        p.letters,
         len(table),
         tuple(tuple(row) for row in table),
         caps,
@@ -228,7 +228,7 @@ def verify_presentation(
     onto m, so the class count is always at least m.size; equality
     pins the isomorphism.
     """
-    images = [a.image(name) for name in p.letter_names]
+    images = [a.image(name) for name in p.letters]
     if not verify_generates(m, images):
         raise ValueError("assignment images do not generate the monoid")
     report = check_relations_hold(p, a)
@@ -299,7 +299,7 @@ def verify_forms_set(
     )
 
 
-def normal_forms(r: EnumerationResult, alphabet) -> FormsSet:
+def normal_forms(r: EnumerationResult, alphabet: "tuple[str, ...]") -> FormsSet:
     """Shortlex-least representative of every class, indexed by class.
 
     Breadth-first over the completed table: the first word reaching a
@@ -308,9 +308,7 @@ def normal_forms(r: EnumerationResult, alphabet) -> FormsSet:
     """
     if not r.is_complete:
         raise IndeterminateError("enumeration was capped")
-    names = tuple(
-        letter.name if hasattr(letter, "name") else letter for letter in alphabet
-    )
+    names = tuple(alphabet)
     if names != r.letters:
         raise ValueError(f"alphabet {names} does not match enumeration letters")
     reps: "list[tuple[str, ...] | None]" = [None] * r.class_count

@@ -13,11 +13,17 @@ order.
 Maps are stored densely: ``images[p - 1]`` holds the image of the
 point p, or 0 when p is outside the domain.  Two maps are equal iff
 they have the same degree and the same graph.
+
+The standard generating maps are named by the letters that stand for
+them in the presentations: ``named_generator("e_3", n)`` is the map of
+the letter e_3.  The monoids' generating sets and the presentations'
+assignments both go from a letter name to its map through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Iterable
 
 Point = int
@@ -119,9 +125,9 @@ def compose(f: PartialPerm, g: PartialPerm) -> PartialPerm:
 
     >>> x = named_generator("x", 4)
     >>> y = named_generator("y", 4)
-    >>> compose(x, y) == named_generator("e_i", 4, 4)
+    >>> compose(x, y) == named_generator("e_4", 4)
     True
-    >>> compose(y, x) == named_generator("e_i", 4, 1)
+    >>> compose(y, x) == named_generator("e_1", 4)
     True
     """
     if f.degree != g.degree:
@@ -162,57 +168,48 @@ def identity(n: int) -> PartialPerm:
     return PartialPerm(n, tuple(range(1, n + 1)))
 
 
-def empty_map(n: int) -> PartialPerm:
-    """The nowhere-defined map of degree n (the zero of the monoid)."""
-    return PartialPerm(n, (0,) * n)
+def named_generator(name: str, n: int) -> PartialPerm:
+    """The standard generating map of degree n with the given letter name.
 
+    g      rotation p -> p + 1 (mod n), a total n-cycle
+    h      reflection p -> n + 1 - p, total, needs n >= 2
+    x      p -> p + 1 on domain {1..n-1}
+    y      inverse of x: p -> p - 1 on domain {2..n}
+    e_i    identity on {1..n} minus {i}, for 1 <= i <= n
+    x_i    {1 -> 1, 1+i -> n-i+1}, for 1 <= i <= (n-1)//2
+    y_i    inverse of x_i: {1 -> 1, n-i+1 -> 1+i}
 
-#: Valid `kind` arguments of named_generator.
-GENERATOR_KINDS = ("g", "h", "e_i", "x", "y", "x_i", "y_i")
-
-
-def named_generator(kind: str, n: int, i: int | None = None) -> PartialPerm:
-    """The standard generating maps, by name.
-
-    kind "g"    rotation p -> p + 1 (mod n), a total n-cycle
-    kind "h"    reflection p -> n + 1 - p, total, needs n >= 2
-    kind "e_i"  identity on {1..n} minus {i}, needs i in 1..n
-    kind "x"    p -> p + 1 on domain {1..n-1}
-    kind "y"    inverse of x: p -> p - 1 on domain {2..n}
-    kind "x_i"  {1 -> 1, 1+i -> n-i+1}, needs 1 <= i <= (n-1)//2
-    kind "y_i"  inverse of x_i: {1 -> 1, n-i+1 -> 1+i}
+    In an indexed name the index is written out in decimal without
+    leading zeros ("e_3", "x_2"), so each map has exactly one name.
+    Any other name, or an index out of range at degree n, raises
+    ValueError.
 
     >>> named_generator("g", 4).pairs()
     ((1, 2), (2, 3), (3, 4), (4, 1))
-    >>> named_generator("x_i", 5, 2).pairs()
+    >>> named_generator("x_2", 5).pairs()
     ((1, 1), (3, 4))
     """
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
-    if kind in ("e_i", "x_i", "y_i"):
-        if i is None:
-            raise ValueError(f"kind {kind!r} needs an index i")
-    elif i is not None:
-        raise ValueError(f"kind {kind!r} takes no index")
-
-    if kind == "g":
+    if name == "g":
         return PartialPerm(n, tuple(p % n + 1 for p in range(1, n + 1)))
-    if kind == "h":
+    if name == "h":
         if n < 2:
             raise ValueError("reflection needs degree at least 2")
         return PartialPerm(n, tuple(range(n, 0, -1)))
-    if kind == "x":
+    if name == "x":
         return PartialPerm(n, tuple(p + 1 for p in range(1, n)) + (0,))
-    if kind == "y":
+    if name == "y":
         return inverse(named_generator("x", n))
-    if kind == "e_i":
-        if not 1 <= i <= n:
-            raise ValueError(f"e_i needs 1 <= i <= {n}, got i={i}")
+    match = re.fullmatch(r"([exy])_([1-9][0-9]*)", name)
+    if match is None:
+        raise ValueError(f"unknown generator {name!r}")
+    kind, i = match[1], int(match[2])
+    if kind == "e":
+        if i > n:
+            raise ValueError(f"{name} needs degree at least {i}, got {n}")
         return partial_identity(n, (p for p in range(1, n + 1) if p != i))
-    if kind == "x_i":
-        if not 1 <= i <= (n - 1) // 2:
-            raise ValueError(f"x_i needs 1 <= i <= {(n - 1) // 2}, got i={i}")
-        return PartialPerm.from_pairs(n, [(1, 1), (1 + i, n - i + 1)])
-    if kind == "y_i":
-        return inverse(named_generator("x_i", n, i))
-    raise ValueError(f"unknown generator kind {kind!r}")
+    if i > (n - 1) // 2:
+        raise ValueError(f"{name} needs degree at least {2 * i + 1}, got {n}")
+    x_i = PartialPerm.from_pairs(n, [(1, 1), (1 + i, n - i + 1)])
+    return x_i if kind == "x" else inverse(x_i)

@@ -159,13 +159,17 @@ def closure(
     for t in range(1, len(elements)):
         k = last[t]
         left_rows.append([rows[i][k] for i in left_rows[parent[t]]])
-    return FiniteMonoid(
+    m = FiniteMonoid(
         degree=degree,
         elements=tuple(elements),
         generators=tuple(generators),
         right_cayley=tuple(tuple(r) for r in rows),
         left_cayley=tuple(tuple(r) for r in left_rows),
     )
+    # the BFS index is the element index: keep it where the
+    # cached_property keeps its value, rather than hash every element again
+    m.__dict__["_index"] = index
+    return m
 
 
 #: Minimum degree at which each family is defined.
@@ -181,66 +185,39 @@ _FAMILY_MIN_N = {
 }
 
 
-def generating_maps(
-    family: MonoidFamily, n: int
-) -> tuple[tuple[str, PartialPerm], ...]:
-    """The standard named generating set of a family, as (name, map) pairs.
+def generator_names(family: MonoidFamily, n: int) -> list[str]:
+    """The letter names of a family's standard generating set, in order.
 
     These are the generating sets of minimum size for ODI, MDI and OPDI;
     the other families use their usual two- or three-element sets.
+
+    >>> generator_names(MonoidFamily.MDI, 6)
+    ['h', 'x', 'e_2', 'e_3', 'x_1', 'x_2', 'y_1', 'y_2']
     """
     low = _FAMILY_MIN_N[family]
     if n < low:
         raise ValueError(f"{family.value} needs n >= {low}, got {n}")
     m = (n - 1) // 2
-    half = (n + 1) // 2
-    if family == MonoidFamily.DI:
-        return (
-            ("g", named_generator("g", n)),
-            ("h", named_generator("h", n)),
-            ("e_1", named_generator("e_i", n, 1)),
-        )
-    if family == MonoidFamily.CI:
-        return (
-            ("g", named_generator("g", n)),
-            ("e_1", named_generator("e_i", n, 1)),
-        )
-    if family == MonoidFamily.ODI:
-        return (
-            ("x", named_generator("x", n)),
-            ("y", named_generator("y", n)),
-            *((f"e_{i}", named_generator("e_i", n, i)) for i in range(2, n)),
-            *((f"x_{i}", named_generator("x_i", n, i)) for i in range(1, m + 1)),
-            *((f"y_{i}", named_generator("y_i", n, i)) for i in range(1, m + 1)),
-        )
-    if family == MonoidFamily.MDI:
-        return (
-            ("h", named_generator("h", n)),
-            ("x", named_generator("x", n)),
-            *((f"e_{i}", named_generator("e_i", n, i)) for i in range(2, half + 1)),
-            *((f"x_{i}", named_generator("x_i", n, i)) for i in range(1, m + 1)),
-            *((f"y_{i}", named_generator("y_i", n, i)) for i in range(1, m + 1)),
-        )
-    if family == MonoidFamily.OPDI:
-        return (
-            ("g", named_generator("g", n)),
-            ("e_1", named_generator("e_i", n, 1)),
-            *((f"x_{i}", named_generator("x_i", n, i)) for i in range(1, m + 1)),
-        )
-    if family == MonoidFamily.OCI:
-        return (
-            ("x", named_generator("x", n)),
-            ("y", named_generator("y", n)),
-            *((f"e_{i}", named_generator("e_i", n, i)) for i in range(1, n + 1)),
-        )
-    if family == MonoidFamily.DIHEDRAL_GROUP:
-        return (
-            ("g", named_generator("g", n)),
-            ("h", named_generator("h", n)),
-        )
-    if family == MonoidFamily.CYCLIC_GROUP:
-        return (("g", named_generator("g", n)),)
-    raise ValueError(f"unknown family {family!r}")
+    xs = [f"x_{i}" for i in range(1, m + 1)]
+    ys = [f"y_{i}" for i in range(1, m + 1)]
+    es = [f"e_{i}" for i in range(1, n + 1)]
+    return {
+        MonoidFamily.DI: ["g", "h", "e_1"],
+        MonoidFamily.CI: ["g", "e_1"],
+        MonoidFamily.ODI: ["x", "y"] + es[1:n - 1] + xs + ys,
+        MonoidFamily.MDI: ["h", "x"] + es[1:(n + 1) // 2] + xs + ys,
+        MonoidFamily.OPDI: ["g", "e_1"] + xs,
+        MonoidFamily.OCI: ["x", "y"] + es,
+        MonoidFamily.DIHEDRAL_GROUP: ["g", "h"],
+        MonoidFamily.CYCLIC_GROUP: ["g"],
+    }[family]
+
+
+def generating_maps(
+    family: MonoidFamily, n: int
+) -> tuple[tuple[str, PartialPerm], ...]:
+    """The standard generating set of a family, as (name, map) pairs."""
+    return tuple((name, named_generator(name, n)) for name in generator_names(family, n))
 
 
 def build_named(
@@ -310,24 +287,31 @@ def verify_generates(
 ) -> bool:
     """True iff the closure of gens has exactly m's element set.
 
-    Breadth-first from the identity over the products with gens, each
-    looked up in m's index: False at the first product outside m.
+    m must be closed under products and generated by m.generators, as
+    every monoid built by closure is.  Then the closure of gens is m
+    exactly when every map in gens lies in m and the closure reaches
+    every generator of m.  So the check is: membership of gens, then a
+    breadth-first search from the identity over the products with gens
+    that stops once it has seen every index in m.generators.
     """
     for f in gens:
         if f.degree != m.degree:
             raise ValueError(f"generator degree {f.degree} != {m.degree}")
-    seen = [False] * m.size
-    seen[0] = True
+    if not all(f in m for f in gens):
+        return False
+    missing = set(m.generators) - {0}
+    seen = {0}
     queue = [0]
     for i in queue:
+        if not missing:
+            return True
         for f in gens:
-            j = m._index.get(compose(m.elements[i], f))
-            if j is None:
-                return False
-            if not seen[j]:
-                seen[j] = True
+            j = m._index[compose(m.elements[i], f)]
+            if j not in seen:
+                seen.add(j)
+                missing.discard(j)
                 queue.append(j)
-    return len(queue) == m.size
+    return not missing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -343,9 +327,6 @@ class GreenClasses:
     h: tuple[int, ...]
     d: tuple[int, ...]
 
-    def class_of(self, relation: str, element: int) -> int:
-        return getattr(self, relation)[element]
-
     def counts(self) -> dict[str, int]:
         return {
             name: max(labels) + 1 if labels else 0
@@ -353,10 +334,6 @@ class GreenClasses:
                 ("r", self.r), ("l", self.l), ("h", self.h), ("d", self.d),
             )
         }
-
-    def class_members(self, relation: str, class_id: int) -> tuple[int, ...]:
-        labels = getattr(self, relation)
-        return tuple(i for i, c in enumerate(labels) if c == class_id)
 
 
 def _dense(keys) -> tuple[int, ...]:

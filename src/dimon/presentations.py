@@ -33,17 +33,9 @@ import enum
 import functools
 
 from .iperm import PartialPerm, compose, identity, named_generator
-from .monoids import MonoidFamily
+from .monoids import MonoidFamily, generator_names
 
 Word = "tuple[str, ...]"
-
-
-@dataclasses.dataclass(frozen=True)
-class Letter:
-    """A named generator symbol with its dense position in an alphabet."""
-
-    id: int
-    name: str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,20 +49,20 @@ class Relation:
 
 @dataclasses.dataclass(frozen=True)
 class Presentation:
-    """An alphabet together with a finite list of defining relations."""
+    """An alphabet of letter names with a finite list of defining relations.
+
+    A letter's id, the integer the enumeration kernel reads, is its
+    position in letters.
+    """
 
     label: str
-    letters: "tuple[Letter, ...]"
+    letters: "tuple[str, ...]"
     relations: "tuple[Relation, ...]"
 
     def __post_init__(self):
-        for k, letter in enumerate(self.letters):
-            if letter.id != k:
-                raise ValueError(f"letter ids must be dense, got {letter} at {k}")
-        names = [letter.name for letter in self.letters]
-        if len(set(names)) != len(names):
+        allowed = set(self.letters)
+        if len(allowed) != len(self.letters):
             raise ValueError("duplicate letter names")
-        allowed = set(names)
         for rel in self.relations:
             for name in rel.lhs + rel.rhs:
                 if name not in allowed:
@@ -79,12 +71,8 @@ class Presentation:
                     )
 
     @functools.cached_property
-    def letter_names(self) -> "tuple[str, ...]":
-        return tuple(letter.name for letter in self.letters)
-
-    @functools.cached_property
     def _ids(self) -> "dict[str, int]":
-        return {letter.name: letter.id for letter in self.letters}
+        return {name: k for k, name in enumerate(self.letters)}
 
     def word_ids(self, w: "tuple[str, ...]") -> "tuple[int, ...]":
         return tuple(self._ids[name] for name in w)
@@ -100,21 +88,10 @@ class Presentation:
             (self.word_ids(r.lhs), self.word_ids(r.rhs)) for r in self.relations
         )
 
-    def tagged(self, prefix: str) -> "tuple[Relation, ...]":
-        """Relations whose tag is prefix or prefix[indices].
-
-        >>> len(build_relations(RelationFamily.R, 4).tagged("R_4"))
-        6
-        """
-        return tuple(
-            r for r in self.relations
-            if r.tag == prefix or r.tag.startswith(prefix + "[")
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
-            "letters": list(self.letter_names),
+            "letters": list(self.letters),
             "relations": [
                 {"lhs": list(r.lhs), "rhs": list(r.rhs), "tag": r.tag}
                 for r in self.relations
@@ -125,7 +102,7 @@ class Presentation:
     def from_json_dict(cls, data: dict) -> "Presentation":
         return cls(
             label=data["label"],
-            letters=_alphabet(data["letters"]),
+            letters=tuple(data["letters"]),
             relations=tuple(
                 Relation(tuple(r["lhs"]), tuple(r["rhs"]), r.get("tag", ""))
                 for r in data["relations"]
@@ -135,7 +112,7 @@ class Presentation:
 
 @dataclasses.dataclass(frozen=True)
 class Assignment:
-    """Letter-to-partial-permutation map defining a homomorphism."""
+    """The partial permutation of each letter name: a homomorphism."""
 
     degree: int
     images: "tuple[tuple[str, PartialPerm], ...]"
@@ -203,10 +180,6 @@ TARGET_MONOID = {
 }
 
 
-def _alphabet(names) -> "tuple[Letter, ...]":
-    return tuple(Letter(i, name) for i, name in enumerate(names))
-
-
 def _erun(lo: int, hi: int) -> "list[str]":
     """The word e_lo e_{lo+1} ... e_hi; empty when lo > hi."""
     return [f"e_{i}" for i in range(lo, hi + 1)]
@@ -216,41 +189,31 @@ def _pow(name: str, k: int) -> "list[str]":
     return [name] * k
 
 
-def _alphabet_names(family: RelationFamily, n: int) -> "list[str]":
-    m = (n - 1) // 2
-    q = (n + 1) // 2
-    xs = [f"x_{i}" for i in range(1, m + 1)]
-    ys = [f"y_{i}" for i in range(1, m + 1)]
-    if family == RelationFamily.R:
-        return ["x", "y"] + _erun(1, n) + xs + ys
-    if family == RelationFamily.U:
-        return ["x", "y"] + _erun(1, n)
-    if family == RelationFamily.V:
-        return ["x", "y"] + _erun(2, n - 1) + xs + ys
-    if family == RelationFamily.VBAR:
-        return ["h", "x", "y"] + _erun(2, n - 1) + xs + ys
-    if family == RelationFamily.VBAR_PRIME:
-        return ["h", "x"] + _erun(2, q) + xs + ys
-    if family == RelationFamily.Q:
-        return ["g"] + _erun(1, n) + xs
-    if family == RelationFamily.Q0:
-        return ["g"] + _erun(1, n)
-    if family == RelationFamily.Q_PRIME:
-        return ["g", "e_1"] + xs
-    raise ValueError(f"unknown family {family!r}")
+def build_alphabet(family: RelationFamily, n: int) -> "tuple[str, ...]":
+    """The family's letter names in their standard listed order.
 
+    U, V, VbarPrime and QPrime are written over the standard generating
+    set of the monoid they present, so their alphabets are its names.
 
-def build_alphabet(family: RelationFamily, n: int) -> "tuple[Letter, ...]":
-    """The family's alphabet in its standard listed order.
-
-    >>> [l.name for l in build_alphabet(RelationFamily.Q_PRIME, 4)]
-    ['g', 'e_1', 'x_1']
+    >>> build_alphabet(RelationFamily.Q_PRIME, 4)
+    ('g', 'e_1', 'x_1')
     >>> len(build_alphabet(RelationFamily.R, 4))
     8
     """
     if n < 4:
         raise ValueError(f"alphabets need n >= 4, got {n}")
-    return _alphabet(_alphabet_names(family, n))
+    m = (n - 1) // 2
+    xs = [f"x_{i}" for i in range(1, m + 1)]
+    ys = [f"y_{i}" for i in range(1, m + 1)]
+    if family == RelationFamily.R:
+        return tuple(["x", "y"] + _erun(1, n) + xs + ys)
+    if family == RelationFamily.VBAR:
+        return ("h",) + build_alphabet(RelationFamily.V, n)
+    if family == RelationFamily.Q:
+        return tuple(["g"] + _erun(1, n) + xs)
+    if family == RelationFamily.Q0:
+        return tuple(["g"] + _erun(1, n))
+    return tuple(generator_names(TARGET_MONOID[family], n))
 
 
 class _Rels:
@@ -805,13 +768,6 @@ def expected_relation_count(family: RelationFamily, n: int) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _generator_for_name(name: str, n: int) -> PartialPerm:
-    if name in ("x", "y", "g", "h"):
-        return named_generator(name, n)
-    kind, _, index = name.partition("_")
-    return named_generator(f"{kind}_i", n, int(index))
-
-
 def build_assignment(family: RelationFamily, n: int) -> Assignment:
     """Map each letter of the family's alphabet to its named generator.
 
@@ -820,10 +776,11 @@ def build_assignment(family: RelationFamily, n: int) -> Assignment:
     """
     if n < 4:
         raise ValueError(f"assignments need n >= 4, got {n}")
-    names = _alphabet_names(family, n)
     return Assignment(
         degree=n,
-        images=tuple((name, _generator_for_name(name, n)) for name in names),
+        images=tuple(
+            (name, named_generator(name, n)) for name in build_alphabet(family, n)
+        ),
     )
 
 
@@ -860,7 +817,7 @@ def check_relations_hold(p: Presentation, a: Assignment) -> CheckReport:
     True
     """
     have = set(a.names())
-    missing = [name for name in p.letter_names if name not in have]
+    missing = [name for name in p.letters if name not in have]
     if missing:
         raise ValueError(f"assignment lacks letters {missing}")
     failing = tuple(
@@ -885,9 +842,9 @@ def build_extension_presentation(
     relations (each of shape b a = v b with a a base letter and v a
     base word), then the closing relation u0 b = v0.
     """
-    if new_letter in base.letter_names:
+    if new_letter in base.letters:
         raise ValueError(f"{new_letter!r} already in the alphabet")
-    base_names = set(base.letter_names)
+    base_names = set(base.letters)
     for rel in conj_relations:
         bad = (
             len(rel.lhs) != 2
@@ -905,7 +862,6 @@ def build_extension_presentation(
         or any(name not in base_names for name in u0_relation.lhs[:-1])
     ):
         raise ValueError("closing relation must have shape u0*new_letter = v0")
-    letters = _alphabet((new_letter,) + base.letter_names)
     relations = (
         base.relations
         + (Relation((new_letter, new_letter), (), sq_tag),)
@@ -914,7 +870,7 @@ def build_extension_presentation(
     )
     return Presentation(
         label=label if label is not None else f"{base.label}+{new_letter}",
-        letters=letters,
+        letters=(new_letter,) + base.letters,
         relations=relations,
     )
 
@@ -927,17 +883,17 @@ def eliminate_generator(
     Relations that become syntactically trivial (identical sides) are
     dropped.
 
-    >>> p = Presentation("t", _alphabet(["a", "b"]),
+    >>> p = Presentation("t", ("a", "b"),
     ...                  (Relation(("b",), ("a", "a"), "def_b"),))
     >>> eliminate_generator(p, "b", ("a", "a")).relations
     ()
     """
     replacement = tuple(replacement)
-    if name not in p.letter_names:
+    if name not in p.letters:
         raise KeyError(f"{name!r} not in the alphabet")
     if name in replacement:
         raise ValueError(f"replacement word contains {name!r}")
-    remaining = [nm for nm in p.letter_names if nm != name]
+    remaining = tuple(nm for nm in p.letters if nm != name)
     for nm in replacement:
         if nm not in remaining:
             raise ValueError(f"replacement letter {nm!r} not in the alphabet")
@@ -955,7 +911,7 @@ def eliminate_generator(
             continue
         rels.append(Relation(lhs, rhs, rel.tag))
     return Presentation(
-        label=f"{p.label}-{name}", letters=_alphabet(remaining), relations=tuple(rels)
+        label=f"{p.label}-{name}", letters=remaining, relations=tuple(rels)
     )
 
 
@@ -1087,7 +1043,7 @@ def build_forms(family: RelationFamily, n: int, enumeration=None) -> FormsSet:
         words = w0.words + w1_w2_words(n)
         return FormsSet(
             label=f"W(n={n})",
-            letters=tuple(_alphabet_names(RelationFamily.R, n)),
+            letters=build_alphabet(RelationFamily.R, n),
             words=words,
         )
     if family == RelationFamily.VBAR:
@@ -1105,7 +1061,7 @@ def build_forms(family: RelationFamily, n: int, enumeration=None) -> FormsSet:
         tail = [w + ("h",) for w in reps if w not in required_set]
         return FormsSet(
             label=f"Wbar(n={n})",
-            letters=tuple(_alphabet_names(RelationFamily.VBAR, n)),
+            letters=build_alphabet(RelationFamily.VBAR, n),
             words=tuple(reps) + tuple(tail),
         )
     if family == RelationFamily.Q:
@@ -1123,7 +1079,7 @@ def build_forms(family: RelationFamily, n: int, enumeration=None) -> FormsSet:
                     words.append(tuple(_pow("g", r) + [f"x_{i}"] + _pow("g", s)))
         return FormsSet(
             label=f"Qforms(n={n})",
-            letters=tuple(_alphabet_names(RelationFamily.Q, n)),
+            letters=build_alphabet(RelationFamily.Q, n),
             words=tuple(words),
         )
     raise ValueError(f"no forms family for {family.value}")

@@ -5,10 +5,11 @@ representing a partial injection as a frozenset of (point, image)
 pairs.  Tests compare the package's breadth-first closures, cardinality
 formulas and Green's classes against these direct constructions, so a
 bug would have to appear in two unrelated code paths to go unnoticed.
-Two helpers touch the package: o_mutual_reachability reads its Cayley
+Three helpers touch the package: o_mutual_reachability reads its Cayley
 tables but finds their strongly connected components by brute force,
-for monoids that are not inverse, and all_partial_perms enumerates test
-inputs as the package's PartialPerm.
+for monoids that are not inverse, all_partial_perms enumerates test
+inputs as the package's PartialPerm, and tagged selects a
+presentation's relations by the clause named in their tags.
 """
 
 from __future__ import annotations
@@ -161,3 +162,13 @@ def all_partial_perms(n: int):
             for img_set in itertools.combinations(points, k):
                 for img in itertools.permutations(img_set):
                     yield PartialPerm.from_pairs(n, zip(dom, img))
+
+
+def tagged(p, prefix: str) -> tuple:
+    """The relations of presentation p whose tag is prefix or prefix[indices].
+
+    The tag prefix is exact: "R_1" does not select the R_11 relations.
+    """
+    return tuple(
+        r for r in p.relations if r.tag == prefix or r.tag.startswith(prefix + "[")
+    )

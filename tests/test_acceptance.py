@@ -49,7 +49,7 @@ from dimon.presentations import (
     vbar_prime_clause_counts,
     w1_w2_words,
 )
-from oracles import o_monotone, o_order_preserving, o_orientation_preserving
+from oracles import o_monotone, o_order_preserving, o_orientation_preserving, tagged
 
 THEOREMS = (
     (RelationFamily.R, MonoidFamily.ODI),
@@ -172,8 +172,8 @@ def test_criterion_5_tietze_chains():
         rebuilt = build_extension_presentation(
             build_relations(RelationFamily.V, n),
             "h",
-            vbar.tagged("Vbar_1"),
-            vbar.tagged("Vbar_2")[0],
+            tagged(vbar, "Vbar_1"),
+            tagged(vbar, "Vbar_2")[0],
             label=vbar.label,
             sq_tag="Vbar_0",
         )
@@ -226,7 +226,7 @@ def test_criterion_7_consequence_suite():
                 assert is_consequence(u, Relation((f"e_{i}",) + ("y",) * j, ("y",) * j, ""))
 
         q = build_relations(RelationFamily.Q, n)
-        shifts_only = Presentation("shifts", q.letters, q.tagged("Q_4"))
+        shifts_only = Presentation("shifts", q.letters, tagged(q, "Q_4"))
         for i in range(1, n + 1):
             for m in range(1, n):
                 j = (i + m - 1) % n + 1
@@ -247,11 +247,9 @@ def test_criterion_7_consequence_suite():
 
     # letters h, x, y with h^2 = 1 and hx = yh presents an infinite
     # monoid, yet hy = xh still falls out
-    from dimon.presentations import Letter
-
     two = Presentation(
         "two-relations",
-        (Letter(0, "h"), Letter(1, "x"), Letter(2, "y")),
+        ("h", "x", "y"),
         (Relation(("h", "h"), (), "inv"), Relation(("h", "x"), ("y", "h"), "conj")),
     )
     assert is_consequence(two, Relation(("h", "y"), ("x", "h"), ""))
@@ -262,18 +260,18 @@ def test_criterion_8_structural_properties():
     # partial identities are rotation conjugates of the last one
     for n in range(2, 9):
         g = named_generator("g", n)
-        e_n = named_generator("e_i", n, n)
+        e_n = named_generator(f"e_{n}", n)
         for i in range(1, n + 1):
             rhs = compose(compose(_power(g, n - i), e_n), _power(g, i))
-            assert named_generator("e_i", n, i) == rhs, (n, i)
+            assert named_generator(f"e_{i}", n) == rhs, (n, i)
     # reflection conjugation displays as exact transformations
     for n in range(3, 9):
         h = named_generator("h", n)
         x = named_generator("x", n)
         y = named_generator("y", n)
         for i in range(1, (n - 1) // 2 + 1):
-            x_i = named_generator("x_i", n, i)
-            y_i = named_generator("y_i", n, i)
+            x_i = named_generator(f"x_{i}", n)
+            y_i = named_generator(f"y_{i}", n)
             assert compose(compose(h, x_i), h) == compose(
                 compose(_power(y, n - i - 1), x_i), _power(x, i - 1)
             )

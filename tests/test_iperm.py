@@ -11,7 +11,6 @@ import dimon.iperm as iperm
 from dimon.iperm import (
     PartialPerm,
     compose,
-    empty_map,
     identity,
     inverse,
     named_generator,
@@ -23,6 +22,10 @@ from oracles import (
     o_order_preserving,
     o_orientation_preserving,
 )
+
+
+# the nowhere-defined map of degree 4, the zero of every monoid here
+EMPTY4 = PartialPerm(4, (0,) * 4)
 
 
 def graph(f):
@@ -60,8 +63,8 @@ def test_compose_examples():
     y = named_generator("y", 4)
     assert compose(x, y) == partial_identity(4, {1, 2, 3})  # e_4
     assert compose(y, x) == partial_identity(4, {2, 3, 4})  # e_1
-    e1 = named_generator("e_i", 4, 1)
-    e2 = named_generator("e_i", 4, 2)
+    e1 = named_generator("e_1", 4)
+    e2 = named_generator("e_2", 4)
     assert compose(e1, e2) == partial_identity(4, {3, 4})
     f = named_generator("g", 4)
     assert compose(identity(4), f) == f
@@ -73,7 +76,7 @@ def test_compose_examples():
 def test_compose_is_left_to_right():
     # apply the left factor first: 1 -(g)-> 2 -(e_2)-> undefined
     g = named_generator("g", 4)
-    e2 = named_generator("e_i", 4, 2)
+    e2 = named_generator("e_2", 4)
     assert compose(g, e2).apply(1) is None
     assert compose(e2, g).apply(1) == 2
 
@@ -87,8 +90,8 @@ def test_compose_matches_oracle_exhaustive_n3():
 
 def test_inverse_examples():
     assert inverse(named_generator("x", 4)) == named_generator("y", 4)
-    assert inverse(empty_map(4)) == empty_map(4)
-    assert inverse(named_generator("x_i", 4, 1)) == PartialPerm.from_pairs(
+    assert inverse(EMPTY4) == EMPTY4
+    assert inverse(named_generator("x_1", 4)) == PartialPerm.from_pairs(
         4, [(1, 1), (4, 2)]
     )
 
@@ -104,8 +107,8 @@ def test_inverse_laws_sampled():
 
 def test_associativity_exhaustive_generator_products():
     gens = [named_generator(k, 4) for k in ("g", "h", "x", "y")]
-    gens += [named_generator("e_i", 4, i) for i in range(1, 5)]
-    gens += [named_generator("x_i", 4, 1), named_generator("y_i", 4, 1)]
+    gens += [named_generator(f"e_{i}", 4) for i in range(1, 5)]
+    gens += [named_generator("x_1", 4), named_generator("y_1", 4)]
     pool = {graph(f): f for f in gens}
     for f, g in itertools.product(gens, gens):
         fg = compose(f, g)
@@ -125,8 +128,8 @@ def test_associativity_random_triples_n6():
 
 def test_partial_identity_and_restrict():
     assert partial_identity(4, range(1, 5)) == identity(4)
-    assert partial_identity(4, ()) == empty_map(4)
-    assert partial_identity(4, {1, 2, 3}) == named_generator("e_i", 4, 4)
+    assert partial_identity(4, ()) == EMPTY4
+    assert partial_identity(4, {1, 2, 3}) == named_generator("e_4", 4)
     with pytest.raises(ValueError):
         partial_identity(4, {0})
     # restricting f to a set of points is composing the set's partial
@@ -137,7 +140,7 @@ def test_partial_identity_and_restrict():
     assert compose(partial_identity(4, {1, 4}), h) == PartialPerm.from_pairs(
         4, [(1, 4), (4, 1)]
     )
-    assert compose(partial_identity(4, ()), g) == empty_map(4)
+    assert compose(partial_identity(4, ()), g) == EMPTY4
     # restriction to points outside the domain just drops them
     x = named_generator("x", 4)
     assert compose(partial_identity(4, {3, 4}), x) == PartialPerm.from_pairs(
@@ -160,18 +163,23 @@ def test_named_generator_examples_and_errors():
     assert named_generator("x", 4) == PartialPerm.from_pairs(
         4, [(1, 2), (2, 3), (3, 4)]
     )
-    assert named_generator("x_i", 4, 1) == PartialPerm.from_pairs(4, [(1, 1), (2, 4)])
-    assert named_generator("e_i", 4, 1) == partial_identity(4, {2, 3, 4})
+    assert named_generator("x_1", 4) == PartialPerm.from_pairs(4, [(1, 1), (2, 4)])
+    assert named_generator("y_2", 5) == PartialPerm.from_pairs(5, [(1, 1), (4, 3)])
+    assert named_generator("e_1", 4) == partial_identity(4, {2, 3, 4})
+    assert named_generator("e_12", 12) == partial_identity(12, range(1, 12))
     with pytest.raises(ValueError):
-        named_generator("e_i", 4, 5)
+        named_generator("e_5", 4)
     with pytest.raises(ValueError):
-        named_generator("x_i", 4, 2)  # only i=1 exists at n=4
+        named_generator("x_2", 4)  # only i=1 exists at n=4
     with pytest.raises(ValueError):
         named_generator("h", 1)
     with pytest.raises(ValueError):
         named_generator("nope", 4)
-    with pytest.raises(ValueError):
-        named_generator("x", 4, 1)  # unindexed kind with an index
+    # each map has one name: malformed, unknown and out-of-range names are
+    # refused at n = 5, which has e_1..e_5, x_1, x_2, y_1 and y_2
+    for name in ("e_0", "e_", "e_x", "g_1", "h_2", "z", "e_01", "x_-1", "e_6", "x_3"):
+        with pytest.raises(ValueError):
+            named_generator(name, 5)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -188,9 +196,9 @@ def test_g_and_h_orders(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_e_i_conjugation_identity(n):
     g = named_generator("g", n)
-    e_n = named_generator("e_i", n, n)
+    e_n = named_generator(f"e_{n}", n)
     for i in range(1, n + 1):
-        lhs = named_generator("e_i", n, i)
+        lhs = named_generator(f"e_{i}", n)
         rhs = identity(n)
         for _ in range(n - i):
             rhs = compose(rhs, g)
@@ -214,8 +222,8 @@ def test_reflection_conjugates_of_x_i_y_i(n):
     y = named_generator("y", n)
     m = (n - 1) // 2
     for i in range(1, m + 1):
-        x_i = named_generator("x_i", n, i)
-        y_i = named_generator("y_i", n, i)
+        x_i = named_generator(f"x_{i}", n)
+        y_i = named_generator(f"y_{i}", n)
         lhs = compose(compose(h, x_i), h)
         rhs = compose(compose(_power(y, n - i - 1), x_i), _power(x, i - 1))
         assert lhs == rhs
@@ -229,7 +237,7 @@ def test_rotation_conjugates_of_x_i_are_new(n):
     """g^r x_i g^s equals some x_j only in the trivial case r=s=0, i=j."""
     g = named_generator("g", n)
     m = (n - 1) // 2
-    xs = {j: named_generator("x_i", n, j) for j in range(1, m + 1)}
+    xs = {j: named_generator(f"x_{j}", n) for j in range(1, m + 1)}
     for i in range(1, m + 1):
         for r in range(2 * n):
             for s in range(2 * n):
@@ -244,7 +252,7 @@ def test_serialization_round_trip():
         d = f.to_dict()
         assert set(d) == {"n", "map"}
         assert PartialPerm.from_dict(d) == f
-    assert named_generator("x_i", 4, 1).to_dict() == {"n": 4, "map": [[1, 1], [2, 4]]}
+    assert named_generator("x_1", 4).to_dict() == {"n": 4, "map": [[1, 1], [2, 4]]}
 
 
 @st.composite

@@ -8,13 +8,13 @@ import pytest
 import dimon.presentations as presentations
 from dimon.congruence import is_consequence
 from dimon.iperm import compose, identity, named_generator
-from dimon.monoids import MonoidFamily, build_named
+from dimon.monoids import MonoidFamily, build_named, generating_maps
 from dimon.presentations import (
     Assignment,
-    Letter,
     Presentation,
     Relation,
     RelationFamily,
+    TARGET_MONOID,
     build_alphabet,
     build_assignment,
     build_extension_presentation,
@@ -30,7 +30,7 @@ from dimon.presentations import (
     w1_w2_words,
     wprime1_words,
 )
-from oracles import o_rotations, o_symmetries
+from oracles import o_rotations, o_symmetries, tagged
 
 ALL_RELATION_FAMILIES = tuple(RelationFamily)
 
@@ -72,10 +72,19 @@ def test_alphabets(n):
     for family, want in sizes.items():
         letters = build_alphabet(family, n)
         assert len(letters) == want
-        assert [letter.id for letter in letters] == list(range(want))
-        assert len({letter.name for letter in letters}) == want
-    assert build_alphabet(RelationFamily.VBAR, n)[0].name == "h"
-    assert build_alphabet(RelationFamily.Q_PRIME, n)[0].name == "g"
+        assert len(set(letters)) == want
+    assert build_alphabet(RelationFamily.VBAR, n)[0] == "h"
+    assert build_alphabet(RelationFamily.Q_PRIME, n)[0] == "g"
+    # these four are written over the standard generating set of the
+    # monoid they present, letter for letter and map for map
+    for family in (
+        RelationFamily.U,
+        RelationFamily.V,
+        RelationFamily.VBAR_PRIME,
+        RelationFamily.Q_PRIME,
+    ):
+        want = generating_maps(TARGET_MONOID[family], n)
+        assert build_assignment(family, n).images == want
 
 
 def test_alphabet_degree_bound():
@@ -130,28 +139,25 @@ def test_relations_hold_under_generator_maps(family, n):
 def test_relation_tags():
     p = build_relations(RelationFamily.R, 5)
     assert all(rel.tag for rel in p.relations)
-    assert p.tagged("R_1")
-    assert p.tagged("R_11")
-    assert all(rel.tag == "R_11" for rel in p.tagged("R_11"))
+    assert tagged(p, "R_1")
+    assert tagged(p, "R_11")
+    assert all(rel.tag == "R_11" for rel in tagged(p, "R_11"))
     # prefix matching is exact on the family_index part
-    assert not set(p.tagged("R_1")) & set(p.tagged("R_11"))
+    assert not set(tagged(p, "R_1")) & set(tagged(p, "R_11"))
     q = build_relations(RelationFamily.Q_PRIME, 6)
-    assert q.tagged("Qp_6")
-    assert q.tagged("Qp_10")
+    assert tagged(q, "Qp_6")
+    assert tagged(q, "Qp_10")
+    # R_4 commutes the e_i pairwise: C(4, 2) relations at n = 4
+    assert len(tagged(build_relations(RelationFamily.R, 4), "R_4")) == 6
 
 
 def test_presentation_validation():
-    a, b = Letter(0, "a"), Letter(1, "b")
     with pytest.raises(ValueError):
-        Presentation("p", (a, Letter(0, "b")), ())
+        Presentation("p", ("a", "a"), ())
     with pytest.raises(ValueError):
-        Presentation("p", (a, Letter(2, "b")), ())
-    with pytest.raises(ValueError):
-        Presentation("p", (a, Letter(1, "a")), ())
-    with pytest.raises(ValueError):
-        Presentation("p", (a, b), (Relation(("a", "c"), ("b",), "t"),))
-    p = Presentation("p", (a, b), (Relation(("a", "b"), (), "t"),))
-    assert p.letter_names == ("a", "b")
+        Presentation("p", ("a", "b"), (Relation(("a", "c"), ("b",), "t"),))
+    p = Presentation("p", ("a", "b"), (Relation(("a", "b"), (), "t"),))
+    assert p.letters == ("a", "b")
     assert p.word_ids(("b", "a", "b")) == (1, 0, 1)
 
 
@@ -159,14 +165,14 @@ def test_presentation_json_round_trip():
     p = build_relations(RelationFamily.VBAR, 5)
     d = p.to_json_dict()
     assert Presentation.from_json_dict(d) == p
-    assert d["letters"] == list(p.letter_names)
+    assert d["letters"] == list(p.letters)
 
 
 def test_assignment_access():
     a = build_assignment(RelationFamily.R, 4)
     assert a.image("x") == named_generator("x", 4)
-    assert a.image("e_3") == named_generator("e_i", 4, 3)
-    assert a.image("x_1") == named_generator("x_i", 4, 1)
+    assert a.image("e_3") == named_generator("e_3", 4)
+    assert a.image("x_1") == named_generator("x_1", 4)
     with pytest.raises(KeyError):
         a.image("g")
     assert set(a.names()) == {"x", "y", "e_1", "e_2", "e_3", "e_4", "x_1", "y_1"}
@@ -206,8 +212,8 @@ def test_extension_reproduces_vbar(n):
     built = build_extension_presentation(
         base,
         "h",
-        vbar.tagged("Vbar_1"),
-        vbar.tagged("Vbar_2")[0],
+        tagged(vbar, "Vbar_1"),
+        tagged(vbar, "Vbar_2")[0],
         label=vbar.label,
         sq_tag="Vbar_0",
     )
@@ -216,8 +222,8 @@ def test_extension_reproduces_vbar(n):
 
 def test_extension_shape_validation():
     base = build_relations(RelationFamily.V, 4)
-    conj = build_relations(RelationFamily.VBAR, 4).tagged("Vbar_1")
-    u0 = build_relations(RelationFamily.VBAR, 4).tagged("Vbar_2")[0]
+    conj = tagged(build_relations(RelationFamily.VBAR, 4), "Vbar_1")
+    u0 = tagged(build_relations(RelationFamily.VBAR, 4), "Vbar_2")[0]
     with pytest.raises(ValueError):
         build_extension_presentation(base, "x", conj, u0)  # name collision
     with pytest.raises(ValueError):
@@ -232,7 +238,7 @@ def test_eliminate_generator():
     p = build_relations(RelationFamily.R, 4)
     q = eliminate_generator(p, "e_4", ("x", "y"))
     assert q.label == "R(n=4)-e_4"
-    assert "e_4" not in q.letter_names
+    assert "e_4" not in q.letters
     assert len(q.letters) == len(p.letters) - 1
     for rel in q.relations:
         assert "e_4" not in rel.lhs and "e_4" not in rel.rhs
@@ -248,12 +254,12 @@ def test_elimination_chains_shape():
     chain = odi_elimination_chain(4)
     assert len(chain) == 3
     assert chain[0] == build_relations(RelationFamily.R, 4)
-    assert "e_4" not in chain[1].letter_names
-    assert "e_1" not in chain[2].letter_names
+    assert "e_4" not in chain[1].letters
+    assert "e_1" not in chain[2].letters
     chain = opdi_elimination_chain(5)
     assert len(chain) == 5
     assert chain[0] == build_relations(RelationFamily.Q, 5)
-    assert chain[-1].letter_names == ("g", "e_1", "x_1", "x_2")
+    assert chain[-1].letters == ("g", "e_1", "x_1", "x_2")
 
 
 def test_add_delete_relation_checked():
@@ -295,7 +301,7 @@ def test_wprime1_words_count_and_alphabet():
         words = wprime1_words(n)
         assert len(words) == 1 + n * n
         assert len(set(words)) == 1 + n * n
-        allowed = {letter.name for letter in build_alphabet(RelationFamily.V, n)}
+        allowed = set(build_alphabet(RelationFamily.V, n))
         for w in words:
             assert set(w) <= allowed
 
