@@ -3,8 +3,8 @@
    A step-for-step port of dimon._tc_py.run, written against the CPython
    C API: the same class creation order, the same coincidence handling,
    the same step count and the same renumbering, so both kernels return
-   equal tuples.  See _tc_py for the procedure, the argument that no
-   final sweep is needed, and the status protocol.
+   equal (status, table) pairs.  See _tc_py for the procedure, the
+   argument that no final sweep is needed, and the status protocol.
 
    Class ids are C ints and the step count a C long long; run() raises
    OverflowError for a cap beyond either.  Every allocation failure
@@ -285,21 +285,22 @@ watch_merged(State *s, int w1, int w2)
 }
 
 /* The enumeration proper: a status, or FAILED.  Words 2r and 2r + 1 are
-   relation r; words 2 n_rels and 2 n_rels + 1, when present, the watch. */
+   relation r; words 2 n_rels and 2 n_rels + 1, when present, the watch.
+   Only scans merge classes, so the watch is checked after each one. */
 static int
-enumerate(State *s, const Words *w, Py_ssize_t n_rels, int *w1, int *w2)
+enumerate(State *s, const Words *w, Py_ssize_t n_rels)
 {
     const int *lhs, *rhs;
     Py_ssize_t llen, rlen, r;
-    int c_idx, k, rc;
+    int c_idx, k, rc, w1 = UNDEF, w2 = UNDEF;
     if (w->n_words > 2 * n_rels) {
         lhs = word(w, 2 * n_rels, &llen);
         rhs = word(w, 2 * n_rels + 1, &rlen);
-        if ((*w1 = trace_define(s, 0, lhs, llen)) < 0)
-            return *w1 == CAPPED ? STATUS_CAPPED : FAILED;
-        if ((*w2 = trace_define(s, find(s, 0), rhs, rlen)) < 0)
-            return *w2 == CAPPED ? STATUS_CAPPED : FAILED;
-        if (watch_merged(s, *w1, *w2))
+        if ((w1 = trace_define(s, 0, lhs, llen)) < 0)
+            return w1 == CAPPED ? STATUS_CAPPED : FAILED;
+        if ((w2 = trace_define(s, find(s, 0), rhs, rlen)) < 0)
+            return w2 == CAPPED ? STATUS_CAPPED : FAILED;
+        if (watch_merged(s, w1, w2))
             return STATUS_WATCH_MERGED;
     }
     for (c_idx = 0; c_idx < s->n_classes; c_idx++) {
@@ -313,7 +314,7 @@ enumerate(State *s, const Words *w, Py_ssize_t n_rels, int *w1, int *w2)
             rc = scan(s, find(s, c_idx), lhs, llen, rhs, rlen);
             if (rc < 0)
                 return rc == CAPPED ? STATUS_CAPPED : FAILED;
-            if (watch_merged(s, *w1, *w2))
+            if (watch_merged(s, w1, w2))
                 return STATUS_WATCH_MERGED;
         }
         if (find(s, c_idx) == c_idx) {
@@ -332,7 +333,7 @@ enumerate(State *s, const Words *w, Py_ssize_t n_rels, int *w1, int *w2)
     return STATUS_COMPLETE;
 }
 
-/* The live classes' rows as lists, classes renumbered in id order. */
+/* The live classes' rows as tuples, classes renumbered in id order. */
 static PyObject *
 dense_table(State *s)
 {
@@ -343,19 +344,19 @@ dense_table(State *s)
         return NULL;
     for (c = 0; c < s->n_classes; c++)
         renum[c] = find(s, c) == c ? live++ : UNDEF;
-    if ((out = PyList_New(live)) == NULL)
+    if ((out = PyTuple_New(live)) == NULL)
         goto done;
     for (c = 0; c < s->n_classes; c++) {
         if (renum[c] == UNDEF)
             continue;
-        if ((r = PyList_New(s->n_letters)) == NULL)
+        if ((r = PyTuple_New(s->n_letters)) == NULL)
             goto fail;
-        PyList_SET_ITEM(out, renum[c], r);
+        PyTuple_SET_ITEM(out, renum[c], r);
         for (k = 0; k < s->n_letters; k++) {
             PyObject *t = PyLong_FromLong(renum[find(s, row(s, c)[k])]);
             if (t == NULL)
                 goto fail;
-            PyList_SET_ITEM(r, k, t);
+            PyTuple_SET_ITEM(r, k, t);
         }
     }
     goto done;
@@ -372,8 +373,11 @@ PyDoc_STRVAR(run_doc,
 "Enumerate the classes of the two-sided congruence.\n\n"
 "Same contract as _tc_py.run: relations are (lhs, rhs) pairs of\n"
 "letter-id words, watch is an optional pair of words, and the result\n"
-"is (status, table, watch_equal).  A letter id outside\n"
-"range(n_letters) raises ValueError.");
+"is (status, table), the table a tuple of tuple rows when status is\n"
+"0 and None otherwise.  Status 0 with a watch means the pair is in\n"
+"two classes: the watch is checked after every scan, and only scans\n"
+"merge classes.  A letter id outside range(n_letters) raises\n"
+"ValueError.");
 
 static PyObject *
 run(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -384,7 +388,7 @@ run(PyObject *self, PyObject *args, PyObject *kwargs)
     State s = {0};
     Words w = {0};
     Py_ssize_t n_rels, r;
-    int w1 = UNDEF, w2 = UNDEF, status;
+    int status;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOiL|O:run", keywords,
                                      &s.n_letters, &relations, &s.max_classes,
@@ -421,21 +425,14 @@ run(PyObject *self, PyObject *args, PyObject *kwargs)
     memset(row(&s, 0), 0xFF, (size_t)s.n_letters * sizeof(int));
     s.n_classes = 1;
 
-    status = enumerate(&s, &w, n_rels, &w1, &w2);
-    if (status == FAILED)
-        goto done;
-    if (status == STATUS_WATCH_MERGED)
-        result = Py_BuildValue("iOO", status, Py_None, Py_True);
-    else if (status == STATUS_CAPPED)
-        result = Py_BuildValue("iOO", status, Py_None, Py_None);
-    else {
+    status = enumerate(&s, &w, n_rels);
+    if (status == STATUS_COMPLETE) {
         PyObject *table = dense_table(&s);
         if (table != NULL)
-            result = Py_BuildValue(
-                "iNO", status, table,
-                watch == Py_None ? Py_None
-                : find(&s, w1) == find(&s, w2) ? Py_True : Py_False);
+            result = Py_BuildValue("iN", status, table);
     }
+    else if (status != FAILED)
+        result = Py_BuildValue("iO", status, Py_None);
 done:
     Py_DECREF(rels);
     PyMem_Free(w.bounds);
@@ -463,8 +460,7 @@ PyInit__tc_core(void)
     PyObject *m = PyModule_Create(&module);
     if (m == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(m, "UNDEF", UNDEF) < 0
-        || PyModule_AddIntConstant(m, "STATUS_COMPLETE", STATUS_COMPLETE) < 0
+    if (PyModule_AddIntConstant(m, "STATUS_COMPLETE", STATUS_COMPLETE) < 0
         || PyModule_AddIntConstant(m, "STATUS_CAPPED", STATUS_CAPPED) < 0
         || PyModule_AddIntConstant(m, "STATUS_WATCH_MERGED",
                                    STATUS_WATCH_MERGED) < 0) {

@@ -27,11 +27,14 @@ at every live class once the main loop ends:
   when the loop reached it, so every relation was scanned at that very
   class and its row was filled then.
 
-Protocol constants shared by both kernels:
+Both kernels return (status, table), the table a tuple of tuple rows:
 
     status 0  complete: table is the dense right-action table
     status 1  capped: class or step budget exhausted, no table
-    status 2  the watch pair merged before completion (early exit)
+    status 2  the watch pair merged before completion, no table
+
+A complete watched run never merged its pair: the watch is checked
+after every scan, and only scans merge classes.
 """
 
 from collections import deque
@@ -72,11 +75,11 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     watch: optional (lhs, rhs) pair; when given, the run stops as soon
     as the two words provably fall in one class.
 
-    Returns (status, table, watch_equal).  table is a list of rows
-    (one per class, class 0 = empty word) when status is 0, else None.
-    watch_equal is None without a watch, else a bool (True when status
-    is 2).  A letter id outside range(n_letters), in a relation or in
-    the watch pair, raises ValueError, as does a negative n_letters.
+    Returns (status, table): table is a tuple of rows (one tuple per
+    class, class 0 = empty word) when status is 0, else None.  Status 0
+    with a watch means the pair is in two classes of the table.  A
+    letter id outside range(n_letters), in a relation or in the watch
+    pair, raises ValueError, as does a negative n_letters.
     """
     if n_letters < 0:
         raise ValueError(f"n_letters must be non-negative, got {n_letters}")
@@ -174,19 +177,19 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
             w1 = trace_define(0, watch[0])
             w2 = trace_define(find(0), watch[1])
             if watch_merged():
-                return (STATUS_WATCH_MERGED, None, True)
+                return (STATUS_WATCH_MERGED, None)
 
         c_idx = 0
         while c_idx < len(parent):
             if steps > max_steps:
-                return (STATUS_CAPPED, None, None)
+                return (STATUS_CAPPED, None)
             if find(c_idx) != c_idx:
                 c_idx += 1
                 continue
             for lhs, rhs in relations:
                 scan(find(c_idx), lhs, rhs)
                 if watch_merged():
-                    return (STATUS_WATCH_MERGED, None, True)
+                    return (STATUS_WATCH_MERGED, None)
             if find(c_idx) == c_idx:
                 row = table[c_idx]
                 for k in range(n_letters):
@@ -195,10 +198,9 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
                         row[k] = new_class()
             c_idx += 1
     except _Capped:
-        return (STATUS_CAPPED, None, None)
+        return (STATUS_CAPPED, None)
 
     live = [c for c in range(len(parent)) if find(c) == c]
     renumber = {c: i for i, c in enumerate(live)}
-    out = [[renumber[find(t)] for t in table[c]] for c in live]
-    watch_equal = None if watch is None else find(w1) == find(w2)
-    return (STATUS_COMPLETE, out, watch_equal)
+    out = tuple(tuple([renumber[find(t)] for t in table[c]]) for c in live)
+    return (STATUS_COMPLETE, out)

@@ -16,12 +16,16 @@ undercount nothing.
 
 The kernel is the compiled extension dimon._tc_core when it was built,
 and the pure-Python dimon._tc_py otherwise; both implement the identical
-procedure and return identical tables.  BACKEND names the active one
-("compiled" or "pure").  setup.py compiles the extension from the
-hand-written C source _tc_core.c, which follows _tc_py step for step.
-The kernel reads each presentation's relations as
-Presentation.relation_ids, encoded once; both kernels raise ValueError
-for a letter id outside range(n_letters).
+procedure and return identical (status, table) pairs, the table a tuple
+of tuple rows or None, which EnumerationResult keeps as it came.
+BACKEND names the active one ("compiled" or "pure").  setup.py compiles
+the extension from the hand-written C source _tc_core.c, which follows
+_tc_py step for step.  The kernel reads each presentation's relations
+as Presentation.relation_ids, encoded once; both kernels raise
+ValueError for a letter id outside range(n_letters).  A watched run
+(is_consequence) that completes never merged its pair, so the answer
+is no: the watch is checked after every scan, and only scans merge
+classes.
 
 The environment variable DIMON_MAX_CLASSES overrides the default class
 cap.  Caps are checked where they are made: the compiled kernel holds
@@ -57,11 +61,6 @@ except ImportError:
 
 class IndeterminateError(RuntimeError):
     """A capped enumeration left the question undecided."""
-
-
-class Status(enum.Enum):
-    COMPLETE = "complete"
-    CAPPED = "capped"
 
 
 class Verdict(enum.Enum):
@@ -115,17 +114,20 @@ class EnumerationResult:
 
     When complete, table[c][k] is the class of (word of class c)
     followed by letter k, and class 0 is the class of the empty word.
+    A capped run has no table.
     """
 
-    status: Status
     letters: "tuple[str, ...]"
-    class_count: "int | None"
     table: "tuple[tuple[int, ...], ...] | None"
     caps: EnumerationCaps
 
     @property
     def is_complete(self) -> bool:
-        return self.status is Status.COMPLETE
+        return self.table is not None
+
+    @property
+    def class_count(self) -> "int | None":
+        return None if self.table is None else len(self.table)
 
     @functools.cached_property
     def _letter_ids(self) -> "dict[str, int]":
@@ -161,22 +163,10 @@ def enumerate_congruence(
     2
     """
     caps = caps or EnumerationCaps.default()
-    status, table, _ = _kernel.run(
-        len(p.letters),
-        p.relation_ids,
-        caps.max_classes,
-        caps.max_steps,
-        None,
+    _, table = _kernel.run(
+        len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps
     )
-    if status == _kernel.STATUS_CAPPED:
-        return EnumerationResult(Status.CAPPED, p.letters, None, None, caps)
-    return EnumerationResult(
-        Status.COMPLETE,
-        p.letters,
-        len(table),
-        tuple(tuple(row) for row in table),
-        caps,
-    )
+    return EnumerationResult(p.letters, table, caps)
 
 
 def is_consequence(
@@ -190,21 +180,15 @@ def is_consequence(
     """
     caps = caps or EnumerationCaps.default()
     watch = (p.word_ids(rel.lhs), p.word_ids(rel.rhs))
-    status, _, watch_equal = _kernel.run(
-        len(p.letters),
-        p.relation_ids,
-        caps.max_classes,
-        caps.max_steps,
-        watch,
+    status, _ = _kernel.run(
+        len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch
     )
-    if status == _kernel.STATUS_WATCH_MERGED:
-        return True
     if status == _kernel.STATUS_CAPPED:
         raise IndeterminateError(
             f"capped at {caps.max_classes} classes before deciding "
             f"{rel.lhs} = {rel.rhs}"
         )
-    return watch_equal
+    return status == _kernel.STATUS_WATCH_MERGED
 
 
 @dataclasses.dataclass(frozen=True)

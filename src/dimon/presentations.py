@@ -100,12 +100,21 @@ class Presentation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Presentation":
+        """The inverse of to_json_dict; ValueError unless the alphabet, the
+        relations and every word are arrays, and each name a string."""
+        rels = data["relations"]
+        words = [data["letters"]] + [r[side] for r in rels for side in ("lhs", "rhs")]
+        if not all(isinstance(v, list) for v in [rels] + words):
+            raise ValueError("the alphabet, the relations and every word must be arrays")
+        names = [data["label"]] + [r.get("tag", "") for r in rels]
+        if not all(isinstance(x, str) for x in names + [x for w in words for x in w]):
+            raise ValueError("every letter, the label and every tag must be strings")
         return cls(
             label=data["label"],
             letters=tuple(data["letters"]),
             relations=tuple(
                 Relation(tuple(r["lhs"]), tuple(r["rhs"]), r.get("tag", ""))
-                for r in data["relations"]
+                for r in rels
             ),
         )
 
@@ -681,63 +690,15 @@ def build_relations(family: RelationFamily, n: int) -> Presentation:
     )
 
 
-def vbar_prime_clause_counts(n: int) -> "dict[str, int]":
-    """Relations per clause of the VbarPrime list, from its index ranges.
-
-    Keys are the tag prefixes used by _relations_VbarPrime ("Vp_4",
-    "Vbarp_1", ...), in list order; with m = floor((n-1)/2),
-    q = floor((n+1)/2) and p = floor(n/2) each value counts the
-    relations that clause contributes at chain length n.
-
-    >>> vbar_prime_clause_counts(4)["Vp_4"]
-    1
-    >>> sum(vbar_prime_clause_counts(4).values())
-    32
-    """
-    if n < 4:
-        raise ValueError(f"count formulas need n >= 4, got {n}")
-    m = (n - 1) // 2
-    q = (n + 1) // 2
-    p = n // 2
-    return {
-        "Vp_1": q - 1,
-        "Vp_2": 1,
-        "Vp_3": 1,
-        # e_i e_j for i < j, then e_i against h e_j h
-        "Vp_4": (q - 1) * (q - 2) // 2 + (q - 1) * (p - 1),
-        "Vp_5": 2 * (q - 1),
-        "Vp_6": n - 3,
-        "Vp_7": 2,
-        "Vp_8": 1,
-        "Vp_9": 2 * m,
-        # the h e_j h half skips j = i for i = 2..m
-        "Vp_10": 2 * m * (q - 1) + 2 * m * (p - 1) - 2 * (m - 1),
-        # the e_j half skips j = i + 1 for every i
-        "Vp_11": 2 * m * (q - 1) + 2 * m * (p - 1) - 2 * m,
-        # two 2-link chains per i >= 2, two single relations at i = 1
-        "Vp_12": 4 * m - 2,
-        "Vp_13": 4 * m,
-        "Vp_14": 4 * m,
-        "Vbarp_0": 1,
-        "Vbarp_1": 2 * m + n % 2,
-        "Vbarp_2": 1,
-    }
-
-
 def expected_relation_count(family: RelationFamily, n: int) -> int:
     """Closed-form relation count for each family.
 
-    Each value equals len(build_relations(family, n).relations).  The
-    VbarPrime count is the sum of vbar_prime_clause_counts, which reads
-    off the index ranges of _relations_VbarPrime clause by clause; with
-    s = +1 for even n and -1 for odd n it is
-    (38n^2 - 2(1 + 9s)n + 13 - 29s) / 16.  An earlier closed form,
-    (8n^2 + (7 - s)n - 8s - 4) / 4, gave 35/61/78 at n = 4/5/6 and
-    matched the list at no degree: its n^2 coefficient is 2, while
-    clauses Vp_10 and Vp_11 alone grow like 2n^2 and Vp_4 adds about
-    3n^2/8.  The list is the one shown correct (it presents MDI_n, and
-    32 relations at n = 4 agrees with a count by hand); where the old
-    form came from, the repository does not record.
+    Each value equals len(build_relations(family, n).relations); s is
+    +1 for even n and -1 for odd n.  The VbarPrime count sums the index
+    ranges of _relations_VbarPrime clause by clause: clauses Vp_10 and
+    Vp_11 grow like 2n^2 and Vp_4 like 3n^2/8.  The list is the one
+    shown correct: it presents MDI_n, and its 32 relations at n = 4
+    agree with a count by hand.
 
     >>> expected_relation_count(RelationFamily.R, 4)
     36
@@ -758,7 +719,7 @@ def expected_relation_count(family: RelationFamily, n: int) -> int:
     if family == RelationFamily.VBAR:
         return (10 * n * n + (4 - 4 * s) * n - (3 + 5 * s)) // 4
     if family == RelationFamily.VBAR_PRIME:
-        return sum(vbar_prime_clause_counts(n).values())
+        return (38 * n * n - 2 * (1 + 9 * s) * n + 13 - 29 * s) // 16
     if family == RelationFamily.Q:
         return (6 * n * n + 2 * (1 - s) * n + 6 - (1 + s)) // 4
     if family == RelationFamily.Q0:
@@ -915,11 +876,12 @@ def eliminate_generator(
     )
 
 
-def delete_relation(p: Presentation, rel: Relation, checked: bool = True, caps=None) -> Presentation:
+def delete_relation(p: Presentation, rel: Relation, caps=None) -> Presentation:
     """Remove the first relation with the same sides as rel.
 
-    In checked mode the removed relation must be a consequence of the
-    remaining ones.
+    The removed relation must be a consequence of the remaining ones:
+    ValueError when it is not, IndeterminateError when the caps stop the
+    check first.
     """
     index = next(
         (k for k, r in enumerate(p.relations)
@@ -936,13 +898,10 @@ def delete_relation(p: Presentation, rel: Relation, checked: bool = True, caps=N
     smaller = copy.copy(p)
     smaller.__dict__["relations"] = p.relations[:index] + p.relations[index + 1:]
     smaller.__dict__["relation_ids"] = ids[:index] + ids[index + 1:]
-    if checked:
-        from .congruence import is_consequence
+    from .congruence import is_consequence
 
-        if not is_consequence(smaller, rel, caps):
-            raise ValueError(
-                f"{rel.lhs} = {rel.rhs} is not a consequence of the rest"
-            )
+    if not is_consequence(smaller, rel, caps):
+        raise ValueError(f"{rel.lhs} = {rel.rhs} is not a consequence of the rest")
     return smaller
 
 

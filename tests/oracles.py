@@ -5,11 +5,12 @@ representing a partial injection as a frozenset of (point, image)
 pairs.  Tests compare the package's breadth-first closures, cardinality
 formulas and Green's classes against these direct constructions, so a
 bug would have to appear in two unrelated code paths to go unnoticed.
-Three helpers touch the package: o_mutual_reachability reads its Cayley
+Four helpers touch the package: o_mutual_reachability reads its Cayley
 tables but finds their strongly connected components by brute force,
 for monoids that are not inverse, all_partial_perms enumerates test
-inputs as the package's PartialPerm, and tagged selects a
-presentation's relations by the clause named in their tags.
+inputs as the package's PartialPerm, tagged selects a presentation's
+relations by the clause named in their tags, and without builds a
+presentation with one of them deleted, unchecked.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 
 from dimon.iperm import PartialPerm
+from dimon.presentations import Presentation
 
 Graph = frozenset  # of (point, image) pairs
 
@@ -172,3 +174,8 @@ def tagged(p, prefix: str) -> tuple:
     return tuple(
         r for r in p.relations if r.tag == prefix or r.tag.startswith(prefix + "[")
     )
+
+
+def without(p, i: int):
+    """Presentation p with its relation i deleted, built directly."""
+    return Presentation(p.label, p.letters, p.relations[:i] + p.relations[i + 1:])

@@ -228,7 +228,15 @@ def test_out_of_range_input_is_a_usage_error(runner, args):
     '{"letters": ["a"], "relations": []}',
     '{"label": "p", "letters": ["a"],',
     '[]',
-], ids=["unknown-letter", "missing-key", "not-json", "not-an-object"])
+    '{"label": "p", "letters": "ab", "relations": [{"lhs": "aa", "rhs": ["a"]}]}',
+    '{"label": "p", "letters": ["a", "b"], "relations": [{"lhs": "aa", "rhs": ["a"]}]}',
+    '{"label": "p", "letters": [1, 2], "relations": []}',
+    '{"label": 7, "letters": ["a"], "relations": []}',
+    '{"label": "p", "letters": ["a"], "relations": [{"lhs": ["a"], "rhs": [], "tag": 1}]}',
+    '{"label": "p", "letters": ["a"], "relations": ""}',
+], ids=["unknown-letter", "missing-key", "not-json", "not-an-object", "string-alphabet",
+        "string-word", "integer-letters", "integer-label", "integer-tag",
+        "string-relations"])
 def test_enumerate_malformed_file_is_a_usage_error(runner, tmp_path, text):
     path = tmp_path / "p.json"
     path.write_text(text)

@@ -18,7 +18,6 @@ from dimon import _tc_py
 from dimon.congruence import (
     EnumerationCaps,
     IndeterminateError,
-    Status,
     Verdict,
     enumerate_congruence,
     is_consequence,
@@ -36,10 +35,9 @@ from dimon.presentations import (
     build_assignment,
     build_forms,
     build_relations,
-    delete_relation,
     evaluate,
 )
-from oracles import tagged
+from oracles import tagged, without
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -111,10 +109,24 @@ def test_enumerate_trivial():
     assert r.to_json_dict() == {"status": "complete", "classes": 2}
 
 
+def test_result_holds_the_kernel_table(monkeypatch):
+    """enumerate_congruence keeps the table the kernel built, not a copy."""
+    kernel_run = congruence._kernel.run
+    runs = []
+
+    def run(*args):
+        runs.append(kernel_run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(congruence._kernel, "run", run)
+    r = enumerate_congruence(build_relations(RelationFamily.Q, 4))
+    assert r.table is runs[0][1] and r.class_count == 77
+
+
 def test_enumerate_caps_out():
     free = Presentation("free", ("a",), ())
     r = enumerate_congruence(free, EnumerationCaps(max_classes=10))
-    assert r.status is Status.CAPPED
+    assert r.table is None
     assert not r.is_complete
     assert r.class_count is None
     assert r.to_json_dict()["status"] == "capped"
@@ -217,18 +229,19 @@ def kernel(request):
     return request.getfixturevalue("compiled_kernel")
 
 
+def trace(table, c, word):
+    """The class a letter-id word leads to from class c of a complete table."""
+    for a in word:
+        c = table[c][a]
+    return c
+
+
 def assert_relations_hold_at_every_class(table, relation_ids):
     """Every relation, traced from every class of a complete table, ends
     in one class on both sides."""
-
-    def trace(c, word):
-        for a in word:
-            c = table[c][a]
-        return c
-
     for c in range(len(table)):
         for lhs, rhs in relation_ids:
-            assert trace(c, lhs) == trace(c, rhs), (c, lhs, rhs)
+            assert trace(table, c, lhs) == trace(table, c, rhs), (c, lhs, rhs)
 
 
 # step caps from a first class to past completion: a step counted in a
@@ -269,7 +282,7 @@ def test_backends_identical(compiled_kernel):
     for max_steps in (0, 1, 2, 3, 10, 999, 12_000):
         out_py = _tc_py.run(2, (), 10**5, max_steps)
         assert out_py == compiled_kernel.run(2, (), 10**5, max_steps)
-        assert out_py == (_tc_py.STATUS_CAPPED, None, None)
+        assert out_py == (_tc_py.STATUS_CAPPED, None)
     # letter 1 is free, so row filling defines its classes: the watched
     # run's outcome at each step cap depends on that filling counting
     # steps the same way in both kernels
@@ -296,11 +309,13 @@ def test_backends_identical_on_deletions(compiled_kernel, family):
     500-class cap: the plain run and the run watching the deleted pair
     return equal tuples from both kernels, capped, merged or complete.
     Every complete table satisfies every remaining relation at every
-    class."""
+    class, and a complete watched run leaves the watched pair in two
+    classes: the watch is checked after every scan, and only scans
+    merge classes."""
     p = build_relations(family, 4)
     statuses = set()
-    for rel in p.relations:
-        smaller = delete_relation(p, rel, checked=False)
+    for i, rel in enumerate(p.relations):
+        smaller = without(p, i)
         watch = (p.word_ids(rel.lhs), p.word_ids(rel.rhs))
         for w in (None, watch):
             args = (len(p.letters), smaller.relation_ids, 500, 10**8, w)
@@ -308,7 +323,10 @@ def test_backends_identical_on_deletions(compiled_kernel, family):
             assert out_py == compiled_kernel.run(*args), (rel.tag, w)
             statuses.add(out_py[0])
             if out_py[0] == _tc_py.STATUS_COMPLETE:
-                assert_relations_hold_at_every_class(out_py[1], smaller.relation_ids)
+                table = out_py[1]
+                assert_relations_hold_at_every_class(table, smaller.relation_ids)
+                if w is not None:
+                    assert trace(table, 0, w[0]) != trace(table, 0, w[1]), rel.tag
     assert statuses == DELETION_OUTCOMES[family]
 
 
@@ -318,8 +336,9 @@ def test_every_relation_holds_at_every_class(kernel, family):
     must leave each of them holding at every class, not only at class 0."""
     for n in (4, 5):
         p = build_relations(family, n)
-        status, table, _ = kernel.run(len(p.letters), p.relation_ids, 10**6, 10**8)
+        status, table = kernel.run(len(p.letters), p.relation_ids, 10**6, 10**8)
         assert status == kernel.STATUS_COMPLETE
+        assert type(table) is tuple and {type(row) for row in table} == {tuple}
         assert len(table) == CLASS_COUNTS[family][n]
         assert_relations_hold_at_every_class(table, p.relation_ids)
 
@@ -334,7 +353,7 @@ def test_row_filling_counts_steps(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == (kernel.STATUS_CAPPED, None, None)
+    assert out == (kernel.STATUS_CAPPED, None)
     # 10**5 classes would take 1.2 MB in the compiled kernel's arrays
     assert peak < 2**18
 
@@ -383,7 +402,7 @@ def test_compiled_caps_beyond_c_types(compiled_kernel):
     with pytest.raises(OverflowError):
         compiled_kernel.run(2**31, (), 10, 10)
     # the largest caps are accepted (a negative step cap stops at once)
-    capped = (_tc_py.STATUS_CAPPED, None, None)
+    capped = (_tc_py.STATUS_CAPPED, None)
     assert compiled_kernel.run(1, (), 2**31 - 1, -1) == capped
     assert compiled_kernel.run(1, (), 10, 2**63 - 1) == capped
 
@@ -471,7 +490,7 @@ def test_verify_presentation_passes(family, n):
 
 def test_verify_presentation_fails_without_r11():
     p = build_relations(RelationFamily.R, 4)
-    mutated = delete_relation(p, tagged(p, "R_11")[0], checked=False)
+    mutated = without(p, p.relations.index(tagged(p, "R_11")[0]))
     v = verify_presentation(
         mutated,
         build_assignment(RelationFamily.R, 4),
@@ -514,8 +533,8 @@ def test_single_deletions_never_shrink_qprime():
     p = build_relations(RelationFamily.Q_PRIME, 4)
     assert len(p.relations) == 18
     caps = EnumerationCaps(max_classes=5000, max_steps=10**7)
-    for rel in p.relations:
-        mutated = delete_relation(p, rel, checked=False)
+    for i in range(len(p.relations)):
+        mutated = without(p, i)
         r = enumerate_congruence(mutated, caps)
         if r.is_complete:
             assert r.class_count >= 77

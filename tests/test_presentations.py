@@ -268,16 +268,16 @@ def test_add_delete_relation_checked():
     wrong = Relation(("x",), ("y",), "wrong")
     assert is_consequence(p, known)
     assert not is_consequence(p, wrong)
-    # deleting an added redundant relation is allowed under checking
+    # deleting an added redundant relation is allowed
     bigger = Presentation(p.label, p.letters, p.relations + (known,))
-    back = delete_relation(bigger, known, checked=True)
+    back = delete_relation(bigger, known)
     assert len(back.relations) == len(p.relations)
     # deleting an added relation that does not follow is refused
     bad = Presentation(p.label, p.letters, p.relations + (wrong,))
     with pytest.raises(ValueError):
-        delete_relation(bad, wrong, checked=True)
+        delete_relation(bad, wrong)
     with pytest.raises(KeyError):
-        delete_relation(p, Relation(("x",), ("y",), "absent"), checked=False)
+        delete_relation(p, Relation(("x",), ("y",), "absent"))
 
 
 def test_relation_ids_survive_deletion():
@@ -287,13 +287,14 @@ def test_relation_ids_survive_deletion():
     assert p.relation_ids == tuple(
         (p.word_ids(r.lhs), p.word_ids(r.rhs)) for r in p.relations
     )
-    # a relation that appears twice: the first copy is the one removed
-    twice = Presentation(p.label, p.letters, p.relations + p.relations[:1])
-    for q in (p, twice):
-        for rel in q.relations:
-            smaller = delete_relation(q, rel, checked=False)
-            fresh = Presentation(smaller.label, smaller.letters, smaller.relations)
-            assert smaller.relation_ids == fresh.relation_ids
+    # each relation appended again, so that deleting its first copy, at
+    # every position in turn, is a consequence of the copy left behind
+    for rel in p.relations:
+        twice = Presentation(p.label, p.letters, p.relations + (rel,))
+        smaller = delete_relation(twice, rel)
+        assert smaller.relations[-1] is rel and rel not in smaller.relations[:-1]
+        fresh = Presentation(smaller.label, smaller.letters, smaller.relations)
+        assert smaller.relation_ids == fresh.relation_ids
 
 
 def test_wprime1_words_count_and_alphabet():
