@@ -5,9 +5,9 @@ tietze, green, formulas.  Reports are line-oriented text by default
 and machine-readable JSON behind --json; the JSON of every verb that
 runs the enumeration kernel names it under "backend".  The exit code is
 0 when every requested verdict is PASS, 1 when one is FAIL, 3 when one
-is INDETERMINATE (an enumeration hit its cap), and 2 for a usage or
-input error: an invalid option value, an --n outside the family's
-range, a malformed --presentation file, or a malformed
+is INDETERMINATE (an enumeration or a monoid closure hit its cap), and
+2 for a usage or input error: an invalid option value, an --n outside
+the family's range, a malformed --presentation file, or a malformed
 DIMON_MAX_CLASSES.
 
     dimon build --family odi --n 5 --out m.json
@@ -50,11 +50,18 @@ def _emit(lines, payload, verdict, as_json):
 
 
 def _from_input(param, call, *args):
-    """call(*args) on command-line input; its ValueError is a usage error."""
+    """call(*args) on command-line input; its ValueError is a usage error.
+
+    A monoid closure that exceeds its cap ends the run INDETERMINATE,
+    reported on one line of standard error.
+    """
     try:
         return call(*args)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=param) from exc
+    except monoids.ClosureCapError as exc:
+        click.echo(f"INDETERMINATE, {exc}", err=True)
+        sys.exit(EXIT_CODES[Verdict.INDETERMINATE])
 
 
 def _caps(max_classes=None, max_steps=None):
@@ -125,7 +132,7 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     target = TARGET_MONOID[fam]
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     a = presentations.build_assignment(fam, n)
-    m = monoids.build_named(target, n)
+    m = _from_input("'--n'", monoids.build_named, target, n)
     v = congruence.verify_presentation(p, a, m, _caps(max_classes, max_steps))
     if v.verdict is Verdict.PASS:
         lines = [f"PASS, reports {v.class_count} = {v.monoid_size}"]
@@ -212,7 +219,7 @@ def forms(family, n, as_json):
     else:
         raise click.BadParameter(f"no forms construction for {fam.value}")
     a = presentations.build_assignment(fam, n)
-    m = monoids.build_named(TARGET_MONOID[fam], n)
+    m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
     if base is not None and not base.is_complete:
         # the forms are read off the capped seed enumeration: none to check
         v = congruence.FormsVerdict(Verdict.INDETERMINATE, None, None, m.size, ())
@@ -246,7 +253,7 @@ def tietze(chain, n, as_json):
     else:
         steps = _from_input("'--n'", presentations.opdi_elimination_chain, n)
         target = MonoidFamily.OPDI
-    m = monoids.build_named(target, n)
+    m = _from_input("'--n'", monoids.build_named, target, n)
     caps = _caps()
     lines = []
     rows = []
@@ -309,7 +316,7 @@ def formulas(n_range, as_json):
         parts = []
         for fam in (MonoidFamily.ODI, MonoidFamily.MDI, MonoidFamily.OCI):
             want = _from_input("'--n-range'", monoids.cardinality_formula, fam, n)
-            got = monoids.build_named(fam, n).size
+            got = _from_input("'--n-range'", monoids.build_named, fam, n).size
             ok &= want == got
             cards[fam.value] = {"formula": want, "built": got,
                                 "ok": want == got}

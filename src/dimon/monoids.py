@@ -15,6 +15,11 @@ monoid on the chain {1 < ... < n}:
 plus the dihedral and cyclic groups themselves as total maps.
 Element order is fixed by the deterministic closure, so element
 indices are reproducible across runs and platforms.
+
+Closure works on bytes: an element of degree n is keyed by
+``bytes((0,) + images)``, so a point must fit in a byte and the degree
+is at most 255.  The same key indexes a monoid's elements for
+``index`` and ``in``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import enum
 import functools
 from collections.abc import Sequence
 
-from .iperm import PartialPerm, compose, identity, named_generator
+from .iperm import PartialPerm, compose, named_generator
 
 
 class MonoidFamily(enum.Enum):
@@ -71,15 +76,17 @@ class FiniteMonoid:
         return len(self.elements)
 
     @functools.cached_property
-    def _index(self) -> dict[PartialPerm, int]:
-        return {f: i for i, f in enumerate(self.elements)}
+    def _index(self) -> dict[bytes, int]:
+        return {_key(f): i for i, f in enumerate(self.elements)}
 
     def index(self, f: PartialPerm) -> int:
         """Index of an element; KeyError when f is not in the monoid."""
-        return self._index[f]
+        if f.degree != self.degree:
+            raise KeyError(f)
+        return self._index[_key(f)]
 
     def __contains__(self, f: PartialPerm) -> bool:
-        return f in self._index
+        return f.degree == self.degree and _key(f) in self._index
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,6 +99,7 @@ class FiniteMonoid:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteMonoid":
+        _check_degree(data["degree"])
         return cls(
             degree=data["degree"],
             elements=tuple(PartialPerm.from_dict(d) for d in data["elements"]),
@@ -99,6 +107,17 @@ class FiniteMonoid:
             right_cayley=tuple(tuple(row) for row in data["right_cayley"]),
             left_cayley=tuple(tuple(row) for row in data["left_cayley"]),
         )
+
+
+def _check_degree(degree: int) -> None:
+    """A point is stored in a byte, so the degree is at most 255."""
+    if degree > 255:
+        raise ValueError(f"degree {degree} above 255: a point must fit in a byte")
+
+
+def _key(f: PartialPerm) -> bytes:
+    """The bytes closure composes on: byte p is the image of p, 0 if none."""
+    return bytes((0,) + f.images)
 
 
 def closure(
@@ -114,54 +133,64 @@ def closure(
     is read off the right one through each element's BFS parent
     (Froidure & Pin, 1997).
 
+    An element is its ``bytes((0,) + images)`` key, and f then g is
+    ``f_key.translate(g_table)``, g_table being g's key padded to 256
+    bytes; byte 0 maps to 0, so an undefined point stays undefined.
+    A point is a byte, so a degree above 255 raises ValueError.  The
+    elements are built as PartialPerm, with their checks, once closure
+    ends.
+
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
     4
     """
+    _check_degree(degree)
     gens = list(gens)
     for f in gens:
         if f.degree != degree:
             raise ValueError(f"generator degree {f.degree} != {degree}")
 
-    one = identity(degree)
-    elements: list[PartialPerm] = [one]
-    index: dict[PartialPerm, int] = {one: 0}
+    pad = bytes(255 - degree)
+    tables = [_key(g) + pad for g in gens]
+    one = bytes(range(degree + 1))
+    keys = [one]
+    index = {one: 0}
     rows: list[list[int]] = []
-    # elements[t] == elements[parent[t]] * gens[last[t]] for t >= 1
+    # keys[t] == keys[parent[t]] * gens[last[t]] for t >= 1
     parent = [0]
     last = [0]
 
     pos = 0
-    while pos < len(elements):
-        current = elements[pos]
+    while pos < len(keys):
+        current = keys[pos]
         row = []
-        for k, gen in enumerate(gens):
-            product = compose(current, gen)
+        for k, table in enumerate(tables):
+            product = current.translate(table)
             target = index.get(product)
             if target is None:
-                if len(elements) >= max_elements:
+                if len(keys) >= max_elements:
                     raise ClosureCapError(
                         f"closure exceeded cap of {max_elements} elements"
                     )
-                target = len(elements)
+                target = len(keys)
                 index[product] = target
-                elements.append(product)
+                keys.append(product)
                 parent.append(pos)
                 last.append(k)
             row.append(target)
         rows.append(row)
         pos += 1
 
-    # gen * elements[t] == (gen * elements[parent[t]]) * gens[last[t]],
+    # gen * keys[t] == (gen * keys[parent[t]]) * gens[last[t]],
     # and parent[t] < t, so its left row is already known
-    generators = [index[g] for g in gens]
+    generators = [index[_key(g)] for g in gens]
     left_rows = [generators]
-    for t in range(1, len(elements)):
+    for t in range(1, len(keys)):
         k = last[t]
         left_rows.append([rows[i][k] for i in left_rows[parent[t]]])
     m = FiniteMonoid(
         degree=degree,
-        elements=tuple(elements),
+        elements=tuple(PartialPerm(degree, tuple(key[1:])) for key in keys),
         generators=tuple(generators),
         right_cayley=tuple(tuple(r) for r in rows),
         left_cayley=tuple(tuple(r) for r in left_rows),
@@ -306,7 +335,7 @@ def verify_generates(
         if not missing:
             return True
         for f in gens:
-            j = m._index[compose(m.elements[i], f)]
+            j = m.index(compose(m.elements[i], f))
             if j not in seen:
                 seen.add(j)
                 missing.discard(j)
@@ -393,12 +422,27 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
     """Green's R, L, H and D (= J, the monoid is finite) classes.
 
     R-classes are the strongly connected components of the right Cayley
-    graph, L-classes of the left one, D-classes of their union; H is
-    the common refinement of R and L.
+    graph, L-classes of the left one; H is the common refinement of R
+    and L.  D = R o L in every semigroup, so D is the join of R and L:
+    a union-find joins each element's R-class with its L-class.  D = J
+    in a finite monoid, so these are also the components of the union
+    of both Cayley graphs.
     """
     r = _scc(m.right_cayley)
     l = _scc(m.left_cayley)
-    d = _scc([a + b for a, b in zip(m.right_cayley, m.left_cayley)])
+    root = list(range(max(r) + 1))  # union-find over the R-classes
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    meets: dict[int, int] = {}  # L-class -> an R-class it meets
+    for a, b in zip(r, l):
+        x, y = find(a), find(meets.setdefault(b, a))
+        root[x] = y
+    d = _dense(find(a) for a in r)
     return GreenClasses(r=r, l=l, h=_dense(zip(r, l)), d=d)
 
 

@@ -35,8 +35,6 @@ import functools
 from .iperm import PartialPerm, compose, identity, named_generator
 from .monoids import MonoidFamily, generator_names
 
-Word = "tuple[str, ...]"
-
 
 @dataclasses.dataclass(frozen=True)
 class Relation:

@@ -5,19 +5,21 @@ representing a partial injection as a frozenset of (point, image)
 pairs.  Tests compare the package's breadth-first closures, cardinality
 formulas and Green's classes against these direct constructions, so a
 bug would have to appear in two unrelated code paths to go unnoticed.
-Four helpers touch the package: o_mutual_reachability reads its Cayley
-tables but finds their strongly connected components by brute force,
-for monoids that are not inverse, all_partial_perms enumerates test
-inputs as the package's PartialPerm, tagged selects a presentation's
-relations by the clause named in their tags, and without builds a
-presentation with one of them deleted, unchecked.
+Five helpers touch the package: o_closure closes a generating set by
+composing with iperm.compose, not on bytes as closure does,
+o_mutual_reachability reads its Cayley tables but finds their strongly
+connected components by brute force, for monoids that are not inverse,
+all_partial_perms enumerates test inputs as the package's PartialPerm,
+tagged selects a presentation's relations by the clause named in their
+tags, and without builds a presentation with one of them deleted,
+unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from dimon.iperm import PartialPerm
+from dimon.iperm import PartialPerm, compose, identity
 from dimon.presentations import Presentation
 
 Graph = frozenset  # of (point, image) pairs
@@ -154,6 +156,27 @@ def o_mutual_reachability(succ) -> tuple[int, ...]:
     return _dense(
         frozenset(j for j in reach[i] if i in reach[j]) for i in range(len(succ))
     )
+
+
+def o_closure(degree: int, gens: list) -> tuple[list, list, list]:
+    """Breadth-first closure of gens by iperm.compose, with both tables.
+
+    Elements are numbered in discovery order from the identity, trying
+    the generators in the given order at each element, as closure
+    documents.  Returns (elements, right rows, left rows); every left
+    product is composed directly, not read off BFS parents.
+    """
+    elements = [identity(degree)]
+    index = {elements[0]: 0}
+    for f in elements:  # grows while it is walked
+        for g in gens:
+            product = compose(f, g)
+            if product not in index:
+                index[product] = len(elements)
+                elements.append(product)
+    right = [[index[compose(f, g)] for g in gens] for f in elements]
+    left = [[index[compose(g, f)] for g in gens] for f in elements]
+    return elements, right, left
 
 
 def all_partial_perms(n: int):

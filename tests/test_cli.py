@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import dimon
-from dimon import congruence
+from dimon import congruence, monoids
 from dimon.cli import main
 from dimon.presentations import RelationFamily, build_relations
 
@@ -212,6 +212,9 @@ def test_formulas_bad_range(runner):
     ["forms", "--family", "Q", "--n", "2"],
     ["tietze", "--chain", "opdi", "--n", "3"],
     ["green", "--family", "di", "--n", "2"],
+    ["build", "--family", "oci", "--n", "256"],
+    ["green", "--family", "oci", "--n", "256"],
+    ["formulas", "--n-range", "256..256"],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", "0"],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", str(2**30 + 1)],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-steps", str(2**63)],
@@ -221,6 +224,25 @@ def test_out_of_range_input_is_a_usage_error(runner, args):
     assert res.exit_code == 2
     assert "Invalid value for '--" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "--family", "odi", "--n", "4"],
+    ["verify-presentation", "--family", "R", "--n", "4"],
+    ["forms", "--family", "Q", "--n", "4"],
+    ["tietze", "--chain", "odi", "--n", "4"],
+    ["green", "--family", "di", "--n", "4"],
+    ["formulas", "--n-range", "4..4"],
+], ids=lambda args: args[0])
+def test_closure_cap_is_indeterminate(runner, monkeypatch, args):
+    build_named = monoids.build_named
+    monkeypatch.setattr(
+        monoids, "build_named", lambda family, n: build_named(family, n, max_elements=10)
+    )
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "INDETERMINATE, closure exceeded cap of 10 elements\n"
 
 
 @pytest.mark.parametrize("text", [

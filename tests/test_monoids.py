@@ -1,6 +1,7 @@
 """Closure-built families against brute-force references and formulas."""
 
 import doctest
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from dimon.monoids import (
 )
 from oracles import (
     all_partial_perms,
+    o_closure,
     o_family_elements,
     o_family_size,
     o_green,
@@ -180,14 +182,65 @@ def test_closure_cap():
         closure(6, gens, max_elements=10)
 
 
-def test_closure_tables_are_consistent():
-    m = build_named(MonoidFamily.ODI, 4)
+def test_closure_degree_fits_a_byte():
+    g = named_generator("g", 255)
+    m = closure(255, [g])
+    assert m.size == 255 and m.index(g) == 1
+    assert named_generator("g", 4) not in m
+    with pytest.raises(KeyError):
+        m.index(named_generator("g", 4))
+    with pytest.raises(ValueError, match="above 255"):
+        closure(256, [])
+    with pytest.raises(ValueError, match="above 255"):
+        build_named(MonoidFamily.OCI, 256)
+    data = {"degree": 256, "elements": [identity(256).to_dict()], "generators": [],
+            "right_cayley": [[]], "left_cayley": [[]]}
+    with pytest.raises(ValueError, match="above 255"):
+        FiniteMonoid.from_json_dict(data)
+
+
+@pytest.mark.parametrize("family", list(MonoidFamily))
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_closure_tables_are_consistent(family, n):
+    m = build_named(family, n)
     gens = [m.elements[k] for k in m.generators]
     for i, f in enumerate(m.elements):
         for k, s in enumerate(gens):
             assert m.elements[m.right_cayley[i][k]] == compose(f, s)
             assert m.elements[m.left_cayley[i][k]] == compose(s, f)
-    assert m.elements[0] == identity(4)
+    assert m.elements[0] == identity(n)
+
+
+DEGREE_5 = list(all_partial_perms(5))
+SEEDS = range(36)
+
+
+def random_gens(seed):
+    """One to three random partial perms of degree 5, with their
+    inverses added for an even seed (so the closure is an inverse
+    monoid) and not for an odd one."""
+    rng = random.Random(seed)
+    gens = rng.sample(DEGREE_5, rng.randint(1, 3))
+    return gens + [inverse(f) for f in gens] if seed % 2 == 0 else gens
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_closure_matches_compose_bfs(seed):
+    """Composing on bytes gives compose's elements, order and tables."""
+    gens = random_gens(seed)
+    m = closure(5, gens)
+    elements, right, left = o_closure(5, gens)
+    assert list(m.elements) == elements
+    assert [list(row) for row in m.right_cayley] == right
+    assert [list(row) for row in m.left_cayley] == left
+
+
+def test_random_generating_sets_include_non_inverse():
+    inverse_closed = [
+        all(inverse(f) in m for f in m.elements)
+        for m in (closure(5, random_gens(seed)) for seed in SEEDS)
+    ]
+    assert any(inverse_closed) and not all(inverse_closed)
 
 
 def test_build_named_is_deterministic():
