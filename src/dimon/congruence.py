@@ -273,9 +273,10 @@ def verify_forms_set(
             f"{len(forms.words)} forms against monoid size {m.size}"
         )
     images = [evaluate(w, a) for w in forms.words]
-    if len(set(images)) != len(images):
+    distinct = len(set(images))
+    if distinct != len(images):
         problems.append("two forms evaluate to one element")
-    if set(images) != set(m.elements):
+    if not all(f in m for f in images) or distinct != m.size:
         problems.append("form images are not the monoid's elements")
     verdict = Verdict.PASS if not problems else Verdict.FAIL
     return FormsVerdict(

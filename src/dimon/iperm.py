@@ -104,9 +104,6 @@ class PartialPerm:
     def is_total(self) -> bool:
         return all(self.images)
 
-    def __mul__(self, other: "PartialPerm") -> "PartialPerm":
-        return compose(self, other)
-
     def __repr__(self) -> str:
         body = ", ".join(f"{p}->{q}" for p, q in self.pairs())
         return f"PartialPerm({self.degree}; {body})"
@@ -114,10 +111,6 @@ class PartialPerm:
     def to_dict(self) -> dict:
         """JSON-ready form: {"n": degree, "map": [[p, q], ...]}."""
         return {"n": self.degree, "map": [list(pq) for pq in self.pairs()]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PartialPerm":
-        return cls.from_pairs(data["n"], [tuple(pq) for pq in data["map"]])
 
 
 def compose(f: PartialPerm, g: PartialPerm) -> PartialPerm:

@@ -1,9 +1,11 @@
 """Finite monoids of partial permutations.
 
 Monoids are built by breadth-first closure of a generating set and
-stored with both Cayley tables (right and left multiplication by each
-generator).  The named families live inside the symmetric inverse
-monoid on the chain {1 < ... < n}:
+stored as what closure computes: each element's byte key and the right
+Cayley table (right multiplication by each generator).  The elements
+as ``PartialPerm`` and the left table are built on first use.  The
+named families live inside the symmetric inverse monoid on the chain
+{1 < ... < n}:
 
     DI    restrictions of the 2n symmetries of the regular n-gon
     CI    restrictions of the n rotations only
@@ -27,9 +29,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from collections.abc import Sequence
 
-from .iperm import PartialPerm, compose, named_generator
+from .iperm import PartialPerm, compose, inverse, named_generator
 
 
 class MonoidFamily(enum.Enum):
@@ -58,26 +59,46 @@ class ClosureCapError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class FiniteMonoid:
-    """A closed set of partial permutations with Cayley tables.
+    """A closed set of partial permutations: byte keys and right table.
 
-    elements[0] is the identity.  right_cayley[i][k] is the index of
-    elements[i] * gen_k (apply elements[i] first) and left_cayley[i][k]
-    the index of gen_k * elements[i], where gen_k is the k-th generator.
+    keys[i] is the ``bytes((0,) + images)`` key of element i, keys[0]
+    the identity's.  right_cayley[i][k] is the index of element i times
+    gen_k (apply element i first), where gen_k is element
+    generators[k].  The elements as PartialPerm and left_cayley, whose
+    [i][k] is the index of gen_k times element i, are built on first
+    use.
     """
 
     degree: int
-    elements: tuple[PartialPerm, ...]
+    keys: tuple[bytes, ...]
     generators: tuple[int, ...]
     right_cayley: tuple[tuple[int, ...], ...]
-    left_cayley: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
+
+    def element(self, i: int) -> PartialPerm:
+        """Element i as a checked PartialPerm."""
+        return PartialPerm(self.degree, tuple(self.keys[i][1:]))
+
+    @functools.cached_property
+    def elements(self) -> tuple[PartialPerm, ...]:
+        return tuple(self.element(i) for i in range(self.size))
+
+    @functools.cached_property
+    def left_cayley(self) -> tuple[tuple[int, ...], ...]:
+        # gen_k then element i is gen_k's key translated by element i's
+        index = self._index
+        pad = bytes(255 - self.degree)
+        gens = [self.keys[g] for g in self.generators]
+        return tuple(
+            tuple(index[g.translate(key + pad)] for g in gens) for key in self.keys
+        )
 
     @functools.cached_property
     def _index(self) -> dict[bytes, int]:
-        return {_key(f): i for i, f in enumerate(self.elements)}
+        return {key: i for i, key in enumerate(self.keys)}
 
     def index(self, f: PartialPerm) -> int:
         """Index of an element; KeyError when f is not in the monoid."""
@@ -97,20 +118,11 @@ class FiniteMonoid:
             "left_cayley": [list(row) for row in self.left_cayley],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FiniteMonoid":
-        _check_degree(data["degree"])
-        return cls(
-            degree=data["degree"],
-            elements=tuple(PartialPerm.from_dict(d) for d in data["elements"]),
-            generators=tuple(data["generators"]),
-            right_cayley=tuple(tuple(row) for row in data["right_cayley"]),
-            left_cayley=tuple(tuple(row) for row in data["left_cayley"]),
-        )
-
 
 def _check_degree(degree: int) -> None:
-    """A point is stored in a byte, so the degree is at most 255."""
+    """A point is stored in a byte, so the degree is 1 to 255."""
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
     if degree > 255:
         raise ValueError(f"degree {degree} above 255: a point must fit in a byte")
 
@@ -129,16 +141,14 @@ def closure(
 
     Breadth-first over (element, generator) pairs: elements are indexed
     in discovery order starting from the identity, generators in the
-    given order.  Only the right products are composed; the left table
-    is read off the right one through each element's BFS parent
-    (Froidure & Pin, 1997).
+    given order.  Only the right products are composed (Froidure & Pin,
+    1997); the left table and the elements as PartialPerm are left to
+    FiniteMonoid to build on first use.
 
     An element is its ``bytes((0,) + images)`` key, and f then g is
     ``f_key.translate(g_table)``, g_table being g's key padded to 256
     bytes; byte 0 maps to 0, so an undefined point stays undefined.
-    A point is a byte, so a degree above 255 raises ValueError.  The
-    elements are built as PartialPerm, with their checks, once closure
-    ends.
+    A point is a byte, so a degree outside 1..255 raises ValueError.
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
@@ -155,16 +165,13 @@ def closure(
     one = bytes(range(degree + 1))
     keys = [one]
     index = {one: 0}
-    rows: list[list[int]] = []
-    # keys[t] == keys[parent[t]] * gens[last[t]] for t >= 1
-    parent = [0]
-    last = [0]
+    rows: list[tuple[int, ...]] = []
 
     pos = 0
     while pos < len(keys):
         current = keys[pos]
         row = []
-        for k, table in enumerate(tables):
+        for table in tables:
             product = current.translate(table)
             target = index.get(product)
             if target is None:
@@ -175,30 +182,16 @@ def closure(
                 target = len(keys)
                 index[product] = target
                 keys.append(product)
-                parent.append(pos)
-                last.append(k)
             row.append(target)
-        rows.append(row)
+        rows.append(tuple(row))
         pos += 1
 
-    # gen * keys[t] == (gen * keys[parent[t]]) * gens[last[t]],
-    # and parent[t] < t, so its left row is already known
-    generators = [index[_key(g)] for g in gens]
-    left_rows = [generators]
-    for t in range(1, len(keys)):
-        k = last[t]
-        left_rows.append([rows[i][k] for i in left_rows[parent[t]]])
-    m = FiniteMonoid(
+    return FiniteMonoid(
         degree=degree,
-        elements=tuple(PartialPerm(degree, tuple(key[1:])) for key in keys),
-        generators=tuple(generators),
-        right_cayley=tuple(tuple(r) for r in rows),
-        left_cayley=tuple(tuple(r) for r in left_rows),
+        keys=tuple(keys),
+        generators=tuple(index[_key(g)] for g in gens),
+        right_cayley=tuple(rows),
     )
-    # the BFS index is the element index: keep it where the
-    # cached_property keeps its value, rather than hash every element again
-    m.__dict__["_index"] = index
-    return m
 
 
 #: Minimum degree at which each family is defined.
@@ -335,7 +328,7 @@ def verify_generates(
         if not missing:
             return True
         for f in gens:
-            j = m.index(compose(m.elements[i], f))
+            j = m.index(compose(m.element(i), f))
             if j not in seen:
                 seen.add(j)
                 missing.discard(j)
@@ -371,65 +364,31 @@ def _dense(keys) -> tuple[int, ...]:
     return tuple(ids.setdefault(key, len(ids)) for key in keys)
 
 
-def _scc(succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Strongly connected components of the graph i -> succ[i].
-
-    Iterative Tarjan (a recursive one would overflow the stack on the
-    larger monoids); components are labelled by first occurrence.
-    """
-    size = len(succ)
-    order = [-1] * size  # discovery time, -1 while unvisited
-    low = [0] * size
-    comp = [-1] * size  # -1 while on the Tarjan stack or unvisited
-    stack: list[int] = []
-    clock = 0
-    found = 0
-    for root in range(size):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = clock
-        clock += 1
-        stack.append(root)
-        path = [(root, 0)]  # (vertex, position of its next edge)
-        while path:
-            v, pos = path[-1]
-            if pos < len(succ[v]):
-                path[-1] = (v, pos + 1)
-                w = succ[v][pos]
-                if order[w] < 0:
-                    order[w] = low[w] = clock
-                    clock += 1
-                    stack.append(w)
-                    path.append((w, 0))
-                elif comp[w] < 0:
-                    low[v] = min(low[v], order[w])
-                continue
-            path.pop()
-            if path:
-                u = path[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == order[v]:
-                while True:
-                    w = stack.pop()
-                    comp[w] = found
-                    if w == v:
-                        break
-                found += 1
-    return _dense(comp)
+#: Byte translation table: 0 (undefined) to 0, every point to 1.
+_DOM = bytes((0,)) + bytes((1,)) * 255
 
 
 def green_classes(m: FiniteMonoid) -> GreenClasses:
-    """Green's R, L, H and D (= J, the monoid is finite) classes.
+    """Green's R, L, H and D (= J, the monoid is finite) classes of an
+    inverse monoid.
 
-    R-classes are the strongly connected components of the right Cayley
-    graph, L-classes of the left one; H is the common refinement of R
-    and L.  D = R o L in every semigroup, so D is the join of R and L:
-    a union-find joins each element's R-class with its L-class.  D = J
-    in a finite monoid, so these are also the components of the union
-    of both Cayley graphs.
+    m must be closed under inverses, and ValueError is raised
+    otherwise: m is when every generator's inverse is in it, since
+    (s_1...s_k)^-1 = s_k^-1...s_1^-1.  In an inverse monoid of partial
+    permutations f R g iff dom f = dom g and f L g iff im f = im g, so
+    R is read off each key's domain bytes and L off the set of its
+    bytes.  H is the common refinement of R and L.  D = R o L in every
+    semigroup, so D is the join of R and L: a union-find joins each
+    element's R-class with its L-class.
     """
-    r = _scc(m.right_cayley)
-    l = _scc(m.left_cayley)
+    for g in m.generators:
+        if inverse(m.element(g)) not in m:
+            raise ValueError(
+                "Green's classes need an inverse monoid: the inverse of "
+                f"element {g}, a generator, is not in the monoid"
+            )
+    r = _dense(key.translate(_DOM) for key in m.keys)
+    l = _dense(frozenset(key) for key in m.keys)
     root = list(range(max(r) + 1))  # union-find over the R-classes
 
     def find(a: int) -> int:

@@ -8,7 +8,8 @@ bug would have to appear in two unrelated code paths to go unnoticed.
 Five helpers touch the package: o_closure closes a generating set by
 composing with iperm.compose, not on bytes as closure does,
 o_mutual_reachability reads its Cayley tables but finds their strongly
-connected components by brute force, for monoids that are not inverse,
+connected components by brute force, a check of Green's classes that
+does not go through domains and images as o_green does,
 all_partial_perms enumerates test inputs as the package's PartialPerm,
 tagged selects a presentation's relations by the clause named in their
 tags, and without builds a presentation with one of them deleted,

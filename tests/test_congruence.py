@@ -592,12 +592,30 @@ def test_verify_forms_set_reports_problems():
     assert v.verdict is Verdict.FAIL
     assert any("share a class" in msg for msg in v.problems)
     assert any("cover every class" in msg for msg in v.problems)
+    assert any("not the monoid's elements" in msg for msg in v.problems)
     # drop one word: wrong count and a missing class
     words = good.words[:-1]
     v = verify_forms_set(p, FormsSet(good.label, good.letters, words), a, m)
     assert v.verdict is Verdict.FAIL
     assert any("cover every class" in msg for msg in v.problems)
     assert any("against monoid size" in msg for msg in v.problems)
+
+
+def test_verify_builds_no_elements_or_left_table():
+    """The verify paths read the monoid's keys and right table only."""
+    m = build_named(MonoidFamily.ODI, 5)
+    v = verify_presentation(
+        build_relations(RelationFamily.R, 5), build_assignment(RelationFamily.R, 5), m
+    )
+    assert v.verdict is Verdict.PASS
+    assert "elements" not in m.__dict__ and "left_cayley" not in m.__dict__
+    m = build_named(MonoidFamily.OPDI, 5)
+    v = verify_forms_set(
+        build_relations(RelationFamily.Q, 5), build_forms(RelationFamily.Q, 5),
+        build_assignment(RelationFamily.Q, 5), m,
+    )
+    assert v.verdict is Verdict.PASS
+    assert "elements" not in m.__dict__ and "left_cayley" not in m.__dict__
 
 
 def test_normal_forms_u4():
