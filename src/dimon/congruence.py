@@ -27,6 +27,16 @@ ValueError for a letter id outside range(n_letters).  A watched run
 is no: the watch is checked after every scan, and only scans merge
 classes.
 
+Checking a presentation or a forms set against a concrete monoid goes
+through class_elements: a complete table is walked breadth-first from
+class 0 alongside the monoid's right action, which gives each class
+its element and checks every edge of the table.  verify_presentation
+checks generation, then enumerates, then walks; it evaluates the
+relations word by word only when the walk fails or the run was capped,
+so a presentation whose relations fail under its assignment pays for
+one enumeration before its FAIL.  verify_forms_set reads each form's
+element off its class instead of evaluating the form.
+
 The environment variable DIMON_MAX_CLASSES overrides the default class
 cap.  Caps are checked where they are made: the compiled kernel holds
 class ids in a C int and its step count in a C long long.
@@ -46,7 +56,6 @@ from .presentations import (
     Presentation,
     Relation,
     check_relations_hold,
-    evaluate,
 )
 
 try:
@@ -191,6 +200,44 @@ def is_consequence(
     return status == _kernel.STATUS_WATCH_MERGED
 
 
+def class_elements(
+    result: EnumerationResult, a: Assignment, m: FiniteMonoid
+) -> "list[int] | None":
+    """The index in m of each class's element under a, or None.
+
+    Breadth-first from class 0, which maps to the identity (element 0):
+    the first edge c -k-> t to reach t sets t's element to c's element
+    times the image of letter k, and every edge must then agree.  So a
+    list comes back only when every class is reached and every edge of
+    the table agrees with m's right action; then the element of the
+    class of any word is the word's value under a.  None when the run
+    was capped, a letter's image is not in m, an edge disagrees or a
+    class is not reached; KeyError when a has no image for a letter.
+    """
+    if not result.is_complete:
+        return None
+    images = [a.image(name) for name in result.letters]
+    try:
+        cols = [m.right_action(f) for f in images]
+    except KeyError:
+        return None
+    table = result.table
+    elems = [-1] * len(table)
+    elems[0] = 0
+    queue = [0]
+    for c in queue:
+        e = elems[c]
+        for t, col in zip(table[c], cols):
+            f = col[e]
+            s = elems[t]
+            if s != f:
+                if s >= 0:
+                    return None
+                elems[t] = f
+                queue.append(t)
+    return elems if len(queue) == len(table) else None
+
+
 @dataclasses.dataclass(frozen=True)
 class PresentationVerdict:
     verdict: Verdict
@@ -207,26 +254,41 @@ def verify_presentation(
 ) -> PresentationVerdict:
     """Decide whether p presents m via the assignment a.
 
-    The assignment images must generate m (checked, error otherwise).
-    Relations holding gives a surjection from the presented monoid
-    onto m, so the class count is always at least m.size; equality
-    pins the isomorphism.
+    First the assignment images must generate m (checked, ValueError
+    otherwise); then p is enumerated.  After a complete run the table
+    is walked alongside m (class_elements).  A walk that agrees on every
+    edge proves every relation holds under a, and maps the classes onto
+    m, since the images generate it; so the verdict is PASS exactly
+    when the class count equals m.size.
+
+    The relations are evaluated word by word only when there is no
+    walk: a relation that fails under a gives FAIL with the failing
+    tags and no class count.  So such a presentation pays for one
+    enumeration (capped or not) before its FAIL; every built-in family
+    holds its relations.  A complete run whose table does not map onto
+    m although every relation holds raises RuntimeError, and a capped
+    one is INDETERMINATE.
     """
     images = [a.image(name) for name in p.letters]
     if not verify_generates(m, images):
         raise ValueError("assignment images do not generate the monoid")
-    report = check_relations_hold(p, a)
-    if not report.all_hold:
-        return PresentationVerdict(
-            Verdict.FAIL, None, m.size, tuple(r.tag for r in report.failing)
-        )
     result = enumerate_congruence(p, caps)
-    if not result.is_complete:
-        return PresentationVerdict(Verdict.INDETERMINATE, None, m.size, ())
-    if result.class_count < m.size:
+    if class_elements(result, a, m) is None:
+        report = check_relations_hold(p, a)
+        if not report.all_hold:
+            return PresentationVerdict(
+                Verdict.FAIL, None, m.size, tuple(r.tag for r in report.failing)
+            )
+        if not result.is_complete:
+            return PresentationVerdict(Verdict.INDETERMINATE, None, m.size, ())
+        if result.class_count < m.size:
+            raise RuntimeError(
+                f"class count {result.class_count} below monoid size {m.size}: "
+                "enumeration soundness violated"
+            )
         raise RuntimeError(
-            f"class count {result.class_count} below monoid size {m.size}: "
-            "enumeration soundness violated"
+            "classes do not map onto the monoid's elements although every "
+            "relation holds: enumeration soundness violated"
         )
     verdict = Verdict.PASS if result.class_count == m.size else Verdict.FAIL
     return PresentationVerdict(verdict, result.class_count, m.size, ())
@@ -255,7 +317,10 @@ def verify_forms_set(
 
     PASS means: the forms fall in pairwise distinct classes, cover
     every class, number exactly m.size, and evaluate bijectively onto
-    m's elements.
+    m's elements.  A form's element is read off its class through
+    class_elements, not evaluated letter by letter; when the classes
+    do not map onto m's elements under a, that is the one problem
+    reported about the images.
     """
     result = enumerate_congruence(p, caps)
     if not result.is_complete:
@@ -272,12 +337,15 @@ def verify_forms_set(
         problems.append(
             f"{len(forms.words)} forms against monoid size {m.size}"
         )
-    images = [evaluate(w, a) for w in forms.words]
-    distinct = len(set(images))
-    if distinct != len(images):
-        problems.append("two forms evaluate to one element")
-    if not all(f in m for f in images) or distinct != m.size:
-        problems.append("form images are not the monoid's elements")
+    elements = class_elements(result, a, m)
+    if elements is None:
+        problems.append("classes do not map onto the monoid's elements")
+    else:
+        distinct = len({elements[c] for c in classes})
+        if distinct != len(classes):
+            problems.append("two forms evaluate to one element")
+        if distinct != m.size:
+            problems.append("form images are not the monoid's elements")
     verdict = Verdict.PASS if not problems else Verdict.FAIL
     return FormsVerdict(
         verdict, len(forms.words), result.class_count, m.size, tuple(problems)

@@ -78,13 +78,6 @@ class PartialPerm:
             images[p - 1] = q
         return cls(degree, tuple(images))
 
-    def apply(self, p: Point) -> Point | None:
-        """Image of p, or None when p is outside the domain."""
-        if not 1 <= p <= self.degree:
-            raise ValueError(f"point {p} outside 1..{self.degree}")
-        img = self.images[p - 1]
-        return img if img else None
-
     def pairs(self) -> tuple[tuple[Point, Point], ...]:
         """The graph of the map, sorted by domain point."""
         return tuple(
@@ -100,9 +93,6 @@ class PartialPerm:
     def rank(self) -> int:
         """Number of points in the domain (= size of the image)."""
         return sum(1 for img in self.images if img)
-
-    def is_total(self) -> bool:
-        return all(self.images)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}->{q}" for p, q in self.pairs())

@@ -20,8 +20,9 @@ indices are reproducible across runs and platforms.
 
 Closure works on bytes: an element of degree n is keyed by
 ``bytes((0,) + images)``, so a point must fit in a byte and the degree
-is at most 255.  The same key indexes a monoid's elements for
-``index`` and ``in``.
+is at most 255.  The key index closure builds stays with the monoid
+and serves ``index``, ``in`` and ``right_action``, which gives the
+action of any element on the right as a column of indices.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
+import operator
 
 from .iperm import PartialPerm, compose, inverse, named_generator
 
@@ -62,17 +65,18 @@ class FiniteMonoid:
     """A closed set of partial permutations: byte keys and right table.
 
     keys[i] is the ``bytes((0,) + images)`` key of element i, keys[0]
-    the identity's.  right_cayley[i][k] is the index of element i times
-    gen_k (apply element i first), where gen_k is element
-    generators[k].  The elements as PartialPerm and left_cayley, whose
-    [i][k] is the index of gen_k times element i, are built on first
-    use.
+    the identity's, and _index maps each key back to its index.
+    right_cayley[i][k] is the index of element i times gen_k (apply
+    element i first), where gen_k is element generators[k].  The
+    elements as PartialPerm and left_cayley, whose [i][k] is the index
+    of gen_k times element i, are built on first use.
     """
 
     degree: int
     keys: tuple[bytes, ...]
     generators: tuple[int, ...]
     right_cayley: tuple[tuple[int, ...], ...]
+    _index: dict[bytes, int] = dataclasses.field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -96,10 +100,6 @@ class FiniteMonoid:
             tuple(index[g.translate(key + pad)] for g in gens) for key in self.keys
         )
 
-    @functools.cached_property
-    def _index(self) -> dict[bytes, int]:
-        return {key: i for i, key in enumerate(self.keys)}
-
     def index(self, f: PartialPerm) -> int:
         """Index of an element; KeyError when f is not in the monoid."""
         if f.degree != self.degree:
@@ -108,6 +108,17 @@ class FiniteMonoid:
 
     def __contains__(self, f: PartialPerm) -> bool:
         return f.degree == self.degree and _key(f) in self._index
+
+    def right_action(self, f: PartialPerm) -> tuple[int, ...]:
+        """Entry i is the index of element i times f (apply element i
+        first); KeyError when f is not in the monoid."""
+        j = self.index(f)
+        if j in self.generators:
+            column = operator.itemgetter(self.generators.index(j))
+            return tuple(map(column, self.right_cayley))
+        table = _key(f) + bytes(255 - self.degree)
+        products = map(bytes.translate, self.keys, itertools.repeat(table))
+        return tuple(map(self._index.__getitem__, products))
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,7 +154,8 @@ def closure(
     in discovery order starting from the identity, generators in the
     given order.  Only the right products are composed (Froidure & Pin,
     1997); the left table and the elements as PartialPerm are left to
-    FiniteMonoid to build on first use.
+    FiniteMonoid to build on first use.  The monoid keeps the key index
+    the search built.
 
     An element is its ``bytes((0,) + images)`` key, and f then g is
     ``f_key.translate(g_table)``, g_table being g's key padded to 256
@@ -191,6 +203,7 @@ def closure(
         keys=tuple(keys),
         generators=tuple(index[_key(g)] for g in gens),
         right_cayley=tuple(rows),
+        _index=index,
     )
 
 

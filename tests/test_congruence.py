@@ -17,16 +17,20 @@ import dimon.congruence as congruence
 from dimon import _tc_py
 from dimon.congruence import (
     EnumerationCaps,
+    EnumerationResult,
     IndeterminateError,
     Verdict,
+    class_elements,
     enumerate_congruence,
     is_consequence,
     normal_forms,
     verify_forms_set,
     verify_presentation,
 )
+from dimon.iperm import named_generator
 from dimon.monoids import MonoidFamily, build_named
 from dimon.presentations import (
+    Assignment,
     FormsSet,
     Presentation,
     Relation,
@@ -177,11 +181,83 @@ def test_classes_agree_with_evaluation():
     reps = normal_forms(r, p.letters)
     class_image = [evaluate(w, a) for w in reps.words]
     assert len(set(class_image)) == r.class_count
+    m = build_named(MonoidFamily.ODI, n)
+    assert class_elements(r, a, m) == [m.index(f) for f in class_image]
     rng = random.Random(11)
     names = p.letters
     for _ in range(400):
         w = tuple(rng.choice(names) for _ in range(rng.randrange(8)))
         assert evaluate(w, a) == class_image[r.word_class(w)]
+
+
+def with_entry(r, c, k, t):
+    """r with table[c][k] set to t."""
+    table = list(r.table)
+    row = list(table[c])
+    row[k] = t
+    table[c] = tuple(row)
+    return EnumerationResult(r.letters, tuple(table), r.caps)
+
+
+@pytest.mark.parametrize(
+    "family", (RelationFamily.R, RelationFamily.Q, RelationFamily.VBAR)
+)
+def test_class_elements_rejects_a_changed_entry(family):
+    n = 4
+    r = enumerate_congruence(build_relations(family, n))
+    a = build_assignment(family, n)
+    m = build_named(TARGETS[family], n)
+    assert class_elements(r, a, m) is not None
+    last_c, last_k = r.class_count - 1, len(r.letters) - 1
+    rng = random.Random(5)
+    positions = [(0, 0), (0, last_k), (last_c, 0), (last_c, last_k)] + [
+        (rng.randrange(r.class_count), rng.randrange(len(r.letters)))
+        for _ in range(20)
+    ]
+    for c, k in positions:
+        t = r.table[c][k]
+        for other in ((t + 1) % r.class_count, 0):
+            if other != t:
+                assert class_elements(with_entry(r, c, k, other), a, m) is None
+
+
+def test_class_elements_rejects_an_unreached_class():
+    """A copy of class 5's row, appended as a class no edge reaches,
+    agrees with every edge the walk follows but gets no element."""
+    n = 4
+    r = enumerate_congruence(build_relations(RelationFamily.R, n))
+    a = build_assignment(RelationFamily.R, n)
+    m = build_named(MonoidFamily.ODI, n)
+    extra = EnumerationResult(r.letters, r.table + (r.table[5],), r.caps)
+    assert class_elements(extra, a, m) is None
+
+
+def test_class_elements_rejects_an_image_outside_the_monoid():
+    n = 4
+    p = build_relations(RelationFamily.R, n)
+    a = build_assignment(RelationFamily.R, n)
+    m = build_named(MonoidFamily.ODI, n)
+    h = named_generator("h", n)  # order-reversing: not in ODI
+    assert h not in m
+    last = p.letters[-1]
+    outside = Assignment(
+        n, tuple((name, h if name == last else f) for name, f in a.images)
+    )
+    r = enumerate_congruence(p)
+    assert class_elements(r, outside, m) is None
+    # a letter with no image is an error, not a table that fails to map
+    with pytest.raises(KeyError):
+        class_elements(r, Assignment(n, a.images[1:]), m)
+
+
+@pytest.mark.parametrize("family", tuple(RelationFamily))
+@pytest.mark.parametrize("n", [4, 5])
+def test_class_elements_is_a_bijection(family, n):
+    r = enumerate_congruence(build_relations(family, n))
+    m = build_named(TARGETS[family], n)
+    elements = class_elements(r, build_assignment(family, n), m)
+    assert elements[0] == 0
+    assert sorted(elements) == list(range(m.size))
 
 
 def test_enumeration_is_deterministic():
@@ -511,6 +587,31 @@ def test_verify_presentation_fails_on_bad_relation():
     assert v.failing_tags == ("bogus",)
 
 
+def test_verify_presentation_fails_on_bad_relation_when_capped():
+    p = build_relations(RelationFamily.R, 5)
+    bad = Presentation(p.label, p.letters, p.relations + (Relation(("x",), ("y",), "bogus"),))
+    v = verify_presentation(
+        bad, build_assignment(RelationFamily.R, 5), build_named(MonoidFamily.ODI, 5),
+        EnumerationCaps(max_classes=10),
+    )
+    assert v.verdict is Verdict.FAIL
+    assert v.failing_tags == ("bogus",) and v.class_count is None
+
+
+def test_verify_presentation_checks_the_table_not_only_its_size(monkeypatch):
+    """A complete table of the right size with one entry changed does
+    not map onto the monoid, and the relations all hold: unsound."""
+    p = build_relations(RelationFamily.R, 4)
+    r = enumerate_congruence(p)
+    t = r.table[3][1]
+    changed = with_entry(r, 3, 1, (t + 1) % r.class_count)
+    monkeypatch.setattr(congruence, "enumerate_congruence", lambda p, caps: changed)
+    with pytest.raises(RuntimeError, match="soundness"):
+        verify_presentation(
+            p, build_assignment(RelationFamily.R, 4), build_named(MonoidFamily.ODI, 4)
+        )
+
+
 def test_verify_presentation_indeterminate_and_generation_check():
     v = verify_presentation(
         build_relations(RelationFamily.R, 5),
@@ -599,6 +700,22 @@ def test_verify_forms_set_reports_problems():
     assert v.verdict is Verdict.FAIL
     assert any("cover every class" in msg for msg in v.problems)
     assert any("against monoid size" in msg for msg in v.problems)
+
+
+def test_verify_forms_set_reports_unmapped_classes():
+    n = 5
+    p = build_relations(RelationFamily.R, n)
+    a = build_assignment(RelationFamily.R, n)
+    swap = {"x": "y", "y": "x"}
+    swapped = Assignment(
+        n, tuple((name, a.image(swap.get(name, name))) for name in a.names())
+    )
+    forms = build_forms(
+        RelationFamily.R, n, enumerate_congruence(build_relations(RelationFamily.U, n))
+    )
+    v = verify_forms_set(p, forms, swapped, build_named(MonoidFamily.ODI, n))
+    assert v.verdict is Verdict.FAIL
+    assert v.problems == ("classes do not map onto the monoid's elements",)
 
 
 def test_verify_builds_no_elements_or_left_table():

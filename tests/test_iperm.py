@@ -77,8 +77,8 @@ def test_compose_is_left_to_right():
     # apply the left factor first: 1 -(g)-> 2 -(e_2)-> undefined
     g = named_generator("g", 4)
     e2 = named_generator("e_2", 4)
-    assert compose(g, e2).apply(1) is None
-    assert compose(e2, g).apply(1) == 2
+    assert compose(g, e2).images[0] == 0
+    assert compose(e2, g).images[0] == 2
 
 
 def test_compose_matches_oracle_exhaustive_n3():

@@ -82,7 +82,7 @@ def test_closure_sizes(family, n):
 def test_group_families():
     d = build_named(MonoidFamily.DIHEDRAL_GROUP, 5)
     assert d.size == 10
-    assert all(f.is_total() for f in d.elements)
+    assert all(all(f.images) for f in d.elements)
     c = build_named(MonoidFamily.CYCLIC_GROUP, 5)
     assert c.size == 5
 
@@ -209,6 +209,25 @@ def test_closure_tables_are_consistent(family, n):
             assert m.elements[m.right_cayley[i][k]] == compose(f, s)
             assert m.elements[m.left_cayley[i][k]] == compose(s, f)
     assert m.elements[0] == identity(n)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_right_action_matches_compose(family):
+    """right_action(f)[i] is element i times f, for the generators (read
+    off the right table) and for every other element of the monoid."""
+    m = build_named(family, 4)
+    for j, f in enumerate(m.elements):
+        want = tuple(m.index(compose(g, f)) for g in m.elements)
+        assert m.right_action(f) == want
+        if j in m.generators:
+            k = m.generators.index(j)
+            assert want == tuple(row[k] for row in m.right_cayley)
+    for f in all_partial_perms(4):
+        if f not in m:
+            with pytest.raises(KeyError):
+                m.right_action(f)
+    with pytest.raises(KeyError):
+        m.right_action(identity(5))
 
 
 DEGREE_5 = list(all_partial_perms(5))
