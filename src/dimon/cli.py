@@ -7,8 +7,8 @@ runs the enumeration kernel names it under "backend".  The exit code is
 0 when every requested verdict is PASS, 1 when one is FAIL, 3 when one
 is INDETERMINATE (an enumeration or a monoid closure hit its cap), and
 2 for a usage or input error: an invalid option value, an --n outside
-the family's range, a malformed --presentation file, or a malformed
-DIMON_MAX_CLASSES.
+the family's range, a malformed --presentation file, an --out or --dot
+path that cannot be written, or a malformed DIMON_MAX_CLASSES.
 
     dimon build --family odi --n 5 --out m.json
     dimon verify-presentation --family R --n 4
@@ -64,6 +64,15 @@ def _from_input(param, call, *args):
         sys.exit(EXIT_CODES[Verdict.INDETERMINATE])
 
 
+def _write(param, path, text):
+    """Write text to the file at path; an OSError is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise click.BadParameter(str(exc), param_hint=param) from exc
+
+
 def _caps(max_classes=None, max_steps=None):
     """The default caps, overridden by the --max-classes/--max-steps values."""
     caps = _from_input("DIMON_MAX_CLASSES", EnumerationCaps.default)
@@ -106,12 +115,10 @@ def build(family, n, out, dot, as_json):
     lines = [f"{fam.value} n={n}: size {m.size}, degree {m.degree}, "
              f"{len(m.generators)} generators"]
     if out:
-        with open(out, "w") as fh:
-            _json.dump(m.to_json_dict(), fh)
+        _write("'--out'", out, _json.dumps(m.to_json_dict()))
         lines.append(f"wrote {out}")
     if dot:
-        with open(dot, "w") as fh:
-            fh.write(monoids.right_cayley_dot(m))
+        _write("'--dot'", dot, monoids.right_cayley_dot(m))
         lines.append(f"wrote {dot}")
     payload = {"verb": "build", "family": fam.value, "n": n, "size": m.size,
                "degree": m.degree, "generators": len(m.generators),
@@ -130,9 +137,9 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     """Check a relation family presents its monoid, by enumeration."""
     fam = _from_input("'--family'", RelationFamily.parse, family)
     target = TARGET_MONOID[fam]
+    m = _from_input("'--n'", monoids.build_named, target, n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     a = presentations.build_assignment(fam, n)
-    m = _from_input("'--n'", monoids.build_named, target, n)
     v = congruence.verify_presentation(p, a, m, _caps(max_classes, max_steps))
     if v.verdict is Verdict.PASS:
         lines = [f"PASS, reports {v.class_count} = {v.monoid_size}"]
@@ -187,16 +194,16 @@ def check_relations(family, n, as_json):
     fam = _from_input("'--family'", RelationFamily.parse, family)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     a = presentations.build_assignment(fam, n)
-    report = presentations.check_relations_hold(p, a)
-    if report.all_hold:
-        lines = [f"{p.label}: all {len(p.relations)} relations hold"]
+    failing = presentations.check_relations_hold(p, a)
+    tags = [rel.tag for rel in failing]
+    if failing:
+        lines = [f"{p.label}: {len(failing)} relations fail: {', '.join(tags)}"]
     else:
-        tags = ", ".join(rel.tag for rel in report.failing)
-        lines = [f"{p.label}: {len(report.failing)} relations fail: {tags}"]
+        lines = [f"{p.label}: all {len(p.relations)} relations hold"]
     payload = {"verb": "check-relations", "family": fam.value, "n": n,
-               "relations": len(p.relations), "all_hold": report.all_hold,
-               "failing": [rel.tag for rel in report.failing]}
-    _emit(lines, payload, Verdict.PASS if report.all_hold else Verdict.FAIL, as_json)
+               "relations": len(p.relations), "all_hold": not failing,
+               "failing": tags}
+    _emit(lines, payload, Verdict.FAIL if failing else Verdict.PASS, as_json)
 
 
 @main.command()
@@ -206,6 +213,7 @@ def check_relations(family, n, as_json):
 def forms(family, n, as_json):
     """Verify the candidate forms set is a transversal of the classes."""
     fam = _from_input("'--family'", RelationFamily.parse, family)
+    m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     caps = _caps()
     if fam is RelationFamily.R:
@@ -219,7 +227,6 @@ def forms(family, n, as_json):
     else:
         raise click.BadParameter(f"no forms construction for {fam.value}")
     a = presentations.build_assignment(fam, n)
-    m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
     if base is not None and not base.is_complete:
         # the forms are read off the capped seed enumeration: none to check
         v = congruence.FormsVerdict(Verdict.INDETERMINATE, None, None, m.size, ())
@@ -248,12 +255,11 @@ def forms(family, n, as_json):
 def tietze(chain, n, as_json):
     """Replay a generator-elimination chain and re-verify class counts."""
     if chain == "odi":
-        steps = _from_input("'--n'", presentations.odi_elimination_chain, n)
-        target = MonoidFamily.ODI
+        target, build_chain = MonoidFamily.ODI, presentations.odi_elimination_chain
     else:
-        steps = _from_input("'--n'", presentations.opdi_elimination_chain, n)
-        target = MonoidFamily.OPDI
+        target, build_chain = MonoidFamily.OPDI, presentations.opdi_elimination_chain
     m = _from_input("'--n'", monoids.build_named, target, n)
+    steps = _from_input("'--n'", build_chain, n)
     caps = _caps()
     lines = []
     rows = []

@@ -274,10 +274,10 @@ def verify_presentation(
         raise ValueError("assignment images do not generate the monoid")
     result = enumerate_congruence(p, caps)
     if class_elements(result, a, m) is None:
-        report = check_relations_hold(p, a)
-        if not report.all_hold:
+        failing = check_relations_hold(p, a)
+        if failing:
             return PresentationVerdict(
-                Verdict.FAIL, None, m.size, tuple(r.tag for r in report.failing)
+                Verdict.FAIL, None, m.size, tuple(r.tag for r in failing)
             )
         if not result.is_complete:
             return PresentationVerdict(Verdict.INDETERMINATE, None, m.size, ())

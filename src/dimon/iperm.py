@@ -34,12 +34,10 @@ class PartialPerm:
     """An injective partial map on {1, ..., degree}.
 
     >>> f = PartialPerm.from_pairs(4, [(1, 2), (3, 4)])
-    >>> f.domain()
-    (1, 3)
-    >>> f.image()
-    (2, 4)
-    >>> f.rank()
-    2
+    >>> f.images
+    (2, 0, 4, 0)
+    >>> f.pairs()
+    ((1, 2), (3, 4))
     """
 
     degree: int
@@ -83,16 +81,6 @@ class PartialPerm:
         return tuple(
             (p, img) for p, img in enumerate(self.images, start=1) if img
         )
-
-    def domain(self) -> tuple[Point, ...]:
-        return tuple(p for p, img in enumerate(self.images, start=1) if img)
-
-    def image(self) -> tuple[Point, ...]:
-        return tuple(sorted(img for img in self.images if img))
-
-    def rank(self) -> int:
-        """Number of points in the domain (= size of the image)."""
-        return sum(1 for img in self.images if img)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}->{q}" for p, q in self.pairs())

@@ -255,9 +255,7 @@ def generating_maps(
     return tuple((name, named_generator(name, n)) for name in generator_names(family, n))
 
 
-def build_named(
-    family: MonoidFamily, n: int, max_elements: int = 10_000_000
-) -> FiniteMonoid:
+def build_named(family: MonoidFamily, n: int) -> FiniteMonoid:
     """Closure of the family's standard generating set.
 
     >>> build_named(MonoidFamily.OCI, 4).size
@@ -266,7 +264,7 @@ def build_named(
     44
     """
     maps = [f for _, f in generating_maps(family, n)]
-    return closure(n, maps, max_elements=max_elements)
+    return closure(n, maps)
 
 
 def cardinality_formula(family: MonoidFamily, n: int) -> int:

@@ -148,10 +148,6 @@ class FormsSet:
     letters: "tuple[str, ...]"
     words: "tuple[tuple[str, ...], ...]"
 
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
 
 class RelationFamily(enum.Enum):
     R = "R"
@@ -380,10 +376,11 @@ def _relations_V(n: int) -> "list[Relation]":
     return r.out
 
 
-def _relations_vbar1(n: int) -> "list[Relation]":
-    """Conjugation relations of the reversal letter over the V alphabet."""
+def _relations_Vbar(n: int) -> "list[Relation]":
     m = (n - 1) // 2
     r = _Rels()
+    r.out.extend(_relations_V(n))
+    r.add(["h", "h"], [], "Vbar_0")
     r.add(["h", "x"], ["y", "h"], "Vbar_1")
     for i in range(2, (n + 1) // 2 + 1):
         r.add(["h", f"e_{i}"], [f"e_{n-i+1}", "h"], f"Vbar_1[i={i}]")
@@ -398,21 +395,8 @@ def _relations_vbar1(n: int) -> "list[Relation]":
             _pow("y", i - 1) + [f"y_{i}"] + _pow("x", n - i - 1) + ["h"],
             f"Vbar_1[i={i}]",
         )
+    r.add(_erun(2, n - 1) + ["x", "y", "h"], _pow("x", n - 1), "Vbar_2")
     return r.out
-
-
-def _relation_vbar2(n: int) -> Relation:
-    return Relation(
-        tuple(_erun(2, n - 1) + ["x", "y", "h"]), tuple(_pow("x", n - 1)), "Vbar_2"
-    )
-
-
-def _relations_Vbar(n: int) -> "list[Relation]":
-    rels = list(_relations_V(n))
-    rels.append(Relation(("h", "h"), (), "Vbar_0"))
-    rels.extend(_relations_vbar1(n))
-    rels.append(_relation_vbar2(n))
-    return rels
 
 
 def _relations_VbarPrime(n: int) -> "list[Relation]":
@@ -758,79 +742,23 @@ def evaluate(w: "tuple[str, ...]", a: Assignment) -> PartialPerm:
     return result
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckReport:
-    """Outcome of evaluating every relation under an assignment."""
-
-    all_hold: bool
-    failing: "tuple[Relation, ...]"
-
-
-def check_relations_hold(p: Presentation, a: Assignment) -> CheckReport:
-    """Evaluate both sides of every relation of p under a.
+def check_relations_hold(
+    p: Presentation, a: Assignment
+) -> "tuple[Relation, ...]":
+    """The relations of p whose two sides differ under a; empty when all hold.
 
     >>> n = 5
-    >>> rep = check_relations_hold(build_relations(RelationFamily.Q, n),
-    ...                            build_assignment(RelationFamily.Q, n))
-    >>> rep.all_hold
-    True
+    >>> check_relations_hold(build_relations(RelationFamily.Q, n),
+    ...                      build_assignment(RelationFamily.Q, n))
+    ()
     """
     have = set(a.names())
     missing = [name for name in p.letters if name not in have]
     if missing:
         raise ValueError(f"assignment lacks letters {missing}")
-    failing = tuple(
+    return tuple(
         rel for rel in p.relations
         if evaluate(rel.lhs, a) != evaluate(rel.rhs, a)
-    )
-    return CheckReport(all_hold=not failing, failing=failing)
-
-
-def build_extension_presentation(
-    base: Presentation,
-    new_letter: str,
-    conj_relations,
-    u0_relation: Relation,
-    label: "str | None" = None,
-    sq_tag: str = "ext_0",
-) -> Presentation:
-    """Adjoin an involution letter to a presentation.
-
-    The new letter b is prepended to the alphabet and the relations
-    become: base relations, then b^2 = 1, then the given conjugation
-    relations (each of shape b a = v b with a a base letter and v a
-    base word), then the closing relation u0 b = v0.
-    """
-    if new_letter in base.letters:
-        raise ValueError(f"{new_letter!r} already in the alphabet")
-    base_names = set(base.letters)
-    for rel in conj_relations:
-        bad = (
-            len(rel.lhs) != 2
-            or rel.lhs[0] != new_letter
-            or rel.lhs[1] not in base_names
-            or len(rel.rhs) < 1
-            or rel.rhs[-1] != new_letter
-            or any(name not in base_names for name in rel.rhs[:-1])
-        )
-        if bad:
-            raise ValueError(f"conjugation relation {rel.tag or rel} has wrong shape")
-    if (
-        len(u0_relation.lhs) < 1
-        or u0_relation.lhs[-1] != new_letter
-        or any(name not in base_names for name in u0_relation.lhs[:-1])
-    ):
-        raise ValueError("closing relation must have shape u0*new_letter = v0")
-    relations = (
-        base.relations
-        + (Relation((new_letter, new_letter), (), sq_tag),)
-        + tuple(conj_relations)
-        + (u0_relation,)
-    )
-    return Presentation(
-        label=label if label is not None else f"{base.label}+{new_letter}",
-        letters=(new_letter,) + base.letters,
-        relations=relations,
     )
 
 

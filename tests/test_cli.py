@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import dimon
-from dimon import congruence, monoids
+from dimon import congruence, monoids, presentations
 from dimon.cli import main
 from dimon.presentations import RelationFamily, build_relations
 
@@ -42,6 +42,15 @@ def test_build_out_and_dot(runner, tmp_path):
     data = json.loads(out.read_text())
     assert len(data["elements"]) == 77
     assert dot.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("option", ["--out", "--dot"])
+def test_build_unwritable_path_is_a_usage_error(runner, tmp_path, option):
+    path = tmp_path / "missing" / "m.txt"
+    res = runner.invoke(main, ["build", "--family", "odi", "--n", "4", option, str(path)])
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_build_rejects_unknown_family(runner):
@@ -235,14 +244,36 @@ def test_out_of_range_input_is_a_usage_error(runner, args):
     ["formulas", "--n-range", "4..4"],
 ], ids=lambda args: args[0])
 def test_closure_cap_is_indeterminate(runner, monkeypatch, args):
-    build_named = monoids.build_named
     monkeypatch.setattr(
-        monoids, "build_named", lambda family, n: build_named(family, n, max_elements=10)
+        monoids, "build_named",
+        lambda family, n: monoids.closure(
+            n, [f for _, f in monoids.generating_maps(family, n)], max_elements=10
+        ),
     )
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == "INDETERMINATE, closure exceeded cap of 10 elements\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-presentation", "--family", "R", "--n", "256"],
+    ["verify-presentation", "--family", "Q", "--n", "256"],
+    ["forms", "--family", "R", "--n", "256"],
+    ["forms", "--family", "Vbar", "--n", "256"],
+    ["tietze", "--chain", "odi", "--n", "256"],
+    ["tietze", "--chain", "opdi", "--n", "256"],
+], ids=lambda args: " ".join(args[:1] + args[2:3]))
+def test_degree_is_checked_before_anything_large_is_built(runner, monkeypatch, args):
+    def refuse(*args):
+        raise AssertionError("built before the degree was checked")
+
+    for name in ("build_relations", "odi_elimination_chain", "opdi_elimination_chain"):
+        monkeypatch.setattr(presentations, name, refuse)
+    monkeypatch.setattr(congruence, "enumerate_congruence", refuse)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "degree 256 above 255" in res.output
 
 
 @pytest.mark.parametrize("text", [
