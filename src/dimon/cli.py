@@ -192,8 +192,8 @@ def enumerate_presentation(path, max_classes, max_steps, as_json):
 def check_relations(family, n, as_json):
     """Check every relation of a family holds under its generator maps."""
     fam = _from_input("'--family'", RelationFamily.parse, family)
+    a = _from_input("'--n'", presentations.build_assignment, fam, n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
-    a = presentations.build_assignment(fam, n)
     failing = presentations.check_relations_hold(p, a)
     tags = [rel.tag for rel in failing]
     if failing:

@@ -10,9 +10,13 @@ which both p.f and (p.f).g are defined.  All the generator identities
 used elsewhere (for instance ``compose(x, y) == e_n``) assume this
 order.
 
-Maps are stored densely: ``images[p - 1]`` holds the image of the
-point p, or 0 when p is outside the domain.  Two maps are equal iff
-they have the same degree and the same graph.
+A map of degree n is stored as its key, n + 1 bytes: byte 0 is 0,
+and byte p is the image of the point p, or 0 when p is outside the
+domain.  A point must fit in a byte, so the degree is 1 to 255.  Two
+maps are equal iff their keys are, that is iff they have the same
+degree and the same graph.  f then g is ``f.key.translate(g.table())``,
+``table()`` being g's key padded to 256 bytes: byte 0 maps to 0, so
+an undefined point stays undefined.
 
 The standard generating maps are named by the letters that stand for
 them in the presentations: ``named_generator("e_3", n)`` is the map of
@@ -29,58 +33,78 @@ from typing import Iterable
 Point = int
 
 
+def _check_degree(degree: int) -> None:
+    """A point is stored in a byte, so the degree is 1 to 255."""
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
+    if degree > 255:
+        raise ValueError(f"degree {degree} above 255: a point must fit in a byte")
+
+
 @dataclasses.dataclass(frozen=True)
 class PartialPerm:
-    """An injective partial map on {1, ..., degree}.
+    """An injective partial map on {1, ..., degree}, stored as its key.
+
+    The key has degree + 1 bytes: byte 0 is 0, and byte p is the image
+    of p, or 0 when p is outside the domain.  The degree is 1 to 255.
+    Every map is checked here, products included.
 
     >>> f = PartialPerm.from_pairs(4, [(1, 2), (3, 4)])
+    >>> f.key
+    b'\\x00\\x02\\x00\\x04\\x00'
     >>> f.images
     (2, 0, 4, 0)
     >>> f.pairs()
     ((1, 2), (3, 4))
     """
 
-    degree: int
-    images: tuple[int, ...]
+    key: bytes
 
     def __post_init__(self) -> None:
-        n = self.degree
-        if n < 1:
-            raise ValueError(f"degree must be at least 1, got {n}")
-        if len(self.images) != n:
-            raise ValueError(
-                f"images has length {len(self.images)}, expected degree {n}"
-            )
-        seen = 0
-        for img in self.images:
-            if img == 0:
-                continue
-            if not 1 <= img <= n:
-                raise ValueError(f"image point {img} outside 1..{n}")
-            bit = 1 << img
-            if seen & bit:
-                raise ValueError(f"image point {img} repeated: map not injective")
-            seen |= bit
+        key = self.key
+        if type(key) is not bytes:
+            raise TypeError(f"key must be bytes, got {type(key).__name__}")
+        n = len(key) - 1
+        _check_degree(n)
+        if key[0]:
+            raise ValueError(f"byte 0 of a key must be 0, got {key[0]}")
+        if max(key) > n:
+            raise ValueError(f"image point {max(key)} outside 1..{n}")
+        # byte 0 is 0, so the distinct points are the distinct bytes but 0
+        if len(set(key)) - 1 != n + 1 - key.count(0):
+            raise ValueError("image point repeated: map not injective")
+
+    @property
+    def degree(self) -> int:
+        return len(self.key) - 1
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        """images[p - 1] is the image of p, or 0 when p has none."""
+        return tuple(self.key[1:])
+
+    def table(self) -> bytes:
+        """The key padded to 256 bytes, for ``bytes.translate``."""
+        return self.key.ljust(256, b"\0")
 
     @classmethod
     def from_pairs(
         cls, degree: int, pairs: Iterable[tuple[Point, Point]]
     ) -> "PartialPerm":
         """Build a map from (point, image) pairs."""
-        images = [0] * degree
+        _check_degree(degree)
+        key = bytearray(degree + 1)
         for p, q in pairs:
             if not 1 <= p <= degree:
                 raise ValueError(f"domain point {p} outside 1..{degree}")
-            if images[p - 1]:
+            if key[p]:
                 raise ValueError(f"domain point {p} listed twice")
-            images[p - 1] = q
-        return cls(degree, tuple(images))
+            key[p] = q
+        return cls(bytes(key))
 
     def pairs(self) -> tuple[tuple[Point, Point], ...]:
         """The graph of the map, sorted by domain point."""
-        return tuple(
-            (p, img) for p, img in enumerate(self.images, start=1) if img
-        )
+        return tuple((p, q) for p, q in enumerate(self.key) if q)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{p}->{q}" for p, q in self.pairs())
@@ -103,11 +127,7 @@ def compose(f: PartialPerm, g: PartialPerm) -> PartialPerm:
     """
     if f.degree != g.degree:
         raise ValueError(f"degree mismatch: {f.degree} != {g.degree}")
-    gi = g.images
-    return PartialPerm(
-        f.degree,
-        tuple(gi[img - 1] if img else 0 for img in f.images),
-    )
+    return PartialPerm(f.key.translate(g.table()))
 
 
 def inverse(f: PartialPerm) -> PartialPerm:
@@ -117,26 +137,18 @@ def inverse(f: PartialPerm) -> PartialPerm:
     >>> inverse(x) == named_generator("y", 5)
     True
     """
-    images = [0] * f.degree
-    for p, img in enumerate(f.images, start=1):
-        if img:
-            images[img - 1] = p
-    return PartialPerm(f.degree, tuple(images))
+    return PartialPerm.from_pairs(f.degree, ((q, p) for p, q in f.pairs()))
 
 
 def partial_identity(n: int, points: Iterable[Point]) -> PartialPerm:
     """Identity map restricted to the given set of points."""
-    images = [0] * n
-    for p in points:
-        if not 1 <= p <= n:
-            raise ValueError(f"point {p} outside 1..{n}")
-        images[p - 1] = p
-    return PartialPerm(n, tuple(images))
+    return PartialPerm.from_pairs(n, ((p, p) for p in set(points)))
 
 
 def identity(n: int) -> PartialPerm:
     """The total identity map on {1, ..., n}."""
-    return PartialPerm(n, tuple(range(1, n + 1)))
+    _check_degree(n)
+    return PartialPerm(bytes(range(n + 1)))
 
 
 def named_generator(name: str, n: int) -> PartialPerm:
@@ -160,16 +172,15 @@ def named_generator(name: str, n: int) -> PartialPerm:
     >>> named_generator("x_2", 5).pairs()
     ((1, 1), (3, 4))
     """
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    _check_degree(n)
     if name == "g":
-        return PartialPerm(n, tuple(p % n + 1 for p in range(1, n + 1)))
+        return PartialPerm.from_pairs(n, ((p, p % n + 1) for p in range(1, n + 1)))
     if name == "h":
         if n < 2:
             raise ValueError("reflection needs degree at least 2")
-        return PartialPerm(n, tuple(range(n, 0, -1)))
+        return PartialPerm.from_pairs(n, ((p, n + 1 - p) for p in range(1, n + 1)))
     if name == "x":
-        return PartialPerm(n, tuple(p + 1 for p in range(1, n)) + (0,))
+        return PartialPerm.from_pairs(n, ((p, p + 1) for p in range(1, n)))
     if name == "y":
         return inverse(named_generator("x", n))
     match = re.fullmatch(r"([exy])_([1-9][0-9]*)", name)

@@ -18,11 +18,10 @@ plus the dihedral and cyclic groups themselves as total maps.
 Element order is fixed by the deterministic closure, so element
 indices are reproducible across runs and platforms.
 
-Closure works on bytes: an element of degree n is keyed by
-``bytes((0,) + images)``, so a point must fit in a byte and the degree
-is at most 255.  The key index closure builds stays with the monoid
-and serves ``index``, ``in`` and ``right_action``, which gives the
-action of any element on the right as a column of indices.
+Closure works on each element's ``PartialPerm.key`` and composes with
+``table()``.  The key index closure builds stays with the monoid and
+serves ``index``, ``in`` and ``right_action``, which gives the action
+of any element on the right as a column of indices.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import functools
 import itertools
 import operator
 
-from .iperm import PartialPerm, compose, inverse, named_generator
+from .iperm import PartialPerm, compose, identity, inverse, named_generator
 
 
 class MonoidFamily(enum.Enum):
@@ -64,8 +63,8 @@ class ClosureCapError(RuntimeError):
 class FiniteMonoid:
     """A closed set of partial permutations: byte keys and right table.
 
-    keys[i] is the ``bytes((0,) + images)`` key of element i, keys[0]
-    the identity's, and _index maps each key back to its index.
+    keys[i] is the ``PartialPerm.key`` of element i, keys[0] the
+    identity's, and _index maps each key back to its index.
     right_cayley[i][k] is the index of element i times gen_k (apply
     element i first), where gen_k is element generators[k].  The
     elements as PartialPerm and left_cayley, whose [i][k] is the index
@@ -84,7 +83,7 @@ class FiniteMonoid:
 
     def element(self, i: int) -> PartialPerm:
         """Element i as a checked PartialPerm."""
-        return PartialPerm(self.degree, tuple(self.keys[i][1:]))
+        return PartialPerm(self.keys[i])
 
     @functools.cached_property
     def elements(self) -> tuple[PartialPerm, ...]:
@@ -92,22 +91,19 @@ class FiniteMonoid:
 
     @functools.cached_property
     def left_cayley(self) -> tuple[tuple[int, ...], ...]:
-        # gen_k then element i is gen_k's key translated by element i's
+        # gen_k then element i is gen_k's key translated by element i's table
         index = self._index
-        pad = bytes(255 - self.degree)
         gens = [self.keys[g] for g in self.generators]
         return tuple(
-            tuple(index[g.translate(key + pad)] for g in gens) for key in self.keys
+            tuple(index[g.translate(f.table())] for g in gens) for f in self.elements
         )
 
     def index(self, f: PartialPerm) -> int:
         """Index of an element; KeyError when f is not in the monoid."""
-        if f.degree != self.degree:
-            raise KeyError(f)
-        return self._index[_key(f)]
+        return self._index[f.key]
 
     def __contains__(self, f: PartialPerm) -> bool:
-        return f.degree == self.degree and _key(f) in self._index
+        return f.key in self._index
 
     def right_action(self, f: PartialPerm) -> tuple[int, ...]:
         """Entry i is the index of element i times f (apply element i
@@ -116,7 +112,7 @@ class FiniteMonoid:
         if j in self.generators:
             column = operator.itemgetter(self.generators.index(j))
             return tuple(map(column, self.right_cayley))
-        table = _key(f) + bytes(255 - self.degree)
+        table = f.table()
         products = map(bytes.translate, self.keys, itertools.repeat(table))
         return tuple(map(self._index.__getitem__, products))
 
@@ -128,19 +124,6 @@ class FiniteMonoid:
             "right_cayley": [list(row) for row in self.right_cayley],
             "left_cayley": [list(row) for row in self.left_cayley],
         }
-
-
-def _check_degree(degree: int) -> None:
-    """A point is stored in a byte, so the degree is 1 to 255."""
-    if degree < 1:
-        raise ValueError(f"degree must be at least 1, got {degree}")
-    if degree > 255:
-        raise ValueError(f"degree {degree} above 255: a point must fit in a byte")
-
-
-def _key(f: PartialPerm) -> bytes:
-    """The bytes closure composes on: byte p is the image of p, 0 if none."""
-    return bytes((0,) + f.images)
 
 
 def closure(
@@ -157,24 +140,21 @@ def closure(
     FiniteMonoid to build on first use.  The monoid keeps the key index
     the search built.
 
-    An element is its ``bytes((0,) + images)`` key, and f then g is
-    ``f_key.translate(g_table)``, g_table being g's key padded to 256
-    bytes; byte 0 maps to 0, so an undefined point stays undefined.
-    A point is a byte, so a degree outside 1..255 raises ValueError.
+    An element is its ``PartialPerm.key``, and f then g is
+    ``f.key.translate(g.table())``.  A degree outside 1..255 raises
+    ValueError.
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
     4
     """
-    _check_degree(degree)
+    one = identity(degree).key
     gens = list(gens)
     for f in gens:
         if f.degree != degree:
             raise ValueError(f"generator degree {f.degree} != {degree}")
 
-    pad = bytes(255 - degree)
-    tables = [_key(g) + pad for g in gens]
-    one = bytes(range(degree + 1))
+    tables = [g.table() for g in gens]
     keys = [one]
     index = {one: 0}
     rows: list[tuple[int, ...]] = []
@@ -201,7 +181,7 @@ def closure(
     return FiniteMonoid(
         degree=degree,
         keys=tuple(keys),
-        generators=tuple(index[_key(g)] for g in gens),
+        generators=tuple(index[g.key] for g in gens),
         right_cayley=tuple(rows),
         _index=index,
     )

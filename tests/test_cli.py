@@ -224,6 +224,7 @@ def test_formulas_bad_range(runner):
     ["build", "--family", "oci", "--n", "256"],
     ["green", "--family", "oci", "--n", "256"],
     ["formulas", "--n-range", "256..256"],
+    ["check-relations", "--family", "R", "--n", "256"],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", "0"],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", str(2**30 + 1)],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-steps", str(2**63)],
@@ -263,6 +264,7 @@ def test_closure_cap_is_indeterminate(runner, monkeypatch, args):
     ["forms", "--family", "Vbar", "--n", "256"],
     ["tietze", "--chain", "odi", "--n", "256"],
     ["tietze", "--chain", "opdi", "--n", "256"],
+    ["check-relations", "--family", "R", "--n", "256"],
 ], ids=lambda args: " ".join(args[:1] + args[2:3]))
 def test_degree_is_checked_before_anything_large_is_built(runner, monkeypatch, args):
     def refuse(*args):

@@ -648,7 +648,7 @@ def test_verify_forms_set_trivial():
 
     # OCI_1 = {id, empty}: presented by one idempotent letter
     p = Presentation("t", ("a",), (Relation(("a", "a"), ("a",), "sq"),))
-    a = Assignment(1, (("a", PartialPerm(1, (0,))),))
+    a = Assignment(1, (("a", PartialPerm(bytes(2))),))
     m = build_named(MonoidFamily.OCI, 1)
     forms = FormsSet("t", ("a",), ((), ("a",)))
     v = verify_forms_set(p, forms, a, m)

@@ -25,7 +25,7 @@ from oracles import (
 
 
 # the nowhere-defined map of degree 4, the zero of every monoid here
-EMPTY4 = PartialPerm(4, (0,) * 4)
+EMPTY4 = PartialPerm(bytes(5))
 
 
 def graph(f):
@@ -43,6 +43,9 @@ def test_canonical_form_equality():
     assert a == b
     assert a.pairs() == ((1, 1), (2, 4))
     assert hash(a) == hash(b)
+    assert a.key == bytes((0, 1, 4, 0, 0))
+    # the key's length carries the degree
+    assert PartialPerm.from_pairs(4, []) != PartialPerm.from_pairs(5, [])
 
 
 def test_construction_rejects_bad_maps():
@@ -56,6 +59,17 @@ def test_construction_rejects_bad_maps():
         PartialPerm.from_pairs(4, [(1, 2), (1, 3)])
     with pytest.raises(ValueError):
         PartialPerm.from_pairs(0, [])
+    # a point is a byte: the degree is checked before a key is built
+    with pytest.raises(ValueError, match="above 255"):
+        PartialPerm.from_pairs(256, [])
+    with pytest.raises(ValueError, match="above 255"):
+        PartialPerm(bytes(257))
+    # byte 0 not 0, a point above the degree, a repeated point
+    for key in (bytes((1, 2, 0)), bytes((0, 3, 1)), bytes((0, 2, 2))):
+        with pytest.raises(ValueError):
+            PartialPerm(key)
+    with pytest.raises(TypeError):
+        PartialPerm((0, 1))
 
 
 def test_compose_examples():
@@ -84,7 +98,12 @@ def test_compose_is_left_to_right():
 def test_compose_matches_oracle_exhaustive_n3():
     perms = list(all_partial_perms(3))
     assert len(perms) == 34
-    for f, g in itertools.product(perms, perms):
+    pairs = list(itertools.product(perms, perms))
+    # and sampled pairs at degree 6, where tables carry 249 bytes of padding
+    rng = random.Random(6)
+    perms6 = list(all_partial_perms(6))
+    pairs += [(rng.choice(perms6), rng.choice(perms6)) for _ in range(5000)]
+    for f, g in pairs:
         assert graph(compose(f, g)) == o_compose(graph(f), graph(g))
 
 
