@@ -23,7 +23,7 @@ import click
 from . import congruence, monoids, presentations
 from .congruence import MAX_CLASSES, MAX_STEPS, EnumerationCaps, Verdict
 from .monoids import MonoidFamily
-from .presentations import TARGET_MONOID, RelationFamily
+from .presentations import FORMS_SEED, TARGET_MONOID, RelationFamily
 
 # printed in the order of the standard count table
 COUNT_ORDER = (
@@ -38,6 +38,15 @@ COUNT_ORDER = (
 )
 
 EXIT_CODES = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INDETERMINATE: 3}
+
+
+def _family_help(kind, families):
+    return f"{kind} ({', '.join(f.value for f in families)})"
+
+
+MONOID_HELP = _family_help("monoid family", MonoidFamily)
+RELATION_HELP = _family_help("relation family", RelationFamily)
+FORMS_HELP = _family_help("relation family with a forms set", FORMS_SEED)
 
 
 def _emit(lines, payload, verdict, as_json):
@@ -101,7 +110,7 @@ def main():
 
 
 @main.command()
-@click.option("--family", required=True, help="monoid family (odi, mdi, opdi, di, ci, oci)")
+@click.option("--family", required=True, help=MONOID_HELP)
 @click.option("--n", type=int, required=True, help="degree of the chain")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write the monoid as JSON")
@@ -127,8 +136,7 @@ def build(family, n, out, dot, as_json):
 
 
 @main.command("verify-presentation")
-@click.option("--family", required=True,
-              help="relation family (R, U, V, Vbar, VbarPrime, Q, Q0, QPrime)")
+@click.option("--family", required=True, help=RELATION_HELP)
 @click.option("--n", type=int, required=True)
 @click.option("--max-classes", type=click.IntRange(1, MAX_CLASSES), default=None)
 @click.option("--max-steps", type=click.IntRange(1, MAX_STEPS), default=None)
@@ -186,7 +194,7 @@ def enumerate_presentation(path, max_classes, max_steps, as_json):
 
 
 @main.command("check-relations")
-@click.option("--family", required=True)
+@click.option("--family", required=True, help=RELATION_HELP)
 @click.option("--n", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
 def check_relations(family, n, as_json):
@@ -207,7 +215,7 @@ def check_relations(family, n, as_json):
 
 
 @main.command()
-@click.option("--family", required=True, help="relation family with a forms set (R, Vbar, Q)")
+@click.option("--family", required=True, help=FORMS_HELP)
 @click.option("--n", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
 def forms(family, n, as_json):
@@ -216,16 +224,11 @@ def forms(family, n, as_json):
     m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     caps = _caps()
-    if fam is RelationFamily.R:
-        base = congruence.enumerate_congruence(
-            presentations.build_relations(RelationFamily.U, n), caps)
-    elif fam is RelationFamily.VBAR:
-        base = congruence.enumerate_congruence(
-            presentations.build_relations(RelationFamily.V, n), caps)
-    elif fam is RelationFamily.Q:
-        base = None
-    else:
+    if fam not in FORMS_SEED:
         raise click.BadParameter(f"no forms construction for {fam.value}")
+    seed = FORMS_SEED[fam]
+    base = None if seed is None else congruence.enumerate_congruence(
+        presentations.build_relations(seed, n), caps)
     a = presentations.build_assignment(fam, n)
     if base is not None and not base.is_complete:
         # the forms are read off the capped seed enumeration: none to check
@@ -287,7 +290,7 @@ def tietze(chain, n, as_json):
 
 
 @main.command()
-@click.option("--family", required=True)
+@click.option("--family", required=True, help=MONOID_HELP)
 @click.option("--n", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
 def green(family, n, as_json):

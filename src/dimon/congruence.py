@@ -281,11 +281,6 @@ def verify_presentation(
             )
         if not result.is_complete:
             return PresentationVerdict(Verdict.INDETERMINATE, None, m.size, ())
-        if result.class_count < m.size:
-            raise RuntimeError(
-                f"class count {result.class_count} below monoid size {m.size}: "
-                "enumeration soundness violated"
-            )
         raise RuntimeError(
             "classes do not map onto the monoid's elements although every "
             "relation holds: enumeration soundness violated"

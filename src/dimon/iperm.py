@@ -97,6 +97,8 @@ class PartialPerm:
         for p, q in pairs:
             if not 1 <= p <= degree:
                 raise ValueError(f"domain point {p} outside 1..{degree}")
+            if not 1 <= q <= degree:
+                raise ValueError(f"image point {q} of {p} outside 1..{degree}")
             if key[p]:
                 raise ValueError(f"domain point {p} listed twice")
             key[p] = q

@@ -187,7 +187,8 @@ def closure(
     )
 
 
-#: Minimum degree at which each family is defined.
+#: Minimum degree at which each family is defined, checked by _check_n
+#: for the generating sets and both formulas.
 _FAMILY_MIN_N = {
     MonoidFamily.DI: 3,
     MonoidFamily.ODI: 4,
@@ -200,6 +201,12 @@ _FAMILY_MIN_N = {
 }
 
 
+def _check_n(family: MonoidFamily, n: int) -> None:
+    low = _FAMILY_MIN_N[family]
+    if n < low:
+        raise ValueError(f"{family.value} needs n >= {low}, got {n}")
+
+
 def generator_names(family: MonoidFamily, n: int) -> list[str]:
     """The letter names of a family's standard generating set, in order.
 
@@ -209,9 +216,7 @@ def generator_names(family: MonoidFamily, n: int) -> list[str]:
     >>> generator_names(MonoidFamily.MDI, 6)
     ['h', 'x', 'e_2', 'e_3', 'x_1', 'x_2', 'y_1', 'y_2']
     """
-    low = _FAMILY_MIN_N[family]
-    if n < low:
-        raise ValueError(f"{family.value} needs n >= {low}, got {n}")
+    _check_n(family, n)
     m = (n - 1) // 2
     xs = [f"x_{i}" for i in range(1, m + 1)]
     ys = [f"y_{i}" for i in range(1, m + 1)]
@@ -257,19 +262,14 @@ def cardinality_formula(family: MonoidFamily, n: int) -> int:
     >>> cardinality_formula(MonoidFamily.OCI, 5)
     84
     """
+    _check_n(family, n)
     if family == MonoidFamily.ODI:
-        if n < 4:
-            raise ValueError(f"odi formula needs n >= 4, got {n}")
         correction = n * n // 4 if n % 2 == 0 else 0
         return 3 * 2**n + (n + 1) * n * (n - 1) // 6 - correction - 2 * n - 2
     if family == MonoidFamily.MDI:
-        if n < 4:
-            raise ValueError(f"mdi formula needs n >= 4, got {n}")
         correction = 3 * n * n // 2 if n % 2 == 0 else n * n
         return 3 * 2 ** (n + 1) + (n + 1) * n * (n - 1) // 3 - correction - 4 * n - 5
     if family == MonoidFamily.OCI:
-        if n < 1:
-            raise ValueError(f"oci formula needs n >= 1, got {n}")
         return 3 * 2**n - 2 * n - 2
     raise ValueError(
         f"no closed cardinality form for family {family.value}; "
@@ -283,8 +283,7 @@ def rank_formula(family: MonoidFamily, n: int) -> int:
     >>> [rank_formula(f, 4) for f in (MonoidFamily.ODI, MonoidFamily.MDI, MonoidFamily.OPDI)]
     [6, 5, 3]
     """
-    if n < 4:
-        raise ValueError(f"rank formula needs n >= 4, got {n}")
+    _check_n(family, n)
     m = (n - 1) // 2
     if family == MonoidFamily.ODI:
         return n + 2 * m

@@ -23,6 +23,13 @@ The families:
     Q, Q0       orientation-preserving family over D = {g, e_1..e_n,
                 x_i} and its core D0 = {g, e_1..e_n}
     QPrime      Q compressed to D' = {g, e_1, x_i}
+
+Every family needs n >= 4.  ``build_alphabet`` and
+``expected_relation_count`` check it; the relations, assignments and
+forms builders reach that check through ``build_alphabet`` before they
+build anything.  ``TARGET_MONOID`` names the monoid each family
+presents, and ``FORMS_SEED`` the families with a forms set and the
+family whose enumeration seeds each one.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import copy
 import dataclasses
 import enum
 import functools
+import itertools
 
 from .iperm import PartialPerm, compose, identity, named_generator
 from .monoids import MonoidFamily, generator_names
@@ -182,6 +190,19 @@ TARGET_MONOID = {
     RelationFamily.Q0: MonoidFamily.CI,
 }
 
+# the families with a forms set, and the family whose enumeration seeds
+# each one; Q's forms are explicit
+FORMS_SEED = {
+    RelationFamily.R: RelationFamily.U,
+    RelationFamily.VBAR: RelationFamily.V,
+    RelationFamily.Q: None,
+}
+
+
+def _check_n(n: int) -> None:
+    if n < 4:
+        raise ValueError(f"relation families need n >= 4, got {n}")
+
 
 def _erun(lo: int, hi: int) -> "list[str]":
     """The word e_lo e_{lo+1} ... e_hi; empty when lo > hi."""
@@ -203,8 +224,7 @@ def build_alphabet(family: RelationFamily, n: int) -> "tuple[str, ...]":
     >>> len(build_alphabet(RelationFamily.R, 4))
     8
     """
-    if n < 4:
-        raise ValueError(f"alphabets need n >= 4, got {n}")
+    _check_n(n)
     m = (n - 1) // 2
     xs = [f"x_{i}" for i in range(1, m + 1)]
     ys = [f"y_{i}" for i in range(1, m + 1)]
@@ -663,8 +683,6 @@ def build_relations(family: RelationFamily, n: int) -> Presentation:
     >>> len(build_relations(RelationFamily.Q_PRIME, 4).relations)
     18
     """
-    if n < 4:
-        raise ValueError(f"relation families need n >= 4, got {n}")
     return Presentation(
         label=f"{family.value}(n={n})",
         letters=build_alphabet(family, n),
@@ -689,8 +707,7 @@ def expected_relation_count(family: RelationFamily, n: int) -> int:
     >>> expected_relation_count(RelationFamily.VBAR_PRIME, 4)
     32
     """
-    if n < 4:
-        raise ValueError(f"count formulas need n >= 4, got {n}")
+    _check_n(n)
     s = 1 if n % 2 == 0 else -1
     if family == RelationFamily.R:
         return (5 * n * n - (1 + 2 * s) * n - s + 5) // 2
@@ -717,8 +734,6 @@ def build_assignment(family: RelationFamily, n: int) -> Assignment:
     >>> build_assignment(RelationFamily.R, 4).image("x").pairs()
     ((1, 2), (2, 3), (3, 4))
     """
-    if n < 4:
-        raise ValueError(f"assignments need n >= 4, got {n}")
     return Assignment(
         degree=n,
         images=tuple(
@@ -914,57 +929,39 @@ def build_forms(family: RelationFamily, n: int, enumeration=None) -> FormsSet:
     their classes, and each remaining form w contributes a second form
     wh.  For Q the forms are fully explicit: g^m times a product of
     distinct e_i (any proper subset, ascending), the all-e product,
-    and the conjugates g^r x_i g^s.
+    and the conjugates g^r x_i g^s.  FORMS_SEED names the seed family.
     """
-    if n < 4:
-        raise ValueError(f"forms need n >= 4, got {n}")
-    m = (n - 1) // 2
+    letters = build_alphabet(family, n)
+    if family not in FORMS_SEED:
+        raise ValueError(f"no forms family for {family.value}")
+    seed = FORMS_SEED[family]
+    if seed is not None:
+        if enumeration is None:
+            raise ValueError(
+                f"forms for {family.value} need the enumeration of {seed.value}"
+            )
+        from .congruence import normal_forms
+
+        reps = normal_forms(enumeration, build_alphabet(seed, n)).words
     if family == RelationFamily.R:
-        if enumeration is None:
-            raise ValueError("forms for R need the enumeration of U")
-        from .congruence import normal_forms
-
-        w0 = normal_forms(enumeration, build_alphabet(RelationFamily.U, n))
-        words = w0.words + w1_w2_words(n)
-        return FormsSet(
-            label=f"W(n={n})",
-            letters=build_alphabet(RelationFamily.R, n),
-            words=words,
-        )
+        return FormsSet(f"W(n={n})", letters, reps + w1_w2_words(n))
     if family == RelationFamily.VBAR:
-        if enumeration is None:
-            raise ValueError("forms for Vbar need the enumeration of V")
-        from .congruence import normal_forms
-
-        reps = list(
-            normal_forms(enumeration, build_alphabet(RelationFamily.V, n)).words
-        )
+        reps = list(reps)
         required = wprime1_words(n)
         for w in required:
             reps[enumeration.word_class(w)] = w
         required_set = set(required)
         tail = [w + ("h",) for w in reps if w not in required_set]
-        return FormsSet(
-            label=f"Wbar(n={n})",
-            letters=build_alphabet(RelationFamily.VBAR, n),
-            words=tuple(reps) + tuple(tail),
-        )
-    if family == RelationFamily.Q:
-        import itertools
-
-        words = []
+        return FormsSet(f"Wbar(n={n})", letters, tuple(reps) + tuple(tail))
+    m = (n - 1) // 2
+    words = []
+    for r in range(n):
+        for k in range(n):
+            for subset in itertools.combinations(range(1, n + 1), k):
+                words.append(tuple(_pow("g", r) + [f"e_{i}" for i in subset]))
+    words.append(tuple(_erun(1, n)))
+    for i in range(1, m + 1):
         for r in range(n):
-            for k in range(n):
-                for subset in itertools.combinations(range(1, n + 1), k):
-                    words.append(tuple(_pow("g", r) + [f"e_{i}" for i in subset]))
-        words.append(tuple(_erun(1, n)))
-        for i in range(1, m + 1):
-            for r in range(n):
-                for s in range(n):
-                    words.append(tuple(_pow("g", r) + [f"x_{i}"] + _pow("g", s)))
-        return FormsSet(
-            label=f"Qforms(n={n})",
-            letters=build_alphabet(RelationFamily.Q, n),
-            words=tuple(words),
-        )
-    raise ValueError(f"no forms family for {family.value}")
+            for s in range(n):
+                words.append(tuple(_pow("g", r) + [f"x_{i}"] + _pow("g", s)))
+    return FormsSet(f"Qforms(n={n})", letters, tuple(words))

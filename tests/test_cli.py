@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ from click.testing import CliRunner
 import dimon
 from dimon import congruence, monoids, presentations
 from dimon.cli import main
-from dimon.presentations import RelationFamily, build_relations
+from dimon.monoids import MonoidFamily
+from dimon.presentations import FORMS_SEED, RelationFamily, build_relations
 
 
 @pytest.fixture
@@ -213,7 +215,16 @@ def test_formulas_bad_range(runner):
     assert runner.invoke(main, ["formulas", "--n-range", "6..4"]).exit_code == 2
 
 
+# the targets OCI and CI build at n = 3: only the relation families' range
+# refuses these
+RELATION_RANGE_CASES = (
+    ["check-relations", "--family", "U", "--n", "3"],
+    ["verify-presentation", "--family", "Q0", "--n", "3"],
+)
+
+
 @pytest.mark.parametrize("args", [
+    *RELATION_RANGE_CASES,
     ["verify-presentation", "--family", "R", "--n", "3"],
     ["build", "--family", "odi", "--n", "2"],
     ["formulas", "--n-range", "2..3"],
@@ -234,6 +245,24 @@ def test_out_of_range_input_is_a_usage_error(runner, args):
     assert res.exit_code == 2
     assert "Invalid value for '--" in res.output
     assert "Traceback" not in res.output
+    if args in RELATION_RANGE_CASES:
+        assert "relation families need n >= 4, got 3" in res.output
+
+
+ACCEPTED_FAMILIES = {
+    "build": MonoidFamily,
+    "green": MonoidFamily,
+    "verify-presentation": RelationFamily,
+    "check-relations": RelationFamily,
+    "forms": FORMS_SEED,
+}
+
+
+@pytest.mark.parametrize("verb", ACCEPTED_FAMILIES)
+def test_family_help_names_every_accepted_value(runner, verb):
+    text = " ".join(runner.invoke(main, [verb, "--help"]).output.split())
+    listed = re.search(r"--family TEXT [^(]*\(([^)]*)\)", text)[1].split(", ")
+    assert sorted(listed) == sorted(f.value for f in ACCEPTED_FAMILIES[verb])
 
 
 @pytest.mark.parametrize("args", [

@@ -57,6 +57,11 @@ def test_construction_rejects_bad_maps():
         PartialPerm.from_pairs(4, [(1, 2), (3, 2)])
     with pytest.raises(ValueError):
         PartialPerm.from_pairs(4, [(1, 2), (1, 3)])
+    # an image outside 1..degree is refused by its point, 0 included
+    with pytest.raises(ValueError, match="image point 0 of 1"):
+        PartialPerm.from_pairs(4, [(1, 0), (1, 3)])
+    with pytest.raises(ValueError, match="image point 256 of 1"):
+        PartialPerm.from_pairs(4, [(1, 256)])
     with pytest.raises(ValueError):
         PartialPerm.from_pairs(0, [])
     # a point is a byte: the degree is checked before a key is built

@@ -95,6 +95,10 @@ def test_build_named_degree_bounds():
             build_named(family, 3)
     with pytest.raises(ValueError):
         build_named(MonoidFamily.DI, 2)
+    with pytest.raises(ValueError, match="odi needs n >= 4, got 3"):
+        cardinality_formula(MonoidFamily.ODI, 3)
+    with pytest.raises(ValueError, match="opdi needs n >= 4, got 3"):
+        rank_formula(MonoidFamily.OPDI, 3)
 
 
 @pytest.mark.parametrize("n", range(4, 9))

@@ -91,6 +91,15 @@ def test_alphabet_degree_bound():
         build_alphabet(RelationFamily.R, 3)
     with pytest.raises(ValueError):
         build_relations(RelationFamily.Q, 3)
+    below = "relation families need n >= 4, got 3"
+    with pytest.raises(ValueError, match=below):
+        build_assignment(RelationFamily.U, 3)
+    # the range is checked before a missing seed enumeration
+    for family in (RelationFamily.R, RelationFamily.VBAR, RelationFamily.Q):
+        with pytest.raises(ValueError, match=below):
+            build_forms(family, 3)
+    with pytest.raises(ValueError, match=below):
+        expected_relation_count(RelationFamily.R, 3)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
