@@ -1,11 +1,12 @@
-"""Build hook for the optional compiled congruence kernel.
+"""Build hook for the optional compiled kernels.
 
-``dimon._tc_core`` is compiled from the hand-written C source
+``dimon._tc_core`` (congruence enumeration, monoid closure and Green's
+classes) is compiled from the hand-written C source
 ``src/dimon/_tc_core.c`` with the C compiler and the Python headers; no
 code generator is involved.  The extension is optional: when it fails
-to build the package still installs, and dimon.congruence falls back to
-the pure-Python kernel in dimon._tc_py.  ``dimon.congruence.BACKEND``
-says which kernel is active.
+to build the package still installs, and dimon.monoids falls back to
+the pure-Python kernels in dimon._tc_py.  ``dimon.BACKEND`` says which
+kernel module is active.
 
     python setup.py build_ext --inplace
 """

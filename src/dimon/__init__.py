@@ -15,6 +15,12 @@ Modules:
     presentations  alphabets, relation families, Tietze moves, forms sets
     congruence     two-sided congruence enumeration and verification
     cli            command-line front end
+
+The closure loop, Green's labelling and the enumeration run in one
+kernel module: the compiled extension _tc_core (close, green and run,
+from the hand-written _tc_core.c) when it was built, and the
+pure-Python _tc_py, which it follows step for step, otherwise.  BACKEND
+says which ("compiled" or "pure").
 """
 
 from .congruence import (

@@ -1,17 +1,29 @@
-/* Compiled congruence enumeration kernel.
+/* Compiled kernels: congruence enumeration, monoid closure, Green's.
 
-   A step-for-step port of dimon._tc_py.run, written against the CPython
-   C API: the same class creation order, the same coincidence handling,
-   the same step count and the same renumbering, so both kernels return
-   equal (status, table) pairs.  See _tc_py for the procedure, the
+   Step-for-step ports of dimon._tc_py's run, close and green, written
+   against the CPython C API.  See _tc_py for each procedure, the
    argument that no final sweep is needed, and the status protocol.
 
-   Class ids are C ints and the step count a C long long; run() raises
-   OverflowError for a cap beyond either.  Every allocation failure
-   raises MemoryError. */
+   run: the same class creation order, the same coincidence handling,
+   the same step count and the same renumbering, so both kernels return
+   equal (status, table, stats) triples.  Class ids are C ints and the
+   step count a C long long; run() raises OverflowError for a cap
+   beyond either.
+
+   close: the same elements in the same breadth-first order, found
+   through an open-addressing hash table over the keys.  It checks
+   every key before copying it into a 256-byte table, and finishes the
+   closure in C arrays, so a capped closure builds no Python object.
+
+   green: R and L labels from 256-bit masks of each key's domain and
+   image, H from the pair, D from a union-find over the R-classes; the
+   labels are dense by first occurrence, so equal to _tc_py's.
+
+   Every allocation failure raises MemoryError. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
 #include <string.h>
 
 #define UNDEF (-1)
@@ -27,6 +39,9 @@ typedef struct {
     int n_letters;
     int n_classes;
     int max_classes;
+    int live;             /* classes defined and not merged away */
+    int peak_live;
+    int coincidences;     /* classes merged away */
     Py_ssize_t cap;       /* classes the parent and table arrays hold */
     long long steps;
     long long max_steps;
@@ -38,20 +53,28 @@ typedef struct {
     Py_ssize_t q_cap;     /* in pairs */
 } State;
 
+/* Grow p to hold n items of size bytes each; on failure p stays valid. */
+static void *
+grow(void *p, Py_ssize_t n, size_t size)
+{
+    void *q;
+    if (n < 1)
+        n = 1;
+    if ((size_t)n > (size_t)PY_SSIZE_T_MAX / size) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    q = PyMem_Realloc(p, (size_t)n * size);
+    if (q == NULL)
+        PyErr_NoMemory();
+    return q;
+}
+
 /* Grow p to hold rows * width ints; on failure p stays valid. */
 static int *
 resize(int *p, Py_ssize_t rows, int width)
 {
-    size_t w = width > 0 ? (size_t)width : 1;
-    int *q;
-    if ((size_t)rows > (size_t)PY_SSIZE_T_MAX / sizeof(int) / w) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    q = PyMem_Realloc(p, (size_t)rows * w * sizeof(int));
-    if (q == NULL)
-        PyErr_NoMemory();
-    return q;
+    return grow(p, rows, (width > 0 ? (size_t)width : 1) * sizeof(int));
 }
 
 static int *
@@ -90,6 +113,8 @@ new_class(State *s)
     s->parent[cid] = cid;
     memset(row(s, cid), 0xFF, (size_t)s->n_letters * sizeof(int));
     s->n_classes = cid + 1;
+    if (++s->live > s->peak_live)
+        s->peak_live = s->live;
     return cid;
 }
 
@@ -157,6 +182,8 @@ coincide(State *s, int a, int b)
         }
         /* smaller id survives, so class 0 is never displaced */
         s->parent[v] = u;
+        s->live--;
+        s->coincidences++;
         row_u = row(s, u);
         row_v = row(s, v);
         for (k = 0; k < s->n_letters; k++) {
@@ -373,8 +400,8 @@ PyDoc_STRVAR(run_doc,
 "Enumerate the classes of the two-sided congruence.\n\n"
 "Same contract as _tc_py.run: relations are (lhs, rhs) pairs of\n"
 "letter-id words, watch is an optional pair of words, and the result\n"
-"is (status, table), the table a tuple of tuple rows when status is\n"
-"0 and None otherwise.  Status 0 with a watch means the pair is in\n"
+"is (status, table, stats), the table a tuple of tuple rows when\n"
+"status is 0 and None otherwise, stats the dict of the run's counters.  Status 0 with a watch means the pair is in\n"
 "two classes: the watch is checked after every scan, and only scans\n"
 "merge classes.  A letter id outside range(n_letters) raises\n"
 "ValueError.");
@@ -423,16 +450,17 @@ run(PyObject *self, PyObject *args, PyObject *kwargs)
         goto done;
     s.parent[0] = 0;
     memset(row(&s, 0), 0xFF, (size_t)s.n_letters * sizeof(int));
-    s.n_classes = 1;
+    s.n_classes = s.live = s.peak_live = 1;
 
     status = enumerate(&s, &w, n_rels);
-    if (status == STATUS_COMPLETE) {
-        PyObject *table = dense_table(&s);
+    if (status != FAILED) {
+        PyObject *table = status == STATUS_COMPLETE ? dense_table(&s) : Py_NewRef(Py_None);
         if (table != NULL)
-            result = Py_BuildValue("iN", status, table);
+            result = Py_BuildValue(
+                "iN{s:i,s:i,s:i,s:L}", status, table,
+                "classes_defined", s.n_classes, "peak_live_classes", s.peak_live,
+                "coincidences", s.coincidences, "steps", s.steps);
     }
-    else if (status != FAILED)
-        result = Py_BuildValue("iO", status, Py_None);
 done:
     Py_DECREF(rels);
     PyMem_Free(w.bounds);
@@ -443,15 +471,447 @@ done:
     return result;
 }
 
+/* ---- Monoid closure and Green's classes ---- */
+
+#define NO_ELEMENT (-1)
+/* a key has at most 256 bytes, hashed as zero-padded 64-bit words */
+#define KEY_WORDS 32
+
+static uint64_t
+hash_words(const uint64_t *p, Py_ssize_t n)
+{
+    uint64_t h = (uint64_t)n;
+    Py_ssize_t i;
+    for (i = 0; i < n; i++)
+        h = (h ^ p[i]) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 32;
+    h *= 0xD6E8FEB86659FD93ULL;
+    return h ^ (h >> 32);
+}
+
+static int
+check_degree(Py_ssize_t degree)
+{
+    if (1 <= degree && degree <= 255)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "degree must be 1 to 255, got %zd", degree);
+    return -1;
+}
+
+/* 0 when obj is bytes of length key_len, else -1 with ValueError. */
+static int
+check_key(PyObject *obj, Py_ssize_t key_len)
+{
+    if (PyBytes_CheckExact(obj) && PyBytes_GET_SIZE(obj) == key_len)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "expected a key of %zd bytes, got %R",
+                 key_len, obj);
+    return -1;
+}
+
+/* The elements found so far, and a hash table that finds them by key. */
+typedef struct {
+    Py_ssize_t key_len;   /* degree + 1 */
+    Py_ssize_t n_gens;
+    Py_ssize_t count;     /* elements found */
+    Py_ssize_t cap;       /* elements the arrays hold */
+    unsigned char *keys;  /* element i's key at i * key_len */
+    uint64_t *hashes;     /* the hash of element i's key */
+    int *rows;            /* right table, row i at i * n_gens */
+    int *slots;           /* element ids, NO_ELEMENT where empty */
+    size_t mask;          /* slots has mask + 1 entries, a power of two */
+} Closure;
+
+/* The slot that holds the key, or the empty slot where it goes. */
+static size_t
+probe(const Closure *c, const unsigned char *key, uint64_t h)
+{
+    size_t i = (size_t)h & c->mask;
+    for (;;) {
+        int e = c->slots[i];
+        if (e == NO_ELEMENT
+            || (c->hashes[e] == h
+                && memcmp(c->keys + (size_t)e * c->key_len, key,
+                          (size_t)c->key_len) == 0))
+            return i;
+        i = (i + 1) & c->mask;
+    }
+}
+
+/* Double the hash table and put every element back. */
+static int
+rehash(Closure *c)
+{
+    size_t size = 2 * (c->mask + 1), i;
+    Py_ssize_t e;
+    int *slots = grow(NULL, (Py_ssize_t)size, sizeof(int));
+    if (slots == NULL)
+        return -1;
+    memset(slots, 0xFF, size * sizeof(int));
+    PyMem_Free(c->slots);
+    c->slots = slots;
+    c->mask = size - 1;
+    for (e = 0; e < c->count; e++) {
+        for (i = (size_t)c->hashes[e] & c->mask; slots[i] != NO_ELEMENT;
+             i = (i + 1) & c->mask)
+            ;
+        slots[i] = (int)e;
+    }
+    return 0;
+}
+
+/* Append an element with this key, at the empty slot i. */
+static int
+add_element(Closure *c, const unsigned char *key, uint64_t h, size_t i)
+{
+    if (c->count == c->cap) {
+        Py_ssize_t cap = c->cap < INT_MAX / 2 ? 2 * c->cap : INT_MAX;
+        void *p;
+        if (c->count == cap) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "closure beyond 2**31 - 1 elements");
+            return -1;
+        }
+        if ((p = grow(c->keys, cap, (size_t)c->key_len)) == NULL)
+            return -1;
+        c->keys = p;
+        if ((p = grow(c->hashes, cap, sizeof(uint64_t))) == NULL)
+            return -1;
+        c->hashes = p;
+        if ((p = resize(c->rows, cap, (int)c->n_gens)) == NULL)
+            return -1;
+        c->rows = p;
+        c->cap = cap;
+    }
+    memcpy(c->keys + (size_t)c->count * c->key_len, key, (size_t)c->key_len);
+    c->hashes[c->count] = h;
+    c->slots[i] = (int)c->count++;
+    return 2 * (size_t)c->count > c->mask + 1 ? rehash(c) : 0;
+}
+
+/* The closure proper: 1 when complete, 0 when capped, -1 on error. */
+static int
+close_elements(Closure *c, unsigned char (*tables)[256], Py_ssize_t max_elements)
+{
+    /* product's bytes beyond key_len stay 0, so it hashes as whole words */
+    uint64_t product_words[KEY_WORDS] = {0}, current_words[KEY_WORDS];
+    unsigned char *product = (unsigned char *)product_words;
+    unsigned char *current = (unsigned char *)current_words;
+    Py_ssize_t words = (c->key_len + 7) / 8, pos, k, p;
+    uint64_t h;
+
+    for (p = 0; p < c->key_len; p++)
+        product[p] = (unsigned char)p;
+    h = hash_words(product_words, words);
+    if (add_element(c, product, h, probe(c, product, h)) < 0)
+        return -1;
+    for (pos = 0; pos < c->count; pos++) {
+        /* a copy: adding an element may move the keys */
+        memcpy(current, c->keys + (size_t)pos * c->key_len, (size_t)c->key_len);
+        for (k = 0; k < c->n_gens; k++) {
+            const unsigned char *table = tables[k];
+            size_t i;
+            int e;
+            for (p = 0; p < c->key_len; p++)
+                product[p] = table[current[p]];
+            h = hash_words(product_words, words);
+            i = probe(c, product, h);
+            e = c->slots[i];
+            if (e == NO_ELEMENT) {
+                if (c->count >= max_elements)
+                    return 0;
+                e = (int)c->count;
+                if (add_element(c, product, h, i) < 0)
+                    return -1;
+            }
+            c->rows[pos * c->n_gens + k] = e;
+        }
+    }
+    return 1;
+}
+
+/* ints[0..n) as new Python ints, to be shared by every reference. */
+static PyObject **
+new_ints(Py_ssize_t n)
+{
+    PyObject **ints = grow(NULL, n, sizeof(PyObject *));
+    Py_ssize_t i;
+    if (ints == NULL)
+        return NULL;
+    for (i = 0; i < n; i++) {
+        if ((ints[i] = PyLong_FromSsize_t(i)) == NULL) {
+            while (i > 0)
+                Py_DECREF(ints[--i]);
+            PyMem_Free(ints);
+            return NULL;
+        }
+    }
+    return ints;
+}
+
+static void
+free_ints(PyObject **ints, Py_ssize_t n)
+{
+    Py_ssize_t i;
+    for (i = 0; i < n; i++)
+        Py_DECREF(ints[i]);
+    PyMem_Free(ints);
+}
+
+/* (keys, rows, index) as Python objects. */
+static PyObject *
+closure_result(const Closure *c)
+{
+    PyObject **ints = new_ints(c->count);
+    PyObject *keys = NULL, *rows = NULL, *index = NULL, *result = NULL;
+    Py_ssize_t i, k;
+    if (ints == NULL)
+        return NULL;
+    if ((keys = PyTuple_New(c->count)) == NULL
+        || (rows = PyTuple_New(c->count)) == NULL
+        || (index = PyDict_New()) == NULL)
+        goto done;
+    for (i = 0; i < c->count; i++) {
+        const int *targets = c->rows + i * c->n_gens;
+        PyObject *key, *row;
+        key = PyBytes_FromStringAndSize(
+            (const char *)c->keys + (size_t)i * c->key_len, c->key_len);
+        if (key == NULL)
+            goto done;
+        PyTuple_SET_ITEM(keys, i, key);
+        if (PyDict_SetItem(index, key, ints[i]) < 0
+            || (row = PyTuple_New(c->n_gens)) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(rows, i, row);
+        for (k = 0; k < c->n_gens; k++)
+            PyTuple_SET_ITEM(row, k, Py_NewRef(ints[targets[k]]));
+    }
+    result = PyTuple_Pack(3, keys, rows, index);
+done:
+    free_ints(ints, c->count);
+    Py_XDECREF(keys);
+    Py_XDECREF(rows);
+    Py_XDECREF(index);
+    return result;
+}
+
+PyDoc_STRVAR(close_doc,
+"close(degree, gen_keys, max_elements)\n"
+"--\n\n"
+"Breadth-first closure of the identity under right products.\n\n"
+"Same contract as _tc_py.close: (keys, rows, index) with the elements\n"
+"in discovery order, or None when the closure has more than\n"
+"max_elements elements.  A degree outside 1..255, or a key that is\n"
+"not bytes of length degree + 1, raises ValueError.");
+
+/* Python's close; the C name close belongs to POSIX. */
+static PyObject *
+close_monoid(PyObject *self, PyObject *args)
+{
+    Py_ssize_t degree, max_elements, k;
+    PyObject *gen_keys, *gens, *result = NULL;
+    unsigned char (*tables)[256] = NULL;
+    Closure c = {0};
+    int rc;
+
+    if (!PyArg_ParseTuple(args, "nOn:close", &degree, &gen_keys, &max_elements))
+        return NULL;
+    if (check_degree(degree) < 0 || (gens = PySequence_Tuple(gen_keys)) == NULL)
+        return NULL;
+    c.key_len = degree + 1;
+    c.n_gens = PyTuple_GET_SIZE(gens);
+    for (k = 0; k < c.n_gens; k++)
+        if (check_key(PyTuple_GET_ITEM(gens, k), c.key_len) < 0)
+            goto done;
+    if ((tables = grow(NULL, c.n_gens, 256)) == NULL)
+        goto done;
+    for (k = 0; k < c.n_gens; k++) {
+        memset(tables[k], 0, 256);
+        memcpy(tables[k], PyBytes_AS_STRING(PyTuple_GET_ITEM(gens, k)),
+               (size_t)c.key_len);
+    }
+    c.cap = 1024;
+    c.mask = 2 * 1024 - 1;
+    if ((c.keys = grow(NULL, c.cap, (size_t)c.key_len)) == NULL
+        || (c.hashes = grow(NULL, c.cap, sizeof(uint64_t))) == NULL
+        || (c.rows = resize(NULL, c.cap, (int)c.n_gens)) == NULL
+        || (c.slots = grow(NULL, (Py_ssize_t)c.mask + 1, sizeof(int))) == NULL)
+        goto done;
+    memset(c.slots, 0xFF, (c.mask + 1) * sizeof(int));
+
+    rc = close_elements(&c, tables, max_elements);
+    if (rc == 1)
+        result = closure_result(&c);
+    else if (rc == 0)
+        result = Py_NewRef(Py_None);
+done:
+    Py_DECREF(gens);
+    PyMem_Free(tables);
+    PyMem_Free(c.keys);
+    PyMem_Free(c.hashes);
+    PyMem_Free(c.rows);
+    PyMem_Free(c.slots);
+    return result;
+}
+
+/* Label n records of w words each densely by first occurrence: the
+   number of distinct records, or -1 with MemoryError. */
+static Py_ssize_t
+dense_labels(const uint64_t *rec, Py_ssize_t n, Py_ssize_t w, int *labels)
+{
+    size_t size = 2, mask, j;
+    Py_ssize_t i, count = 0;
+    int *slots;
+    Py_ssize_t *first;    /* label -> its first record */
+    while (size < 2 * (size_t)n)
+        size *= 2;
+    mask = size - 1;
+    slots = grow(NULL, (Py_ssize_t)size, sizeof(int));
+    first = grow(NULL, n, sizeof(Py_ssize_t));
+    if (slots == NULL || first == NULL) {
+        PyMem_Free(slots);
+        PyMem_Free(first);
+        return -1;
+    }
+    memset(slots, 0xFF, size * sizeof(int));
+    for (i = 0; i < n; i++) {
+        const uint64_t *r = rec + i * w;
+        for (j = (size_t)hash_words(r, w) & mask; slots[j] != NO_ELEMENT;
+             j = (j + 1) & mask)
+            if (memcmp(rec + first[slots[j]] * w, r, (size_t)w * sizeof(uint64_t)) == 0)
+                break;
+        if (slots[j] == NO_ELEMENT) {
+            first[count] = i;
+            slots[j] = (int)count++;
+        }
+        labels[i] = slots[j];
+    }
+    PyMem_Free(slots);
+    PyMem_Free(first);
+    return count;
+}
+
+static int
+find_root(int *root, int a)
+{
+    while (root[a] != a) {
+        root[a] = root[root[a]];
+        a = root[a];
+    }
+    return a;
+}
+
+/* R, L, H and D labels of the n keys, at labels[0], [n], [2n] and [3n]:
+   the number of H-classes, or -1 with MemoryError. */
+static Py_ssize_t
+green_labels(PyObject *keys, Py_ssize_t key_len, int *labels)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(keys), i, p, n_h = -1;
+    int *r = labels, *l = labels + n, *h = labels + 2 * n, *d = labels + 3 * n;
+    int *root = grow(NULL, n, sizeof(int)), *meets = grow(NULL, n, sizeof(int));
+    uint64_t *rec = grow(NULL, n, 4 * sizeof(uint64_t));
+    int side;
+    if (root == NULL || meets == NULL || rec == NULL)
+        goto done;
+    /* side 0: the domain as a 256-bit mask of points; side 1: the image,
+       as the mask of the key's byte values */
+    for (side = 0; side < 2; side++) {
+        memset(rec, 0, (size_t)n * 4 * sizeof(uint64_t));
+        for (i = 0; i < n; i++) {
+            const unsigned char *key =
+                (const unsigned char *)PyBytes_AS_STRING(PyTuple_GET_ITEM(keys, i));
+            uint64_t *mask = rec + 4 * i;
+            for (p = 0; p < key_len; p++) {
+                int bit = side == 0 ? (key[p] ? (int)p : -1) : key[p];
+                if (bit >= 0)
+                    mask[bit >> 6] |= (uint64_t)1 << (bit & 63);
+            }
+        }
+        if (dense_labels(rec, n, 4, side == 0 ? r : l) < 0)
+            goto done;
+    }
+    for (i = 0; i < n; i++)
+        rec[i] = (uint64_t)r[i] << 32 | (uint64_t)l[i];
+    if ((n_h = dense_labels(rec, n, 1, h)) < 0)
+        goto done;
+    /* D joins each element's R-class with an R-class its L-class meets */
+    for (i = 0; i < n; i++)
+        root[i] = (int)i, meets[i] = NO_ELEMENT;
+    for (i = 0; i < n; i++) {
+        if (meets[l[i]] == NO_ELEMENT)
+            meets[l[i]] = r[i];
+        root[find_root(root, r[i])] = find_root(root, meets[l[i]]);
+    }
+    for (i = 0; i < n; i++)
+        rec[i] = (uint64_t)find_root(root, r[i]);
+    if (dense_labels(rec, n, 1, d) < 0)
+        n_h = -1;
+done:
+    PyMem_Free(root);
+    PyMem_Free(meets);
+    PyMem_Free(rec);
+    return n_h;
+}
+
+PyDoc_STRVAR(green_doc,
+"green(keys)\n"
+"--\n\n"
+"Green's (R, L, H, D) labels of an inverse monoid's elements.\n\n"
+"Same contract as _tc_py.green: four tuples of dense labels, numbered\n"
+"by first occurrence in keys.  A key that is not bytes of the first\n"
+"key's length, or a length outside 2..256, raises ValueError.");
+
+static PyObject *
+green(PyObject *self, PyObject *arg)
+{
+    PyObject *keys, *first, *result = NULL, **ints = NULL;
+    Py_ssize_t n, i, key_len, n_h = 0;
+    int *labels = NULL, j;
+
+    if ((keys = PySequence_Tuple(arg)) == NULL)
+        return NULL;
+    n = PyTuple_GET_SIZE(keys);
+    first = n > 0 ? PyTuple_GET_ITEM(keys, 0) : NULL;
+    key_len = first != NULL && PyBytes_CheckExact(first) ? PyBytes_GET_SIZE(first) : 2;
+    if (check_degree(key_len - 1) < 0)
+        goto done;
+    for (i = 0; i < n; i++)
+        if (check_key(PyTuple_GET_ITEM(keys, i), key_len) < 0)
+            goto done;
+    if ((labels = grow(NULL, 4 * n, sizeof(int))) == NULL
+        || (n_h = green_labels(keys, key_len, labels)) < 0
+        || (ints = new_ints(n_h)) == NULL
+        || (result = PyTuple_New(4)) == NULL)
+        goto done;
+    for (j = 0; j < 4; j++) {
+        PyObject *out = PyTuple_New(n);
+        if (out == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyTuple_SET_ITEM(result, j, out);
+        for (i = 0; i < n; i++)
+            PyTuple_SET_ITEM(out, i, Py_NewRef(ints[labels[j * n + i]]));
+    }
+done:
+    if (ints != NULL)
+        free_ints(ints, n_h);
+    PyMem_Free(labels);
+    Py_DECREF(keys);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"run", (PyCFunction)(void (*)(void))run, METH_VARARGS | METH_KEYWORDS,
      run_doc},
+    {"close", close_monoid, METH_VARARGS, close_doc},
+    {"green", green, METH_O, green_doc},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_tc_core",
-    "Compiled congruence enumeration kernel; see dimon._tc_py.", -1, methods
+    "Compiled kernels: run, close and green; see dimon._tc_py.", -1, methods
 };
 
 PyMODINIT_FUNC

@@ -1,14 +1,16 @@
-"""Pure-Python congruence enumeration kernel.
+"""Pure-Python kernels: congruence enumeration, monoid closure, Green's.
 
-Table-filling over the right action of letters on classes, in the HLT
-style: classes are visited in creation order, every relation is traced
-at each live class (defining classes along the way), the class's row
-is then filled with new classes, and coincidences go through a FIFO
-queue with the smaller class id surviving.  This module is the
-reference and the fallback when no C compiler is available; the
-compiled kernel, the hand-written C extension _tc_core, implements the
-same procedure step for step, so both return equal tuples and stop
-at the same step cap.
+This module is the reference and the fallback when no C compiler is
+available.  The hand-written C extension _tc_core implements the same
+three functions: run, close and green.  Each C function follows its
+Python twin step for step and returns equal values.
+
+run: congruence enumeration.  Table-filling over the right action of
+letters on classes, in the HLT style: classes are visited in creation
+order, every relation is traced at each live class (defining classes
+along the way), the class's row is then filled with new classes, and
+coincidences go through a FIFO queue with the smaller class id
+surviving.
 
 A step is one letter traced, one letter of a row merged in a
 coincidence, or one class defined while filling a row.  The budget is
@@ -27,14 +29,24 @@ at every live class once the main loop ends:
   when the loop reached it, so every relation was scanned at that very
   class and its row was filled then.
 
-Both kernels return (status, table), the table a tuple of tuple rows:
+run returns (status, table, stats), the table a tuple of tuple rows:
 
     status 0  complete: table is the dense right-action table
     status 1  capped: class or step budget exhausted, no table
     status 2  the watch pair merged before completion, no table
 
 A complete watched run never merged its pair: the watch is checked
-after every scan, and only scans merge classes.
+after every scan, and only scans merge classes.  stats is a dict of
+the run's counters at its stop, whatever the status: classes_defined
+(class 0 included), peak_live_classes, coincidences (classes merged
+away) and steps.
+
+close: the breadth-first closure of a set of maps under right
+products (Froidure & Pin, 1997), on the maps' byte keys (see
+dimon.iperm).  green: Green's R, L, H and D labels of an inverse
+monoid's elements, read off their keys.  Both check every key they
+are given, and raise ValueError for one that is not bytes of the
+expected length.
 """
 
 from collections import deque
@@ -75,8 +87,9 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     watch: optional (lhs, rhs) pair; when given, the run stops as soon
     as the two words provably fall in one class.
 
-    Returns (status, table): table is a tuple of rows (one tuple per
-    class, class 0 = empty word) when status is 0, else None.  Status 0
+    Returns (status, table, stats): table is a tuple of rows (one tuple
+    per class, class 0 = empty word) when status is 0, else None, and
+    stats the run's counters (see the module docstring).  Status 0
     with a watch means the pair is in two classes of the table.  A
     letter id outside range(n_letters), in a relation or in the watch
     pair, raises ValueError, as does a negative n_letters.
@@ -90,6 +103,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     table = [[UNDEF] * n_letters]
     queue = deque()
     steps = 0
+    live = peak = 1
+    merges = 0
 
     def find(c):
         while parent[c] != c:
@@ -98,11 +113,14 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
         return c
 
     def new_class():
+        nonlocal live, peak
         cid = len(parent)
         if cid >= max_classes:
             raise _Capped
         parent.append(cid)
         table.append([UNDEF] * n_letters)
+        live += 1
+        peak = max(peak, live)
         return cid
 
     def trace_define(c, word):
@@ -119,7 +137,7 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
         return c
 
     def coincide(a, b):
-        nonlocal steps
+        nonlocal steps, live, merges
         queue.append((a, b))
         while queue:
             u, v = queue.popleft()
@@ -131,6 +149,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
                 u, v = v, u
             # smaller id survives, so class 0 is never displaced
             parent[v] = u
+            live -= 1
+            merges += 1
             row_v = table[v]
             row_u = table[u]
             for k in range(n_letters):
@@ -172,24 +192,25 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     def watch_merged():
         return w1 != UNDEF and find(w1) == find(w2)
 
-    try:
+    def enumerate_classes():
+        nonlocal w1, w2, steps
         if watch is not None:
             w1 = trace_define(0, watch[0])
             w2 = trace_define(find(0), watch[1])
             if watch_merged():
-                return (STATUS_WATCH_MERGED, None)
+                return STATUS_WATCH_MERGED
 
         c_idx = 0
         while c_idx < len(parent):
             if steps > max_steps:
-                return (STATUS_CAPPED, None)
+                return STATUS_CAPPED
             if find(c_idx) != c_idx:
                 c_idx += 1
                 continue
             for lhs, rhs in relations:
                 scan(find(c_idx), lhs, rhs)
                 if watch_merged():
-                    return (STATUS_WATCH_MERGED, None)
+                    return STATUS_WATCH_MERGED
             if find(c_idx) == c_idx:
                 row = table[c_idx]
                 for k in range(n_letters):
@@ -197,10 +218,115 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
                         steps += 1
                         row[k] = new_class()
             c_idx += 1
-    except _Capped:
-        return (STATUS_CAPPED, None)
+        return STATUS_COMPLETE
 
-    live = [c for c in range(len(parent)) if find(c) == c]
-    renumber = {c: i for i, c in enumerate(live)}
-    out = tuple(tuple([renumber[find(t)] for t in table[c]]) for c in live)
-    return (STATUS_COMPLETE, out)
+    try:
+        status = enumerate_classes()
+    except _Capped:
+        status = STATUS_CAPPED
+    stats = {
+        "classes_defined": len(parent),
+        "peak_live_classes": peak,
+        "coincidences": merges,
+        "steps": steps,
+    }
+    if status != STATUS_COMPLETE:
+        return (status, None, stats)
+
+    alive = [c for c in range(len(parent)) if find(c) == c]
+    renumber = {c: i for i, c in enumerate(alive)}
+    out = tuple(tuple([renumber[find(t)] for t in table[c]]) for c in alive)
+    return (STATUS_COMPLETE, out, stats)
+
+
+def _checked_keys(degree, keys):
+    """keys as a list, each the bytes key of a map of the given degree."""
+    if not 1 <= degree <= 255:
+        raise ValueError(f"degree must be 1 to 255, got {degree}")
+    keys = list(keys)
+    for key in keys:
+        if type(key) is not bytes or len(key) != degree + 1:
+            raise ValueError(f"expected a key of {degree + 1} bytes, got {key!r}")
+    return keys
+
+
+def close(degree, gen_keys, max_elements):
+    """Breadth-first closure of the identity under right products.
+
+    gen_keys are the generators' keys, each degree + 1 bytes.  Elements
+    are indexed in discovery order from the identity (element 0), over
+    (element, generator) pairs with the generators in the given order.
+    Element i then generator k is ``keys[i].translate(table_k)``, where
+    table_k is generator k's key padded to 256 bytes.
+
+    Returns (keys, rows, index): the elements' keys as a tuple of bytes,
+    the right table with rows[i][k] the index of element i times
+    generator k, and the dict from each key to its index.  Returns None
+    when the closure has more than max_elements elements; the identity
+    alone is kept whatever the cap.
+    """
+    tables = [key.ljust(256, b"\0") for key in _checked_keys(degree, gen_keys)]
+    one = bytes(range(degree + 1))
+    keys = [one]
+    index = {one: 0}
+    rows = []
+
+    pos = 0
+    while pos < len(keys):
+        current = keys[pos]
+        row = []
+        for table in tables:
+            product = current.translate(table)
+            target = index.get(product)
+            if target is None:
+                if len(keys) >= max_elements:
+                    return None
+                target = len(keys)
+                index[product] = target
+                keys.append(product)
+            row.append(target)
+        rows.append(tuple(row))
+        pos += 1
+    return tuple(keys), tuple(rows), index
+
+
+def _dense(keys):
+    """Renumber hashable keys 0, 1, ... by first occurrence."""
+    ids = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
+#: Byte translation table: 0 (undefined) to 0, every point to 1.
+_DOM = bytes((0,)) + bytes((1,)) * 255
+
+
+def green(keys):
+    """Green's (R, L, H, D) labels of an inverse monoid's elements.
+
+    keys are the elements' keys, all of one length.  Each label tuple
+    numbers its classes densely by first occurrence in keys.  f R g iff
+    dom f = dom g, read off the key's nonzero bytes, and f L g iff
+    im f = im g, read off the set of its bytes; these hold in an inverse
+    monoid only, which the caller checks.  H is the common refinement
+    of R and L.  D = R o L, the join of R and L: a union-find joins each
+    element's R-class with an R-class that meets its L-class.
+    """
+    keys = list(keys)
+    first = keys[0] if keys else None
+    keys = _checked_keys(len(first) - 1 if type(first) is bytes else 1, keys)
+    r = _dense(key.translate(_DOM) for key in keys)
+    l = _dense(frozenset(key) for key in keys)
+    root = list(range(len(keys)))  # union-find over the R-classes
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    meets = {}  # L-class -> an R-class it meets
+    for a, b in zip(r, l):
+        x, y = find(a), find(meets.setdefault(b, a))
+        root[x] = y
+    d = _dense(find(a) for a in r)
+    return r, l, _dense(zip(r, l)), d

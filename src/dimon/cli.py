@@ -23,7 +23,12 @@ import click
 from . import congruence, monoids, presentations
 from .congruence import MAX_CLASSES, MAX_STEPS, EnumerationCaps, Verdict
 from .monoids import MonoidFamily
-from .presentations import FORMS_SEED, TARGET_MONOID, RelationFamily
+from .presentations import (
+    ELIMINATION_CHAINS,
+    FORMS_SEED,
+    TARGET_MONOID,
+    RelationFamily,
+)
 
 # printed in the order of the standard count table
 COUNT_ORDER = (
@@ -252,37 +257,46 @@ def forms(family, n, as_json):
 
 
 @main.command()
-@click.option("--chain", type=click.Choice(["odi", "opdi"]), required=True)
+@click.option("--chain", type=click.Choice(list(ELIMINATION_CHAINS)), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
 def tietze(chain, n, as_json):
-    """Replay a generator-elimination chain and re-verify class counts."""
-    if chain == "odi":
-        target, build_chain = MonoidFamily.ODI, presentations.odi_elimination_chain
-    else:
-        target, build_chain = MonoidFamily.OPDI, presentations.opdi_elimination_chain
+    """Replay a generator-elimination chain and verify every step.
+
+    Each step is checked as verify-presentation checks a family: against
+    the target monoid, under the assignment of the chain's family.
+    """
+    family, build_chain = ELIMINATION_CHAINS[chain]
+    target = TARGET_MONOID[family]
     m = _from_input("'--n'", monoids.build_named, target, n)
     steps = _from_input("'--n'", build_chain, n)
+    a = presentations.build_assignment(family, n)
     caps = _caps()
     lines = []
     rows = []
-    counts = []
+    verdicts = []
     for p in steps:
-        r = congruence.enumerate_congruence(p, caps)
-        counts.append(r.class_count)
+        v = congruence.verify_presentation(p, a, m, caps)
+        verdicts.append(v)
         lines.append(f"{p.label}: {len(p.letters)} letters, "
-                     f"{r.class_count} classes")
+                     f"{v.class_count} classes")
         rows.append({"label": p.label, "letters": len(p.letters),
-                     "classes": r.class_count})
-    if None in counts:
+                     "classes": v.class_count})
+    failing = [tag for v in verdicts for tag in v.failing_tags]
+    outcomes = {v.verdict for v in verdicts}
+    if failing:
+        verdict = Verdict.FAIL
+        lines.append(f"FAIL, relations do not hold: {', '.join(failing)}")
+    elif Verdict.FAIL in outcomes:
+        verdict = Verdict.FAIL
+        counts = [v.class_count for v in verdicts]
+        lines.append(f"FAIL, class counts {counts} vs size {m.size}")
+    elif Verdict.INDETERMINATE in outcomes:
         verdict = Verdict.INDETERMINATE
         lines.append(f"INDETERMINATE, enumeration capped before {m.size}")
-    elif len(set(counts)) == 1 and counts[0] == m.size:
+    else:
         verdict = Verdict.PASS
         lines.append(f"PASS, class count preserved at {m.size} = |{target.value}({n})|")
-    else:
-        verdict = Verdict.FAIL
-        lines.append(f"FAIL, class counts {counts} vs size {m.size}")
     payload = {"verb": "tietze", "chain": chain, "n": n, "steps": rows,
                "verdict": verdict.value, "size": m.size,
                "backend": congruence.BACKEND}
@@ -323,7 +337,7 @@ def formulas(n_range, as_json):
     for n in rng:
         cards = {}
         parts = []
-        for fam in (MonoidFamily.ODI, MonoidFamily.MDI, MonoidFamily.OCI):
+        for fam in monoids.CARDINALITY_FORMS:
             want = _from_input("'--n-range'", monoids.cardinality_formula, fam, n)
             got = _from_input("'--n-range'", monoids.build_named, fam, n).size
             ok &= want == got

@@ -15,17 +15,20 @@ as a wrong answer; a completed run can overcount nothing and
 undercount nothing.
 
 The kernel is the compiled extension dimon._tc_core when it was built,
-and the pure-Python dimon._tc_py otherwise; both implement the identical
-procedure and return identical (status, table) pairs, the table a tuple
-of tuple rows or None, which EnumerationResult keeps as it came.
-BACKEND names the active one ("compiled" or "pure").  setup.py compiles
-the extension from the hand-written C source _tc_core.c, which follows
-_tc_py step for step.  The kernel reads each presentation's relations
-as Presentation.relation_ids, encoded once; both kernels raise
-ValueError for a letter id outside range(n_letters).  A watched run
-(is_consequence) that completes never merged its pair, so the answer
-is no: the watch is checked after every scan, and only scans merge
-classes.
+and the pure-Python dimon._tc_py otherwise; dimon.monoids chooses it
+once, for closure as well, and this module re-exports that choice as
+_kernel and BACKEND ("compiled" or "pure").  Both kernels implement the
+identical procedure and return identical (status, table, stats)
+triples: the table a tuple of tuple rows or None, which
+EnumerationResult keeps as it came, and stats the run's counters
+(classes defined, peak live classes, coincidences, steps), which it
+keeps too.  setup.py compiles the extension from the hand-written C
+source _tc_core.c, which follows _tc_py step for step.  The kernel
+reads each presentation's relations as Presentation.relation_ids,
+encoded once; both kernels raise ValueError for a letter id outside
+range(n_letters).  A watched run (is_consequence) that completes never
+merged its pair, so the answer is no: the watch is checked after every
+scan, and only scans merge classes.
 
 Checking a presentation or a forms set against a concrete monoid goes
 through class_elements: a complete table is walked breadth-first from
@@ -49,7 +52,7 @@ import enum
 import functools
 import os
 
-from .monoids import FiniteMonoid, verify_generates
+from .monoids import BACKEND, FiniteMonoid, _kernel, verify_generates
 from .presentations import (
     Assignment,
     FormsSet,
@@ -57,16 +60,6 @@ from .presentations import (
     Relation,
     check_relations_hold,
 )
-
-try:
-    from . import _tc_core as _kernel
-
-    BACKEND = "compiled"
-except ImportError:
-    from . import _tc_py as _kernel
-
-    BACKEND = "pure"
-
 
 class IndeterminateError(RuntimeError):
     """A capped enumeration left the question undecided."""
@@ -123,12 +116,15 @@ class EnumerationResult:
 
     When complete, table[c][k] is the class of (word of class c)
     followed by letter k, and class 0 is the class of the empty word.
-    A capped run has no table.
+    A capped run has no table.  stats holds the kernel's counters at
+    the run's stop, complete or capped: classes_defined,
+    peak_live_classes, coincidences and steps.
     """
 
     letters: "tuple[str, ...]"
     table: "tuple[tuple[int, ...], ...] | None"
     caps: EnumerationCaps
+    stats: "dict[str, int]"
 
     @property
     def is_complete(self) -> bool:
@@ -153,11 +149,13 @@ class EnumerationResult:
 
     def to_json_dict(self) -> dict:
         if self.is_complete:
-            return {"status": "complete", "classes": self.class_count}
+            return {"status": "complete", "classes": self.class_count,
+                    "stats": dict(self.stats)}
         return {
             "status": "capped",
             "max_classes": self.caps.max_classes,
             "max_steps": self.caps.max_steps,
+            "stats": dict(self.stats),
         }
 
 
@@ -172,10 +170,10 @@ def enumerate_congruence(
     2
     """
     caps = caps or EnumerationCaps.default()
-    _, table = _kernel.run(
+    _, table, stats = _kernel.run(
         len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps
     )
-    return EnumerationResult(p.letters, table, caps)
+    return EnumerationResult(p.letters, table, caps, stats)
 
 
 def is_consequence(
@@ -189,7 +187,7 @@ def is_consequence(
     """
     caps = caps or EnumerationCaps.default()
     watch = (p.word_ids(rel.lhs), p.word_ids(rel.rhs))
-    status, _ = _kernel.run(
+    status, _, _ = _kernel.run(
         len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch
     )
     if status == _kernel.STATUS_CAPPED:

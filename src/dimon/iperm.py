@@ -33,7 +33,7 @@ from typing import Iterable
 Point = int
 
 
-def _check_degree(degree: int) -> None:
+def check_degree(degree: int) -> None:
     """A point is stored in a byte, so the degree is 1 to 255."""
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
@@ -65,7 +65,7 @@ class PartialPerm:
         if type(key) is not bytes:
             raise TypeError(f"key must be bytes, got {type(key).__name__}")
         n = len(key) - 1
-        _check_degree(n)
+        check_degree(n)
         if key[0]:
             raise ValueError(f"byte 0 of a key must be 0, got {key[0]}")
         if max(key) > n:
@@ -92,7 +92,7 @@ class PartialPerm:
         cls, degree: int, pairs: Iterable[tuple[Point, Point]]
     ) -> "PartialPerm":
         """Build a map from (point, image) pairs."""
-        _check_degree(degree)
+        check_degree(degree)
         key = bytearray(degree + 1)
         for p, q in pairs:
             if not 1 <= p <= degree:
@@ -149,7 +149,7 @@ def partial_identity(n: int, points: Iterable[Point]) -> PartialPerm:
 
 def identity(n: int) -> PartialPerm:
     """The total identity map on {1, ..., n}."""
-    _check_degree(n)
+    check_degree(n)
     return PartialPerm(bytes(range(n + 1)))
 
 
@@ -174,7 +174,7 @@ def named_generator(name: str, n: int) -> PartialPerm:
     >>> named_generator("x_2", 5).pairs()
     ((1, 1), (3, 4))
     """
-    _check_degree(n)
+    check_degree(n)
     if name == "g":
         return PartialPerm.from_pairs(n, ((p, p % n + 1) for p in range(1, n + 1)))
     if name == "h":

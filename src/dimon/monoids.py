@@ -22,6 +22,13 @@ Closure works on each element's ``PartialPerm.key`` and composes with
 ``table()``.  The key index closure builds stays with the monoid and
 serves ``index``, ``in`` and ``right_action``, which gives the action
 of any element on the right as a column of indices.
+
+The closure loop and Green's labelling run in a kernel: the compiled
+extension dimon._tc_core when it was built, the pure-Python
+dimon._tc_py otherwise, which the C one follows step for step.  This
+module chooses it once, as _kernel, and BACKEND names it ("compiled"
+or "pure"); dimon.congruence enumerates with the same module.
+closure and green_classes check their input and call the kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +39,16 @@ import functools
 import itertools
 import operator
 
-from .iperm import PartialPerm, compose, identity, inverse, named_generator
+from .iperm import PartialPerm, check_degree, compose, inverse, named_generator
+
+try:
+    from . import _tc_core as _kernel
+
+    BACKEND = "compiled"
+except ImportError:
+    from . import _tc_py as _kernel
+
+    BACKEND = "pure"
 
 
 class MonoidFamily(enum.Enum):
@@ -138,51 +154,31 @@ def closure(
     given order.  Only the right products are composed (Froidure & Pin,
     1997); the left table and the elements as PartialPerm are left to
     FiniteMonoid to build on first use.  The monoid keeps the key index
-    the search built.
+    the search built.  The kernel's close does the search.
 
     An element is its ``PartialPerm.key``, and f then g is
-    ``f.key.translate(g.table())``.  A degree outside 1..255 raises
-    ValueError.
+    ``f.key.translate(g.table())``.  A degree outside 1..255, or a
+    generator of another degree, raises ValueError; a closure with more
+    than max_elements elements raises ClosureCapError.
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
     4
     """
-    one = identity(degree).key
+    check_degree(degree)
     gens = list(gens)
     for f in gens:
         if f.degree != degree:
             raise ValueError(f"generator degree {f.degree} != {degree}")
-
-    tables = [g.table() for g in gens]
-    keys = [one]
-    index = {one: 0}
-    rows: list[tuple[int, ...]] = []
-
-    pos = 0
-    while pos < len(keys):
-        current = keys[pos]
-        row = []
-        for table in tables:
-            product = current.translate(table)
-            target = index.get(product)
-            if target is None:
-                if len(keys) >= max_elements:
-                    raise ClosureCapError(
-                        f"closure exceeded cap of {max_elements} elements"
-                    )
-                target = len(keys)
-                index[product] = target
-                keys.append(product)
-            row.append(target)
-        rows.append(tuple(row))
-        pos += 1
-
+    closed = _kernel.close(degree, [f.key for f in gens], max_elements)
+    if closed is None:
+        raise ClosureCapError(f"closure exceeded cap of {max_elements} elements")
+    keys, rows, index = closed
     return FiniteMonoid(
         degree=degree,
-        keys=tuple(keys),
-        generators=tuple(index[g.key] for g in gens),
-        right_cayley=tuple(rows),
+        keys=keys,
+        generators=tuple(index[f.key] for f in gens),
+        right_cayley=rows,
         _index=index,
     )
 
@@ -252,8 +248,31 @@ def build_named(family: MonoidFamily, n: int) -> FiniteMonoid:
     return closure(n, maps)
 
 
+def _odi_size(n: int) -> int:
+    correction = n * n // 4 if n % 2 == 0 else 0
+    return 3 * 2**n + (n + 1) * n * (n - 1) // 6 - correction - 2 * n - 2
+
+
+def _mdi_size(n: int) -> int:
+    correction = 3 * n * n // 2 if n % 2 == 0 else n * n
+    return 3 * 2 ** (n + 1) + (n + 1) * n * (n - 1) // 3 - correction - 4 * n - 5
+
+
+def _oci_size(n: int) -> int:
+    return 3 * 2**n - 2 * n - 2
+
+
+#: The closed-form size of each family that has one, in the order
+#: ``dimon formulas`` prints them; cardinality_formula reads it.
+CARDINALITY_FORMS = {
+    MonoidFamily.ODI: _odi_size,
+    MonoidFamily.MDI: _mdi_size,
+    MonoidFamily.OCI: _oci_size,
+}
+
+
 def cardinality_formula(family: MonoidFamily, n: int) -> int:
-    """Closed-form size for the families that have one (ODI, MDI, OCI).
+    """Closed-form size for the families in CARDINALITY_FORMS.
 
     >>> cardinality_formula(MonoidFamily.ODI, 5)
     104
@@ -263,18 +282,12 @@ def cardinality_formula(family: MonoidFamily, n: int) -> int:
     84
     """
     _check_n(family, n)
-    if family == MonoidFamily.ODI:
-        correction = n * n // 4 if n % 2 == 0 else 0
-        return 3 * 2**n + (n + 1) * n * (n - 1) // 6 - correction - 2 * n - 2
-    if family == MonoidFamily.MDI:
-        correction = 3 * n * n // 2 if n % 2 == 0 else n * n
-        return 3 * 2 ** (n + 1) + (n + 1) * n * (n - 1) // 3 - correction - 4 * n - 5
-    if family == MonoidFamily.OCI:
-        return 3 * 2**n - 2 * n - 2
-    raise ValueError(
-        f"no closed cardinality form for family {family.value}; "
-        "size is defined operationally by closure"
-    )
+    if family not in CARDINALITY_FORMS:
+        raise ValueError(
+            f"no closed cardinality form for family {family.value}; "
+            "size is defined operationally by closure"
+        )
+    return CARDINALITY_FORMS[family](n)
 
 
 def rank_formula(family: MonoidFamily, n: int) -> int:
@@ -348,16 +361,6 @@ class GreenClasses:
         }
 
 
-def _dense(keys) -> tuple[int, ...]:
-    """Renumber hashable keys 0, 1, ... by first occurrence."""
-    ids: dict = {}
-    return tuple(ids.setdefault(key, len(ids)) for key in keys)
-
-
-#: Byte translation table: 0 (undefined) to 0, every point to 1.
-_DOM = bytes((0,)) + bytes((1,)) * 255
-
-
 def green_classes(m: FiniteMonoid) -> GreenClasses:
     """Green's R, L, H and D (= J, the monoid is finite) classes of an
     inverse monoid.
@@ -366,10 +369,9 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
     otherwise: m is when every generator's inverse is in it, since
     (s_1...s_k)^-1 = s_k^-1...s_1^-1.  In an inverse monoid of partial
     permutations f R g iff dom f = dom g and f L g iff im f = im g, so
-    R is read off each key's domain bytes and L off the set of its
-    bytes.  H is the common refinement of R and L.  D = R o L in every
-    semigroup, so D is the join of R and L: a union-find joins each
-    element's R-class with its L-class.
+    the kernel's green reads R off each key's domain and L off its
+    image.  H is the common refinement of R and L.  D = R o L in every
+    semigroup, so D is the join of R and L.
     """
     for g in m.generators:
         if inverse(m.element(g)) not in m:
@@ -377,22 +379,7 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
                 "Green's classes need an inverse monoid: the inverse of "
                 f"element {g}, a generator, is not in the monoid"
             )
-    r = _dense(key.translate(_DOM) for key in m.keys)
-    l = _dense(frozenset(key) for key in m.keys)
-    root = list(range(max(r) + 1))  # union-find over the R-classes
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    meets: dict[int, int] = {}  # L-class -> an R-class it meets
-    for a, b in zip(r, l):
-        x, y = find(a), find(meets.setdefault(b, a))
-        root[x] = y
-    d = _dense(find(a) for a in r)
-    return GreenClasses(r=r, l=l, h=_dense(zip(r, l)), d=d)
+    return GreenClasses(*_kernel.green(m.keys))
 
 
 def right_cayley_dot(m: FiniteMonoid) -> str:

@@ -866,6 +866,16 @@ def opdi_elimination_chain(n: int) -> "tuple[Presentation, ...]":
     return tuple(chain)
 
 
+#: Each generator-elimination chain by its ``dimon tietze --chain`` name:
+#: the relation family its first presentation is built from, and the
+#: builder of the chain.  Every step drops letters and keeps the rest, so
+#: it presents the family's TARGET_MONOID under the family's assignment.
+ELIMINATION_CHAINS = {
+    "odi": (RelationFamily.R, odi_elimination_chain),
+    "opdi": (RelationFamily.Q, opdi_elimination_chain),
+}
+
+
 def wprime1_words(n: int) -> "tuple[tuple[str, ...], ...]":
     """The 1 + n^2 required representatives of the empty and rank-1 maps.
 

@@ -150,14 +150,18 @@ def test_criterion_4_presentation_theorems():
 
 
 def test_criterion_5_tietze_chains():
+    # every step presents the target under the family's own assignment
     for n in (4, 5):
-        for chain, target in (
-            (odi_elimination_chain(n), MonoidFamily.ODI),
-            (opdi_elimination_chain(n), MonoidFamily.OPDI),
+        for build_chain, family, target in (
+            (odi_elimination_chain, RelationFamily.R, MonoidFamily.ODI),
+            (opdi_elimination_chain, RelationFamily.Q, MonoidFamily.OPDI),
         ):
-            size = build_named(target, n).size
-            counts = [enumerate_congruence(p).class_count for p in chain]
-            assert counts == [size] * len(chain), (target, n, counts)
+            m = build_named(target, n)
+            a = build_assignment(family, n)
+            for p in build_chain(n):
+                v = verify_presentation(p, a, m)
+                assert v.verdict is Verdict.PASS, (p.label, v)
+                assert v.class_count == m.size, (p.label, v)
     # Vbar is V with the reflection letter h adjoined: V's relations,
     # h h = 1, one h a = w h for letters a of V, and u h = v to close
     for n in range(4, 9):

@@ -14,6 +14,7 @@ from dimon import congruence, monoids, presentations
 from dimon.cli import main
 from dimon.monoids import MonoidFamily
 from dimon.presentations import FORMS_SEED, RelationFamily, build_relations
+from oracles import tagged, without
 
 
 @pytest.fixture
@@ -177,6 +178,29 @@ def test_tietze(runner):
     assert [step["letters"] for step in data["steps"]] == [6, 5, 4, 3]
 
 
+def test_tietze_checks_every_step_against_the_monoid(runner, monkeypatch):
+    """A step whose relations fail under the family's assignment fails the
+    chain, and so does one whose classes outnumber the monoid."""
+    def wrong_substitution(n):
+        p = presentations.build_relations(RelationFamily.R, n)
+        # e_n is x y; y x is e_1
+        return (p, presentations.eliminate_generator(p, f"e_{n}", ("y", "x")))
+
+    def relation_dropped(n):
+        p = presentations.build_relations(RelationFamily.R, n)
+        return (p, without(p, p.relations.index(tagged(p, "R_11")[0])))
+
+    for build_chain, message in (
+        (wrong_substitution, "FAIL, relations do not hold: "),
+        (relation_dropped, "FAIL, class counts [44, 45] vs size 44"),
+    ):
+        monkeypatch.setitem(presentations.ELIMINATION_CHAINS, "odi",
+                            (RelationFamily.R, build_chain))
+        res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4"])
+        assert res.exit_code == 1, res.output
+        assert res.output.splitlines()[-1].startswith(message), res.output
+
+
 def test_green(runner):
     res = runner.invoke(main, ["green", "--family", "di", "--n", "4", "--json"])
     assert res.exit_code == 0
@@ -299,8 +323,9 @@ def test_degree_is_checked_before_anything_large_is_built(runner, monkeypatch, a
     def refuse(*args):
         raise AssertionError("built before the degree was checked")
 
-    for name in ("build_relations", "odi_elimination_chain", "opdi_elimination_chain"):
-        monkeypatch.setattr(presentations, name, refuse)
+    monkeypatch.setattr(presentations, "build_relations", refuse)
+    for chain, (family, _) in presentations.ELIMINATION_CHAINS.items():
+        monkeypatch.setitem(presentations.ELIMINATION_CHAINS, chain, (family, refuse))
     monkeypatch.setattr(congruence, "enumerate_congruence", refuse)
     res = runner.invoke(main, args)
     assert res.exit_code == 2

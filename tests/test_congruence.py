@@ -1,14 +1,7 @@
 """Congruence enumeration: counts, verdicts, consequences, invariants."""
 
 import doctest
-import importlib.util
-import os
-import pathlib
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
 import tracemalloc
 
 import pytest
@@ -42,8 +35,6 @@ from dimon.presentations import (
     evaluate,
 )
 from oracles import tagged, without
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # class counts double-checked against the closure sizes
 CLASS_COUNTS = {
@@ -110,7 +101,11 @@ def test_enumerate_trivial():
     assert r.is_complete and r.class_count == 2
     assert r.word_class(()) == 0
     assert r.word_class(("a",)) == r.word_class(("a", "a", "a"))
-    assert r.to_json_dict() == {"status": "complete", "classes": 2}
+    # a a traced from class 0 defines classes 1 and 2, and a a = a then
+    # merges class 2 into class 1: seven steps in all
+    stats = {"classes_defined": 3, "peak_live_classes": 3, "coincidences": 1, "steps": 7}
+    assert r.stats == stats
+    assert r.to_json_dict() == {"status": "complete", "classes": 2, "stats": stats}
 
 
 def test_result_holds_the_kernel_table(monkeypatch):
@@ -196,7 +191,7 @@ def with_entry(r, c, k, t):
     row = list(table[c])
     row[k] = t
     table[c] = tuple(row)
-    return EnumerationResult(r.letters, tuple(table), r.caps)
+    return EnumerationResult(r.letters, tuple(table), r.caps, r.stats)
 
 
 @pytest.mark.parametrize(
@@ -228,7 +223,7 @@ def test_class_elements_rejects_an_unreached_class():
     r = enumerate_congruence(build_relations(RelationFamily.R, n))
     a = build_assignment(RelationFamily.R, n)
     m = build_named(MonoidFamily.ODI, n)
-    extra = EnumerationResult(r.letters, r.table + (r.table[5],), r.caps)
+    extra = EnumerationResult(r.letters, r.table + (r.table[5],), r.caps, r.stats)
     assert class_elements(extra, a, m) is None
 
 
@@ -266,43 +261,6 @@ def test_enumeration_is_deterministic():
     r2 = enumerate_congruence(p)
     assert r1.table == r2.table
     assert r1.class_count == r2.class_count
-
-
-@pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The kernel that setup.py compiles from the hand-written _tc_core.c.
-
-    It is built into a temporary directory and loaded from there, so the
-    tests run it on a fresh checkout and write nothing under src/.
-    """
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    headers = pathlib.Path(sysconfig.get_paths()["include"], "Python.h")
-    if shutil.which(cc) is None or not headers.is_file():
-        pytest.skip("no C compiler or no Python headers to build the compiled kernel")
-    out = tmp_path_factory.mktemp("tc_core")
-    # -Werror joins Python's own warning flags: a compiler warning fails
-    cflags = f"{os.environ.get('CFLAGS', '')} -Werror".strip()
-    done = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
-        cwd=ROOT, capture_output=True, text=True,
-        env={**os.environ, "CFLAGS": cflags},
-    )
-    built = sorted((out / "lib" / "dimon").glob("_tc_core*"))
-    if not built:
-        pytest.fail(f"setup.py built no kernel:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
-    spec = importlib.util.spec_from_file_location("dimon._tc_core", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def kernel(request):
-    """Each kernel in turn: _tc_py, then the compiled one."""
-    if request.param == "pure":
-        return _tc_py
-    return request.getfixturevalue("compiled_kernel")
 
 
 def trace(table, c, word):
@@ -358,7 +316,7 @@ def test_backends_identical(compiled_kernel):
     for max_steps in (0, 1, 2, 3, 10, 999, 12_000):
         out_py = _tc_py.run(2, (), 10**5, max_steps)
         assert out_py == compiled_kernel.run(2, (), 10**5, max_steps)
-        assert out_py == (_tc_py.STATUS_CAPPED, None)
+        assert out_py[:2] == (_tc_py.STATUS_CAPPED, None)
     # letter 1 is free, so row filling defines its classes: the watched
     # run's outcome at each step cap depends on that filling counting
     # steps the same way in both kernels
@@ -412,11 +370,14 @@ def test_every_relation_holds_at_every_class(kernel, family):
     must leave each of them holding at every class, not only at class 0."""
     for n in (4, 5):
         p = build_relations(family, n)
-        status, table = kernel.run(len(p.letters), p.relation_ids, 10**6, 10**8)
+        status, table, stats = kernel.run(len(p.letters), p.relation_ids, 10**6, 10**8)
         assert status == kernel.STATUS_COMPLETE
         assert type(table) is tuple and {type(row) for row in table} == {tuple}
         assert len(table) == CLASS_COUNTS[family][n]
         assert_relations_hold_at_every_class(table, p.relation_ids)
+        # each coincidence merges one class away for good
+        assert stats["classes_defined"] - stats["coincidences"] == len(table)
+        assert len(table) <= stats["peak_live_classes"] <= stats["classes_defined"]
 
 
 def test_row_filling_counts_steps(kernel):
@@ -429,7 +390,10 @@ def test_row_filling_counts_steps(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == (kernel.STATUS_CAPPED, None)
+    # classes 0..5 fill their rows in 12 steps, 12 > 10 stops class 6
+    assert out == (kernel.STATUS_CAPPED, None, {
+        "classes_defined": 13, "peak_live_classes": 13, "coincidences": 0, "steps": 12,
+    })
     # 10**5 classes would take 1.2 MB in the compiled kernel's arrays
     assert peak < 2**18
 
@@ -479,8 +443,8 @@ def test_compiled_caps_beyond_c_types(compiled_kernel):
         compiled_kernel.run(2**31, (), 10, 10)
     # the largest caps are accepted (a negative step cap stops at once)
     capped = (_tc_py.STATUS_CAPPED, None)
-    assert compiled_kernel.run(1, (), 2**31 - 1, -1) == capped
-    assert compiled_kernel.run(1, (), 10, 2**63 - 1) == capped
+    assert compiled_kernel.run(1, (), 2**31 - 1, -1)[:2] == capped
+    assert compiled_kernel.run(1, (), 10, 2**63 - 1)[:2] == capped
 
 
 def test_power_identities_follow_from_u():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import dimon.monoids as monoids
+from dimon import _tc_py
 from dimon.iperm import compose, identity, inverse, named_generator
 from dimon.monoids import (
     ClosureCapError,
@@ -341,6 +342,109 @@ def test_green_classes_structure():
         for j in range(m.size):
             if g.d[i] == g.d[j]:
                 assert len(m.elements[i].pairs()) == len(m.elements[j].pairs())
+
+
+def _defined_families(n):
+    """Each family with its generator keys at degree n, where it is defined."""
+    for family in MonoidFamily:
+        try:
+            maps = generating_maps(family, n)
+        except ValueError:
+            continue
+        yield family, [f.key for _, f in maps]
+
+
+def test_kernels_close_and_label_alike(compiled_kernel):
+    """The compiled close and green return what _tc_py's do: the same
+    keys in the same order, the same right table and key index, and the
+    same dense R, L, H and D labels, for every family at n = 1..8."""
+    cases = 0
+    for n in range(1, 9):
+        for family, gen_keys in _defined_families(n):
+            closed = _tc_py.close(n, gen_keys, 10**6)
+            assert compiled_kernel.close(n, gen_keys, 10**6) == closed, (family, n)
+            keys = closed[0]
+            assert compiled_kernel.green(keys) == _tc_py.green(keys), (family, n)
+            cases += 1
+    assert cases == 51
+    # the cyclic group of the largest degree: 255 keys of 256 bytes
+    g = [named_generator("g", 255).key]
+    closed = _tc_py.close(255, g, 255)
+    assert len(closed[0]) == 255
+    assert compiled_kernel.close(255, g, 255) == closed
+    assert compiled_kernel.green(closed[0]) == _tc_py.green(closed[0])
+    assert compiled_kernel.green([]) == _tc_py.green([]) == ((), (), (), ())
+
+
+def test_kernels_cap_closure_alike(compiled_kernel):
+    """A cap of exactly the size completes in both kernels; one below it
+    stops both, at the element that would pass it."""
+    gen_keys = [f.key for _, f in generating_maps(MonoidFamily.DI, 6)]
+    size = KNOWN_SIZES[MonoidFamily.DI][6]
+    closed = _tc_py.close(6, gen_keys, size)
+    assert len(closed[0]) == size
+    assert compiled_kernel.close(6, gen_keys, size) == closed
+    for cap in (size - 1, 10, 1, 0):
+        assert _tc_py.close(6, gen_keys, cap) is None
+        assert compiled_kernel.close(6, gen_keys, cap) is None
+    # the identity alone is kept whatever the cap
+    for kernel in (_tc_py, compiled_kernel):
+        assert kernel.close(6, [], 0) == ((bytes(range(7)),), ((),), {bytes(range(7)): 0})
+
+
+@pytest.mark.parametrize("degree, gen_keys", [
+    (4, [b"\0\1\2\3"]),  # a key one byte short
+    (4, [b"\0\2\3\4\1\0"]),  # one byte long
+    (4, [bytes(range(5)), bytearray(range(5))]),  # not bytes
+    (4, ["\0\1\2\3\4"]),  # a str
+    (4, [None]),
+    (0, []),
+    (0, [b"\0"]),
+    (256, []),
+    (256, [bytes(257)]),
+    (-1, []),
+])
+def test_kernels_refuse_malformed_keys(kernel, degree, gen_keys):
+    """close refuses a degree outside 1..255 and a key that is not bytes
+    of length degree + 1, with ValueError from both kernels."""
+    with pytest.raises(ValueError):
+        kernel.close(degree, gen_keys, 100)
+
+
+@pytest.mark.parametrize("keys", [
+    [bytes(range(5)), bytes(range(4))],  # two lengths
+    [bytes(range(5)), bytearray(range(5))],
+    [None],
+    [b"\0"],  # degree 0
+    [b""],
+    [bytes(257)],  # degree 256
+])
+def test_kernels_refuse_malformed_green_keys(kernel, keys):
+    with pytest.raises(ValueError):
+        kernel.green(keys)
+
+
+def test_closure_and_green_call_the_kernel(monkeypatch):
+    """closure and green_classes check their input, then hand the work
+    to the backend's kernel."""
+    calls = []
+
+    class Kernel:
+        def close(self, *args):
+            calls.append("close")
+            return _tc_py.close(*args)
+
+        def green(self, keys):
+            calls.append("green")
+            return _tc_py.green(keys)
+
+    monkeypatch.setattr(monoids, "_kernel", Kernel())
+    m = build_named(MonoidFamily.DI, 4)
+    assert green_classes(m).counts() == {"r": 16, "l": 16, "h": 54, "d": 6}
+    assert calls == ["close", "green"]
+    with pytest.raises(ValueError, match="generator degree 5 != 4"):
+        closure(4, [named_generator("g", 5)])
+    assert calls == ["close", "green"]
 
 
 def test_right_cayley_dot_smoke():
