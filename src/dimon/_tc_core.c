@@ -4,20 +4,26 @@
    against the CPython C API.  See _tc_py for each procedure, the
    argument that no final sweep is needed, and the status protocol.
 
+   Every table and label array comes back as one bytes object of native
+   int32 cells, row-major; no Python object is built per cell.
+
    run: the same class creation order, the same coincidence handling,
-   the same step count and the same renumbering, so both kernels return
-   equal (status, table, stats) triples.  Class ids are C ints and the
+   the same step count and the same standardized renumbering (live
+   classes breadth-first from class 0), so both kernels return equal
+   (status, table, stats) triples.  Class ids are C ints and the
    step count a C long long; run() raises OverflowError for a cap
    beyond either.
 
    close: the same elements in the same breadth-first order, found
    through an open-addressing hash table over the keys.  It checks
    every key before copying it into a 256-byte table, and finishes the
-   closure in C arrays, so a capped closure builds no Python object.
+   closure in C arrays, so a capped closure builds no Python object;
+   the right table is those arrays' bytes.
 
    green: R and L labels from 256-bit masks of each key's domain and
    image, H from the pair, D from a union-find over the R-classes; the
-   labels are dense by first occurrence, so equal to _tc_py's.
+   labels are dense by first occurrence, so equal to _tc_py's, and
+   come back as int32 bytes with the four class counts.
 
    Every allocation failure raises MemoryError. */
 
@@ -360,37 +366,44 @@ enumerate(State *s, const Words *w, Py_ssize_t n_rels)
     return STATUS_COMPLETE;
 }
 
-/* The live classes' rows as tuples, classes renumbered in id order. */
+/* The live classes' rows as int32 bytes, standardized: classes numbered
+   breadth-first from class 0, each row's targets read in letter order.
+   Every live class is reached (see _tc_py), and the check that says so
+   keeps unwritten cells out of the result. */
 static PyObject *
 dense_table(State *s)
 {
-    PyObject *out = NULL, *r;
+    PyObject *out = NULL;
     int *renum = resize(NULL, s->n_classes, 1);
-    int c, k, live = 0;
-    if (renum == NULL)
-        return NULL;
-    for (c = 0; c < s->n_classes; c++)
-        renum[c] = find(s, c) == c ? live++ : UNDEF;
-    if ((out = PyTuple_New(live)) == NULL)
+    int *order = resize(NULL, s->live, 1);
+    int *cells, head, next = 1, k;
+    if (renum == NULL || order == NULL)
         goto done;
-    for (c = 0; c < s->n_classes; c++) {
-        if (renum[c] == UNDEF)
-            continue;
-        if ((r = PyTuple_New(s->n_letters)) == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(out, renum[c], r);
+    memset(renum, 0xFF, (size_t)s->n_classes * sizeof(int));
+    renum[0] = order[0] = 0;
+    out = PyBytes_FromStringAndSize(
+        NULL, (Py_ssize_t)s->live * s->n_letters * (Py_ssize_t)sizeof(int));
+    if (out == NULL)
+        goto done;
+    cells = (int *)PyBytes_AS_STRING(out);
+    for (head = 0; head < next; head++) {
+        const int *r = row(s, order[head]);
         for (k = 0; k < s->n_letters; k++) {
-            PyObject *t = PyLong_FromLong(renum[find(s, row(s, c)[k])]);
-            if (t == NULL)
-                goto fail;
-            PyTuple_SET_ITEM(r, k, t);
+            int t = find(s, r[k]);
+            if (renum[t] == UNDEF) {
+                renum[t] = next;
+                order[next++] = t;
+            }
+            *cells++ = renum[t];
         }
     }
-    goto done;
-fail:
-    Py_CLEAR(out);
+    if (next != s->live) {
+        PyErr_SetString(PyExc_RuntimeError, "a live class is not reached from class 0");
+        Py_CLEAR(out);
+    }
 done:
     PyMem_Free(renum);
+    PyMem_Free(order);
     return out;
 }
 
@@ -400,8 +413,9 @@ PyDoc_STRVAR(run_doc,
 "Enumerate the classes of the two-sided congruence.\n\n"
 "Same contract as _tc_py.run: relations are (lhs, rhs) pairs of\n"
 "letter-id words, watch is an optional pair of words, and the result\n"
-"is (status, table, stats), the table a tuple of tuple rows when\n"
-"status is 0 and None otherwise, stats the dict of the run's counters.  Status 0 with a watch means the pair is in\n"
+"is (status, table, stats): the standardized table as int32 bytes\n"
+"when status is 0 and None otherwise, stats the dict of the run's\n"
+"counters.  Status 0 with a watch means the pair is in\n"
 "two classes: the watch is checked after every scan, and only scans\n"
 "merge classes.  A letter id outside range(n_letters) raises\n"
 "ValueError.");
@@ -630,65 +644,35 @@ close_elements(Closure *c, unsigned char (*tables)[256], Py_ssize_t max_elements
     return 1;
 }
 
-/* ints[0..n) as new Python ints, to be shared by every reference. */
-static PyObject **
-new_ints(Py_ssize_t n)
-{
-    PyObject **ints = grow(NULL, n, sizeof(PyObject *));
-    Py_ssize_t i;
-    if (ints == NULL)
-        return NULL;
-    for (i = 0; i < n; i++) {
-        if ((ints[i] = PyLong_FromSsize_t(i)) == NULL) {
-            while (i > 0)
-                Py_DECREF(ints[--i]);
-            PyMem_Free(ints);
-            return NULL;
-        }
-    }
-    return ints;
-}
-
-static void
-free_ints(PyObject **ints, Py_ssize_t n)
-{
-    Py_ssize_t i;
-    for (i = 0; i < n; i++)
-        Py_DECREF(ints[i]);
-    PyMem_Free(ints);
-}
-
-/* (keys, rows, index) as Python objects. */
+/* (keys, rows, index) as Python objects, rows the int32 right table. */
 static PyObject *
 closure_result(const Closure *c)
 {
-    PyObject **ints = new_ints(c->count);
     PyObject *keys = NULL, *rows = NULL, *index = NULL, *result = NULL;
-    Py_ssize_t i, k;
-    if (ints == NULL)
-        return NULL;
+    Py_ssize_t i;
     if ((keys = PyTuple_New(c->count)) == NULL
-        || (rows = PyTuple_New(c->count)) == NULL
-        || (index = PyDict_New()) == NULL)
+        || (index = PyDict_New()) == NULL
+        || (rows = PyBytes_FromStringAndSize(
+                (const char *)c->rows,
+                c->count * c->n_gens * (Py_ssize_t)sizeof(int))) == NULL)
         goto done;
     for (i = 0; i < c->count; i++) {
-        const int *targets = c->rows + i * c->n_gens;
-        PyObject *key, *row;
+        PyObject *key, *id;
+        int rc;
         key = PyBytes_FromStringAndSize(
             (const char *)c->keys + (size_t)i * c->key_len, c->key_len);
         if (key == NULL)
             goto done;
         PyTuple_SET_ITEM(keys, i, key);
-        if (PyDict_SetItem(index, key, ints[i]) < 0
-            || (row = PyTuple_New(c->n_gens)) == NULL)
+        if ((id = PyLong_FromSsize_t(i)) == NULL)
             goto done;
-        PyTuple_SET_ITEM(rows, i, row);
-        for (k = 0; k < c->n_gens; k++)
-            PyTuple_SET_ITEM(row, k, Py_NewRef(ints[targets[k]]));
+        rc = PyDict_SetItem(index, key, id);
+        Py_DECREF(id);
+        if (rc < 0)
+            goto done;
     }
     result = PyTuple_Pack(3, keys, rows, index);
 done:
-    free_ints(ints, c->count);
     Py_XDECREF(keys);
     Py_XDECREF(rows);
     Py_XDECREF(index);
@@ -801,12 +785,14 @@ find_root(int *root, int a)
     return a;
 }
 
-/* R, L, H and D labels of the n keys, at labels[0], [n], [2n] and [3n]:
-   the number of H-classes, or -1 with MemoryError. */
-static Py_ssize_t
-green_labels(PyObject *keys, Py_ssize_t key_len, int *labels)
+/* R, L, H and D labels of the n keys, at labels[0], [n], [2n] and [3n],
+   and the number of classes of each in counts[0..4): 0, or -1 with
+   MemoryError. */
+static int
+green_labels(PyObject *keys, Py_ssize_t key_len, int *labels, Py_ssize_t *counts)
 {
-    Py_ssize_t n = PyTuple_GET_SIZE(keys), i, p, n_h = -1;
+    Py_ssize_t n = PyTuple_GET_SIZE(keys), i, p;
+    int rc = -1;
     int *r = labels, *l = labels + n, *h = labels + 2 * n, *d = labels + 3 * n;
     int *root = grow(NULL, n, sizeof(int)), *meets = grow(NULL, n, sizeof(int));
     uint64_t *rec = grow(NULL, n, 4 * sizeof(uint64_t));
@@ -827,12 +813,12 @@ green_labels(PyObject *keys, Py_ssize_t key_len, int *labels)
                     mask[bit >> 6] |= (uint64_t)1 << (bit & 63);
             }
         }
-        if (dense_labels(rec, n, 4, side == 0 ? r : l) < 0)
+        if ((counts[side] = dense_labels(rec, n, 4, side == 0 ? r : l)) < 0)
             goto done;
     }
     for (i = 0; i < n; i++)
         rec[i] = (uint64_t)r[i] << 32 | (uint64_t)l[i];
-    if ((n_h = dense_labels(rec, n, 1, h)) < 0)
+    if ((counts[2] = dense_labels(rec, n, 1, h)) < 0)
         goto done;
     /* D joins each element's R-class with an R-class its L-class meets */
     for (i = 0; i < n; i++)
@@ -844,29 +830,30 @@ green_labels(PyObject *keys, Py_ssize_t key_len, int *labels)
     }
     for (i = 0; i < n; i++)
         rec[i] = (uint64_t)find_root(root, r[i]);
-    if (dense_labels(rec, n, 1, d) < 0)
-        n_h = -1;
+    if ((counts[3] = dense_labels(rec, n, 1, d)) >= 0)
+        rc = 0;
 done:
     PyMem_Free(root);
     PyMem_Free(meets);
     PyMem_Free(rec);
-    return n_h;
+    return rc;
 }
 
 PyDoc_STRVAR(green_doc,
 "green(keys)\n"
 "--\n\n"
 "Green's (R, L, H, D) labels of an inverse monoid's elements.\n\n"
-"Same contract as _tc_py.green: four tuples of dense labels, numbered\n"
-"by first occurrence in keys.  A key that is not bytes of the first\n"
+"Same contract as _tc_py.green: (r, l, h, d, counts), each label\n"
+"buffer int32 bytes of dense labels numbered by first occurrence in\n"
+"keys, and counts the four class counts.  A key that is not bytes of the first\n"
 "key's length, or a length outside 2..256, raises ValueError.");
 
 static PyObject *
 green(PyObject *self, PyObject *arg)
 {
-    PyObject *keys, *first, *result = NULL, **ints = NULL;
-    Py_ssize_t n, i, key_len, n_h = 0;
-    int *labels = NULL, j;
+    PyObject *keys, *first, *result = NULL;
+    Py_ssize_t n, i, key_len, size, counts[4];
+    int *labels = NULL;
 
     if ((keys = PySequence_Tuple(arg)) == NULL)
         return NULL;
@@ -879,23 +866,14 @@ green(PyObject *self, PyObject *arg)
         if (check_key(PyTuple_GET_ITEM(keys, i), key_len) < 0)
             goto done;
     if ((labels = grow(NULL, 4 * n, sizeof(int))) == NULL
-        || (n_h = green_labels(keys, key_len, labels)) < 0
-        || (ints = new_ints(n_h)) == NULL
-        || (result = PyTuple_New(4)) == NULL)
+        || green_labels(keys, key_len, labels, counts) < 0)
         goto done;
-    for (j = 0; j < 4; j++) {
-        PyObject *out = PyTuple_New(n);
-        if (out == NULL) {
-            Py_CLEAR(result);
-            goto done;
-        }
-        PyTuple_SET_ITEM(result, j, out);
-        for (i = 0; i < n; i++)
-            PyTuple_SET_ITEM(out, i, Py_NewRef(ints[labels[j * n + i]]));
-    }
+    size = n * (Py_ssize_t)sizeof(int);
+    result = Py_BuildValue(
+        "y#y#y#y#(nnnn)", (const char *)labels, size, (const char *)(labels + n),
+        size, (const char *)(labels + 2 * n), size, (const char *)(labels + 3 * n),
+        size, counts[0], counts[1], counts[2], counts[3]);
 done:
-    if (ints != NULL)
-        free_ints(ints, n_h);
     PyMem_Free(labels);
     Py_DECREF(keys);
     return result;

@@ -29,11 +29,24 @@ at every live class once the main loop ends:
   when the loop reached it, so every relation was scanned at that very
   class and its row was filled then.
 
-run returns (status, table, stats), the table a tuple of tuple rows:
+Every table a kernel returns is one flat buffer: bytes of native int32
+cells, row-major, so entry (c, k) of a table of width L is cell c * L + k
+(``memoryview(table).cast("i")`` reads it).  With no letters or no
+generators the table is b"".
+
+run returns (status, table, stats):
 
     status 0  complete: table is the dense right-action table
     status 1  capped: class or step budget exhausted, no table
     status 2  the watch pair merged before completion, no table
+
+A complete table is standardized: the live classes are numbered
+breadth-first from class 0, each class's targets read in letter order,
+so the table depends only on the congruence, not on the order in which
+classes were defined.  Every live class is reached, because each class
+is defined as the target of an edge from a class reached before it, and
+a coincidence keeps every edge of the class it merges away.  Standardizing
+runs after the enumeration and counts no steps.
 
 A complete watched run never merged its pair: the watch is checked
 after every scan, and only scans merge classes.  stats is a dict of
@@ -49,6 +62,7 @@ are given, and raise ValueError for one that is not bytes of the
 expected length.
 """
 
+from array import array
 from collections import deque
 
 UNDEF = -1
@@ -87,8 +101,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     watch: optional (lhs, rhs) pair; when given, the run stops as soon
     as the two words provably fall in one class.
 
-    Returns (status, table, stats): table is a tuple of rows (one tuple
-    per class, class 0 = empty word) when status is 0, else None, and
+    Returns (status, table, stats): table is the standardized table as
+    int32 bytes (class 0 = empty word) when status is 0, else None, and
     stats the run's counters (see the module docstring).  Status 0
     with a watch means the pair is in two classes of the table.  A
     letter id outside range(n_letters), in a relation or in the watch
@@ -233,10 +247,18 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     if status != STATUS_COMPLETE:
         return (status, None, stats)
 
-    alive = [c for c in range(len(parent)) if find(c) == c]
-    renumber = {c: i for i, c in enumerate(alive)}
-    out = tuple(tuple([renumber[find(t)] for t in table[c]]) for c in alive)
-    return (STATUS_COMPLETE, out, stats)
+    # live classes numbered breadth-first from class 0, rows in that order
+    renumber = {0: 0}
+    order = [0]
+    out = array("i")
+    for c in order:
+        for t in table[c]:
+            t = find(t)
+            if t not in renumber:
+                renumber[t] = len(order)
+                order.append(t)
+            out.append(renumber[t])
+    return (STATUS_COMPLETE, out.tobytes(), stats)
 
 
 def _checked_keys(degree, keys):
@@ -260,8 +282,9 @@ def close(degree, gen_keys, max_elements):
     table_k is generator k's key padded to 256 bytes.
 
     Returns (keys, rows, index): the elements' keys as a tuple of bytes,
-    the right table with rows[i][k] the index of element i times
-    generator k, and the dict from each key to its index.  Returns None
+    the right table as int32 bytes with cell i * len(gen_keys) + k the
+    index of element i times generator k, and the dict from each key to
+    its index.  Returns None
     when the closure has more than max_elements elements; the identity
     alone is kept whatever the cap.
     """
@@ -269,12 +292,11 @@ def close(degree, gen_keys, max_elements):
     one = bytes(range(degree + 1))
     keys = [one]
     index = {one: 0}
-    rows = []
+    rows = array("i")
 
     pos = 0
     while pos < len(keys):
         current = keys[pos]
-        row = []
         for table in tables:
             product = current.translate(table)
             target = index.get(product)
@@ -284,16 +306,17 @@ def close(degree, gen_keys, max_elements):
                 target = len(keys)
                 index[product] = target
                 keys.append(product)
-            row.append(target)
-        rows.append(tuple(row))
+            rows.append(target)
         pos += 1
-    return tuple(keys), tuple(rows), index
+    return tuple(keys), rows.tobytes(), index
 
 
 def _dense(keys):
-    """Renumber hashable keys 0, 1, ... by first occurrence."""
+    """Renumber hashable keys 0, 1, ... by first occurrence: the labels
+    as an int32 array, and how many there are."""
     ids = {}
-    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+    labels = array("i", [ids.setdefault(key, len(ids)) for key in keys])
+    return labels, len(ids)
 
 
 #: Byte translation table: 0 (undefined) to 0, every point to 1.
@@ -301,10 +324,12 @@ _DOM = bytes((0,)) + bytes((1,)) * 255
 
 
 def green(keys):
-    """Green's (R, L, H, D) labels of an inverse monoid's elements.
+    """Green's R, L, H and D labels of an inverse monoid's elements.
 
-    keys are the elements' keys, all of one length.  Each label tuple
-    numbers its classes densely by first occurrence in keys.  f R g iff
+    keys are the elements' keys, all of one length.  Returns
+    (r, l, h, d, counts): each label buffer is int32 bytes with one cell
+    per key, numbering its classes densely by first occurrence in keys,
+    and counts the numbers of R-, L-, H- and D-classes.  f R g iff
     dom f = dom g, read off the key's nonzero bytes, and f L g iff
     im f = im g, read off the set of its bytes; these hold in an inverse
     monoid only, which the caller checks.  H is the common refinement
@@ -314,8 +339,8 @@ def green(keys):
     keys = list(keys)
     first = keys[0] if keys else None
     keys = _checked_keys(len(first) - 1 if type(first) is bytes else 1, keys)
-    r = _dense(key.translate(_DOM) for key in keys)
-    l = _dense(frozenset(key) for key in keys)
+    r, n_r = _dense(key.translate(_DOM) for key in keys)
+    l, n_l = _dense(frozenset(key) for key in keys)
     root = list(range(len(keys)))  # union-find over the R-classes
 
     def find(a):
@@ -328,5 +353,6 @@ def green(keys):
     for a, b in zip(r, l):
         x, y = find(a), find(meets.setdefault(b, a))
         root[x] = y
-    d = _dense(find(a) for a in r)
-    return r, l, _dense(zip(r, l)), d
+    h, n_h = _dense(zip(r, l))
+    d, n_d = _dense(find(a) for a in r)
+    return r.tobytes(), l.tobytes(), h.tobytes(), d.tobytes(), (n_r, n_l, n_h, n_d)

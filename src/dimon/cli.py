@@ -3,7 +3,9 @@
 Verbs: build, verify-presentation, enumerate, check-relations, forms,
 tietze, green, formulas.  Reports are line-oriented text by default
 and machine-readable JSON behind --json; the JSON of every verb that
-runs the enumeration kernel names it under "backend".  The exit code is
+runs the enumeration kernel names it under "backend", and that of
+verify-presentation and forms holds the enumeration's counters under
+"stats".  The exit code is
 0 when every requested verdict is PASS, 1 when one is FAIL, 3 when one
 is INDETERMINATE (an enumeration or a monoid closure hit its cap), and
 2 for a usage or input error: an invalid option value, an --n outside
@@ -165,7 +167,8 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     payload = {"verb": "verify-presentation", "family": fam.value, "n": n,
                "monoid": target.value, "verdict": v.verdict.value,
                "classes": v.class_count, "size": v.monoid_size,
-               "failing": list(v.failing_tags), "backend": congruence.BACKEND}
+               "failing": list(v.failing_tags), "backend": congruence.BACKEND,
+               "stats": dict(v.stats)}
     _emit(lines, payload, v.verdict, as_json)
 
 
@@ -237,7 +240,8 @@ def forms(family, n, as_json):
     a = presentations.build_assignment(fam, n)
     if base is not None and not base.is_complete:
         # the forms are read off the capped seed enumeration: none to check
-        v = congruence.FormsVerdict(Verdict.INDETERMINATE, None, None, m.size, ())
+        v = congruence.FormsVerdict(
+            Verdict.INDETERMINATE, None, None, m.size, (), base.stats)
     else:
         fs = presentations.build_forms(fam, n, base)
         v = congruence.verify_forms_set(p, fs, a, m, caps)
@@ -252,7 +256,7 @@ def forms(family, n, as_json):
                "monoid": TARGET_MONOID[fam].value, "verdict": v.verdict.value,
                "forms": v.forms_count, "classes": v.class_count,
                "size": v.monoid_size, "problems": list(v.problems),
-               "backend": congruence.BACKEND}
+               "backend": congruence.BACKEND, "stats": dict(v.stats)}
     _emit(lines, payload, v.verdict, as_json)
 
 

@@ -12,14 +12,17 @@ relations in list order tracing left to right, remaining edges filled
 in letter order, and coincidences handled first-in first-out with the
 smaller class id surviving.  Capped runs are reported as such, never
 as a wrong answer; a completed run can overcount nothing and
-undercount nothing.
+undercount nothing.  A completed table is standardized: classes are
+numbered breadth-first from class 0, letters in order, so class c's
+shortlex-least word is its breadth-first parent's word plus one letter,
+and the classes come in shortlex order of those words.
 
 The kernel is the compiled extension dimon._tc_core when it was built,
 and the pure-Python dimon._tc_py otherwise; dimon.monoids chooses it
 once, for closure as well, and this module re-exports that choice as
 _kernel and BACKEND ("compiled" or "pure").  Both kernels implement the
 identical procedure and return identical (status, table, stats)
-triples: the table a tuple of tuple rows or None, which
+triples: the table int32 bytes, row-major, or None, which
 EnumerationResult keeps as it came, and stats the run's counters
 (classes defined, peak live classes, coincidences, steps), which it
 keeps too.  setup.py compiles the extension from the hand-written C
@@ -30,15 +33,19 @@ range(n_letters).  A watched run (is_consequence) that completes never
 merged its pair, so the answer is no: the watch is checked after every
 scan, and only scans merge classes.
 
-Checking a presentation or a forms set against a concrete monoid goes
-through class_elements: a complete table is walked breadth-first from
-class 0 alongside the monoid's right action, which gives each class
-its element and checks every edge of the table.  verify_presentation
-checks generation, then enumerates, then walks; it evaluates the
-relations word by word only when the walk fails or the run was capped,
-so a presentation whose relations fail under its assignment pays for
-one enumeration before its FAIL.  verify_forms_set reads each form's
-element off its class instead of evaluating the form.
+Checking a presentation or a forms set against a concrete monoid is a
+comparison of two tables.  monoids.closure numbers the elements that
+the assignment's images generate breadth-first over the images, in
+letter order, which is how the standardized table numbers classes.  So
+the enumeration's table equals the closure's right table, byte for
+byte, exactly when the presentation presents the monoid through the
+assignment, and then class c is closure element c.
+verify_presentation checks generation, then enumerates, then compares;
+it evaluates the relations word by word only when the tables differ or
+the run was capped, so a presentation whose relations fail under its
+assignment pays for one enumeration before its FAIL.  verify_forms_set
+reads each form's element as the closure element with its class's
+index instead of evaluating the form.
 
 The environment variable DIMON_MAX_CLASSES overrides the default class
 cap.  Caps are checked where they are made: the compiled kernel holds
@@ -52,6 +59,7 @@ import enum
 import functools
 import os
 
+from . import monoids
 from .monoids import BACKEND, FiniteMonoid, _kernel, verify_generates
 from .presentations import (
     Assignment,
@@ -114,15 +122,17 @@ class EnumerationCaps:
 class EnumerationResult:
     """Outcome of one enumeration.
 
-    When complete, table[c][k] is the class of (word of class c)
-    followed by letter k, and class 0 is the class of the empty word.
-    A capped run has no table.  stats holds the kernel's counters at
+    When complete, table is the kernel's standardized table: int32
+    bytes whose cell c * len(letters) + k is the class of (word of class
+    c) followed by letter k, class 0 being the class of the empty word.
+    With no letters the table is b"" and there is one class.  A capped
+    run has no table.  stats holds the kernel's counters at
     the run's stop, complete or capped: classes_defined,
     peak_live_classes, coincidences and steps.
     """
 
     letters: "tuple[str, ...]"
-    table: "tuple[tuple[int, ...], ...] | None"
+    table: "bytes | None"
     caps: EnumerationCaps
     stats: "dict[str, int]"
 
@@ -132,7 +142,14 @@ class EnumerationResult:
 
     @property
     def class_count(self) -> "int | None":
-        return None if self.table is None else len(self.table)
+        if self.table is None:
+            return None
+        return len(self._cells) // len(self.letters) if self.letters else 1
+
+    @functools.cached_property
+    def _cells(self) -> memoryview:
+        """The table's cells as ints."""
+        return memoryview(self.table).cast("i")
 
     @functools.cached_property
     def _letter_ids(self) -> "dict[str, int]":
@@ -142,9 +159,10 @@ class EnumerationResult:
         """Class of a word, by replaying letter actions from class 0."""
         if not self.is_complete:
             raise IndeterminateError("enumeration was capped")
+        cells, width, ids = self._cells, len(self.letters), self._letter_ids
         c = 0
         for name in w:
-            c = self.table[c][self._letter_ids[name]]
+            c = cells[c * width + ids[name]]
         return c
 
     def to_json_dict(self) -> dict:
@@ -198,50 +216,15 @@ def is_consequence(
     return status == _kernel.STATUS_WATCH_MERGED
 
 
-def class_elements(
-    result: EnumerationResult, a: Assignment, m: FiniteMonoid
-) -> "list[int] | None":
-    """The index in m of each class's element under a, or None.
-
-    Breadth-first from class 0, which maps to the identity (element 0):
-    the first edge c -k-> t to reach t sets t's element to c's element
-    times the image of letter k, and every edge must then agree.  So a
-    list comes back only when every class is reached and every edge of
-    the table agrees with m's right action; then the element of the
-    class of any word is the word's value under a.  None when the run
-    was capped, a letter's image is not in m, an edge disagrees or a
-    class is not reached; KeyError when a has no image for a letter.
-    """
-    if not result.is_complete:
-        return None
-    images = [a.image(name) for name in result.letters]
-    try:
-        cols = [m.right_action(f) for f in images]
-    except KeyError:
-        return None
-    table = result.table
-    elems = [-1] * len(table)
-    elems[0] = 0
-    queue = [0]
-    for c in queue:
-        e = elems[c]
-        for t, col in zip(table[c], cols):
-            f = col[e]
-            s = elems[t]
-            if s != f:
-                if s >= 0:
-                    return None
-                elems[t] = f
-                queue.append(t)
-    return elems if len(queue) == len(table) else None
-
-
 @dataclasses.dataclass(frozen=True)
 class PresentationVerdict:
+    """stats holds the enumeration's counters (see EnumerationResult)."""
+
     verdict: Verdict
     class_count: "int | None"
     monoid_size: int
     failing_tags: "tuple[str, ...]"
+    stats: "dict[str, int]"
 
 
 def verify_presentation(
@@ -253,50 +236,56 @@ def verify_presentation(
     """Decide whether p presents m via the assignment a.
 
     First the assignment images must generate m (checked, ValueError
-    otherwise); then p is enumerated.  After a complete run the table
-    is walked alongside m (class_elements).  A walk that agrees on every
-    edge proves every relation holds under a, and maps the classes onto
-    m, since the images generate it; so the verdict is PASS exactly
-    when the class count equals m.size.
+    otherwise; KeyError when a has no image for a letter of p); then p
+    is enumerated.  After a complete run the table is compared with the
+    right table of the closure of the images: PASS exactly when the two
+    are equal (see the module docstring).
 
-    The relations are evaluated word by word only when there is no
-    walk: a relation that fails under a gives FAIL with the failing
-    tags and no class count.  So such a presentation pays for one
-    enumeration (capped or not) before its FAIL; every built-in family
-    holds its relations.  A complete run whose table does not map onto
-    m although every relation holds raises RuntimeError, and a capped
-    one is INDETERMINATE.
+    The relations are evaluated word by word only when the tables
+    differ or the run was capped: a relation that fails under a gives
+    FAIL with the failing tags and no class count.  So such a
+    presentation pays for one enumeration (capped or not) before its
+    FAIL; every built-in family holds its relations.  When every
+    relation holds, the classes map onto m, so a capped run is
+    INDETERMINATE, a complete one with more classes than m.size is
+    FAIL with its class count, and any other complete one raises
+    RuntimeError.
     """
     images = [a.image(name) for name in p.letters]
     if not verify_generates(m, images):
         raise ValueError("assignment images do not generate the monoid")
     result = enumerate_congruence(p, caps)
-    if class_elements(result, a, m) is None:
-        failing = check_relations_hold(p, a)
-        if failing:
-            return PresentationVerdict(
-                Verdict.FAIL, None, m.size, tuple(r.tag for r in failing)
-            )
-        if not result.is_complete:
-            return PresentationVerdict(Verdict.INDETERMINATE, None, m.size, ())
-        raise RuntimeError(
-            "classes do not map onto the monoid's elements although every "
-            "relation holds: enumeration soundness violated"
-        )
-    verdict = Verdict.PASS if result.class_count == m.size else Verdict.FAIL
-    return PresentationVerdict(verdict, result.class_count, m.size, ())
+    count, stats = result.class_count, result.stats
+    if result.is_complete:
+        closed = monoids.closure(m.degree, images)
+        if result.table == closed.right_cayley:
+            return PresentationVerdict(Verdict.PASS, count, m.size, (), stats)
+    failing = check_relations_hold(p, a)
+    if failing:
+        tags = tuple(r.tag for r in failing)
+        return PresentationVerdict(Verdict.FAIL, None, m.size, tags, stats)
+    if not result.is_complete:
+        return PresentationVerdict(Verdict.INDETERMINATE, None, m.size, (), stats)
+    if count > m.size:
+        return PresentationVerdict(Verdict.FAIL, count, m.size, (), stats)
+    raise RuntimeError(
+        "classes do not map onto the monoid's elements although every "
+        "relation holds: enumeration soundness violated"
+    )
 
 
 @dataclasses.dataclass(frozen=True)
 class FormsVerdict:
     """forms_count is None when the forms could not be built: their seed
-    enumeration was capped."""
+    enumeration was capped, and stats then holds that enumeration's
+    counters instead of those of the presentation's."""
 
     verdict: Verdict
     forms_count: "int | None"
     class_count: "int | None"
     monoid_size: int
     problems: "tuple[str, ...]"
+    stats: "dict[str, int]"
 
 
 def verify_forms_set(
@@ -310,15 +299,16 @@ def verify_forms_set(
 
     PASS means: the forms fall in pairwise distinct classes, cover
     every class, number exactly m.size, and evaluate bijectively onto
-    m's elements.  A form's element is read off its class through
-    class_elements, not evaluated letter by letter; when the classes
-    do not map onto m's elements under a, that is the one problem
-    reported about the images.
+    m's elements.  A form's element is the closure element of a's
+    images with its class's index, not evaluated letter by letter.
+    That reading needs the images to generate m and the table to equal
+    the closure's right table (see the module docstring); when either
+    fails, that is the one problem reported about the images.
     """
     result = enumerate_congruence(p, caps)
     if not result.is_complete:
         return FormsVerdict(
-            Verdict.INDETERMINATE, len(forms.words), None, m.size, ()
+            Verdict.INDETERMINATE, len(forms.words), None, m.size, (), result.stats
         )
     problems = []
     classes = [result.word_class(w) for w in forms.words]
@@ -330,44 +320,46 @@ def verify_forms_set(
         problems.append(
             f"{len(forms.words)} forms against monoid size {m.size}"
         )
-    elements = class_elements(result, a, m)
-    if elements is None:
+    images = [a.image(name) for name in p.letters]
+    closed = monoids.closure(m.degree, images) if verify_generates(m, images) else None
+    if closed is None or result.table != closed.right_cayley:
         problems.append("classes do not map onto the monoid's elements")
     else:
-        distinct = len({elements[c] for c in classes})
+        distinct = len({closed.keys[c] for c in classes})
         if distinct != len(classes):
             problems.append("two forms evaluate to one element")
         if distinct != m.size:
             problems.append("form images are not the monoid's elements")
     verdict = Verdict.PASS if not problems else Verdict.FAIL
     return FormsVerdict(
-        verdict, len(forms.words), result.class_count, m.size, tuple(problems)
+        verdict, len(forms.words), result.class_count, m.size, tuple(problems),
+        result.stats,
     )
 
 
 def normal_forms(r: EnumerationResult, alphabet: "tuple[str, ...]") -> FormsSet:
     """Shortlex-least representative of every class, indexed by class.
 
-    Breadth-first over the completed table: the first word reaching a
-    class, generating letters in alphabet order, is its shortlex-least
-    representative (least representatives are prefix-closed).
+    The standardized table numbers classes breadth-first, generating
+    letters in alphabet order, so reading it row by row meets each
+    class first at the edge from its breadth-first parent, in class
+    order.  The first word reaching a class is its shortlex-least
+    representative (least representatives are prefix-closed), so class
+    c's form is its parent's form plus that edge's letter, and the
+    forms come out in shortlex order.
     """
     if not r.is_complete:
         raise IndeterminateError("enumeration was capped")
     names = tuple(alphabet)
     if names != r.letters:
         raise ValueError(f"alphabet {names} does not match enumeration letters")
-    reps: "list[tuple[str, ...] | None]" = [None] * r.class_count
-    reps[0] = ()
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
-        for k in range(len(names)):
-            t = r.table[c][k]
-            name = names[k]
-            if reps[t] is None:
-                reps[t] = reps[c] + (name,)
-                queue.append(t)
+    cells = iter(r._cells)
+    reps: "list[tuple[str, ...]]" = [()]
+    new = 1  # the class a row meets next for the first time
+    for rep in reps:
+        # zip draws this class's row from cells: one cell per letter
+        for name, t in zip(names, cells):
+            if t == new:
+                reps.append(rep + (name,))
+                new += 1
     return FormsSet(label="shortlex", letters=names, words=tuple(reps))

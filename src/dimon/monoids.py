@@ -20,8 +20,12 @@ indices are reproducible across runs and platforms.
 
 Closure works on each element's ``PartialPerm.key`` and composes with
 ``table()``.  The key index closure builds stays with the monoid and
-serves ``index``, ``in`` and ``right_action``, which gives the action
-of any element on the right as a column of indices.
+serves ``index`` and ``in``.  The Cayley tables are flat buffers, as
+every kernel table is: bytes of native int32 cells, row-major, with
+entry (i, k) at cell i * len(generators) + k.  Two monoids closed from
+the same generators in the same order have equal tables, byte for byte,
+which is what dimon.congruence compares a standardized congruence table
+with.
 
 The closure loop and Green's labelling run in a kernel: the compiled
 extension dimon._tc_core when it was built, the pure-Python
@@ -36,8 +40,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import itertools
-import operator
+from array import array
 
 from .iperm import PartialPerm, check_degree, compose, inverse, named_generator
 
@@ -81,16 +84,17 @@ class FiniteMonoid:
 
     keys[i] is the ``PartialPerm.key`` of element i, keys[0] the
     identity's, and _index maps each key back to its index.
-    right_cayley[i][k] is the index of element i times gen_k (apply
-    element i first), where gen_k is element generators[k].  The
-    elements as PartialPerm and left_cayley, whose [i][k] is the index
-    of gen_k times element i, are built on first use.
+    right_cayley is int32 bytes whose cell i * len(generators) + k is
+    the index of element i times gen_k (apply element i first), where
+    gen_k is element generators[k].  The elements as PartialPerm and
+    left_cayley, of the same shape with gen_k times element i, are
+    built on first use.
     """
 
     degree: int
     keys: tuple[bytes, ...]
     generators: tuple[int, ...]
-    right_cayley: tuple[tuple[int, ...], ...]
+    right_cayley: bytes
     _index: dict[bytes, int] = dataclasses.field(repr=False, compare=False)
 
     @property
@@ -106,13 +110,13 @@ class FiniteMonoid:
         return tuple(self.element(i) for i in range(self.size))
 
     @functools.cached_property
-    def left_cayley(self) -> tuple[tuple[int, ...], ...]:
+    def left_cayley(self) -> bytes:
         # gen_k then element i is gen_k's key translated by element i's table
         index = self._index
         gens = [self.keys[g] for g in self.generators]
-        return tuple(
-            tuple(index[g.translate(f.table())] for g in gens) for f in self.elements
-        )
+        return array(
+            "i", [index[g.translate(f.table())] for f in self.elements for g in gens]
+        ).tobytes()
 
     def index(self, f: PartialPerm) -> int:
         """Index of an element; KeyError when f is not in the monoid."""
@@ -121,25 +125,25 @@ class FiniteMonoid:
     def __contains__(self, f: PartialPerm) -> bool:
         return f.key in self._index
 
-    def right_action(self, f: PartialPerm) -> tuple[int, ...]:
-        """Entry i is the index of element i times f (apply element i
-        first); KeyError when f is not in the monoid."""
-        j = self.index(f)
-        if j in self.generators:
-            column = operator.itemgetter(self.generators.index(j))
-            return tuple(map(column, self.right_cayley))
-        table = f.table()
-        products = map(bytes.translate, self.keys, itertools.repeat(table))
-        return tuple(map(self._index.__getitem__, products))
-
     def to_json_dict(self) -> dict:
+        width = len(self.generators)
         return {
             "degree": self.degree,
             "elements": [f.to_dict() for f in self.elements],
             "generators": list(self.generators),
-            "right_cayley": [list(row) for row in self.right_cayley],
-            "left_cayley": [list(row) for row in self.left_cayley],
+            "right_cayley": table_rows(self.right_cayley, self.size, width),
+            "left_cayley": table_rows(self.left_cayley, self.size, width),
         }
+
+
+def table_rows(table: bytes, count: int, width: int) -> list[list[int]]:
+    """The count rows of a flat int32 table of the given width, as lists.
+
+    >>> table_rows(array("i", [1, 0, 1, 1]).tobytes(), 2, 2)
+    [[1, 0], [1, 1]]
+    """
+    cells = memoryview(table).cast("i")
+    return [cells[i * width:(i + 1) * width].tolist() for i in range(count)]
 
 
 def closure(
@@ -343,22 +347,20 @@ def verify_generates(
 class GreenClasses:
     """Class index per element for each of Green's equivalences.
 
-    Class ids are dense and numbered by first occurrence in element
-    order, so the identity's class is always 0.
+    r, l, h and d are int32 bytes with one cell per element.  Class ids
+    are dense and numbered by first occurrence in element order, so the
+    identity's class is always 0.  sizes holds the numbers of R-, L-,
+    H- and D-classes, as the kernel counted them.
     """
 
-    r: tuple[int, ...]
-    l: tuple[int, ...]
-    h: tuple[int, ...]
-    d: tuple[int, ...]
+    r: bytes
+    l: bytes
+    h: bytes
+    d: bytes
+    sizes: tuple[int, int, int, int]
 
     def counts(self) -> dict[str, int]:
-        return {
-            name: max(labels) + 1 if labels else 0
-            for name, labels in (
-                ("r", self.r), ("l", self.l), ("h", self.h), ("d", self.d),
-            )
-        }
+        return dict(zip("rlhd", self.sizes))
 
 
 def green_classes(m: FiniteMonoid) -> GreenClasses:
@@ -388,8 +390,9 @@ def right_cayley_dot(m: FiniteMonoid) -> str:
     for i, f in enumerate(m.elements):
         label = ",".join(f"{p}:{q}" for p, q in f.pairs()) or "empty"
         lines.append(f'  n{i} [label="{i}: {label}"];')
-    for i, row in enumerate(m.right_cayley):
-        for k, target in enumerate(row):
-            lines.append(f'  n{i} -> n{target} [label="g{k}"];')
+    width = len(m.generators)
+    for cell, target in enumerate(memoryview(m.right_cayley).cast("i")):
+        i, k = divmod(cell, width)
+        lines.append(f'  n{i} -> n{target} [label="g{k}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -76,6 +76,23 @@ def test_verify_presentation_json(runner):
     assert data["verdict"] == "PASS"
     assert data["classes"] == data["size"] == 71
     assert data["monoid"] == "mdi"
+    r = congruence.enumerate_congruence(build_relations(RelationFamily.VBAR, 4))
+    assert data["stats"] == r.stats
+
+
+def test_forms_json_carries_the_counters(runner):
+    """forms --json writes the counters of the presentation's enumeration,
+    or of the seed enumeration when that was capped."""
+    res = runner.invoke(main, ["forms", "--family", "Q", "--n", "4", "--json"])
+    assert res.exit_code == 0
+    stats = congruence.enumerate_congruence(build_relations(RelationFamily.Q, 4)).stats
+    assert json.loads(res.output)["stats"] == stats
+    res = runner.invoke(main, ["forms", "--family", "R", "--n", "4", "--json"],
+                        env={"DIMON_MAX_CLASSES": "20"})
+    assert res.exit_code == 3
+    seed = congruence.enumerate_congruence(
+        build_relations(RelationFamily.U, 4), congruence.EnumerationCaps(max_classes=20))
+    assert json.loads(res.output)["stats"] == seed.stats
 
 
 def test_verify_presentation_indeterminate(runner):

@@ -3,6 +3,7 @@
 import doctest
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -13,7 +14,6 @@ from dimon.congruence import (
     EnumerationResult,
     IndeterminateError,
     Verdict,
-    class_elements,
     enumerate_congruence,
     is_consequence,
     normal_forms,
@@ -21,7 +21,7 @@ from dimon.congruence import (
     verify_presentation,
 )
 from dimon.iperm import named_generator
-from dimon.monoids import MonoidFamily, build_named
+from dimon.monoids import MonoidFamily, build_named, closure
 from dimon.presentations import (
     Assignment,
     FormsSet,
@@ -166,9 +166,15 @@ def test_lower_bound_class_count(family):
     assert r.class_count >= m.size
 
 
+def closed_images(p, a):
+    """The closure of a's images of p's letters, in letter order."""
+    return closure(a.degree, [a.image(name) for name in p.letters])
+
+
 def test_classes_agree_with_evaluation():
     """Words in one class evaluate to one element, and the class-to-
-    element map is a bijection (R presents its monoid)."""
+    element map is a bijection (R presents its monoid): class c is
+    element c of the closure of the images."""
     n = 4
     p = build_relations(RelationFamily.R, n)
     a = build_assignment(RelationFamily.R, n)
@@ -176,8 +182,9 @@ def test_classes_agree_with_evaluation():
     reps = normal_forms(r, p.letters)
     class_image = [evaluate(w, a) for w in reps.words]
     assert len(set(class_image)) == r.class_count
-    m = build_named(MonoidFamily.ODI, n)
-    assert class_elements(r, a, m) == [m.index(f) for f in class_image]
+    closed = closed_images(p, a)
+    assert r.table == closed.right_cayley
+    assert list(closed.keys) == [f.key for f in class_image]
     rng = random.Random(11)
     names = p.letters
     for _ in range(400):
@@ -186,48 +193,65 @@ def test_classes_agree_with_evaluation():
 
 
 def with_entry(r, c, k, t):
-    """r with table[c][k] set to t."""
-    table = list(r.table)
-    row = list(table[c])
-    row[k] = t
-    table[c] = tuple(row)
-    return EnumerationResult(r.letters, tuple(table), r.caps, r.stats)
+    """r with cell (c, k) of its table set to t."""
+    cells = array("i", r.table)
+    cells[c * len(r.letters) + k] = t
+    return EnumerationResult(r.letters, cells.tobytes(), r.caps, r.stats)
+
+
+def verify_with(monkeypatch, result, family):
+    """verify_presentation of the family at n = 4, handed result as its
+    enumeration."""
+    monkeypatch.setattr(congruence, "enumerate_congruence", lambda p, caps: result)
+    return verify_presentation(
+        build_relations(family, 4), build_assignment(family, 4),
+        build_named(TARGETS[family], 4),
+    )
 
 
 @pytest.mark.parametrize(
     "family", (RelationFamily.R, RelationFamily.Q, RelationFamily.VBAR)
 )
-def test_class_elements_rejects_a_changed_entry(family):
+def test_class_elements_rejects_a_changed_entry(monkeypatch, family):
+    """A table of the right size with one entry changed is not the
+    closure's table, and every relation holds: verify_presentation
+    calls that unsound.  The class-to-element map is checked on every
+    edge, at the corners of the table and at random cells."""
     n = 4
-    r = enumerate_congruence(build_relations(family, n))
-    a = build_assignment(family, n)
-    m = build_named(TARGETS[family], n)
-    assert class_elements(r, a, m) is not None
+    p = build_relations(family, n)
+    r = enumerate_congruence(p)
+    assert r.table == closed_images(p, build_assignment(family, n)).right_cayley
     last_c, last_k = r.class_count - 1, len(r.letters) - 1
     rng = random.Random(5)
     positions = [(0, 0), (0, last_k), (last_c, 0), (last_c, last_k)] + [
         (rng.randrange(r.class_count), rng.randrange(len(r.letters)))
         for _ in range(20)
     ]
+    cells = memoryview(r.table).cast("i")
     for c, k in positions:
-        t = r.table[c][k]
+        t = cells[c * len(r.letters) + k]
         for other in ((t + 1) % r.class_count, 0):
             if other != t:
-                assert class_elements(with_entry(r, c, k, other), a, m) is None
+                with pytest.raises(RuntimeError, match="soundness"):
+                    verify_with(monkeypatch, with_entry(r, c, k, other), family)
 
 
-def test_class_elements_rejects_an_unreached_class():
+def test_class_elements_rejects_an_unreached_class(monkeypatch):
     """A copy of class 5's row, appended as a class no edge reaches,
-    agrees with every edge the walk follows but gets no element."""
-    n = 4
-    r = enumerate_congruence(build_relations(RelationFamily.R, n))
-    a = build_assignment(RelationFamily.R, n)
-    m = build_named(MonoidFamily.ODI, n)
-    extra = EnumerationResult(r.letters, r.table + (r.table[5],), r.caps, r.stats)
-    assert class_elements(extra, a, m) is None
+    agrees with every edge from class 0 but makes one class more than
+    the monoid has: FAIL with that count, not PASS."""
+    r = enumerate_congruence(build_relations(RelationFamily.R, 4))
+    width = len(r.letters)
+    extra = r.table + r.table[4 * 5 * width:4 * 6 * width]
+    extra = EnumerationResult(r.letters, extra, r.caps, r.stats)
+    assert extra.class_count == r.class_count + 1
+    v = verify_with(monkeypatch, extra, RelationFamily.R)
+    assert v.verdict is Verdict.FAIL and v.class_count == 45 and v.monoid_size == 44
 
 
 def test_class_elements_rejects_an_image_outside_the_monoid():
+    """An image outside the monoid fails the generation check: an error
+    from verify_presentation, a problem from verify_forms_set."""
     n = 4
     p = build_relations(RelationFamily.R, n)
     a = build_assignment(RelationFamily.R, n)
@@ -238,21 +262,44 @@ def test_class_elements_rejects_an_image_outside_the_monoid():
     outside = Assignment(
         n, tuple((name, h if name == last else f) for name, f in a.images)
     )
-    r = enumerate_congruence(p)
-    assert class_elements(r, outside, m) is None
+    with pytest.raises(ValueError, match="do not generate"):
+        verify_presentation(p, outside, m)
+    forms = normal_forms(enumerate_congruence(p), p.letters)
+    v = verify_forms_set(p, forms, outside, m)
+    assert v.verdict is Verdict.FAIL
+    assert v.problems == ("classes do not map onto the monoid's elements",)
     # a letter with no image is an error, not a table that fails to map
+    missing = Assignment(n, a.images[1:])
     with pytest.raises(KeyError):
-        class_elements(r, Assignment(n, a.images[1:]), m)
+        verify_presentation(p, missing, m)
+    with pytest.raises(KeyError):
+        verify_forms_set(p, forms, missing, m)
 
 
 @pytest.mark.parametrize("family", tuple(RelationFamily))
 @pytest.mark.parametrize("n", [4, 5])
 def test_class_elements_is_a_bijection(family, n):
-    r = enumerate_congruence(build_relations(family, n))
+    """Class c is element c of the closure of the images, and those
+    elements are the monoid's, each once, class 0 the identity."""
+    p = build_relations(family, n)
+    r = enumerate_congruence(p)
     m = build_named(TARGETS[family], n)
-    elements = class_elements(r, build_assignment(family, n), m)
+    closed = closed_images(p, build_assignment(family, n))
+    assert r.table == closed.right_cayley
+    elements = [m.index(closed.element(c)) for c in range(r.class_count)]
     assert elements[0] == 0
     assert sorted(elements) == list(range(m.size))
+
+
+@pytest.mark.parametrize("family", tuple(RelationFamily))
+def test_table_equals_the_closure_table(kernel, family):
+    """Each kernel's standardized table equals the right table of the
+    closure of the family's images, byte for byte, at n = 4..7."""
+    for n in (4, 5, 6, 7):
+        p = build_relations(family, n)
+        status, table, _ = kernel.run(len(p.letters), p.relation_ids, 10**6, 10**8)
+        assert status == kernel.STATUS_COMPLETE
+        assert table == closed_images(p, build_assignment(family, n)).right_cayley, n
 
 
 def test_enumeration_is_deterministic():
@@ -263,19 +310,31 @@ def test_enumeration_is_deterministic():
     assert r1.class_count == r2.class_count
 
 
-def trace(table, c, word):
-    """The class a letter-id word leads to from class c of a complete table."""
+def trace(table, width, c, word):
+    """The class a letter-id word leads to from class c of a complete
+    table of the given width."""
+    cells = memoryview(table).cast("i")
     for a in word:
-        c = table[c][a]
+        c = cells[c * width + a]
     return c
 
 
-def assert_relations_hold_at_every_class(table, relation_ids):
+def assert_relations_hold_at_every_class(table, width, relation_ids):
     """Every relation, traced from every class of a complete table, ends
     in one class on both sides."""
-    for c in range(len(table)):
+    for c in range(len(table) // (4 * width)):
         for lhs, rhs in relation_ids:
-            assert trace(table, c, lhs) == trace(table, c, rhs), (c, lhs, rhs)
+            ends = trace(table, width, c, lhs), trace(table, width, c, rhs)
+            assert ends[0] == ends[1], (c, lhs, rhs)
+
+
+def assert_standardized(table, width):
+    """Read row by row, each class first appears as the next new one."""
+    seen = 1
+    for t in memoryview(table).cast("i"):
+        assert t <= seen
+        seen += t == seen
+    assert seen * 4 * width == len(table)
 
 
 # step caps from a first class to past completion: a step counted in a
@@ -327,6 +386,44 @@ def test_backends_identical(compiled_kernel):
         assert out_py == compiled_kernel.run(2, rels, 10**4, max_steps, watch), max_steps
 
 
+def test_backends_identical_on_edge_cases(compiled_kernel):
+    """Both kernels return equal bytes with no letters (one class, table
+    b""), and no table from a capped run."""
+    for args in ((0, (), 1, 0), (0, [((), ())], 10, 10)):
+        out = _tc_py.run(*args)
+        assert out == compiled_kernel.run(*args)
+        assert out[:2] == (_tc_py.STATUS_COMPLETE, b"")
+    p = Presentation("t", (), ())
+    r = enumerate_congruence(p)
+    assert r.table == b"" and r.class_count == 1 and r.word_class(()) == 0
+    assert normal_forms(r, ()).words == ((),)
+    capped = _tc_py.run(2, (), 10, 10**8)
+    assert capped == compiled_kernel.run(2, (), 10, 10**8)
+    assert capped[:2] == (_tc_py.STATUS_CAPPED, None)
+
+
+# counters of complete runs, pinned when the tables became standardized:
+# standardizing follows the enumeration and counts nothing
+PINNED_STATS = {
+    (RelationFamily.R, 6): (204, 153_636, 5_771),
+    (RelationFamily.Q, 7): (1037, 535_210, 15_359),
+    (RelationFamily.Q_PRIME, 6): (451, 452_430, 8_689),
+}
+
+
+@pytest.mark.parametrize("family, n", tuple(PINNED_STATS))
+def test_backends_identical_with_pinned_counters(compiled_kernel, family, n):
+    p = build_relations(family, n)
+    out = _tc_py.run(len(p.letters), p.relation_ids, 10**6, 10**8)
+    assert out == compiled_kernel.run(len(p.letters), p.relation_ids, 10**6, 10**8)
+    status, table, stats = out
+    classes, steps, defined = PINNED_STATS[family, n]
+    assert status == _tc_py.STATUS_COMPLETE
+    assert len(table) == 4 * classes * len(p.letters)
+    assert (stats["steps"], stats["classes_defined"]) == (steps, defined)
+    assert stats["classes_defined"] - stats["coincidences"] == classes
+
+
 # under a 500-class cap every deletion from R(4) caps or merges, while
 # some from Q(4) complete
 DELETION_OUTCOMES = {
@@ -357,10 +454,11 @@ def test_backends_identical_on_deletions(compiled_kernel, family):
             assert out_py == compiled_kernel.run(*args), (rel.tag, w)
             statuses.add(out_py[0])
             if out_py[0] == _tc_py.STATUS_COMPLETE:
-                table = out_py[1]
-                assert_relations_hold_at_every_class(table, smaller.relation_ids)
+                table, width = out_py[1], len(p.letters)
+                assert_standardized(table, width)
+                assert_relations_hold_at_every_class(table, width, smaller.relation_ids)
                 if w is not None:
-                    assert trace(table, 0, w[0]) != trace(table, 0, w[1]), rel.tag
+                    assert trace(table, width, 0, w[0]) != trace(table, width, 0, w[1])
     assert statuses == DELETION_OUTCOMES[family]
 
 
@@ -372,12 +470,16 @@ def test_every_relation_holds_at_every_class(kernel, family):
         p = build_relations(family, n)
         status, table, stats = kernel.run(len(p.letters), p.relation_ids, 10**6, 10**8)
         assert status == kernel.STATUS_COMPLETE
-        assert type(table) is tuple and {type(row) for row in table} == {tuple}
-        assert len(table) == CLASS_COUNTS[family][n]
-        assert_relations_hold_at_every_class(table, p.relation_ids)
+        width = len(p.letters)
+        assert type(table) is bytes
+        classes = len(table) // (4 * width)
+        assert classes * 4 * width == len(table)
+        assert classes == CLASS_COUNTS[family][n]
+        assert_standardized(table, width)
+        assert_relations_hold_at_every_class(table, width, p.relation_ids)
         # each coincidence merges one class away for good
-        assert stats["classes_defined"] - stats["coincidences"] == len(table)
-        assert len(table) <= stats["peak_live_classes"] <= stats["classes_defined"]
+        assert stats["classes_defined"] - stats["coincidences"] == classes
+        assert classes <= stats["peak_live_classes"] <= stats["classes_defined"]
 
 
 def test_row_filling_counts_steps(kernel):
@@ -519,13 +621,12 @@ def test_is_consequence_false_on_finite():
 @pytest.mark.parametrize("family", tuple(RelationFamily))
 @pytest.mark.parametrize("n", [4, 5])
 def test_verify_presentation_passes(family, n):
-    v = verify_presentation(
-        build_relations(family, n),
-        build_assignment(family, n),
-        build_named(TARGETS[family], n),
-    )
+    p = build_relations(family, n)
+    m = build_named(TARGETS[family], n)
+    v = verify_presentation(p, build_assignment(family, n), m)
     assert v.verdict is Verdict.PASS
     assert v.class_count == v.monoid_size == CLASS_COUNTS[family][n]
+    assert v.stats == enumerate_congruence(p).stats
 
 
 def test_verify_presentation_fails_without_r11():
@@ -539,6 +640,33 @@ def test_verify_presentation_fails_without_r11():
     )
     assert v.verdict is Verdict.FAIL
     assert v.class_count == 45
+    assert v.stats["classes_defined"] - v.stats["coincidences"] == 45
+
+
+@pytest.mark.parametrize("family", (RelationFamily.R, RelationFamily.Q))
+def test_verify_presentation_counts_every_larger_deletion(family):
+    """Each relation of the family at n = 4 dropped in turn: a complete
+    run with more classes than the monoid is FAIL with its class count,
+    not unsound, and one with as many classes is PASS.  The relations
+    all hold, so no tags are reported."""
+    p = build_relations(family, 4)
+    a = build_assignment(family, 4)
+    m = build_named(TARGETS[family], 4)
+    caps = EnumerationCaps(max_classes=5000, max_steps=10**7)
+    larger = 0
+    for i in range(len(p.relations)):
+        smaller = without(p, i)
+        r = enumerate_congruence(smaller, caps)
+        v = verify_presentation(smaller, a, m, caps)
+        assert v.failing_tags == () and v.stats == r.stats
+        if not r.is_complete:
+            assert v.verdict is Verdict.INDETERMINATE
+        elif r.class_count > m.size:
+            assert (v.verdict, v.class_count) == (Verdict.FAIL, r.class_count)
+            larger += 1
+        else:
+            assert (v.verdict, v.class_count) == (Verdict.PASS, m.size)
+    assert larger > 0
 
 
 def test_verify_presentation_fails_on_bad_relation():
@@ -567,7 +695,7 @@ def test_verify_presentation_checks_the_table_not_only_its_size(monkeypatch):
     not map onto the monoid, and the relations all hold: unsound."""
     p = build_relations(RelationFamily.R, 4)
     r = enumerate_congruence(p)
-    t = r.table[3][1]
+    t = memoryview(r.table).cast("i")[3 * len(r.letters) + 1]
     changed = with_entry(r, 3, 1, (t + 1) % r.class_count)
     monkeypatch.setattr(congruence, "enumerate_congruence", lambda p, caps: changed)
     with pytest.raises(RuntimeError, match="soundness"):
@@ -712,6 +840,10 @@ def test_normal_forms_u4():
     reps = set(fs.words)
     for w in fs.words:
         assert w[:-1] in reps or w == ()
+    # in shortlex order: by length, then letter by letter in alphabet order
+    rank = {name: k for k, name in enumerate(fs.letters)}
+    keys = [(len(w), [rank[a] for a in w]) for w in fs.words]
+    assert keys == sorted(keys)
     with pytest.raises(ValueError):
         normal_forms(r, build_alphabet(RelationFamily.Q, 4))
     free = Presentation("free", ("a",), ())

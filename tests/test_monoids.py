@@ -20,6 +20,7 @@ from dimon.monoids import (
     green_classes,
     rank_formula,
     right_cayley_dot,
+    table_rows,
     verify_generates,
 )
 from oracles import (
@@ -40,6 +41,16 @@ ALL_FAMILIES = (
     MonoidFamily.CI,
     MonoidFamily.OCI,
 )
+
+def cells(table):
+    """A flat int32 table or label buffer as a tuple of ints."""
+    return tuple(memoryview(table).cast("i"))
+
+
+def rows(m, table):
+    """A Cayley table of m as a list of rows."""
+    return table_rows(table, m.size, len(m.generators))
+
 
 # closure sizes, cross-checked once against the brute-force oracle
 KNOWN_SIZES = {
@@ -209,30 +220,35 @@ def test_closure_degree_fits_a_byte():
 def test_closure_tables_are_consistent(family, n):
     m = build_named(family, n)
     gens = [m.elements[k] for k in m.generators]
+    right, left = rows(m, m.right_cayley), rows(m, m.left_cayley)
+    assert type(m.right_cayley) is bytes and type(m.left_cayley) is bytes
+    assert len(m.right_cayley) == len(m.left_cayley) == 4 * m.size * len(gens)
     for i, f in enumerate(m.elements):
         for k, s in enumerate(gens):
-            assert m.elements[m.right_cayley[i][k]] == compose(f, s)
-            assert m.elements[m.left_cayley[i][k]] == compose(s, f)
+            assert m.elements[right[i][k]] == compose(f, s)
+            assert m.elements[left[i][k]] == compose(s, f)
     assert m.elements[0] == identity(n)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_right_action_matches_compose(family):
-    """right_action(f)[i] is element i times f, for the generators (read
-    off the right table) and for every other element of the monoid."""
+    """Closed over every element of m as a generator, the right table's
+    column k is the right action of element k on the closure's elements,
+    for the monoid's generators and every other element alike; those
+    elements are m's.  A map outside m has no index in it."""
     m = build_named(family, 4)
-    for j, f in enumerate(m.elements):
-        want = tuple(m.index(compose(g, f)) for g in m.elements)
-        assert m.right_action(f) == want
-        if j in m.generators:
-            k = m.generators.index(j)
-            assert want == tuple(row[k] for row in m.right_cayley)
+    every = closure(4, m.elements)
+    assert set(every.keys) == set(m.keys)
+    right = rows(every, every.right_cayley)
+    for k, f in enumerate(m.elements):
+        want = [every.index(compose(g, f)) for g in every.elements]
+        assert [row[k] for row in right] == want
     for f in all_partial_perms(4):
         if f not in m:
             with pytest.raises(KeyError):
-                m.right_action(f)
+                m.index(f)
     with pytest.raises(KeyError):
-        m.right_action(identity(5))
+        m.index(identity(5))
 
 
 DEGREE_5 = list(all_partial_perms(5))
@@ -255,8 +271,8 @@ def test_closure_matches_compose_bfs(seed):
     m = closure(5, gens)
     elements, right, left = o_closure(5, gens)
     assert list(m.elements) == elements
-    assert [list(row) for row in m.right_cayley] == right
-    assert [list(row) for row in m.left_cayley] == left
+    assert rows(m, m.right_cayley) == right
+    assert rows(m, m.left_cayley) == left
 
 
 def test_random_generating_sets_include_non_inverse():
@@ -297,14 +313,17 @@ def test_green_classes_match_oracle(family, n):
     m = build_named(family, n)
     g = green_classes(m)
     want = o_green([frozenset(f.pairs()) for f in m.elements])
-    assert (g.r, g.l, g.h, g.d) == (want["r"], want["l"], want["h"], want["d"])
+    labels = tuple(cells(b) for b in (g.r, g.l, g.h, g.d))
+    assert labels == (want["r"], want["l"], want["h"], want["d"])
+    assert g.counts() == {name: len(set(want[name])) for name in "rlhd"}
     if n <= 5:
         # o_green reads domains and images too: check against the
         # Cayley graphs' strongly connected components as well
-        both = [a + b for a, b in zip(m.right_cayley, m.left_cayley)]
-        assert g.r == o_mutual_reachability(m.right_cayley)
-        assert g.l == o_mutual_reachability(m.left_cayley)
-        assert g.d == o_mutual_reachability(both)
+        right, left = rows(m, m.right_cayley), rows(m, m.left_cayley)
+        both = [a + b for a, b in zip(right, left)]
+        assert labels[0] == o_mutual_reachability(right)
+        assert labels[1] == o_mutual_reachability(left)
+        assert labels[3] == o_mutual_reachability(both)
 
 
 @pytest.mark.parametrize("gens", [["x"], ["x", "y_1"]])
@@ -318,14 +337,15 @@ def test_green_classes_non_inverse(gens):
 
 def test_green_classes_structure():
     m = build_named(MonoidFamily.DI, 4)
-    g = green_classes(m)
+    green = green_classes(m)
+    r, l, h, d = (cells(b) for b in (green.r, green.l, green.h, green.d))
     # H refines both R and L; D is coarser than both
     for i in range(m.size):
         for j in range(m.size):
-            same_h = g.h[i] == g.h[j]
-            same_r = g.r[i] == g.r[j]
-            same_l = g.l[i] == g.l[j]
-            same_d = g.d[i] == g.d[j]
+            same_h = h[i] == h[j]
+            same_r = r[i] == r[j]
+            same_l = l[i] == l[j]
+            same_d = d[i] == d[j]
             if same_h:
                 assert same_r and same_l
             if same_r and same_l:
@@ -333,14 +353,14 @@ def test_green_classes_structure():
             if same_r or same_l:
                 assert same_d
     # the group of units is one H-class: 8 total maps in DI_4
-    unit = g.h[m.index(identity(4))]
-    assert g.h.count(unit) == 8
+    unit = h[m.index(identity(4))]
+    assert h.count(unit) == 8
     # D-related elements have equal rank (the converse fails: DI_4 has
     # six D-classes over five rank levels)
-    assert len(set(g.d)) == 6
+    assert len(set(d)) == 6
     for i in range(m.size):
         for j in range(m.size):
-            if g.d[i] == g.d[j]:
+            if d[i] == d[j]:
                 assert len(m.elements[i].pairs()) == len(m.elements[j].pairs())
 
 
@@ -373,7 +393,8 @@ def test_kernels_close_and_label_alike(compiled_kernel):
     assert len(closed[0]) == 255
     assert compiled_kernel.close(255, g, 255) == closed
     assert compiled_kernel.green(closed[0]) == _tc_py.green(closed[0])
-    assert compiled_kernel.green([]) == _tc_py.green([]) == ((), (), (), ())
+    empty = (b"", b"", b"", b"", (0, 0, 0, 0))
+    assert compiled_kernel.green([]) == _tc_py.green([]) == empty
 
 
 def test_kernels_cap_closure_alike(compiled_kernel):
@@ -389,7 +410,7 @@ def test_kernels_cap_closure_alike(compiled_kernel):
         assert compiled_kernel.close(6, gen_keys, cap) is None
     # the identity alone is kept whatever the cap
     for kernel in (_tc_py, compiled_kernel):
-        assert kernel.close(6, [], 0) == ((bytes(range(7)),), ((),), {bytes(range(7)): 0})
+        assert kernel.close(6, [], 0) == ((bytes(range(7)),), b"", {bytes(range(7)): 0})
 
 
 @pytest.mark.parametrize("degree, gen_keys", [
