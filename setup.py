@@ -8,7 +8,11 @@ to build the package still installs, and dimon.monoids falls back to
 the pure-Python kernels in dimon._tc_py.  ``dimon.BACKEND`` says which
 kernel module is active.
 
-    python setup.py build_ext --inplace
+    python setup.py build_ext --inplace --force
+
+``--force`` compiles the C source even when an object file left under
+``build/`` looks newer than it, so an edited ``_tc_core.c`` is never
+linked from a stale object.
 """
 
 from setuptools import Extension, setup

@@ -12,7 +12,11 @@
    classes breadth-first from class 0), so both kernels return equal
    (status, table, stats) triples.  Class ids are C ints and the
    step count a C long long; run() raises OverflowError for a cap
-   beyond either.
+   beyond either.  Like _tc_py, it writes find()'s answer back into a
+   cell whose target was merged away, at the same three reads (a defined
+   edge of trace_define, a scan's last edge, the surviving row in
+   coincide).  Every cell is only compared with UNDEF or read through
+   find(), so the write changes no step, decision, counter or table.
 
    close: the same elements in the same breadth-first order, found
    through an open-addressing hash table over the keys.  It checks
@@ -159,8 +163,8 @@ trace_define(State *s, int c, const int *word, Py_ssize_t len)
                 return t;
             row(s, c)[word[i]] = t;
         }
-        else {
-            t = find(s, t);
+        else if (s->parent[t] != t) {
+            row(s, c)[word[i]] = t = find(s, t);
         }
         c = t;
     }
@@ -201,8 +205,10 @@ coincide(State *s, int a, int b)
                 row_u[k] = t;
             }
             else {
-                int fs = find(s, row_u[k]);
-                int ft = find(s, t);
+                int fs = row_u[k], ft;
+                if (s->parent[fs] != fs)
+                    row_u[k] = fs = find(s, fs);
+                ft = find(s, t);
                 if (fs != ft && q_push(s, fs, ft) < 0)
                     return -1;
             }
@@ -234,7 +240,8 @@ scan(State *s, int c, const int *lhs, Py_ssize_t llen,
         row(s, d)[last] = p;
         return 0;
     }
-    t = find(s, t);
+    if (s->parent[t] != t)
+        row(s, d)[last] = t = find(s, t);
     return t != p && coincide(s, t, p) < 0 ? FAILED : 0;
 }
 

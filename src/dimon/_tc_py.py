@@ -17,6 +17,21 @@ coincidence, or one class defined while filling a row.  The budget is
 checked before each class is visited, so max_steps bounds a run whose
 classes all come from row filling, such as one with no relations.
 
+A table cell is UNDEF or a class id, and the class may have been merged
+away since the cell was written.  Every read compares a cell with UNDEF
+or passes it through find(); so does every later read of a raw cell
+that a coincidence copies into the surviving row, and so does the
+standardizing pass.  The kernels therefore rewrite a cell to its
+representative, path compression applied to the table (Tarjan, 1975),
+at three reads: each defined edge that trace_define follows, the last
+edge of a scan's right-hand side, and the surviving row's cell in a
+coincidence when both rows have the edge.  Only a cell whose target was
+merged away is written (parent[t] != t), and always into a live row: no
+coincidence happens inside a trace or between a read and its write.
+find() answers the same for a class and its representative, so no step,
+class definition, coincidence, counter or table changes; later reads
+just walk shorter parent chains.
+
 No final pass re-checks the relations, because every relation holds
 at every live class once the main loop ends:
 
@@ -145,8 +160,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
             if t == UNDEF:
                 t = new_class()
                 table[c][a] = t
-            else:
-                t = find(t)
+            elif parent[t] != t:
+                t = table[c][a] = find(t)
             c = t
         return c
 
@@ -172,11 +187,12 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
                 t = row_v[k]
                 if t == UNDEF:
                     continue
-                s = row_u[k]
-                if s == UNDEF:
+                fs = row_u[k]
+                if fs == UNDEF:
                     row_u[k] = t
                 else:
-                    fs = find(s)
+                    if parent[fs] != fs:
+                        fs = row_u[k] = find(fs)
                     ft = find(t)
                     if fs != ft:
                         queue.append((fs, ft))
@@ -197,7 +213,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
         if t == UNDEF:
             table[d][last] = p
         else:
-            t = find(t)
+            if parent[t] != t:
+                t = table[d][last] = find(t)
             if t != p:
                 coincide(t, p)
 

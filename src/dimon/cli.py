@@ -4,8 +4,8 @@ Verbs: build, verify-presentation, enumerate, check-relations, forms,
 tietze, green, formulas.  Reports are line-oriented text by default
 and machine-readable JSON behind --json; the JSON of every verb that
 runs the enumeration kernel names it under "backend", and that of
-verify-presentation and forms holds the enumeration's counters under
-"stats".  The exit code is
+verify-presentation and forms, and each step of tietze's, holds the
+enumeration's counters under "stats".  The exit code is
 0 when every requested verdict is PASS, 1 when one is FAIL, 3 when one
 is INDETERMINATE (an enumeration or a monoid closure hit its cap), and
 2 for a usage or input error: an invalid option value, an --n outside
@@ -285,7 +285,7 @@ def tietze(chain, n, as_json):
         lines.append(f"{p.label}: {len(p.letters)} letters, "
                      f"{v.class_count} classes")
         rows.append({"label": p.label, "letters": len(p.letters),
-                     "classes": v.class_count})
+                     "classes": v.class_count, "stats": dict(v.stats)})
     failing = [tag for v in verdicts for tag in v.failing_tags]
     outcomes = {v.verdict for v in verdicts}
     if failing:

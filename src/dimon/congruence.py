@@ -45,7 +45,10 @@ it evaluates the relations word by word only when the tables differ or
 the run was capped, so a presentation whose relations fail under its
 assignment pays for one enumeration before its FAIL.  verify_forms_set
 reads each form's element as the closure element with its class's
-index instead of evaluating the form.
+index instead of evaluating the form.  When the images are the
+monoid's own generators in order, as for U, V, VbarPrime and QPrime,
+their closure is the monoid itself: both checks then compare with its
+right table and neither closes the images again.
 
 The environment variable DIMON_MAX_CLASSES overrides the default class
 cap.  Caps are checked where they are made: the compiled kernel holds
@@ -216,6 +219,13 @@ def is_consequence(
     return status == _kernel.STATUS_WATCH_MERGED
 
 
+def _are_own_generators(m: FiniteMonoid, images: list) -> bool:
+    """Whether the images are m's generators in order.  Closure is
+    deterministic, so their closure would rebuild m exactly, and they
+    generate it."""
+    return [f.key for f in images] == [m.keys[g] for g in m.generators]
+
+
 @dataclasses.dataclass(frozen=True)
 class PresentationVerdict:
     """stats holds the enumeration's counters (see EnumerationResult)."""
@@ -252,12 +262,13 @@ def verify_presentation(
     RuntimeError.
     """
     images = [a.image(name) for name in p.letters]
-    if not verify_generates(m, images):
+    own = _are_own_generators(m, images)
+    if not own and not verify_generates(m, images):
         raise ValueError("assignment images do not generate the monoid")
     result = enumerate_congruence(p, caps)
     count, stats = result.class_count, result.stats
     if result.is_complete:
-        closed = monoids.closure(m.degree, images)
+        closed = m if own else monoids.closure(m.degree, images)
         if result.table == closed.right_cayley:
             return PresentationVerdict(Verdict.PASS, count, m.size, (), stats)
     failing = check_relations_hold(p, a)
@@ -321,7 +332,12 @@ def verify_forms_set(
             f"{len(forms.words)} forms against monoid size {m.size}"
         )
     images = [a.image(name) for name in p.letters]
-    closed = monoids.closure(m.degree, images) if verify_generates(m, images) else None
+    if _are_own_generators(m, images):
+        closed = m
+    elif verify_generates(m, images):
+        closed = monoids.closure(m.degree, images)
+    else:
+        closed = None
     if closed is None or result.table != closed.right_cayley:
         problems.append("classes do not map onto the monoid's elements")
     else:

@@ -195,6 +195,20 @@ def test_tietze(runner):
     assert [step["letters"] for step in data["steps"]] == [6, 5, 4, 3]
 
 
+def test_tietze_json_carries_each_steps_counters(runner):
+    """Each row of tietze --json writes the counters of its step's
+    enumeration, for a capped step too."""
+    family, build_chain = presentations.ELIMINATION_CHAINS["opdi"]
+    for env, caps in (({}, None), ({"DIMON_MAX_CLASSES": "20"},
+                                   congruence.EnumerationCaps(max_classes=20))):
+        res = runner.invoke(main, ["tietze", "--chain", "opdi", "--n", "4", "--json"],
+                            env=env)
+        assert res.exit_code == (3 if caps else 0)
+        rows = json.loads(res.output)["steps"]
+        expected = [congruence.enumerate_congruence(p, caps).stats for p in build_chain(4)]
+        assert [row["stats"] for row in rows] == expected
+
+
 def test_tietze_checks_every_step_against_the_monoid(runner, monkeypatch):
     """A step whose relations fail under the family's assignment fails the
     chain, and so does one whose classes outnumber the monoid."""

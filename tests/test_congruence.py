@@ -462,6 +462,41 @@ def test_backends_identical_on_deletions(compiled_kernel, family):
     assert statuses == DELETION_OUTCOMES[family]
 
 
+# the consequence batch: each relation deleted in turn and watched, at a
+# 5000-class cap and 10**8 steps; (merged, capped, complete) per family
+CONSEQUENCE_OUTCOMES = {
+    (RelationFamily.R, 5): (41, 14, 13),
+    (RelationFamily.Q, 5): (41, 3, 0),
+    (RelationFamily.VBAR, 5): (59, 9, 5),
+    (RelationFamily.Q_PRIME, 6): (19, 25, 0),
+    (RelationFamily.U, 6): (2, 21, 8),
+}
+
+
+def consequence_runs(kernel, family, n):
+    """The watched run of each deletion from family(n), in relation order."""
+    p = build_relations(family, n)
+    ids = p.relation_ids
+    return [kernel.run(len(p.letters), ids[:i] + ids[i + 1:], 5000, 10**8, ids[i])
+            for i in range(len(ids))]
+
+
+def test_consequence_batch_is_pinned(compiled_kernel):
+    """Outcomes and counters of the 260 watched runs, pinned: a change to
+    the kernel that alters a step or a decision moves them."""
+    statuses = (_tc_py.STATUS_WATCH_MERGED, _tc_py.STATUS_CAPPED, _tc_py.STATUS_COMPLETE)
+    runs = []
+    for (family, n), outcomes in CONSEQUENCE_OUTCOMES.items():
+        out = consequence_runs(compiled_kernel, family, n)
+        assert tuple(sum(r[0] == s for r in out) for s in statuses) == outcomes, family
+        runs += out
+    assert len(runs) == 260
+    assert sum(r[2]["steps"] for r in runs) == 11_559_927
+    assert sum(r[2]["classes_defined"] for r in runs) == 574_143
+    assert consequence_runs(_tc_py, RelationFamily.Q, 5) == consequence_runs(
+        compiled_kernel, RelationFamily.Q, 5)
+
+
 @pytest.mark.parametrize("family", tuple(RelationFamily))
 def test_every_relation_holds_at_every_class(kernel, family):
     """No final sweep re-checks the relations, so the main loop alone
@@ -808,6 +843,25 @@ def test_verify_forms_set_reports_unmapped_classes():
     v = verify_forms_set(p, forms, swapped, build_named(MonoidFamily.ODI, n))
     assert v.verdict is Verdict.FAIL
     assert v.problems == ("classes do not map onto the monoid's elements",)
+
+
+def test_verify_closes_no_images_that_are_the_monoids_generators(monkeypatch):
+    """V and QPrime assign the target monoid's own generators, in order:
+    both verify paths then compare with the monoid's table and close
+    nothing."""
+    cases = [(family, n, build_named(TARGETS[family], n))
+             for family, n in ((RelationFamily.V, 5), (RelationFamily.Q_PRIME, 5))]
+
+    def closure(*args):
+        raise AssertionError("closure called")
+
+    monkeypatch.setattr(congruence.monoids, "closure", closure)
+    for family, n, m in cases:
+        p, a = build_relations(family, n), build_assignment(family, n)
+        v = verify_presentation(p, a, m)
+        assert (v.verdict, v.class_count) == (Verdict.PASS, m.size)
+        forms = normal_forms(enumerate_congruence(p), p.letters)
+        assert verify_forms_set(p, forms, a, m).verdict is Verdict.PASS
 
 
 def test_verify_builds_no_elements_or_left_table():
