@@ -21,8 +21,8 @@
    close: the same elements in the same breadth-first order, found
    through an open-addressing hash table over the keys.  It checks
    every key before copying it into a 256-byte table, and finishes the
-   closure in C arrays, so a capped closure builds no Python object;
-   the right table is those arrays' bytes.
+   closure in C arrays, so a capped closure builds no Python object.
+   Only the keys and the right table come back; the hash table does not.
 
    green: R and L labels from 256-bit masks of each key's domain and
    image, H from the pair, D from a union-find over the R-classes; the
@@ -63,13 +63,16 @@ typedef struct {
     Py_ssize_t q_cap;     /* in pairs */
 } State;
 
-/* Grow p to hold n items of size bytes each; on failure p stays valid. */
+/* Grow p to n items of size bytes; on failure p stays valid.  A row of
+   a table with no letters has size 0. */
 static void *
 grow(void *p, Py_ssize_t n, size_t size)
 {
     void *q;
     if (n < 1)
         n = 1;
+    if (size < 1)
+        size = 1;
     if ((size_t)n > (size_t)PY_SSIZE_T_MAX / size) {
         PyErr_NoMemory();
         return NULL;
@@ -80,13 +83,6 @@ grow(void *p, Py_ssize_t n, size_t size)
     return q;
 }
 
-/* Grow p to hold rows * width ints; on failure p stays valid. */
-static int *
-resize(int *p, Py_ssize_t rows, int width)
-{
-    return grow(p, rows, (width > 0 ? (size_t)width : 1) * sizeof(int));
-}
-
 static int *
 row(State *s, int c)
 {
@@ -94,11 +90,11 @@ row(State *s, int c)
 }
 
 static int
-find(State *s, int c)
+find(int *parent, int c)
 {
-    while (s->parent[c] != c) {
-        s->parent[c] = s->parent[s->parent[c]];
-        c = s->parent[c];
+    while (parent[c] != c) {
+        parent[c] = parent[parent[c]];
+        c = parent[c];
     }
     return c;
 }
@@ -112,10 +108,10 @@ new_class(State *s)
         return CAPPED;
     if (cid >= s->cap) {
         Py_ssize_t cap = s->cap * 2 < s->max_classes ? s->cap * 2 : s->max_classes;
-        if ((p = resize(s->parent, cap, 1)) == NULL)
+        if ((p = grow(s->parent, cap, sizeof(int))) == NULL)
             return FAILED;
         s->parent = p;
-        if ((p = resize(s->table, cap, s->n_letters)) == NULL)
+        if ((p = grow(s->table, cap, (size_t)s->n_letters * sizeof(int))) == NULL)
             return FAILED;
         s->table = p;
         s->cap = cap;
@@ -133,7 +129,7 @@ q_push(State *s, int a, int b)
 {
     Py_ssize_t slot;
     if (s->q_len == s->q_cap) {
-        int *q = resize(s->queue, 4 * s->q_cap, 1);
+        int *q = grow(s->queue, 4 * s->q_cap, sizeof(int));
         if (q == NULL)
             return -1;
         /* unwrap: the pairs in front of the head move behind the old end */
@@ -164,7 +160,7 @@ trace_define(State *s, int c, const int *word, Py_ssize_t len)
             row(s, c)[word[i]] = t;
         }
         else if (s->parent[t] != t) {
-            row(s, c)[word[i]] = t = find(s, t);
+            row(s, c)[word[i]] = t = find(s->parent, t);
         }
         c = t;
     }
@@ -178,8 +174,8 @@ coincide(State *s, int a, int b)
     if (q_push(s, a, b) < 0)
         return -1;
     while (s->q_len > 0) {
-        int u = find(s, s->queue[2 * s->q_head]);
-        int v = find(s, s->queue[2 * s->q_head + 1]);
+        int u = find(s->parent, s->queue[2 * s->q_head]);
+        int v = find(s->parent, s->queue[2 * s->q_head + 1]);
         int k, *row_u, *row_v;
         s->q_head = (s->q_head + 1) % s->q_cap;
         s->q_len--;
@@ -207,8 +203,8 @@ coincide(State *s, int a, int b)
             else {
                 int fs = row_u[k], ft;
                 if (s->parent[fs] != fs)
-                    row_u[k] = fs = find(s, fs);
-                ft = find(s, t);
+                    row_u[k] = fs = find(s->parent, fs);
+                ft = find(s->parent, t);
                 if (fs != ft && q_push(s, fs, ft) < 0)
                     return -1;
             }
@@ -227,10 +223,10 @@ scan(State *s, int c, const int *lhs, Py_ssize_t llen,
     if (p < 0)
         return p;
     if (rlen == 0) {
-        int q = find(s, c);
+        int q = find(s->parent, c);
         return q != p && coincide(s, p, q) < 0 ? FAILED : 0;
     }
-    d = trace_define(s, find(s, c), rhs, rlen - 1);
+    d = trace_define(s, find(s->parent, c), rhs, rlen - 1);
     if (d < 0)
         return d;
     last = rhs[rlen - 1];
@@ -241,7 +237,7 @@ scan(State *s, int c, const int *lhs, Py_ssize_t llen,
         return 0;
     }
     if (s->parent[t] != t)
-        row(s, d)[last] = t = find(s, t);
+        row(s, d)[last] = t = find(s->parent, t);
     return t != p && coincide(s, t, p) < 0 ? FAILED : 0;
 }
 
@@ -272,7 +268,7 @@ add_word(Words *w, PyObject *obj, int n_letters)
     n = PyTuple_GET_SIZE(seq);
     if (w->len + n > w->cap) {
         Py_ssize_t cap = 2 * w->cap > w->len + n ? 2 * w->cap : w->len + n;
-        int *ids = resize(w->ids, cap, 1);
+        int *ids = grow(w->ids, cap, sizeof(int));
         if (ids == NULL)
             goto error;
         w->ids = ids;
@@ -321,7 +317,7 @@ add_pair(Words *w, PyObject *obj, int n_letters)
 static int
 watch_merged(State *s, int w1, int w2)
 {
-    return w1 != UNDEF && find(s, w1) == find(s, w2);
+    return w1 != UNDEF && find(s->parent, w1) == find(s->parent, w2);
 }
 
 /* The enumeration proper: a status, or FAILED.  Words 2r and 2r + 1 are
@@ -338,7 +334,7 @@ enumerate(State *s, const Words *w, Py_ssize_t n_rels)
         rhs = word(w, 2 * n_rels + 1, &rlen);
         if ((w1 = trace_define(s, 0, lhs, llen)) < 0)
             return w1 == CAPPED ? STATUS_CAPPED : FAILED;
-        if ((w2 = trace_define(s, find(s, 0), rhs, rlen)) < 0)
+        if ((w2 = trace_define(s, find(s->parent, 0), rhs, rlen)) < 0)
             return w2 == CAPPED ? STATUS_CAPPED : FAILED;
         if (watch_merged(s, w1, w2))
             return STATUS_WATCH_MERGED;
@@ -346,18 +342,18 @@ enumerate(State *s, const Words *w, Py_ssize_t n_rels)
     for (c_idx = 0; c_idx < s->n_classes; c_idx++) {
         if (s->steps > s->max_steps)
             return STATUS_CAPPED;
-        if (find(s, c_idx) != c_idx)
+        if (find(s->parent, c_idx) != c_idx)
             continue;
         for (r = 0; r < n_rels; r++) {
             lhs = word(w, 2 * r, &llen);
             rhs = word(w, 2 * r + 1, &rlen);
-            rc = scan(s, find(s, c_idx), lhs, llen, rhs, rlen);
+            rc = scan(s, find(s->parent, c_idx), lhs, llen, rhs, rlen);
             if (rc < 0)
                 return rc == CAPPED ? STATUS_CAPPED : FAILED;
             if (watch_merged(s, w1, w2))
                 return STATUS_WATCH_MERGED;
         }
-        if (find(s, c_idx) == c_idx) {
+        if (find(s->parent, c_idx) == c_idx) {
             for (k = 0; k < s->n_letters; k++) {
                 if (row(s, c_idx)[k] == UNDEF) {
                     int cid;
@@ -381,8 +377,8 @@ static PyObject *
 dense_table(State *s)
 {
     PyObject *out = NULL;
-    int *renum = resize(NULL, s->n_classes, 1);
-    int *order = resize(NULL, s->live, 1);
+    int *renum = grow(NULL, s->n_classes, sizeof(int));
+    int *order = grow(NULL, s->live, sizeof(int));
     int *cells, head, next = 1, k;
     if (renum == NULL || order == NULL)
         goto done;
@@ -396,7 +392,7 @@ dense_table(State *s)
     for (head = 0; head < next; head++) {
         const int *r = row(s, order[head]);
         for (k = 0; k < s->n_letters; k++) {
-            int t = find(s, r[k]);
+            int t = find(s->parent, r[k]);
             if (renum[t] == UNDEF) {
                 renum[t] = next;
                 order[next++] = t;
@@ -455,7 +451,7 @@ run(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     w.bounds[0] = 0;
     w.cap = 64;
-    if ((w.ids = resize(NULL, w.cap, 1)) == NULL)
+    if ((w.ids = grow(NULL, w.cap, sizeof(int))) == NULL)
         goto done;
     for (r = 0; r < n_rels; r++)
         if (add_pair(&w, PyTuple_GET_ITEM(rels, r), s.n_letters) < 0)
@@ -465,9 +461,9 @@ run(PyObject *self, PyObject *args, PyObject *kwargs)
 
     s.cap = 1024;
     s.q_cap = 1024;
-    if ((s.parent = resize(NULL, s.cap, 1)) == NULL
-        || (s.table = resize(NULL, s.cap, s.n_letters)) == NULL
-        || (s.queue = resize(NULL, s.q_cap, 2)) == NULL)
+    if ((s.parent = grow(NULL, s.cap, sizeof(int))) == NULL
+        || (s.table = grow(NULL, s.cap, (size_t)s.n_letters * sizeof(int))) == NULL
+        || (s.queue = grow(NULL, s.q_cap, 2 * sizeof(int))) == NULL)
         goto done;
     s.parent[0] = 0;
     memset(row(&s, 0), 0xFF, (size_t)s.n_letters * sizeof(int));
@@ -599,7 +595,7 @@ add_element(Closure *c, const unsigned char *key, uint64_t h, size_t i)
         if ((p = grow(c->hashes, cap, sizeof(uint64_t))) == NULL)
             return -1;
         c->hashes = p;
-        if ((p = resize(c->rows, cap, (int)c->n_gens)) == NULL)
+        if ((p = grow(c->rows, cap, (size_t)c->n_gens * sizeof(int))) == NULL)
             return -1;
         c->rows = p;
         c->cap = cap;
@@ -651,47 +647,34 @@ close_elements(Closure *c, unsigned char (*tables)[256], Py_ssize_t max_elements
     return 1;
 }
 
-/* (keys, rows, index) as Python objects, rows the int32 right table. */
+/* (keys, rows) as Python objects, rows the int32 right table. */
 static PyObject *
 closure_result(const Closure *c)
 {
-    PyObject *keys = NULL, *rows = NULL, *index = NULL, *result = NULL;
+    PyObject *keys = PyTuple_New(c->count), *rows;
     Py_ssize_t i;
-    if ((keys = PyTuple_New(c->count)) == NULL
-        || (index = PyDict_New()) == NULL
-        || (rows = PyBytes_FromStringAndSize(
-                (const char *)c->rows,
-                c->count * c->n_gens * (Py_ssize_t)sizeof(int))) == NULL)
-        goto done;
+    if (keys == NULL)
+        return NULL;
     for (i = 0; i < c->count; i++) {
-        PyObject *key, *id;
-        int rc;
-        key = PyBytes_FromStringAndSize(
+        PyObject *key = PyBytes_FromStringAndSize(
             (const char *)c->keys + (size_t)i * c->key_len, c->key_len);
-        if (key == NULL)
-            goto done;
+        if (key == NULL) {
+            Py_DECREF(keys);
+            return NULL;
+        }
         PyTuple_SET_ITEM(keys, i, key);
-        if ((id = PyLong_FromSsize_t(i)) == NULL)
-            goto done;
-        rc = PyDict_SetItem(index, key, id);
-        Py_DECREF(id);
-        if (rc < 0)
-            goto done;
     }
-    result = PyTuple_Pack(3, keys, rows, index);
-done:
-    Py_XDECREF(keys);
-    Py_XDECREF(rows);
-    Py_XDECREF(index);
-    return result;
+    rows = PyBytes_FromStringAndSize(
+        (const char *)c->rows, c->count * c->n_gens * (Py_ssize_t)sizeof(int));
+    return Py_BuildValue("NN", keys, rows);
 }
 
 PyDoc_STRVAR(close_doc,
-"close(degree, gen_keys, max_elements)\n"
+"close(degree, gen_keys, max_elements, /)\n"
 "--\n\n"
 "Breadth-first closure of the identity under right products.\n\n"
-"Same contract as _tc_py.close: (keys, rows, index) with the elements\n"
-"in discovery order, or None when the closure has more than\n"
+"Same contract as _tc_py.close: (keys, rows) with the elements in\n"
+"discovery order, or None when the closure has more than\n"
 "max_elements elements.  A degree outside 1..255, or a key that is\n"
 "not bytes of length degree + 1, raises ValueError.");
 
@@ -725,7 +708,7 @@ close_monoid(PyObject *self, PyObject *args)
     c.mask = 2 * 1024 - 1;
     if ((c.keys = grow(NULL, c.cap, (size_t)c.key_len)) == NULL
         || (c.hashes = grow(NULL, c.cap, sizeof(uint64_t))) == NULL
-        || (c.rows = resize(NULL, c.cap, (int)c.n_gens)) == NULL
+        || (c.rows = grow(NULL, c.cap, (size_t)c.n_gens * sizeof(int))) == NULL
         || (c.slots = grow(NULL, (Py_ssize_t)c.mask + 1, sizeof(int))) == NULL)
         goto done;
     memset(c.slots, 0xFF, (c.mask + 1) * sizeof(int));
@@ -782,16 +765,6 @@ dense_labels(const uint64_t *rec, Py_ssize_t n, Py_ssize_t w, int *labels)
     return count;
 }
 
-static int
-find_root(int *root, int a)
-{
-    while (root[a] != a) {
-        root[a] = root[root[a]];
-        a = root[a];
-    }
-    return a;
-}
-
 /* R, L, H and D labels of the n keys, at labels[0], [n], [2n] and [3n],
    and the number of classes of each in counts[0..4): 0, or -1 with
    MemoryError. */
@@ -833,10 +806,10 @@ green_labels(PyObject *keys, Py_ssize_t key_len, int *labels, Py_ssize_t *counts
     for (i = 0; i < n; i++) {
         if (meets[l[i]] == NO_ELEMENT)
             meets[l[i]] = r[i];
-        root[find_root(root, r[i])] = find_root(root, meets[l[i]]);
+        root[find(root, r[i])] = find(root, meets[l[i]]);
     }
     for (i = 0; i < n; i++)
-        rec[i] = (uint64_t)find_root(root, r[i]);
+        rec[i] = (uint64_t)find(root, r[i]);
     if ((counts[3] = dense_labels(rec, n, 1, d)) >= 0)
         rc = 0;
 done:
@@ -847,7 +820,7 @@ done:
 }
 
 PyDoc_STRVAR(green_doc,
-"green(keys)\n"
+"green(keys, /)\n"
 "--\n\n"
 "Green's (R, L, H, D) labels of an inverse monoid's elements.\n\n"
 "Same contract as _tc_py.green: (r, l, h, d, counts), each label\n"

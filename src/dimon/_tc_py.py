@@ -71,10 +71,10 @@ away) and steps.
 
 close: the breadth-first closure of a set of maps under right
 products (Froidure & Pin, 1997), on the maps' byte keys (see
-dimon.iperm).  green: Green's R, L, H and D labels of an inverse
-monoid's elements, read off their keys.  Both check every key they
-are given, and raise ValueError for one that is not bytes of the
-expected length.
+dimon.iperm), returns the elements and the right table only.  green:
+Green's R, L, H and D labels of an inverse monoid's elements, read
+off their keys.  Both check every key they are given, and raise
+ValueError for one that is not bytes of the expected length.
 """
 
 from array import array
@@ -109,6 +109,14 @@ def _checked_pair(pair, n_letters):
     return _checked(pair[0], n_letters), _checked(pair[1], n_letters)
 
 
+def _find(parent, c):
+    """The root of c in a union-find forest, halving the path to it."""
+    while parent[c] != c:
+        parent[c] = parent[parent[c]]
+        c = parent[c]
+    return c
+
+
 def run(n_letters, relations, max_classes, max_steps, watch=None):
     """Enumerate the classes of the two-sided congruence.
 
@@ -135,12 +143,6 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     live = peak = 1
     merges = 0
 
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
     def new_class():
         nonlocal live, peak
         cid = len(parent)
@@ -161,7 +163,7 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
                 t = new_class()
                 table[c][a] = t
             elif parent[t] != t:
-                t = table[c][a] = find(t)
+                t = table[c][a] = _find(parent, t)
             c = t
         return c
 
@@ -170,8 +172,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
         queue.append((a, b))
         while queue:
             u, v = queue.popleft()
-            u = find(u)
-            v = find(v)
+            u = _find(parent, u)
+            v = _find(parent, v)
             if u == v:
                 continue
             if v < u:
@@ -192,8 +194,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
                     row_u[k] = t
                 else:
                     if parent[fs] != fs:
-                        fs = row_u[k] = find(fs)
-                    ft = find(t)
+                        fs = row_u[k] = _find(parent, fs)
+                    ft = _find(parent, t)
                     if fs != ft:
                         queue.append((fs, ft))
             table[v] = None
@@ -202,11 +204,11 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
         nonlocal steps
         p = trace_define(c, lhs)
         if not rhs:
-            q = find(c)
+            q = _find(parent, c)
             if q != p:
                 coincide(p, q)
             return
-        d = trace_define(find(c), rhs[:-1])
+        d = trace_define(_find(parent, c), rhs[:-1])
         last = rhs[-1]
         steps += 1
         t = table[d][last]
@@ -214,20 +216,20 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
             table[d][last] = p
         else:
             if parent[t] != t:
-                t = table[d][last] = find(t)
+                t = table[d][last] = _find(parent, t)
             if t != p:
                 coincide(t, p)
 
     w1 = w2 = UNDEF
 
     def watch_merged():
-        return w1 != UNDEF and find(w1) == find(w2)
+        return w1 != UNDEF and _find(parent, w1) == _find(parent, w2)
 
     def enumerate_classes():
         nonlocal w1, w2, steps
         if watch is not None:
             w1 = trace_define(0, watch[0])
-            w2 = trace_define(find(0), watch[1])
+            w2 = trace_define(_find(parent, 0), watch[1])
             if watch_merged():
                 return STATUS_WATCH_MERGED
 
@@ -235,14 +237,14 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
         while c_idx < len(parent):
             if steps > max_steps:
                 return STATUS_CAPPED
-            if find(c_idx) != c_idx:
+            if _find(parent, c_idx) != c_idx:
                 c_idx += 1
                 continue
             for lhs, rhs in relations:
-                scan(find(c_idx), lhs, rhs)
+                scan(_find(parent, c_idx), lhs, rhs)
                 if watch_merged():
                     return STATUS_WATCH_MERGED
-            if find(c_idx) == c_idx:
+            if _find(parent, c_idx) == c_idx:
                 row = table[c_idx]
                 for k in range(n_letters):
                     if row[k] == UNDEF:
@@ -270,7 +272,7 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     out = array("i")
     for c in order:
         for t in table[c]:
-            t = find(t)
+            t = _find(parent, t)
             if t not in renumber:
                 renumber[t] = len(order)
                 order.append(t)
@@ -289,7 +291,7 @@ def _checked_keys(degree, keys):
     return keys
 
 
-def close(degree, gen_keys, max_elements):
+def close(degree, gen_keys, max_elements, /):
     """Breadth-first closure of the identity under right products.
 
     gen_keys are the generators' keys, each degree + 1 bytes.  Elements
@@ -298,12 +300,11 @@ def close(degree, gen_keys, max_elements):
     Element i then generator k is ``keys[i].translate(table_k)``, where
     table_k is generator k's key padded to 256 bytes.
 
-    Returns (keys, rows, index): the elements' keys as a tuple of bytes,
+    Returns (keys, rows): the elements' keys as a tuple of bytes, and
     the right table as int32 bytes with cell i * len(gen_keys) + k the
-    index of element i times generator k, and the dict from each key to
-    its index.  Returns None
-    when the closure has more than max_elements elements; the identity
-    alone is kept whatever the cap.
+    index of element i times generator k.  Returns None when the
+    closure has more than max_elements elements; the identity alone is
+    kept whatever the cap.
     """
     tables = [key.ljust(256, b"\0") for key in _checked_keys(degree, gen_keys)]
     one = bytes(range(degree + 1))
@@ -325,7 +326,7 @@ def close(degree, gen_keys, max_elements):
                 keys.append(product)
             rows.append(target)
         pos += 1
-    return tuple(keys), rows.tobytes(), index
+    return tuple(keys), rows.tobytes()
 
 
 def _dense(keys):
@@ -340,7 +341,7 @@ def _dense(keys):
 _DOM = bytes((0,)) + bytes((1,)) * 255
 
 
-def green(keys):
+def green(keys, /):
     """Green's R, L, H and D labels of an inverse monoid's elements.
 
     keys are the elements' keys, all of one length.  Returns
@@ -359,17 +360,10 @@ def green(keys):
     r, n_r = _dense(key.translate(_DOM) for key in keys)
     l, n_l = _dense(frozenset(key) for key in keys)
     root = list(range(len(keys)))  # union-find over the R-classes
-
-    def find(a):
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
     meets = {}  # L-class -> an R-class it meets
     for a, b in zip(r, l):
-        x, y = find(a), find(meets.setdefault(b, a))
+        x, y = _find(root, a), _find(root, meets.setdefault(b, a))
         root[x] = y
     h, n_h = _dense(zip(r, l))
-    d, n_d = _dense(find(a) for a in r)
+    d, n_d = _dense(_find(root, a) for a in r)
     return r.tobytes(), l.tobytes(), h.tobytes(), d.tobytes(), (n_r, n_l, n_h, n_d)

@@ -229,11 +229,12 @@ def check_relations(family, n, as_json):
 def forms(family, n, as_json):
     """Verify the candidate forms set is a transversal of the classes."""
     fam = _from_input("'--family'", RelationFamily.parse, family)
+    if fam not in FORMS_SEED:
+        raise click.BadParameter(f"no forms construction for {fam.value}",
+                                 param_hint="'--family'")
     m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     caps = _caps()
-    if fam not in FORMS_SEED:
-        raise click.BadParameter(f"no forms construction for {fam.value}")
     seed = FORMS_SEED[fam]
     base = None if seed is None else congruence.enumerate_congruence(
         presentations.build_relations(seed, n), caps)

@@ -40,7 +40,7 @@ letter order, which is how the standardized table numbers classes.  So
 the enumeration's table equals the closure's right table, byte for
 byte, exactly when the presentation presents the monoid through the
 assignment, and then class c is closure element c.
-verify_presentation checks generation, then enumerates, then compares;
+verify_presentation closes the images, then enumerates, then compares;
 it evaluates the relations word by word only when the tables differ or
 the run was capped, so a presentation whose relations fail under its
 assignment pays for one enumeration before its FAIL.  verify_forms_set
@@ -219,11 +219,12 @@ def is_consequence(
     return status == _kernel.STATUS_WATCH_MERGED
 
 
-def _are_own_generators(m: FiniteMonoid, images: list) -> bool:
-    """Whether the images are m's generators in order.  Closure is
-    deterministic, so their closure would rebuild m exactly, and they
-    generate it."""
-    return [f.key for f in images] == [m.keys[g] for g in m.generators]
+def _closure_of_images(m: FiniteMonoid, images: list) -> "FiniteMonoid | None":
+    """The closure of the images: None when they do not generate m, and
+    m itself when they are its generators in order."""
+    if not verify_generates(m, images):
+        return None
+    return m if m.is_closure_of(images) else monoids.closure(m.degree, images)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -261,16 +262,13 @@ def verify_presentation(
     FAIL with its class count, and any other complete one raises
     RuntimeError.
     """
-    images = [a.image(name) for name in p.letters]
-    own = _are_own_generators(m, images)
-    if not own and not verify_generates(m, images):
+    closed = _closure_of_images(m, [a.image(name) for name in p.letters])
+    if closed is None:
         raise ValueError("assignment images do not generate the monoid")
     result = enumerate_congruence(p, caps)
     count, stats = result.class_count, result.stats
-    if result.is_complete:
-        closed = m if own else monoids.closure(m.degree, images)
-        if result.table == closed.right_cayley:
-            return PresentationVerdict(Verdict.PASS, count, m.size, (), stats)
+    if result.table == closed.right_cayley:
+        return PresentationVerdict(Verdict.PASS, count, m.size, (), stats)
     failing = check_relations_hold(p, a)
     if failing:
         tags = tuple(r.tag for r in failing)
@@ -331,13 +329,7 @@ def verify_forms_set(
         problems.append(
             f"{len(forms.words)} forms against monoid size {m.size}"
         )
-    images = [a.image(name) for name in p.letters]
-    if _are_own_generators(m, images):
-        closed = m
-    elif verify_generates(m, images):
-        closed = monoids.closure(m.degree, images)
-    else:
-        closed = None
+    closed = _closure_of_images(m, [a.image(name) for name in p.letters])
     if closed is None or result.table != closed.right_cayley:
         problems.append("classes do not map onto the monoid's elements")
     else:

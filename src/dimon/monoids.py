@@ -19,13 +19,12 @@ Element order is fixed by the deterministic closure, so element
 indices are reproducible across runs and platforms.
 
 Closure works on each element's ``PartialPerm.key`` and composes with
-``table()``.  The key index closure builds stays with the monoid and
-serves ``index`` and ``in``.  The Cayley tables are flat buffers, as
-every kernel table is: bytes of native int32 cells, row-major, with
-entry (i, k) at cell i * len(generators) + k.  Two monoids closed from
-the same generators in the same order have equal tables, byte for byte,
-which is what dimon.congruence compares a standardized congruence table
-with.
+``table()``; the monoid builds its key index on first use.  The Cayley
+tables are flat buffers, as every kernel table is: bytes of native
+int32 cells, row-major, with entry (i, k) at cell
+i * len(generators) + k.  Two monoids closed from the same generators
+in the same order have equal tables, byte for byte, which is what
+dimon.congruence compares a standardized congruence table with.
 
 The closure loop and Green's labelling run in a kernel: the compiled
 extension dimon._tc_core when it was built, the pure-Python
@@ -83,19 +82,17 @@ class FiniteMonoid:
     """A closed set of partial permutations: byte keys and right table.
 
     keys[i] is the ``PartialPerm.key`` of element i, keys[0] the
-    identity's, and _index maps each key back to its index.
-    right_cayley is int32 bytes whose cell i * len(generators) + k is
-    the index of element i times gen_k (apply element i first), where
-    gen_k is element generators[k].  The elements as PartialPerm and
-    left_cayley, of the same shape with gen_k times element i, are
-    built on first use.
+    identity's.  right_cayley is int32 bytes whose cell
+    i * len(generators) + k is the index of element i times gen_k
+    (apply element i first), where gen_k is element generators[k].
+    The elements as PartialPerm, the key index and left_cayley (gen_k
+    times element i) are built on first use.
     """
 
     degree: int
     keys: tuple[bytes, ...]
     generators: tuple[int, ...]
     right_cayley: bytes
-    _index: dict[bytes, int] = dataclasses.field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -108,6 +105,10 @@ class FiniteMonoid:
     @functools.cached_property
     def elements(self) -> tuple[PartialPerm, ...]:
         return tuple(self.element(i) for i in range(self.size))
+
+    @functools.cached_property
+    def _index(self) -> dict[bytes, int]:
+        return dict(zip(self.keys, range(self.size)))
 
     @functools.cached_property
     def left_cayley(self) -> bytes:
@@ -124,6 +125,11 @@ class FiniteMonoid:
 
     def __contains__(self, f: PartialPerm) -> bool:
         return f.key in self._index
+
+    def is_closure_of(self, gens: "list[PartialPerm] | tuple[PartialPerm, ...]") -> bool:
+        """Whether gens are this monoid's generators, in order: closure
+        is deterministic, so closing them would rebuild it exactly."""
+        return [f.key for f in gens] == [self.keys[g] for g in self.generators]
 
     def to_json_dict(self) -> dict:
         width = len(self.generators)
@@ -156,9 +162,9 @@ def closure(
     Breadth-first over (element, generator) pairs: elements are indexed
     in discovery order starting from the identity, generators in the
     given order.  Only the right products are composed (Froidure & Pin,
-    1997); the left table and the elements as PartialPerm are left to
-    FiniteMonoid to build on first use.  The monoid keeps the key index
-    the search built.  The kernel's close does the search.
+    1997), by the kernel's close; FiniteMonoid builds the rest on first
+    use.  Row 0 of the right table, the identity's, holds each
+    generator's index.
 
     An element is its ``PartialPerm.key``, and f then g is
     ``f.key.translate(g.table())``.  A degree outside 1..255, or a
@@ -177,14 +183,9 @@ def closure(
     closed = _kernel.close(degree, [f.key for f in gens], max_elements)
     if closed is None:
         raise ClosureCapError(f"closure exceeded cap of {max_elements} elements")
-    keys, rows, index = closed
-    return FiniteMonoid(
-        degree=degree,
-        keys=keys,
-        generators=tuple(index[f.key] for f in gens),
-        right_cayley=rows,
-        _index=index,
-    )
+    keys, rows = closed
+    generators = tuple(memoryview(rows).cast("i")[:len(gens)])
+    return FiniteMonoid(degree, keys, generators, rows)
 
 
 #: Minimum degree at which each family is defined, checked by _check_n
@@ -319,13 +320,15 @@ def verify_generates(
     m must be closed under products and generated by m.generators, as
     every monoid built by closure is.  Then the closure of gens is m
     exactly when every map in gens lies in m and the closure reaches
-    every generator of m.  So the check is: membership of gens, then a
-    breadth-first search from the identity over the products with gens
-    that stops once it has seen every index in m.generators.
+    every generator of m.  So: gens are m's generators in order, or
+    they lie in m and a breadth-first search from the identity over the
+    products with gens sees every index in m.generators.
     """
     for f in gens:
         if f.degree != m.degree:
             raise ValueError(f"generator degree {f.degree} != {m.degree}")
+    if m.is_closure_of(gens):
+        return True
     if not all(f in m for f in gens):
         return False
     missing = set(m.generators) - {0}

@@ -179,8 +179,10 @@ def test_forms(runner):
         res = runner.invoke(main, ["forms", "--family", family, "--n", "4"])
         assert res.exit_code == 0
         assert f"PASS, {count} forms" in res.output
-    res = runner.invoke(main, ["forms", "--family", "U", "--n", "4"])
-    assert res.exit_code == 2
+    for n in ("2", "4", "5"):
+        res = runner.invoke(main, ["forms", "--family", "U", "--n", n])
+        assert res.exit_code == 2
+        assert "'--family'" in res.output and "no forms construction" in res.output
 
 
 def test_tietze(runner):

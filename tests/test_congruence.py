@@ -864,6 +864,32 @@ def test_verify_closes_no_images_that_are_the_monoids_generators(monkeypatch):
         assert verify_forms_set(p, forms, a, m).verdict is Verdict.PASS
 
 
+def test_verify_builds_no_key_index_it_does_not_read(monkeypatch):
+    """A monoid builds its key index on first use.  Verifying U and QPrime,
+    whose images are the monoid's own generators, builds none, and neither
+    does the closure of R's images; a membership test builds it."""
+    for family, n in ((RelationFamily.U, 5), (RelationFamily.Q_PRIME, 5)):
+        m = build_named(TARGETS[family], n)
+        p, a = build_relations(family, n), build_assignment(family, n)
+        assert verify_presentation(p, a, m).verdict is Verdict.PASS
+        forms = normal_forms(enumerate_congruence(p), p.letters)
+        assert verify_forms_set(p, forms, a, m).verdict is Verdict.PASS
+        assert "_index" not in m.__dict__, family
+    assert named_generator("g", 5) in m
+    assert "_index" in m.__dict__
+    p, a = build_relations(RelationFamily.R, 5), build_assignment(RelationFamily.R, 5)
+    m = build_named(MonoidFamily.ODI, 5)
+    closed = []
+
+    def recording_closure(*args, **kwargs):
+        closed.append(closure(*args, **kwargs))
+        return closed[-1]
+
+    monkeypatch.setattr(congruence.monoids, "closure", recording_closure)
+    assert verify_presentation(p, a, m).verdict is Verdict.PASS
+    assert len(closed) == 1 and "_index" not in closed[0].__dict__
+
+
 def test_verify_builds_no_elements_or_left_table():
     """The verify paths read the monoid's keys and right table only."""
     m = build_named(MonoidFamily.ODI, 5)

@@ -2,6 +2,7 @@
 
 import doctest
 import hashlib
+import inspect
 import json
 import random
 
@@ -376,8 +377,8 @@ def _defined_families(n):
 
 def test_kernels_close_and_label_alike(compiled_kernel):
     """The compiled close and green return what _tc_py's do: the same
-    keys in the same order, the same right table and key index, and the
-    same dense R, L, H and D labels, for every family at n = 1..8."""
+    keys in the same order, the same right table, and the same dense
+    R, L, H and D labels, for every family at n = 1..8."""
     cases = 0
     for n in range(1, 9):
         for family, gen_keys in _defined_families(n):
@@ -410,7 +411,7 @@ def test_kernels_cap_closure_alike(compiled_kernel):
         assert compiled_kernel.close(6, gen_keys, cap) is None
     # the identity alone is kept whatever the cap
     for kernel in (_tc_py, compiled_kernel):
-        assert kernel.close(6, [], 0) == ((bytes(range(7)),), b"", {bytes(range(7)): 0})
+        assert kernel.close(6, [], 0) == ((bytes(range(7)),), b"")
 
 
 @pytest.mark.parametrize("degree, gen_keys", [
@@ -443,6 +444,27 @@ def test_kernels_refuse_malformed_keys(kernel, degree, gen_keys):
 def test_kernels_refuse_malformed_green_keys(kernel, keys):
     with pytest.raises(ValueError):
         kernel.green(keys)
+
+
+def test_kernels_share_one_contract(compiled_kernel):
+    """Both kernel modules expose run, close and green with the same
+    signatures, and the same status constants.  The compiled close and
+    green take no keywords, so their signatures say so."""
+    for name in ("run", "close", "green"):
+        assert inspect.signature(getattr(compiled_kernel, name)) == inspect.signature(
+            getattr(_tc_py, name)
+        ), name
+    for name in ("STATUS_COMPLETE", "STATUS_CAPPED", "STATUS_WATCH_MERGED"):
+        assert getattr(compiled_kernel, name) == getattr(_tc_py, name), name
+
+
+def test_closure_reads_generators_off_the_identitys_row():
+    """A generator's index is its column in row 0, so a repeated
+    generator and the identity as a generator get theirs too."""
+    g, e_1 = named_generator("g", 4), named_generator("e_1", 4)
+    m = closure(4, [g, g, identity(4), e_1])
+    assert m.generators == (1, 1, 0, m.index(e_1))
+    assert closure(4, []).generators == ()
 
 
 def test_closure_and_green_call_the_kernel(monkeypatch):
