@@ -40,7 +40,7 @@ letter order, which is how the standardized table numbers classes.  So
 the enumeration's table equals the closure's right table, byte for
 byte, exactly when the presentation presents the monoid through the
 assignment, and then class c is closure element c.
-verify_presentation closes the images, then enumerates, then compares;
+verify_presentation checks generation, then enumerates, then compares;
 it evaluates the relations word by word only when the tables differ or
 the run was capped, so a presentation whose relations fail under its
 assignment pays for one enumeration before its FAIL.  verify_forms_set
@@ -219,12 +219,14 @@ def is_consequence(
     return status == _kernel.STATUS_WATCH_MERGED
 
 
-def _closure_of_images(m: FiniteMonoid, images: list) -> "FiniteMonoid | None":
-    """The closure of the images: None when they do not generate m, and
-    m itself when they are its generators in order."""
+def _closure_of_images(m: FiniteMonoid, images: list):
+    """None when the images do not generate m, else a function returning
+    their closure, which is m itself when they are its generators in order."""
+    if m.is_closure_of(images):
+        return lambda: m
     if not verify_generates(m, images):
         return None
-    return m if m.is_closure_of(images) else monoids.closure(m.degree, images)
+    return lambda: monoids.closure(m.degree, images)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,12 +264,12 @@ def verify_presentation(
     FAIL with its class count, and any other complete one raises
     RuntimeError.
     """
-    closed = _closure_of_images(m, [a.image(name) for name in p.letters])
-    if closed is None:
+    close = _closure_of_images(m, [a.image(name) for name in p.letters])
+    if close is None:
         raise ValueError("assignment images do not generate the monoid")
     result = enumerate_congruence(p, caps)
     count, stats = result.class_count, result.stats
-    if result.table == closed.right_cayley:
+    if result.is_complete and result.table == close().right_cayley:
         return PresentationVerdict(Verdict.PASS, count, m.size, (), stats)
     failing = check_relations_hold(p, a)
     if failing:
@@ -329,7 +331,8 @@ def verify_forms_set(
         problems.append(
             f"{len(forms.words)} forms against monoid size {m.size}"
         )
-    closed = _closure_of_images(m, [a.image(name) for name in p.letters])
+    close = _closure_of_images(m, [a.image(name) for name in p.letters])
+    closed = close() if close else None
     if closed is None or result.table != closed.right_cayley:
         problems.append("classes do not map onto the monoid's elements")
     else:

@@ -890,6 +890,17 @@ def test_verify_builds_no_key_index_it_does_not_read(monkeypatch):
     assert len(closed) == 1 and "_index" not in closed[0].__dict__
 
 
+def test_capped_verify_closes_no_images(monkeypatch):
+    """The images are closed only to compare with a complete run's table:
+    a capped verify checks generation and closes nothing."""
+    p, a = build_relations(RelationFamily.R, 5), build_assignment(RelationFamily.R, 5)
+    m = build_named(MonoidFamily.ODI, 5)
+    closed = []
+    monkeypatch.setattr(congruence.monoids, "closure", lambda *args: closed.append(args))
+    v = verify_presentation(p, a, m, EnumerationCaps(max_classes=20))
+    assert v.verdict is Verdict.INDETERMINATE and closed == []
+
+
 def test_verify_builds_no_elements_or_left_table():
     """The verify paths read the monoid's keys and right table only."""
     m = build_named(MonoidFamily.ODI, 5)
