@@ -411,7 +411,7 @@ done:
 }
 
 PyDoc_STRVAR(run_doc,
-"run(n_letters, relations, max_classes, max_steps, watch=None)\n"
+"run(n_letters, relations, max_classes, max_steps, watch=None, /)\n"
 "--\n\n"
 "Enumerate the classes of the two-sided congruence.\n\n"
 "Same contract as _tc_py.run: relations are (lhs, rhs) pairs of\n"
@@ -421,22 +421,19 @@ PyDoc_STRVAR(run_doc,
 "counters.  Status 0 with a watch means the pair is in\n"
 "two classes: the watch is checked after every scan, and only scans\n"
 "merge classes.  A letter id outside range(n_letters) raises\n"
-"ValueError.");
+"ValueError.  It takes positional arguments only.");
 
 static PyObject *
-run(PyObject *self, PyObject *args, PyObject *kwargs)
+run(PyObject *self, PyObject *args)
 {
-    static char *keywords[] = {
-        "n_letters", "relations", "max_classes", "max_steps", "watch", NULL};
     PyObject *relations, *watch = Py_None, *rels, *result = NULL;
     State s = {0};
     Words w = {0};
     Py_ssize_t n_rels, r;
     int status;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOiL|O:run", keywords,
-                                     &s.n_letters, &relations, &s.max_classes,
-                                     &s.max_steps, &watch))
+    if (!PyArg_ParseTuple(args, "iOiL|O:run", &s.n_letters, &relations,
+                          &s.max_classes, &s.max_steps, &watch))
         return NULL;
     if (s.n_letters < 0)
         return PyErr_Format(PyExc_ValueError,
@@ -860,8 +857,7 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"run", (PyCFunction)(void (*)(void))run, METH_VARARGS | METH_KEYWORDS,
-     run_doc},
+    {"run", run, METH_VARARGS, run_doc},
     {"close", close_monoid, METH_VARARGS, close_doc},
     {"green", green, METH_O, green_doc},
     {NULL, NULL, 0, NULL}

@@ -117,7 +117,7 @@ def _find(parent, c):
     return c
 
 
-def run(n_letters, relations, max_classes, max_steps, watch=None):
+def run(n_letters, relations, max_classes, max_steps, watch=None, /):
     """Enumerate the classes of the two-sided congruence.
 
     relations: sequence of (lhs, rhs) pairs of letter-id tuples.
@@ -129,7 +129,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None):
     stats the run's counters (see the module docstring).  Status 0
     with a watch means the pair is in two classes of the table.  A
     letter id outside range(n_letters), in a relation or in the watch
-    pair, raises ValueError, as does a negative n_letters.
+    pair, raises ValueError, as does a negative n_letters.  Every
+    argument is positional only, as in close, green and _tc_core.run.
     """
     if n_letters < 0:
         raise ValueError(f"n_letters must be non-negative, got {n_letters}")

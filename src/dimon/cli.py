@@ -10,7 +10,8 @@ enumeration's counters under "stats".  The exit code is
 is INDETERMINATE (an enumeration or a monoid closure hit its cap), and
 2 for a usage or input error: an invalid option value, an --n outside
 the family's range, a malformed --presentation file, an --out or --dot
-path that cannot be written, or a malformed DIMON_MAX_CLASSES.
+path that cannot be written, or a malformed DIMON_MAX_CLASSES.  That
+variable sets the class cap of every verb that enumerates.
 
     dimon build --family odi --n 5 --out m.json
     dimon verify-presentation --family R --n 4
@@ -18,6 +19,7 @@ path that cannot be written, or a malformed DIMON_MAX_CLASSES.
 """
 
 import json as _json
+import os
 import sys
 
 import click
@@ -90,8 +92,14 @@ def _write(param, path, text):
 
 
 def _caps(max_classes=None, max_steps=None):
-    """The default caps, overridden by the --max-classes/--max-steps values."""
-    caps = _from_input("DIMON_MAX_CLASSES", EnumerationCaps.default)
+    """The default caps, overridden by DIMON_MAX_CLASSES, then by the
+    --max-classes/--max-steps values: the one reader of the variable."""
+    env = os.environ.get("DIMON_MAX_CLASSES")
+    try:
+        caps = EnumerationCaps(max_classes=int(env)) if env else EnumerationCaps()
+    except ValueError as exc:
+        raise click.BadParameter(f"DIMON_MAX_CLASSES={env!r} is not a class cap: {exc}",
+                                 param_hint="DIMON_MAX_CLASSES") from exc
     return EnumerationCaps(
         max_classes=caps.max_classes if max_classes is None else max_classes,
         max_steps=caps.max_steps if max_steps is None else max_steps,
@@ -152,6 +160,8 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     """Check a relation family presents its monoid, by enumeration."""
     fam = _from_input("'--family'", RelationFamily.parse, family)
     target = TARGET_MONOID[fam]
+    # the relation family's range first, so the message names it
+    _from_input("'--n'", presentations.build_alphabet, fam, n)
     m = _from_input("'--n'", monoids.build_named, target, n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     a = presentations.build_assignment(fam, n)
@@ -232,6 +242,8 @@ def forms(family, n, as_json):
     if fam not in FORMS_SEED:
         raise click.BadParameter(f"no forms construction for {fam.value}",
                                  param_hint="'--family'")
+    # the relation family's range first, so the message names it
+    _from_input("'--n'", presentations.build_alphabet, fam, n)
     m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     caps = _caps()

@@ -44,15 +44,17 @@ verify_presentation checks generation, then enumerates, then compares;
 it evaluates the relations word by word only when the tables differ or
 the run was capped, so a presentation whose relations fail under its
 assignment pays for one enumeration before its FAIL.  verify_forms_set
-reads each form's element as the closure element with its class's
-index instead of evaluating the form.  When the images are the
+evaluates no form: equal tables map the classes one to one onto the
+monoid's elements, so forms in distinct classes covering every class
+evaluate one to one onto the elements.  When the images are the
 monoid's own generators in order, as for U, V, VbarPrime and QPrime,
 their closure is the monoid itself: both checks then compare with its
 right table and neither closes the images again.
 
-The environment variable DIMON_MAX_CLASSES overrides the default class
-cap.  Caps are checked where they are made: the compiled kernel holds
-class ids in a C int and its step count in a C long long.
+Results depend on their arguments alone: a call without caps always
+gets EnumerationCaps(), and nothing here reads the environment.  Caps
+are checked where they are made: the compiled kernel holds class ids in
+a C int and its step count in a C long long.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import os
 
 from . import monoids
 from .monoids import BACKEND, FiniteMonoid, _kernel, verify_generates
@@ -82,8 +83,9 @@ class Verdict(enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
-# the compiled kernel doubles its class capacity in a C int, and counts
-# steps in a C long long
+# the compiled kernel holds class ids in C ints, hence a round bound
+# below INT_MAX (its capacity doubles in a Py_ssize_t, not an int), and
+# counts steps in a C long long
 MAX_CLASSES = 2**30
 MAX_STEPS = 2**63 - 1
 
@@ -106,19 +108,6 @@ class EnumerationCaps:
             raise ValueError(
                 f"max_steps must be at most 2**63 - 1, got {self.max_steps}"
             )
-
-    @classmethod
-    def default(cls) -> "EnumerationCaps":
-        """The default caps, with max_classes from DIMON_MAX_CLASSES if set."""
-        env = os.environ.get("DIMON_MAX_CLASSES")
-        if not env:
-            return cls()
-        try:
-            return cls(max_classes=int(env))
-        except ValueError as exc:
-            raise ValueError(
-                f"DIMON_MAX_CLASSES={env!r} is not a class cap: {exc}"
-            ) from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,7 +179,7 @@ def enumerate_congruence(
     >>> enumerate_congruence(p).class_count
     2
     """
-    caps = caps or EnumerationCaps.default()
+    caps = caps or EnumerationCaps()
     _, table, stats = _kernel.run(
         len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps
     )
@@ -206,7 +195,7 @@ def is_consequence(
     consequences are confirmed even when the presented monoid is
     infinite.  A capped run without a merge raises IndeterminateError.
     """
-    caps = caps or EnumerationCaps.default()
+    caps = caps or EnumerationCaps()
     watch = (p.word_ids(rel.lhs), p.word_ids(rel.rhs))
     status, _, _ = _kernel.run(
         len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch
@@ -309,12 +298,13 @@ def verify_forms_set(
     """Check that forms is a transversal of p's classes matching m.
 
     PASS means: the forms fall in pairwise distinct classes, cover
-    every class, number exactly m.size, and evaluate bijectively onto
-    m's elements.  A form's element is the closure element of a's
-    images with its class's index, not evaluated letter by letter.
-    That reading needs the images to generate m and the table to equal
-    the closure's right table (see the module docstring); when either
-    fails, that is the one problem reported about the images.
+    every class, number exactly m.size, and p's table equals the right
+    table of the closure of a's images, which must generate m.  Equal
+    tables number the classes as m's elements (see the module
+    docstring), so the forms then evaluate bijectively onto m's
+    elements; no form is evaluated.  When the images do not generate m
+    or the tables differ, that is the one problem reported about the
+    images.
     """
     result = enumerate_congruence(p, caps)
     if not result.is_complete:
@@ -323,24 +313,18 @@ def verify_forms_set(
         )
     problems = []
     classes = [result.word_class(w) for w in forms.words]
-    if len(set(classes)) != len(classes):
+    distinct = set(classes)
+    if len(distinct) != len(classes):
         problems.append("two forms share a class")
-    if set(classes) != set(range(result.class_count)):
+    if len(distinct) != result.class_count:  # every class id is below the count
         problems.append("forms do not cover every class")
     if len(forms.words) != m.size:
         problems.append(
             f"{len(forms.words)} forms against monoid size {m.size}"
         )
     close = _closure_of_images(m, [a.image(name) for name in p.letters])
-    closed = close() if close else None
-    if closed is None or result.table != closed.right_cayley:
+    if close is None or result.table != close().right_cayley:
         problems.append("classes do not map onto the monoid's elements")
-    else:
-        distinct = len({closed.keys[c] for c in classes})
-        if distinct != len(classes):
-            problems.append("two forms evaluate to one element")
-        if distinct != m.size:
-            problems.append("form images are not the monoid's elements")
     verdict = Verdict.PASS if not problems else Verdict.FAIL
     return FormsVerdict(
         verdict, len(forms.words), result.class_count, m.size, tuple(problems),

@@ -146,6 +146,14 @@ def test_malformed_class_cap_variable_is_a_usage_error(runner, args):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "1.5", str(2**31)])
+def test_class_cap_variable_must_be_a_class_cap(runner, value):
+    res = runner.invoke(main, ["verify-presentation", "--family", "R", "--n", "4"],
+                        env={"DIMON_MAX_CLASSES": value})
+    assert res.exit_code == 2
+    assert f"DIMON_MAX_CLASSES='{value}' is not a class cap" in res.output
+
+
 def test_capped_forms_and_tietze_are_indeterminate(runner):
     # R and Vbar read their forms off a seed enumeration (of U, of V),
     # which the cap stops first
@@ -272,11 +280,13 @@ def test_formulas_bad_range(runner):
     assert runner.invoke(main, ["formulas", "--n-range", "6..4"]).exit_code == 2
 
 
-# the targets OCI and CI build at n = 3: only the relation families' range
-# refuses these
+# the relation family's range refuses these, and the message names it:
+# the targets OCI and CI build at n = 3, and ODI would refuse n = 2 itself
 RELATION_RANGE_CASES = (
     ["check-relations", "--family", "U", "--n", "3"],
     ["verify-presentation", "--family", "Q0", "--n", "3"],
+    ["verify-presentation", "--family", "R", "--n", "2"],
+    ["forms", "--family", "R", "--n", "2"],
 )
 
 
@@ -303,7 +313,7 @@ def test_out_of_range_input_is_a_usage_error(runner, args):
     assert "Invalid value for '--" in res.output
     assert "Traceback" not in res.output
     if args in RELATION_RANGE_CASES:
-        assert "relation families need n >= 4, got 3" in res.output
+        assert f"relation families need n >= 4, got {args[-1]}" in res.output
 
 
 ACCEPTED_FAMILIES = {

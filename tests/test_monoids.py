@@ -448,14 +448,17 @@ def test_kernels_refuse_malformed_green_keys(kernel, keys):
 
 def test_kernels_share_one_contract(compiled_kernel):
     """Both kernel modules expose run, close and green with the same
-    signatures, and the same status constants.  The compiled close and
-    green take no keywords, so their signatures say so."""
+    signatures, and the same status constants.  No compiled kernel takes
+    keywords, so every signature says so."""
     for name in ("run", "close", "green"):
         assert inspect.signature(getattr(compiled_kernel, name)) == inspect.signature(
             getattr(_tc_py, name)
         ), name
     for name in ("STATUS_COMPLETE", "STATUS_CAPPED", "STATUS_WATCH_MERGED"):
         assert getattr(compiled_kernel, name) == getattr(_tc_py, name), name
+    for kernel in (_tc_py, compiled_kernel):
+        with pytest.raises(TypeError):
+            kernel.run(1, (), 10, 10, watch=None)
 
 
 def test_closure_reads_generators_off_the_identitys_row():
