@@ -9,9 +9,10 @@ enumeration's counters under "stats".  The exit code is
 0 when every requested verdict is PASS, 1 when one is FAIL, 3 when one
 is INDETERMINATE (an enumeration or a monoid closure hit its cap), and
 2 for a usage or input error: an invalid option value, an --n outside
-the family's range, a malformed --presentation file, an --out or --dot
-path that cannot be written, or a malformed DIMON_MAX_CLASSES.  That
-variable sets the class cap of every verb that enumerates.
+the family's range, a malformed --presentation file, or an --out or
+--dot path that cannot be written.  Every verb that enumerates takes
+--max-classes and --max-steps, and reports a capped enumeration by
+both its counters against both caps.
 
     dimon build --family odi --n 5 --out m.json
     dimon verify-presentation --family R --n 4
@@ -19,7 +20,6 @@ variable sets the class cap of every verb that enumerates.
 """
 
 import json as _json
-import os
 import sys
 
 import click
@@ -35,16 +35,8 @@ from .presentations import (
 )
 
 # printed in the order of the standard count table
-COUNT_ORDER = (
-    RelationFamily.R,
-    RelationFamily.V,
-    RelationFamily.VBAR,
-    RelationFamily.VBAR_PRIME,
-    RelationFamily.Q,
-    RelationFamily.Q_PRIME,
-    RelationFamily.U,
-    RelationFamily.Q0,
-)
+COUNT_ORDER = tuple(RelationFamily[name] for name in
+                    ("R", "V", "VBAR", "VBAR_PRIME", "Q", "Q_PRIME", "U", "Q0"))
 
 EXIT_CODES = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INDETERMINATE: 3}
 
@@ -91,19 +83,22 @@ def _write(param, path, text):
         raise click.BadParameter(str(exc), param_hint=param) from exc
 
 
-def _caps(max_classes=None, max_steps=None):
-    """The default caps, overridden by DIMON_MAX_CLASSES, then by the
-    --max-classes/--max-steps values: the one reader of the variable."""
-    env = os.environ.get("DIMON_MAX_CLASSES")
-    try:
-        caps = EnumerationCaps(max_classes=int(env)) if env else EnumerationCaps()
-    except ValueError as exc:
-        raise click.BadParameter(f"DIMON_MAX_CLASSES={env!r} is not a class cap: {exc}",
-                                 param_hint="DIMON_MAX_CLASSES") from exc
-    return EnumerationCaps(
-        max_classes=caps.max_classes if max_classes is None else max_classes,
-        max_steps=caps.max_steps if max_steps is None else max_steps,
-    )
+def _budgets(command):
+    """Declare the enumeration budgets --max-classes and --max-steps,
+    which default to EnumerationCaps()'s."""
+    caps = EnumerationCaps()
+    steps = click.option("--max-steps", type=click.IntRange(1, MAX_STEPS),
+                         default=caps.max_steps, show_default=True)
+    classes = click.option("--max-classes", type=click.IntRange(1, MAX_CLASSES),
+                           default=caps.max_classes, show_default=True)
+    return classes(steps(command))
+
+
+def _capped(caps, stats):
+    """The report of a capped enumeration: both counters against both caps."""
+    return (f"capped at {stats['classes_defined']} classes defined "
+            f"(cap {caps.max_classes}) after {stats['steps']} steps "
+            f"(cap {caps.max_steps})")
 
 
 def _parse_range(text):
@@ -153,8 +148,7 @@ def build(family, n, out, dot, as_json):
 @main.command("verify-presentation")
 @click.option("--family", required=True, help=RELATION_HELP)
 @click.option("--n", type=int, required=True)
-@click.option("--max-classes", type=click.IntRange(1, MAX_CLASSES), default=None)
-@click.option("--max-steps", type=click.IntRange(1, MAX_STEPS), default=None)
+@_budgets
 @click.option("--json", "as_json", is_flag=True)
 def verify_presentation(family, n, max_classes, max_steps, as_json):
     """Check a relation family presents its monoid, by enumeration."""
@@ -165,7 +159,8 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     m = _from_input("'--n'", monoids.build_named, target, n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     a = presentations.build_assignment(fam, n)
-    v = congruence.verify_presentation(p, a, m, _caps(max_classes, max_steps))
+    caps = EnumerationCaps(max_classes, max_steps)
+    v = congruence.verify_presentation(p, a, m, caps)
     if v.verdict is Verdict.PASS:
         lines = [f"PASS, reports {v.class_count} = {v.monoid_size}"]
     elif v.verdict is Verdict.FAIL and v.failing_tags:
@@ -173,7 +168,7 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     elif v.verdict is Verdict.FAIL:
         lines = [f"FAIL, reports {v.class_count} != {v.monoid_size}"]
     else:
-        lines = [f"INDETERMINATE, enumeration capped before {v.monoid_size}"]
+        lines = [f"INDETERMINATE, {_capped(caps, v.stats)}"]
     payload = {"verb": "verify-presentation", "family": fam.value, "n": n,
                "monoid": target.value, "verdict": v.verdict.value,
                "classes": v.class_count, "size": v.monoid_size,
@@ -186,8 +181,7 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
 @click.option("--presentation", "path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="presentation JSON file")
-@click.option("--max-classes", type=click.IntRange(1, MAX_CLASSES), default=None)
-@click.option("--max-steps", type=click.IntRange(1, MAX_STEPS), default=None)
+@_budgets
 @click.option("--json", "as_json", is_flag=True)
 def enumerate_presentation(path, max_classes, max_steps, as_json):
     """Enumerate the congruence classes of a presentation file."""
@@ -199,12 +193,11 @@ def enumerate_presentation(path, max_classes, max_steps, as_json):
                 f"malformed presentation: {type(exc).__name__}: {exc}",
                 param_hint="'--presentation'",
             ) from exc
-    r = congruence.enumerate_congruence(p, _caps(max_classes, max_steps))
+    r = congruence.enumerate_congruence(p, EnumerationCaps(max_classes, max_steps))
     if r.is_complete:
         lines = [f"{p.label}: complete, {r.class_count} classes"]
     else:
-        lines = [f"{p.label}: capped at max_classes={r.caps.max_classes}, "
-                 f"max_steps={r.caps.max_steps}"]
+        lines = [f"{p.label}: {_capped(r.caps, r.stats)}"]
     payload = {"verb": "enumerate", "presentation": path, "label": p.label,
                "result": r.to_json_dict(), "backend": congruence.BACKEND}
     verdict = Verdict.PASS if r.is_complete else Verdict.INDETERMINATE
@@ -235,8 +228,9 @@ def check_relations(family, n, as_json):
 @main.command()
 @click.option("--family", required=True, help=FORMS_HELP)
 @click.option("--n", type=int, required=True)
+@_budgets
 @click.option("--json", "as_json", is_flag=True)
-def forms(family, n, as_json):
+def forms(family, n, max_classes, max_steps, as_json):
     """Verify the candidate forms set is a transversal of the classes."""
     fam = _from_input("'--family'", RelationFamily.parse, family)
     if fam not in FORMS_SEED:
@@ -246,7 +240,7 @@ def forms(family, n, as_json):
     _from_input("'--n'", presentations.build_alphabet, fam, n)
     m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
-    caps = _caps()
+    caps = EnumerationCaps(max_classes, max_steps)
     seed = FORMS_SEED[fam]
     base = None if seed is None else congruence.enumerate_congruence(
         presentations.build_relations(seed, n), caps)
@@ -264,7 +258,7 @@ def forms(family, n, as_json):
     elif v.verdict is Verdict.FAIL:
         lines = [f"FAIL: {'; '.join(v.problems)}"]
     else:
-        lines = [f"INDETERMINATE, enumeration capped before {v.monoid_size}"]
+        lines = [f"INDETERMINATE, {_capped(caps, v.stats)}"]
     payload = {"verb": "forms", "family": fam.value, "n": n,
                "monoid": TARGET_MONOID[fam].value, "verdict": v.verdict.value,
                "forms": v.forms_count, "classes": v.class_count,
@@ -276,8 +270,9 @@ def forms(family, n, as_json):
 @main.command()
 @click.option("--chain", type=click.Choice(list(ELIMINATION_CHAINS)), required=True)
 @click.option("--n", type=int, required=True)
+@_budgets
 @click.option("--json", "as_json", is_flag=True)
-def tietze(chain, n, as_json):
+def tietze(chain, n, max_classes, max_steps, as_json):
     """Replay a generator-elimination chain and verify every step.
 
     Each step is checked as verify-presentation checks a family: against
@@ -288,15 +283,17 @@ def tietze(chain, n, as_json):
     m = _from_input("'--n'", monoids.build_named, target, n)
     steps = _from_input("'--n'", build_chain, n)
     a = presentations.build_assignment(family, n)
-    caps = _caps()
+    caps = EnumerationCaps(max_classes, max_steps)
     lines = []
     rows = []
     verdicts = []
     for p in steps:
         v = congruence.verify_presentation(p, a, m, caps)
         verdicts.append(v)
-        lines.append(f"{p.label}: {len(p.letters)} letters, "
-                     f"{v.class_count} classes")
+        outcome = (_capped(caps, v.stats) if v.verdict is Verdict.INDETERMINATE
+                   else "relations do not hold" if v.failing_tags
+                   else f"{v.class_count} classes")
+        lines.append(f"{p.label}: {len(p.letters)} letters, {outcome}")
         rows.append({"label": p.label, "letters": len(p.letters),
                      "classes": v.class_count, "stats": dict(v.stats)})
     failing = [tag for v in verdicts for tag in v.failing_tags]
@@ -310,7 +307,8 @@ def tietze(chain, n, as_json):
         lines.append(f"FAIL, class counts {counts} vs size {m.size}")
     elif Verdict.INDETERMINATE in outcomes:
         verdict = Verdict.INDETERMINATE
-        lines.append(f"INDETERMINATE, enumeration capped before {m.size}")
+        capped = sum(v.verdict is Verdict.INDETERMINATE for v in verdicts)
+        lines.append(f"INDETERMINATE, {capped} of {len(verdicts)} presentations capped")
     else:
         verdict = Verdict.PASS
         lines.append(f"PASS, class count preserved at {m.size} = |{target.value}({n})|")

@@ -87,8 +87,8 @@ def test_forms_json_carries_the_counters(runner):
     assert res.exit_code == 0
     stats = congruence.enumerate_congruence(build_relations(RelationFamily.Q, 4)).stats
     assert json.loads(res.output)["stats"] == stats
-    res = runner.invoke(main, ["forms", "--family", "R", "--n", "4", "--json"],
-                        env={"DIMON_MAX_CLASSES": "20"})
+    res = runner.invoke(main, ["forms", "--family", "R", "--n", "4", "--json",
+                               "--max-classes", "20"])
     assert res.exit_code == 3
     seed = congruence.enumerate_congruence(
         build_relations(RelationFamily.U, 4), congruence.EnumerationCaps(max_classes=20))
@@ -133,42 +133,50 @@ def test_json_names_the_backend(runner, tmp_path):
         assert json.loads(res.output)["backend"] == congruence.BACKEND
 
 
-@pytest.mark.parametrize("args", [
-    ["verify-presentation", "--family", "R", "--n", "4"],
-    ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", "100"],
-    ["forms", "--family", "R", "--n", "4"],
-    ["tietze", "--chain", "odi", "--n", "4"],
-], ids=lambda args: " ".join(args[:1] + args[5:]))
-def test_malformed_class_cap_variable_is_a_usage_error(runner, args):
-    res = runner.invoke(main, args, env={"DIMON_MAX_CLASSES": "abc"})
-    assert res.exit_code == 2
-    assert "Invalid value for DIMON_MAX_CLASSES: DIMON_MAX_CLASSES='abc'" in res.output
-    assert "Traceback" not in res.output
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "1.5", str(2**31)])
-def test_class_cap_variable_must_be_a_class_cap(runner, value):
-    res = runner.invoke(main, ["verify-presentation", "--family", "R", "--n", "4"],
-                        env={"DIMON_MAX_CLASSES": value})
-    assert res.exit_code == 2
-    assert f"DIMON_MAX_CLASSES='{value}' is not a class cap" in res.output
+@pytest.mark.parametrize("verb", ["verify-presentation", "enumerate", "forms", "tietze"])
+def test_every_enumerating_verb_takes_both_budgets(runner, tmp_path, verb):
+    """--help lists --max-classes and --max-steps with EnumerationCaps()'s
+    defaults, and a run capped by --max-classes exits 3 with both
+    counters against both caps on its one capped line (on each step's
+    line for tietze)."""
+    path = tmp_path / "q4.json"
+    path.write_text(json.dumps(build_relations(RelationFamily.Q, 4).to_json_dict()))
+    args = {"verify-presentation": ["--family", "R", "--n", "5"],
+            "enumerate": ["--presentation", str(path)],
+            "forms": ["--family", "Q", "--n", "4"],
+            "tietze": ["--chain", "odi", "--n", "5"]}[verb]
+    caps = congruence.EnumerationCaps()
+    text = " ".join(runner.invoke(main, [verb, "--help"]).output.split())
+    assert f"--max-classes INTEGER RANGE [default: {caps.max_classes};" in text
+    assert f"--max-steps INTEGER RANGE [default: {caps.max_steps};" in text
+    res = runner.invoke(main, [verb, *args, "--max-classes", "20"])
+    assert res.exit_code == 3
+    lines = res.output.splitlines()
+    if verb == "tietze":
+        assert lines.pop() == "INDETERMINATE, 3 of 3 presentations capped"
+    else:
+        assert len(lines) == 1
+    report = re.compile(r"capped at 20 classes defined \(cap 20\) "
+                        rf"after \d+ steps \(cap {caps.max_steps}\)$")
+    assert all(report.search(line) for line in lines), res.output
+    assert "None" not in res.output
 
 
 def test_capped_forms_and_tietze_are_indeterminate(runner):
     # R and Vbar read their forms off a seed enumeration (of U, of V),
     # which the cap stops first
     for family in ("R", "Vbar", "Q"):
-        res = runner.invoke(main, ["forms", "--family", family, "--n", "4"],
-                            env={"DIMON_MAX_CLASSES": "20"})
+        res = runner.invoke(main, ["forms", "--family", family, "--n", "4",
+                                   "--max-classes", "20"])
         assert res.exit_code == 3, (family, res.output)
         assert res.output.startswith("INDETERMINATE")
-    res = runner.invoke(main, ["forms", "--family", "R", "--n", "4", "--json"],
-                        env={"DIMON_MAX_CLASSES": "20"})
+    res = runner.invoke(main, ["forms", "--family", "R", "--n", "4", "--json",
+                               "--max-classes", "20"])
     assert res.exit_code == 3
     data = json.loads(res.output)
     assert data["verdict"] == "INDETERMINATE" and data["forms"] is None
-    res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4", "--json"],
-                        env={"DIMON_MAX_CLASSES": "20"})
+    res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4", "--json",
+                               "--max-classes", "20"])
     assert res.exit_code == 3
     assert json.loads(res.output)["verdict"] == "INDETERMINATE"
 
@@ -209,10 +217,10 @@ def test_tietze_json_carries_each_steps_counters(runner):
     """Each row of tietze --json writes the counters of its step's
     enumeration, for a capped step too."""
     family, build_chain = presentations.ELIMINATION_CHAINS["opdi"]
-    for env, caps in (({}, None), ({"DIMON_MAX_CLASSES": "20"},
-                                   congruence.EnumerationCaps(max_classes=20))):
-        res = runner.invoke(main, ["tietze", "--chain", "opdi", "--n", "4", "--json"],
-                            env=env)
+    for budget, caps in (([], None), (["--max-classes", "20"],
+                                      congruence.EnumerationCaps(max_classes=20))):
+        res = runner.invoke(main, ["tietze", "--chain", "opdi", "--n", "4", "--json",
+                                   *budget])
         assert res.exit_code == (3 if caps else 0)
         rows = json.loads(res.output)["steps"]
         expected = [congruence.enumerate_congruence(p, caps).stats for p in build_chain(4)]
@@ -221,7 +229,8 @@ def test_tietze_json_carries_each_steps_counters(runner):
 
 def test_tietze_checks_every_step_against_the_monoid(runner, monkeypatch):
     """A step whose relations fail under the family's assignment fails the
-    chain, and so does one whose classes outnumber the monoid."""
+    chain, and so does one whose classes outnumber the monoid; the step's
+    own line says which."""
     def wrong_substitution(n):
         p = presentations.build_relations(RelationFamily.R, n)
         # e_n is x y; y x is e_1
@@ -240,6 +249,7 @@ def test_tietze_checks_every_step_against_the_monoid(runner, monkeypatch):
         res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4"])
         assert res.exit_code == 1, res.output
         assert res.output.splitlines()[-1].startswith(message), res.output
+        assert "None" not in res.output
 
 
 def test_green(runner):

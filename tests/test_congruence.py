@@ -84,15 +84,6 @@ def test_caps_fit_the_compiled_kernel():
         EnumerationCaps(max_steps=2**63)
 
 
-def test_library_ignores_the_class_cap_variable(monkeypatch):
-    """DIMON_MAX_CLASSES is a command-line setting: library calls made
-    without caps use the defaults whatever it holds."""
-    monkeypatch.setenv("DIMON_MAX_CLASSES", "20")
-    p = build_relations(RelationFamily.R, 5)
-    assert enumerate_congruence(p).class_count == 104
-    assert not is_consequence(p, Relation(("x",), ("y",), ""))
-
-
 def test_enumerate_trivial():
     p = Presentation("t", ("a",), (Relation(("a", "a"), ("a",), "sq"),))
     r = enumerate_congruence(p)

@@ -1,9 +1,8 @@
-"""Library results depend on their arguments alone.
+"""Results depend on arguments and options alone.
 
-No module of src/dimon but cli.py reads the environment: none reads
-os.environ or calls os.getenv, so a variable such as DIMON_MAX_CLASSES
-changes what the command line does and never what a library call
-returns.
+No module of src/dimon, cli.py included, reads the environment: none
+reads os.environ or calls os.getenv, so no variable changes what a
+library call returns or what a command does.
 """
 
 import ast
@@ -20,10 +19,10 @@ def _environment_reads(tree):
             yield node.lineno
 
 
-def test_only_the_cli_reads_the_environment():
+def test_no_module_reads_the_environment():
     reads = [
         f"{path.name}:{line}"
-        for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+        for path in sorted(PACKAGE.glob("*.py"))
         for line in _environment_reads(ast.parse(path.read_text()))
     ]
     assert reads == []
