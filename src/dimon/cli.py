@@ -5,12 +5,15 @@ tietze, green, formulas.  Reports are line-oriented text by default
 and machine-readable JSON behind --json; the JSON of every verb that
 runs the enumeration kernel names it under "backend", and that of
 verify-presentation and forms, and each step of tietze's, holds the
-enumeration's counters under "stats".  The exit code is
-0 when every requested verdict is PASS, 1 when one is FAIL, 3 when one
-is INDETERMINATE (an enumeration or a monoid closure hit its cap), and
-2 for a usage or input error: an invalid option value, an --n outside
-the family's range, a malformed --presentation file, or an --out or
---dot path that cannot be written.  Every verb that enumerates takes
+enumeration's counters under "stats".  Each verdict is the library's;
+tietze's is its worst step's, and forms reports a capped seed
+enumeration as the seed's, whose label its JSON holds under "seed".
+The exit code is 0 when every requested verdict is PASS, 1 when one is
+FAIL, 3 when one is INDETERMINATE (an enumeration or a monoid closure
+hit its cap, or a kernel ran out of memory), and 2 for a usage or
+input error: an invalid option value, an --n outside the family's
+range, a malformed --presentation file, or an --out or --dot path
+that cannot be written.  Every verb that enumerates takes
 --max-classes and --max-steps, and reports a capped enumeration by
 both its counters against both caps.
 
@@ -39,6 +42,7 @@ COUNT_ORDER = tuple(RelationFamily[name] for name in
                     ("R", "V", "VBAR", "VBAR_PRIME", "Q", "Q_PRIME", "U", "Q0"))
 
 EXIT_CODES = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INDETERMINATE: 3}
+WORST_FIRST = (Verdict.FAIL, Verdict.INDETERMINATE, Verdict.PASS)
 
 
 def _family_help(kind, families):
@@ -60,18 +64,20 @@ def _emit(lines, payload, verdict, as_json):
 
 
 def _from_input(param, call, *args):
-    """call(*args) on command-line input; its ValueError is a usage error.
-
-    A monoid closure that exceeds its cap ends the run INDETERMINATE,
-    reported on one line of standard error.
-    """
+    """call(*args) on command-line input; its ValueError is a usage error."""
     try:
         return call(*args)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=param) from exc
-    except monoids.ClosureCapError as exc:
-        click.echo(f"INDETERMINATE, {exc}", err=True)
-        sys.exit(EXIT_CODES[Verdict.INDETERMINATE])
+
+
+def _family_inputs(fam, n):
+    """The monoid that relation family fam presents at n, and fam's
+    assignment: the family's range is checked first, so the message
+    names it, and the monoid's degree before anything large is built."""
+    _from_input("'--n'", presentations.build_alphabet, fam, n)
+    m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
+    return m, presentations.build_assignment(fam, n)
 
 
 def _write(param, path, text):
@@ -114,7 +120,23 @@ def _parse_range(text):
     return range(lo_n, hi_n + 1)
 
 
-@click.group()
+class _Verbs(click.Group):
+    """Ends any verb INDETERMINATE, on one line of standard error, when a
+    monoid closure exceeds its cap or a kernel runs out of memory."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except monoids.ClosureCapError as exc:
+            reason = str(exc)
+        except MemoryError:
+            reason = "out of memory before the run finished"
+        # echoed once the except clause has released the run's frames
+        click.echo(f"INDETERMINATE, {reason}", err=True)
+        sys.exit(EXIT_CODES[Verdict.INDETERMINATE])
+
+
+@click.group(cls=_Verbs)
 def main():
     """Dihedral inverse monoid workbench."""
 
@@ -153,12 +175,8 @@ def build(family, n, out, dot, as_json):
 def verify_presentation(family, n, max_classes, max_steps, as_json):
     """Check a relation family presents its monoid, by enumeration."""
     fam = _from_input("'--family'", RelationFamily.parse, family)
-    target = TARGET_MONOID[fam]
-    # the relation family's range first, so the message names it
-    _from_input("'--n'", presentations.build_alphabet, fam, n)
-    m = _from_input("'--n'", monoids.build_named, target, n)
-    p = _from_input("'--n'", presentations.build_relations, fam, n)
-    a = presentations.build_assignment(fam, n)
+    m, a = _family_inputs(fam, n)
+    p = presentations.build_relations(fam, n)
     caps = EnumerationCaps(max_classes, max_steps)
     v = congruence.verify_presentation(p, a, m, caps)
     if v.verdict is Verdict.PASS:
@@ -170,7 +188,7 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     else:
         lines = [f"INDETERMINATE, {_capped(caps, v.stats)}"]
     payload = {"verb": "verify-presentation", "family": fam.value, "n": n,
-               "monoid": target.value, "verdict": v.verdict.value,
+               "monoid": TARGET_MONOID[fam].value, "verdict": v.verdict.value,
                "classes": v.class_count, "size": v.monoid_size,
                "failing": list(v.failing_tags), "backend": congruence.BACKEND,
                "stats": dict(v.stats)}
@@ -194,14 +212,12 @@ def enumerate_presentation(path, max_classes, max_steps, as_json):
                 param_hint="'--presentation'",
             ) from exc
     r = congruence.enumerate_congruence(p, EnumerationCaps(max_classes, max_steps))
-    if r.is_complete:
-        lines = [f"{p.label}: complete, {r.class_count} classes"]
-    else:
-        lines = [f"{p.label}: {_capped(r.caps, r.stats)}"]
+    outcome = (f"complete, {r.class_count} classes" if r.is_complete
+               else _capped(r.caps, r.stats))
     payload = {"verb": "enumerate", "presentation": path, "label": p.label,
                "result": r.to_json_dict(), "backend": congruence.BACKEND}
     verdict = Verdict.PASS if r.is_complete else Verdict.INDETERMINATE
-    _emit(lines, payload, verdict, as_json)
+    _emit([f"{p.label}: {outcome}"], payload, verdict, as_json)
 
 
 @main.command("check-relations")
@@ -236,22 +252,24 @@ def forms(family, n, max_classes, max_steps, as_json):
     if fam not in FORMS_SEED:
         raise click.BadParameter(f"no forms construction for {fam.value}",
                                  param_hint="'--family'")
-    # the relation family's range first, so the message names it
-    _from_input("'--n'", presentations.build_alphabet, fam, n)
-    m = _from_input("'--n'", monoids.build_named, TARGET_MONOID[fam], n)
-    p = _from_input("'--n'", presentations.build_relations, fam, n)
+    m, a = _family_inputs(fam, n)
     caps = EnumerationCaps(max_classes, max_steps)
-    seed = FORMS_SEED[fam]
-    base = None if seed is None else congruence.enumerate_congruence(
-        presentations.build_relations(seed, n), caps)
-    a = presentations.build_assignment(fam, n)
-    if base is not None and not base.is_complete:
-        # the forms are read off the capped seed enumeration: none to check
-        v = congruence.FormsVerdict(
-            Verdict.INDETERMINATE, None, None, m.size, (), base.stats)
-    else:
-        fs = presentations.build_forms(fam, n, base)
-        v = congruence.verify_forms_set(p, fs, a, m, caps)
+    payload = {"verb": "forms", "family": fam.value, "n": n,
+               "monoid": TARGET_MONOID[fam].value, "seed": None, "size": m.size,
+               "backend": congruence.BACKEND}
+    base = None
+    if FORMS_SEED[fam] is not None:
+        seed = presentations.build_relations(FORMS_SEED[fam], n)
+        payload["seed"] = seed.label
+        base = congruence.enumerate_congruence(seed, caps)
+        if not base.is_complete:
+            # the forms are read off the seed's classes: none to check
+            payload.update(verdict=Verdict.INDETERMINATE.value, forms=None,
+                           classes=None, problems=[], stats=dict(base.stats))
+            lines = [f"INDETERMINATE, seed {seed.label}: {_capped(caps, base.stats)}"]
+            return _emit(lines, payload, Verdict.INDETERMINATE, as_json)
+    v = congruence.verify_forms_set(presentations.build_relations(fam, n),
+                                    presentations.build_forms(fam, n, base), a, m, caps)
     if v.verdict is Verdict.PASS:
         lines = [f"PASS, {v.forms_count} forms cover {v.class_count} classes "
                  f"of a monoid of size {v.monoid_size}"]
@@ -259,11 +277,9 @@ def forms(family, n, max_classes, max_steps, as_json):
         lines = [f"FAIL: {'; '.join(v.problems)}"]
     else:
         lines = [f"INDETERMINATE, {_capped(caps, v.stats)}"]
-    payload = {"verb": "forms", "family": fam.value, "n": n,
-               "monoid": TARGET_MONOID[fam].value, "verdict": v.verdict.value,
-               "forms": v.forms_count, "classes": v.class_count,
-               "size": v.monoid_size, "problems": list(v.problems),
-               "backend": congruence.BACKEND, "stats": dict(v.stats)}
+    payload.update(verdict=v.verdict.value, forms=v.forms_count,
+                   classes=v.class_count, problems=list(v.problems),
+                   stats=dict(v.stats))
     _emit(lines, payload, v.verdict, as_json)
 
 
@@ -276,42 +292,29 @@ def tietze(chain, n, max_classes, max_steps, as_json):
     """Replay a generator-elimination chain and verify every step.
 
     Each step is checked as verify-presentation checks a family: against
-    the target monoid, under the assignment of the chain's family.
+    the target monoid, under the assignment of the chain's family.  The
+    chain's verdict is its worst step's.
     """
     family, build_chain = ELIMINATION_CHAINS[chain]
-    target = TARGET_MONOID[family]
-    m = _from_input("'--n'", monoids.build_named, target, n)
-    steps = _from_input("'--n'", build_chain, n)
-    a = presentations.build_assignment(family, n)
+    m, a = _family_inputs(family, n)
     caps = EnumerationCaps(max_classes, max_steps)
-    lines = []
-    rows = []
-    verdicts = []
-    for p in steps:
+    lines, rows, verdicts = [], [], []
+    for p in build_chain(n):
         v = congruence.verify_presentation(p, a, m, caps)
-        verdicts.append(v)
+        verdicts.append(v.verdict)
         outcome = (_capped(caps, v.stats) if v.verdict is Verdict.INDETERMINATE
-                   else "relations do not hold" if v.failing_tags
-                   else f"{v.class_count} classes")
+                   else f"relations do not hold: {', '.join(v.failing_tags)}"
+                   if v.failing_tags else f"{v.class_count} classes")
         lines.append(f"{p.label}: {len(p.letters)} letters, {outcome}")
         rows.append({"label": p.label, "letters": len(p.letters),
                      "classes": v.class_count, "stats": dict(v.stats)})
-    failing = [tag for v in verdicts for tag in v.failing_tags]
-    outcomes = {v.verdict for v in verdicts}
-    if failing:
-        verdict = Verdict.FAIL
-        lines.append(f"FAIL, relations do not hold: {', '.join(failing)}")
-    elif Verdict.FAIL in outcomes:
-        verdict = Verdict.FAIL
-        counts = [v.class_count for v in verdicts]
-        lines.append(f"FAIL, class counts {counts} vs size {m.size}")
-    elif Verdict.INDETERMINATE in outcomes:
-        verdict = Verdict.INDETERMINATE
-        capped = sum(v.verdict is Verdict.INDETERMINATE for v in verdicts)
-        lines.append(f"INDETERMINATE, {capped} of {len(verdicts)} presentations capped")
+    verdict = min(verdicts, key=WORST_FIRST.index)
+    if verdict is Verdict.PASS:
+        lines.append(f"PASS, class count preserved at {m.size} = "
+                     f"|{TARGET_MONOID[family].value}({n})|")
     else:
-        verdict = Verdict.PASS
-        lines.append(f"PASS, class count preserved at {m.size} = |{target.value}({n})|")
+        lines.append(f"{verdict.value}, {verdicts.count(verdict)} of {len(verdicts)} "
+                     f"presentations {'fail' if verdict is Verdict.FAIL else 'capped'}")
     payload = {"verb": "tietze", "chain": chain, "n": n, "steps": rows,
                "verdict": verdict.value, "size": m.size,
                "backend": congruence.BACKEND}
@@ -346,18 +349,14 @@ def formulas(n_range, as_json):
     eight relation-count columns are the formula values.
     """
     rng = _parse_range(n_range)
-    lines = []
-    rows = []
-    ok = True
+    lines, rows, ok = [], [], True
     for n in rng:
-        cards = {}
-        parts = []
+        cards, parts = {}, []
         for fam in monoids.CARDINALITY_FORMS:
             want = _from_input("'--n-range'", monoids.cardinality_formula, fam, n)
             got = _from_input("'--n-range'", monoids.build_named, fam, n).size
             ok &= want == got
-            cards[fam.value] = {"formula": want, "built": got,
-                                "ok": want == got}
+            cards[fam.value] = {"formula": want, "built": got, "ok": want == got}
             parts.append(f"|{fam.value.upper()}|={want}"
                          + ("" if want == got else f"!={got}"))
         counts = {}
@@ -368,9 +367,9 @@ def formulas(n_range, as_json):
         lines.append(f"n={n}: " + " ".join(parts))
         rows.append({"n": n, "cardinalities": cards, "relation_counts": counts})
     lines.append("cardinality cross-checks " + ("ok" if ok else "FAILED"))
-    payload = {"verb": "formulas", "rows": rows,
-               "verdict": "PASS" if ok else "FAIL"}
-    _emit(lines, payload, Verdict.PASS if ok else Verdict.FAIL, as_json)
+    verdict = Verdict.PASS if ok else Verdict.FAIL
+    payload = {"verb": "formulas", "rows": rows, "verdict": verdict.value}
+    _emit(lines, payload, verdict, as_json)
 
 
 if __name__ == "__main__":

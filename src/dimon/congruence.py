@@ -276,12 +276,10 @@ def verify_presentation(
 
 @dataclasses.dataclass(frozen=True)
 class FormsVerdict:
-    """forms_count is None when the forms could not be built: their seed
-    enumeration was capped, and stats then holds that enumeration's
-    counters instead of those of the presentation's."""
+    """stats holds the enumeration's counters (see EnumerationResult)."""
 
     verdict: Verdict
-    forms_count: "int | None"
+    forms_count: int
     class_count: "int | None"
     monoid_size: int
     problems: "tuple[str, ...]"

@@ -82,17 +82,23 @@ def test_verify_presentation_json(runner):
 
 def test_forms_json_carries_the_counters(runner):
     """forms --json writes the counters of the presentation's enumeration,
-    or of the seed enumeration when that was capped."""
-    res = runner.invoke(main, ["forms", "--family", "Q", "--n", "4", "--json"])
-    assert res.exit_code == 0
-    stats = congruence.enumerate_congruence(build_relations(RelationFamily.Q, 4)).stats
-    assert json.loads(res.output)["stats"] == stats
+    or of the seed enumeration when that was capped, and names the seed
+    presentation (none for Q's explicit forms)."""
+    for family, seed in (("Q", None), ("R", "U(n=4)")):
+        res = runner.invoke(main, ["forms", "--family", family, "--n", "4", "--json"])
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        p = build_relations(RelationFamily.parse(family), 4)
+        assert data["stats"] == congruence.enumerate_congruence(p).stats
+        assert data["seed"] == seed
     res = runner.invoke(main, ["forms", "--family", "R", "--n", "4", "--json",
                                "--max-classes", "20"])
     assert res.exit_code == 3
     seed = congruence.enumerate_congruence(
         build_relations(RelationFamily.U, 4), congruence.EnumerationCaps(max_classes=20))
-    assert json.loads(res.output)["stats"] == seed.stats
+    data = json.loads(res.output)
+    assert data["stats"] == seed.stats
+    assert data["seed"] == "U(n=4)"
 
 
 def test_verify_presentation_indeterminate(runner):
@@ -164,17 +170,19 @@ def test_every_enumerating_verb_takes_both_budgets(runner, tmp_path, verb):
 
 def test_capped_forms_and_tietze_are_indeterminate(runner):
     # R and Vbar read their forms off a seed enumeration (of U, of V),
-    # which the cap stops first
-    for family in ("R", "Vbar", "Q"):
+    # which the cap stops first, and the line names it
+    for family, seed in (("R", "seed U(n=4): "), ("Vbar", "seed V(n=4): "), ("Q", "")):
         res = runner.invoke(main, ["forms", "--family", family, "--n", "4",
                                    "--max-classes", "20"])
         assert res.exit_code == 3, (family, res.output)
-        assert res.output.startswith("INDETERMINATE")
+        assert res.output.startswith(f"INDETERMINATE, {seed}capped at 20 classes"), \
+            res.output
     res = runner.invoke(main, ["forms", "--family", "R", "--n", "4", "--json",
                                "--max-classes", "20"])
     assert res.exit_code == 3
     data = json.loads(res.output)
     assert data["verdict"] == "INDETERMINATE" and data["forms"] is None
+    assert data["seed"] == "U(n=4)"
     res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4", "--json",
                                "--max-classes", "20"])
     assert res.exit_code == 3
@@ -227,29 +235,50 @@ def test_tietze_json_carries_each_steps_counters(runner):
         assert [row["stats"] for row in rows] == expected
 
 
+def wrong_substitution(n):
+    p = presentations.build_relations(RelationFamily.R, n)
+    # e_n is x y; y x is e_1
+    return (p, presentations.eliminate_generator(p, f"e_{n}", ("y", "x")))
+
+
+def relation_dropped(n):
+    p = presentations.build_relations(RelationFamily.R, n)
+    return (p, without(p, p.relations.index(tagged(p, "R_11")[0])))
+
+
 def test_tietze_checks_every_step_against_the_monoid(runner, monkeypatch):
     """A step whose relations fail under the family's assignment fails the
     chain, and so does one whose classes outnumber the monoid; the step's
     own line says which."""
-    def wrong_substitution(n):
-        p = presentations.build_relations(RelationFamily.R, n)
-        # e_n is x y; y x is e_1
-        return (p, presentations.eliminate_generator(p, f"e_{n}", ("y", "x")))
-
-    def relation_dropped(n):
-        p = presentations.build_relations(RelationFamily.R, n)
-        return (p, without(p, p.relations.index(tagged(p, "R_11")[0])))
-
-    for build_chain, message in (
-        (wrong_substitution, "FAIL, relations do not hold: "),
-        (relation_dropped, "FAIL, class counts [44, 45] vs size 44"),
+    a = presentations.build_assignment(RelationFamily.R, 4)
+    failing = presentations.check_relations_hold(wrong_substitution(4)[1], a)
+    assert failing
+    for build_chain, step in (
+        (wrong_substitution, "R(n=4)-e_4: 7 letters, relations do not hold: "
+                             + ", ".join(rel.tag for rel in failing)),
+        (relation_dropped, "R(n=4): 8 letters, 45 classes"),
     ):
         monkeypatch.setitem(presentations.ELIMINATION_CHAINS, "odi",
                             (RelationFamily.R, build_chain))
         res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4"])
         assert res.exit_code == 1, res.output
-        assert res.output.splitlines()[-1].startswith(message), res.output
-        assert "None" not in res.output
+        assert res.output.splitlines() == [
+            "R(n=4): 8 letters, 44 classes", step, "FAIL, 1 of 2 presentations fail"]
+
+
+def test_tietze_fails_when_one_step_fails_and_another_caps(runner, monkeypatch):
+    """A FAIL outweighs a capped step: the chain FAILs, and no step's
+    missing class count is printed."""
+    monkeypatch.setitem(presentations.ELIMINATION_CHAINS, "odi",
+                        (RelationFamily.R, relation_dropped))
+    res = runner.invoke(main, ["tietze", "--chain", "odi", "--n", "4",
+                               "--max-classes", "520"])
+    assert res.exit_code == 1, res.output
+    capped, counted, verdict = res.output.splitlines()
+    assert capped.startswith("R(n=4): 8 letters, capped at ")
+    assert counted == "R(n=4): 8 letters, 45 classes"
+    assert verdict == "FAIL, 1 of 2 presentations fail"
+    assert "None" not in res.output
 
 
 def test_green(runner):
@@ -291,12 +320,14 @@ def test_formulas_bad_range(runner):
 
 
 # the relation family's range refuses these, and the message names it:
-# the targets OCI and CI build at n = 3, and ODI would refuse n = 2 itself
+# the targets OCI and CI build at n = 3, and ODI and OPDI would refuse
+# n = 2 and n = 3 themselves
 RELATION_RANGE_CASES = (
     ["check-relations", "--family", "U", "--n", "3"],
     ["verify-presentation", "--family", "Q0", "--n", "3"],
     ["verify-presentation", "--family", "R", "--n", "2"],
     ["forms", "--family", "R", "--n", "2"],
+    ["tietze", "--chain", "opdi", "--n", "3"],
 )
 
 
@@ -307,7 +338,6 @@ RELATION_RANGE_CASES = (
     ["formulas", "--n-range", "2..3"],
     ["check-relations", "--family", "Q", "--n", "1"],
     ["forms", "--family", "Q", "--n", "2"],
-    ["tietze", "--chain", "opdi", "--n", "3"],
     ["green", "--family", "di", "--n", "2"],
     ["build", "--family", "oci", "--n", "256"],
     ["green", "--family", "oci", "--n", "256"],
@@ -361,6 +391,34 @@ def test_closure_cap_is_indeterminate(runner, monkeypatch, args):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == "INDETERMINATE, closure exceeded cap of 10 elements\n"
+
+
+@pytest.mark.parametrize("kernel_call, args", [
+    ("close", ["build", "--family", "odi", "--n", "4"]),
+    ("close", ["green", "--family", "di", "--n", "4"]),
+    ("close", ["formulas", "--n-range", "4..4"]),
+    ("close", ["verify-presentation", "--family", "R", "--n", "4"]),
+    ("run", ["verify-presentation", "--family", "R", "--n", "4"]),
+    ("run", ["enumerate", "--presentation", "q4.json"]),
+    ("run", ["forms", "--family", "R", "--n", "4"]),
+    ("run", ["forms", "--family", "Q", "--n", "4"]),
+    ("run", ["tietze", "--chain", "odi", "--n", "4"]),
+], ids=lambda arg: arg if isinstance(arg, str) else " ".join(arg[:1] + arg[2:3]))
+def test_kernel_out_of_memory_is_indeterminate(runner, monkeypatch, kernel_call, args):
+    """A kernel's MemoryError ends the verb INDETERMINATE on one line of
+    standard error, with no traceback."""
+    def out_of_memory(*args):
+        raise MemoryError
+
+    with runner.isolated_filesystem():
+        with open("q4.json", "w") as fh:
+            json.dump(build_relations(RelationFamily.Q, 4).to_json_dict(), fh)
+        monkeypatch.setattr(monoids._kernel, kernel_call, out_of_memory)
+        res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "INDETERMINATE, out of memory before the run finished\n"
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 @pytest.mark.parametrize("args", [

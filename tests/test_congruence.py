@@ -201,7 +201,7 @@ def verify_with(monkeypatch, result, family):
 @pytest.mark.parametrize(
     "family", (RelationFamily.R, RelationFamily.Q, RelationFamily.VBAR)
 )
-def test_class_elements_rejects_a_changed_entry(monkeypatch, family):
+def test_verify_calls_a_changed_table_entry_unsound(monkeypatch, family):
     """A table of the right size with one entry changed is not the
     closure's table, and every relation holds: verify_presentation
     calls that unsound.  The class-to-element map is checked on every
@@ -225,7 +225,7 @@ def test_class_elements_rejects_a_changed_entry(monkeypatch, family):
                     verify_with(monkeypatch, with_entry(r, c, k, other), family)
 
 
-def test_class_elements_rejects_an_unreached_class(monkeypatch):
+def test_verify_fails_an_unreached_extra_class_with_its_count(monkeypatch):
     """A copy of class 5's row, appended as a class no edge reaches,
     agrees with every edge from class 0 but makes one class more than
     the monoid has: FAIL with that count, not PASS."""
@@ -238,7 +238,7 @@ def test_class_elements_rejects_an_unreached_class(monkeypatch):
     assert v.verdict is Verdict.FAIL and v.class_count == 45 and v.monoid_size == 44
 
 
-def test_class_elements_rejects_an_image_outside_the_monoid():
+def test_verify_rejects_an_image_outside_the_monoid():
     """An image outside the monoid fails the generation check: an error
     from verify_presentation, a problem from verify_forms_set."""
     n = 4
@@ -267,7 +267,7 @@ def test_class_elements_rejects_an_image_outside_the_monoid():
 
 @pytest.mark.parametrize("family", tuple(RelationFamily))
 @pytest.mark.parametrize("n", [4, 5])
-def test_class_elements_is_a_bijection(family, n):
+def test_class_c_is_closure_element_c(family, n):
     """Class c is element c of the closure of the images, and those
     elements are the monoid's, each once, class 0 the identity."""
     p = build_relations(family, n)
