@@ -18,15 +18,21 @@
    coincide).  Every cell is only compared with UNDEF or read through
    find(), so the write changes no step, decision, counter or table.
 
-   close: the same elements in the same breadth-first order, found
-   through an open-addressing hash table over the keys.  It checks
-   every key before copying it into a 256-byte table, and finishes the
-   closure in C arrays, so a capped closure builds no Python object.
-   Only the keys and the right table come back; the hash table does not.
+   close and green number fixed-length byte records through one record
+   table (Records): an open-addressing hash table whose arrays double
+   up to a limit and no further.
 
-   green: R and L labels from 256-bit masks of each key's domain and
-   image, H from the pair, D from a union-find over the R-classes; the
-   labels are dense by first occurrence, so equal to _tc_py's, and
+   close: the same elements in the same breadth-first order.  Its keys
+   are records limited to max_elements (the identity is always kept),
+   so a capped closure allocates for at most max_elements elements, and
+   the right table grows as its rows are written.  It checks every key
+   before copying it into a 256-byte table, and finishes the closure in
+   C arrays, so a capped closure builds no Python object.  Only the
+   keys and the right table come back.
+
+   green: R and L number 256-bit masks of each key's domain and image,
+   H the (R, L) pairs, D the roots of a union-find over the R-classes;
+   the labels are dense by first occurrence, so equal to _tc_py's, and
    come back as int32 bytes with the four class counts.
 
    Every allocation failure raises MemoryError. */
@@ -487,9 +493,9 @@ done:
 
 /* ---- Monoid closure and Green's classes ---- */
 
-#define NO_ELEMENT (-1)
 /* a key has at most 256 bytes, hashed as zero-padded 64-bit words */
 #define KEY_WORDS 32
+#define NO_RECORD (-1)
 
 static uint64_t
 hash_words(const uint64_t *p, Py_ssize_t n)
@@ -501,6 +507,98 @@ hash_words(const uint64_t *p, Py_ssize_t n)
     h ^= h >> 32;
     h *= 0xD6E8FEB86659FD93ULL;
     return h ^ (h >> 32);
+}
+
+/* Distinct records of len bytes, numbered in order of first occurrence
+   and found through an open-addressing hash table.  The arrays double
+   up to limit records and no further, as run's new_class does, and the
+   slots stay at least twice the records the arrays hold. */
+typedef struct {
+    Py_ssize_t len;       /* bytes per record */
+    Py_ssize_t count;     /* records numbered */
+    Py_ssize_t cap;       /* records the arrays hold */
+    Py_ssize_t limit;     /* records it may number, at most INT_MAX */
+    unsigned char *recs;  /* record i at i * len */
+    uint64_t *hashes;     /* the hash of record i */
+    int *slots;           /* record numbers, NO_RECORD where empty */
+    size_t mask;          /* slots has mask + 1 entries, a power of two */
+} Records;
+
+/* Grow the arrays to cap records and the slots to match, putting every
+   record back: 0, or -1 with MemoryError. */
+static int
+records_grow(Records *t, Py_ssize_t cap)
+{
+    size_t size = 2, i;
+    Py_ssize_t e;
+    int *slots;
+    void *p;
+    while (size < 2 * (size_t)cap)
+        size *= 2;
+    if ((p = grow(t->recs, cap, (size_t)t->len)) == NULL)
+        return -1;
+    t->recs = p;
+    if ((p = grow(t->hashes, cap, sizeof(uint64_t))) == NULL)
+        return -1;
+    t->hashes = p;
+    t->cap = cap;
+    if ((slots = grow(NULL, (Py_ssize_t)size, sizeof(int))) == NULL)
+        return -1;
+    memset(slots, 0xFF, size * sizeof(int));
+    PyMem_Free(t->slots);
+    t->slots = slots;
+    t->mask = size - 1;
+    for (e = 0; e < t->count; e++) {
+        for (i = (size_t)t->hashes[e] & t->mask; slots[i] != NO_RECORD;
+             i = (i + 1) & t->mask)
+            ;
+        slots[i] = (int)e;
+    }
+    return 0;
+}
+
+/* An empty table, t zeroed, holding up to limit records: 0, or -1 with
+   MemoryError. */
+static int
+records_init(Records *t, Py_ssize_t len, Py_ssize_t limit)
+{
+    t->len = len;
+    t->limit = limit < INT_MAX ? limit : INT_MAX;
+    return records_grow(t, t->limit < 1024 ? t->limit : 1024);
+}
+
+static void
+records_free(Records *t)
+{
+    PyMem_Free(t->recs);
+    PyMem_Free(t->hashes);
+    PyMem_Free(t->slots);
+}
+
+/* The number of the record, len bytes at rec zero-padded to whole
+   words; CAPPED when it is new and limit records are numbered; FAILED
+   with MemoryError. */
+static inline int
+intern(Records *t, const uint64_t *rec)
+{
+    uint64_t h = hash_words(rec, (t->len + 7) / 8);
+    size_t i;
+    int e;
+    if (t->count == t->cap && t->cap < t->limit
+        && records_grow(t, t->cap < t->limit / 2 ? 2 * t->cap : t->limit) < 0)
+        return FAILED;
+    for (i = (size_t)h & t->mask; (e = t->slots[i]) != NO_RECORD;
+         i = (i + 1) & t->mask)
+        if (t->hashes[e] == h
+            && memcmp(t->recs + (size_t)e * t->len, rec, (size_t)t->len) == 0)
+            return e;
+    if (t->count == t->cap)  /* and so cap == limit */
+        return CAPPED;
+    e = (int)t->count++;
+    memcpy(t->recs + (size_t)e * t->len, rec, (size_t)t->len);
+    t->hashes[e] = h;
+    t->slots[i] = e;
+    return e;
 }
 
 static int
@@ -523,147 +621,70 @@ check_key(PyObject *obj, Py_ssize_t key_len)
     return -1;
 }
 
-/* The elements found so far, and a hash table that finds them by key. */
-typedef struct {
-    Py_ssize_t key_len;   /* degree + 1 */
-    Py_ssize_t n_gens;
-    Py_ssize_t count;     /* elements found */
-    Py_ssize_t cap;       /* elements the arrays hold */
-    unsigned char *keys;  /* element i's key at i * key_len */
-    uint64_t *hashes;     /* the hash of element i's key */
-    int *rows;            /* right table, row i at i * n_gens */
-    int *slots;           /* element ids, NO_ELEMENT where empty */
-    size_t mask;          /* slots has mask + 1 entries, a power of two */
-} Closure;
-
-/* The slot that holds the key, or the empty slot where it goes. */
-static size_t
-probe(const Closure *c, const unsigned char *key, uint64_t h)
-{
-    size_t i = (size_t)h & c->mask;
-    for (;;) {
-        int e = c->slots[i];
-        if (e == NO_ELEMENT
-            || (c->hashes[e] == h
-                && memcmp(c->keys + (size_t)e * c->key_len, key,
-                          (size_t)c->key_len) == 0))
-            return i;
-        i = (i + 1) & c->mask;
-    }
-}
-
-/* Double the hash table and put every element back. */
+/* The closure proper, its elements the records of t and its right
+   table in *rows_out, grown as rows are written: 1 when complete, 0 when
+   capped, -1 on error. */
 static int
-rehash(Closure *c)
+close_elements(Records *t, int **rows_out, Py_ssize_t n_gens,
+               unsigned char (*tables)[256])
 {
-    size_t size = 2 * (c->mask + 1), i;
-    Py_ssize_t e;
-    int *slots = grow(NULL, (Py_ssize_t)size, sizeof(int));
-    if (slots == NULL)
-        return -1;
-    memset(slots, 0xFF, size * sizeof(int));
-    PyMem_Free(c->slots);
-    c->slots = slots;
-    c->mask = size - 1;
-    for (e = 0; e < c->count; e++) {
-        for (i = (size_t)c->hashes[e] & c->mask; slots[i] != NO_ELEMENT;
-             i = (i + 1) & c->mask)
-            ;
-        slots[i] = (int)e;
-    }
-    return 0;
-}
+    /* product's bytes beyond the key stay 0, so it hashes as whole words */
+    uint64_t product_words[KEY_WORDS] = {0};
+    unsigned char *product = (unsigned char *)product_words, current[256];
+    Py_ssize_t rows_cap = 0, pos, k, p;
+    int *rows = NULL, e, rc = -1;
 
-/* Append an element with this key, at the empty slot i. */
-static int
-add_element(Closure *c, const unsigned char *key, uint64_t h, size_t i)
-{
-    if (c->count == c->cap) {
-        Py_ssize_t cap = c->cap < INT_MAX / 2 ? 2 * c->cap : INT_MAX;
-        void *p;
-        if (c->count == cap) {
-            PyErr_SetString(PyExc_OverflowError,
-                            "closure beyond 2**31 - 1 elements");
-            return -1;
-        }
-        if ((p = grow(c->keys, cap, (size_t)c->key_len)) == NULL)
-            return -1;
-        c->keys = p;
-        if ((p = grow(c->hashes, cap, sizeof(uint64_t))) == NULL)
-            return -1;
-        c->hashes = p;
-        if ((p = grow(c->rows, cap, (size_t)c->n_gens * sizeof(int))) == NULL)
-            return -1;
-        c->rows = p;
-        c->cap = cap;
-    }
-    memcpy(c->keys + (size_t)c->count * c->key_len, key, (size_t)c->key_len);
-    c->hashes[c->count] = h;
-    c->slots[i] = (int)c->count++;
-    return 2 * (size_t)c->count > c->mask + 1 ? rehash(c) : 0;
-}
-
-/* The closure proper: 1 when complete, 0 when capped, -1 on error. */
-static int
-close_elements(Closure *c, unsigned char (*tables)[256], Py_ssize_t max_elements)
-{
-    /* product's bytes beyond key_len stay 0, so it hashes as whole words */
-    uint64_t product_words[KEY_WORDS] = {0}, current_words[KEY_WORDS];
-    unsigned char *product = (unsigned char *)product_words;
-    unsigned char *current = (unsigned char *)current_words;
-    Py_ssize_t words = (c->key_len + 7) / 8, pos, k, p;
-    uint64_t h;
-
-    for (p = 0; p < c->key_len; p++)
+    for (p = 0; p < t->len; p++)
         product[p] = (unsigned char)p;
-    h = hash_words(product_words, words);
-    if (add_element(c, product, h, probe(c, product, h)) < 0)
-        return -1;
-    for (pos = 0; pos < c->count; pos++) {
-        /* a copy: adding an element may move the keys */
-        memcpy(current, c->keys + (size_t)pos * c->key_len, (size_t)c->key_len);
-        for (k = 0; k < c->n_gens; k++) {
+    if (intern(t, product_words) < 0)  /* limit >= 1: FAILED only */
+        goto done;
+    for (pos = 0; pos < t->count; pos++) {
+        if (pos == rows_cap) {
+            int *q;
+            rows_cap = 0 < rows_cap && rows_cap < t->cap / 2 ? 2 * rows_cap : t->cap;
+            if ((q = grow(rows, rows_cap, (size_t)n_gens * sizeof(int))) == NULL)
+                goto done;
+            rows = q;
+        }
+        /* a copy: numbering a record may move the records */
+        memcpy(current, t->recs + (size_t)pos * t->len, (size_t)t->len);
+        for (k = 0; k < n_gens; k++) {
             const unsigned char *table = tables[k];
-            size_t i;
-            int e;
-            for (p = 0; p < c->key_len; p++)
+            for (p = 0; p < t->len; p++)
                 product[p] = table[current[p]];
-            h = hash_words(product_words, words);
-            i = probe(c, product, h);
-            e = c->slots[i];
-            if (e == NO_ELEMENT) {
-                if (c->count >= max_elements)
-                    return 0;
-                e = (int)c->count;
-                if (add_element(c, product, h, i) < 0)
-                    return -1;
+            if ((e = intern(t, product_words)) < 0) {
+                rc = e == CAPPED ? 0 : -1;
+                goto done;
             }
-            c->rows[pos * c->n_gens + k] = e;
+            rows[pos * n_gens + k] = e;
         }
     }
-    return 1;
+    rc = 1;
+done:
+    *rows_out = rows;
+    return rc;
 }
 
 /* (keys, rows) as Python objects, rows the int32 right table. */
 static PyObject *
-closure_result(const Closure *c)
+closure_result(const Records *t, const int *rows, Py_ssize_t n_gens)
 {
-    PyObject *keys = PyTuple_New(c->count), *rows;
+    PyObject *keys = PyTuple_New(t->count), *out;
     Py_ssize_t i;
     if (keys == NULL)
         return NULL;
-    for (i = 0; i < c->count; i++) {
+    for (i = 0; i < t->count; i++) {
         PyObject *key = PyBytes_FromStringAndSize(
-            (const char *)c->keys + (size_t)i * c->key_len, c->key_len);
+            (const char *)t->recs + (size_t)i * t->len, t->len);
         if (key == NULL) {
             Py_DECREF(keys);
             return NULL;
         }
         PyTuple_SET_ITEM(keys, i, key);
     }
-    rows = PyBytes_FromStringAndSize(
-        (const char *)c->rows, c->count * c->n_gens * (Py_ssize_t)sizeof(int));
-    return Py_BuildValue("NN", keys, rows);
+    out = PyBytes_FromStringAndSize(
+        (const char *)rows, t->count * n_gens * (Py_ssize_t)sizeof(int));
+    return Py_BuildValue("NN", keys, out);
 }
 
 PyDoc_STRVAR(close_doc,
@@ -679,87 +700,44 @@ PyDoc_STRVAR(close_doc,
 static PyObject *
 close_monoid(PyObject *self, PyObject *args)
 {
-    Py_ssize_t degree, max_elements, k;
+    Py_ssize_t degree, max_elements, n_gens, k;
     PyObject *gen_keys, *gens, *result = NULL;
     unsigned char (*tables)[256] = NULL;
-    Closure c = {0};
-    int rc;
+    Records t = {0};
+    int *rows = NULL, rc;
 
     if (!PyArg_ParseTuple(args, "nOn:close", &degree, &gen_keys, &max_elements))
         return NULL;
     if (check_degree(degree) < 0 || (gens = PySequence_Tuple(gen_keys)) == NULL)
         return NULL;
-    c.key_len = degree + 1;
-    c.n_gens = PyTuple_GET_SIZE(gens);
-    for (k = 0; k < c.n_gens; k++)
-        if (check_key(PyTuple_GET_ITEM(gens, k), c.key_len) < 0)
+    n_gens = PyTuple_GET_SIZE(gens);
+    for (k = 0; k < n_gens; k++)
+        if (check_key(PyTuple_GET_ITEM(gens, k), degree + 1) < 0)
             goto done;
-    if ((tables = grow(NULL, c.n_gens, 256)) == NULL)
+    if ((tables = grow(NULL, n_gens, 256)) == NULL)
         goto done;
-    for (k = 0; k < c.n_gens; k++) {
+    for (k = 0; k < n_gens; k++) {
         memset(tables[k], 0, 256);
         memcpy(tables[k], PyBytes_AS_STRING(PyTuple_GET_ITEM(gens, k)),
-               (size_t)c.key_len);
+               (size_t)degree + 1);
     }
-    c.cap = 1024;
-    c.mask = 2 * 1024 - 1;
-    if ((c.keys = grow(NULL, c.cap, (size_t)c.key_len)) == NULL
-        || (c.hashes = grow(NULL, c.cap, sizeof(uint64_t))) == NULL
-        || (c.rows = grow(NULL, c.cap, (size_t)c.n_gens * sizeof(int))) == NULL
-        || (c.slots = grow(NULL, (Py_ssize_t)c.mask + 1, sizeof(int))) == NULL)
+    /* the identity is kept whatever the cap */
+    if (records_init(&t, degree + 1, max_elements > 1 ? max_elements : 1) < 0)
         goto done;
-    memset(c.slots, 0xFF, (c.mask + 1) * sizeof(int));
 
-    rc = close_elements(&c, tables, max_elements);
+    rc = close_elements(&t, &rows, n_gens, tables);
     if (rc == 1)
-        result = closure_result(&c);
+        result = closure_result(&t, rows, n_gens);
+    else if (rc == 0 && max_elements > t.limit)
+        PyErr_SetString(PyExc_OverflowError, "closure beyond 2**31 - 1 elements");
     else if (rc == 0)
         result = Py_NewRef(Py_None);
 done:
     Py_DECREF(gens);
     PyMem_Free(tables);
-    PyMem_Free(c.keys);
-    PyMem_Free(c.hashes);
-    PyMem_Free(c.rows);
-    PyMem_Free(c.slots);
+    PyMem_Free(rows);
+    records_free(&t);
     return result;
-}
-
-/* Label n records of w words each densely by first occurrence: the
-   number of distinct records, or -1 with MemoryError. */
-static Py_ssize_t
-dense_labels(const uint64_t *rec, Py_ssize_t n, Py_ssize_t w, int *labels)
-{
-    size_t size = 2, mask, j;
-    Py_ssize_t i, count = 0;
-    int *slots;
-    Py_ssize_t *first;    /* label -> its first record */
-    while (size < 2 * (size_t)n)
-        size *= 2;
-    mask = size - 1;
-    slots = grow(NULL, (Py_ssize_t)size, sizeof(int));
-    first = grow(NULL, n, sizeof(Py_ssize_t));
-    if (slots == NULL || first == NULL) {
-        PyMem_Free(slots);
-        PyMem_Free(first);
-        return -1;
-    }
-    memset(slots, 0xFF, size * sizeof(int));
-    for (i = 0; i < n; i++) {
-        const uint64_t *r = rec + i * w;
-        for (j = (size_t)hash_words(r, w) & mask; slots[j] != NO_ELEMENT;
-             j = (j + 1) & mask)
-            if (memcmp(rec + first[slots[j]] * w, r, (size_t)w * sizeof(uint64_t)) == 0)
-                break;
-        if (slots[j] == NO_ELEMENT) {
-            first[count] = i;
-            slots[j] = (int)count++;
-        }
-        labels[i] = slots[j];
-    }
-    PyMem_Free(slots);
-    PyMem_Free(first);
-    return count;
 }
 
 /* R, L, H and D labels of the n keys, at labels[0], [n], [2n] and [3n],
@@ -769,50 +747,61 @@ static int
 green_labels(PyObject *keys, Py_ssize_t key_len, int *labels, Py_ssize_t *counts)
 {
     Py_ssize_t n = PyTuple_GET_SIZE(keys), i, p;
-    int rc = -1;
     int *r = labels, *l = labels + n, *h = labels + 2 * n, *d = labels + 3 * n;
-    int *root = grow(NULL, n, sizeof(int)), *meets = grow(NULL, n, sizeof(int));
-    uint64_t *rec = grow(NULL, n, 4 * sizeof(uint64_t));
-    int side;
-    if (root == NULL || meets == NULL || rec == NULL)
+    int *root = NULL, *meets = NULL, *d_of = NULL, rc = -1;
+    Records dom = {0}, im = {0}, pairs = {0};
+    if (records_init(&dom, 4 * sizeof(uint64_t), n) < 0
+        || records_init(&im, 4 * sizeof(uint64_t), n) < 0
+        || records_init(&pairs, sizeof(uint64_t), n) < 0)
         goto done;
-    /* side 0: the domain as a 256-bit mask of points; side 1: the image,
-       as the mask of the key's byte values */
-    for (side = 0; side < 2; side++) {
-        memset(rec, 0, (size_t)n * 4 * sizeof(uint64_t));
-        for (i = 0; i < n; i++) {
-            const unsigned char *key =
-                (const unsigned char *)PyBytes_AS_STRING(PyTuple_GET_ITEM(keys, i));
-            uint64_t *mask = rec + 4 * i;
-            for (p = 0; p < key_len; p++) {
-                int bit = side == 0 ? (key[p] ? (int)p : -1) : key[p];
-                if (bit >= 0)
-                    mask[bit >> 6] |= (uint64_t)1 << (bit & 63);
-            }
+    /* n records at most, so no intern is CAPPED */
+    for (i = 0; i < n; i++) {
+        const unsigned char *key =
+            (const unsigned char *)PyBytes_AS_STRING(PyTuple_GET_ITEM(keys, i));
+        uint64_t dom_mask[4] = {0}, im_mask[4] = {0}, pair;
+        for (p = 0; p < key_len; p++) {
+            dom_mask[p >> 6] |= (uint64_t)(key[p] != 0) << (p & 63);
+            im_mask[key[p] >> 6] |= (uint64_t)1 << (key[p] & 63);
         }
-        if ((counts[side] = dense_labels(rec, n, 4, side == 0 ? r : l)) < 0)
+        if ((r[i] = intern(&dom, dom_mask)) < 0 || (l[i] = intern(&im, im_mask)) < 0)
+            goto done;
+        pair = (uint64_t)r[i] << 32 | (uint64_t)l[i];
+        if ((h[i] = intern(&pairs, &pair)) < 0)
             goto done;
     }
-    for (i = 0; i < n; i++)
-        rec[i] = (uint64_t)r[i] << 32 | (uint64_t)l[i];
-    if ((counts[2] = dense_labels(rec, n, 1, h)) < 0)
+    counts[0] = dom.count;
+    counts[1] = im.count;
+    counts[2] = pairs.count;
+    root = grow(NULL, counts[0], sizeof(int));
+    d_of = grow(NULL, counts[0], sizeof(int));
+    meets = grow(NULL, counts[1], sizeof(int));
+    if (root == NULL || d_of == NULL || meets == NULL)
         goto done;
     /* D joins each element's R-class with an R-class its L-class meets */
-    for (i = 0; i < n; i++)
-        root[i] = (int)i, meets[i] = NO_ELEMENT;
+    for (i = 0; i < counts[0]; i++)
+        root[i] = (int)i, d_of[i] = NO_RECORD;
+    memset(meets, 0xFF, (size_t)counts[1] * sizeof(int));
     for (i = 0; i < n; i++) {
-        if (meets[l[i]] == NO_ELEMENT)
+        if (meets[l[i]] == NO_RECORD)
             meets[l[i]] = r[i];
         root[find(root, r[i])] = find(root, meets[l[i]]);
     }
-    for (i = 0; i < n; i++)
-        rec[i] = (uint64_t)find(root, r[i]);
-    if ((counts[3] = dense_labels(rec, n, 1, d)) >= 0)
-        rc = 0;
+    /* D numbers the roots in order of first occurrence */
+    counts[3] = 0;
+    for (i = 0; i < n; i++) {
+        int a = find(root, r[i]);
+        if (d_of[a] == NO_RECORD)
+            d_of[a] = (int)counts[3]++;
+        d[i] = d_of[a];
+    }
+    rc = 0;
 done:
+    records_free(&dom);
+    records_free(&im);
+    records_free(&pairs);
     PyMem_Free(root);
+    PyMem_Free(d_of);
     PyMem_Free(meets);
-    PyMem_Free(rec);
     return rc;
 }
 

@@ -74,7 +74,11 @@ products (Froidure & Pin, 1997), on the maps' byte keys (see
 dimon.iperm), returns the elements and the right table only.  green:
 Green's R, L, H and D labels of an inverse monoid's elements, read
 off their keys.  Both check every key they are given, and raise
-ValueError for one that is not bytes of the expected length.
+ValueError for one that is not bytes of the expected length.  Both
+number distinct values by first occurrence, here with dicts; the C
+kernels do it with one record table, whose arrays close grows to at
+most max_elements elements, so a capped compiled closure allocates in
+proportion to its cap.
 """
 
 from array import array

@@ -230,7 +230,7 @@ def check_relations(family, n, as_json):
     a = _from_input("'--n'", presentations.build_assignment, fam, n)
     p = _from_input("'--n'", presentations.build_relations, fam, n)
     failing = presentations.check_relations_hold(p, a)
-    tags = [rel.tag for rel in failing]
+    tags = list(dict.fromkeys(rel.tag for rel in failing))
     if failing:
         lines = [f"{p.label}: {len(failing)} relations fail: {', '.join(tags)}"]
     else:

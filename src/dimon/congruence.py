@@ -245,13 +245,14 @@ def verify_presentation(
 
     The relations are evaluated word by word only when the tables
     differ or the run was capped: a relation that fails under a gives
-    FAIL with the failing tags and no class count.  So such a
-    presentation pays for one enumeration (capped or not) before its
-    FAIL; every built-in family holds its relations.  When every
-    relation holds, the classes map onto m, so a capped run is
-    INDETERMINATE, a complete one with more classes than m.size is
-    FAIL with its class count, and any other complete one raises
-    RuntimeError.
+    FAIL with the failing tags and no class count.  Each tag is listed
+    once, in order of first occurrence, since a chain of equalities
+    gives several relations one tag.  So such a presentation pays for
+    one enumeration (capped or not) before its FAIL; every built-in
+    family holds its relations.  When every relation holds, the
+    classes map onto m, so a capped run is INDETERMINATE, a complete
+    one with more classes than m.size is FAIL with its class count,
+    and any other complete one raises RuntimeError.
     """
     close = _closure_of_images(m, [a.image(name) for name in p.letters])
     if close is None:
@@ -262,7 +263,7 @@ def verify_presentation(
         return PresentationVerdict(Verdict.PASS, count, m.size, (), stats)
     failing = check_relations_hold(p, a)
     if failing:
-        tags = tuple(r.tag for r in failing)
+        tags = tuple(dict.fromkeys(r.tag for r in failing))
         return PresentationVerdict(Verdict.FAIL, None, m.size, tags, stats)
     if not result.is_complete:
         return PresentationVerdict(Verdict.INDETERMINATE, None, m.size, (), stats)

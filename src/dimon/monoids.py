@@ -169,7 +169,9 @@ def closure(
     An element is its ``PartialPerm.key``, and f then g is
     ``f.key.translate(g.table())``.  A degree outside 1..255, or a
     generator of another degree, raises ValueError; a closure with more
-    than max_elements elements raises ClosureCapError.
+    than max_elements elements raises ClosureCapError.  The compiled
+    close allocates for at most max_elements elements, so the cap also
+    bounds its memory.
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size

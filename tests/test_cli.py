@@ -246,16 +246,17 @@ def relation_dropped(n):
     return (p, without(p, p.relations.index(tagged(p, "R_11")[0])))
 
 
+# the tags of the 9 relations of R(4) that fail once e_4 := y x, each once
+WRONG_SUBSTITUTION_TAGS = "R_2, R_5[i=3], R_6[i=1], R_8[i=1,j=4], R_10[i=1], R_11"
+
+
 def test_tietze_checks_every_step_against_the_monoid(runner, monkeypatch):
     """A step whose relations fail under the family's assignment fails the
     chain, and so does one whose classes outnumber the monoid; the step's
-    own line says which."""
-    a = presentations.build_assignment(RelationFamily.R, 4)
-    failing = presentations.check_relations_hold(wrong_substitution(4)[1], a)
-    assert failing
+    own line says which, listing each failing tag once."""
     for build_chain, step in (
         (wrong_substitution, "R(n=4)-e_4: 7 letters, relations do not hold: "
-                             + ", ".join(rel.tag for rel in failing)),
+                             + WRONG_SUBSTITUTION_TAGS),
         (relation_dropped, "R(n=4): 8 letters, 45 classes"),
     ):
         monkeypatch.setitem(presentations.ELIMINATION_CHAINS, "odi",
@@ -264,6 +265,21 @@ def test_tietze_checks_every_step_against_the_monoid(runner, monkeypatch):
         assert res.exit_code == 1, res.output
         assert res.output.splitlines() == [
             "R(n=4): 8 letters, 44 classes", step, "FAIL, 1 of 2 presentations fail"]
+
+
+def test_failing_relations_list_each_tag_once(runner, monkeypatch):
+    """A chain of equalities gives several relations one tag: the verdict
+    and check-relations list the tag once, and check-relations still
+    counts every failing relation."""
+    p = wrong_substitution(4)[1]
+    a = presentations.build_assignment(RelationFamily.R, 4)
+    assert len(presentations.check_relations_hold(p, a)) == 9
+    v = congruence.verify_presentation(p, a, monoids.build_named(MonoidFamily.ODI, 4))
+    assert ", ".join(v.failing_tags) == WRONG_SUBSTITUTION_TAGS
+    monkeypatch.setattr(presentations, "build_relations", lambda family, n: p)
+    res = runner.invoke(main, ["check-relations", "--family", "R", "--n", "4"])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"{p.label}: 9 relations fail: {WRONG_SUBSTITUTION_TAGS}\n"
 
 
 def test_tietze_fails_when_one_step_fails_and_another_caps(runner, monkeypatch):

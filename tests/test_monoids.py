@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -412,6 +413,29 @@ def test_kernels_cap_closure_alike(compiled_kernel):
     # the identity alone is kept whatever the cap
     for kernel in (_tc_py, compiled_kernel):
         assert kernel.close(6, [], 0) == ((bytes(range(7)),), b"")
+    # caps beside the compiled kernel's capacity doublings, on DI(8)
+    gen_keys = [f.key for _, f in generating_maps(MonoidFamily.DI, 8)]
+    size = KNOWN_SIZES[MonoidFamily.DI][8]
+    for cap in (1024, 1025, 2048, 2049, size - 1, size):
+        closed = _tc_py.close(8, gen_keys, cap)
+        assert (closed is None) == (cap < size)
+        assert compiled_kernel.close(8, gen_keys, cap) == closed, cap
+
+
+def test_capped_compiled_closure_allocates_for_its_cap(compiled_kernel):
+    """The compiled close grows its arrays up to max_elements and no
+    further: on ODI(24), capped one element past a capacity doubling,
+    its traced peak stays within 10 % of the peak at the doubling."""
+    gen_keys = [f.key for _, f in generating_maps(MonoidFamily.ODI, 24)]
+    peaks = []
+    for cap in (1024, 1025):
+        tracemalloc.start()
+        try:
+            assert compiled_kernel.close(24, gen_keys, cap) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("degree, gen_keys", [
