@@ -17,6 +17,9 @@
    edge of trace_define, a scan's last edge, the surviving row in
    coincide).  Every cell is only compared with UNDEF or read through
    find(), so the write changes no step, decision, counter or table.
+   coincide appends pairs to an array, scans it by index and empties it
+   before it returns, where no pair is pending and classes may be
+   renumbered.
 
    close and green number fixed-length byte records through one record
    table (Records): an open-addressing hash table whose arrays double
@@ -63,8 +66,7 @@ typedef struct {
     long long max_steps;
     int *parent;          /* union-find forest over class ids */
     int *table;           /* flat, row c starts at c * n_letters */
-    int *queue;           /* coincidence pairs, a FIFO ring buffer */
-    Py_ssize_t q_head;
+    int *queue;           /* one coincide's pairs, empty between calls */
     Py_ssize_t q_len;
     Py_ssize_t q_cap;     /* in pairs */
 } State;
@@ -133,19 +135,15 @@ new_class(State *s)
 static int
 q_push(State *s, int a, int b)
 {
-    Py_ssize_t slot;
     if (s->q_len == s->q_cap) {
         int *q = grow(s->queue, 4 * s->q_cap, sizeof(int));
         if (q == NULL)
             return -1;
-        /* unwrap: the pairs in front of the head move behind the old end */
-        memcpy(q + 2 * s->q_cap, q, (size_t)(2 * s->q_head) * sizeof(int));
         s->queue = q;
         s->q_cap *= 2;
     }
-    slot = 2 * ((s->q_head + s->q_len) % s->q_cap);
-    s->queue[slot] = a;
-    s->queue[slot + 1] = b;
+    s->queue[2 * s->q_len] = a;
+    s->queue[2 * s->q_len + 1] = b;
     s->q_len++;
     return 0;
 }
@@ -177,14 +175,13 @@ trace_define(State *s, int c, const int *word, Py_ssize_t len)
 static int
 coincide(State *s, int a, int b)
 {
+    Py_ssize_t i;
     if (q_push(s, a, b) < 0)
         return -1;
-    while (s->q_len > 0) {
-        int u = find(s->parent, s->queue[2 * s->q_head]);
-        int v = find(s->parent, s->queue[2 * s->q_head + 1]);
+    for (i = 0; i < s->q_len; i++) {
+        int u = find(s->parent, s->queue[2 * i]);
+        int v = find(s->parent, s->queue[2 * i + 1]);
         int k, *row_u, *row_v;
-        s->q_head = (s->q_head + 1) % s->q_cap;
-        s->q_len--;
         if (u == v)
             continue;
         if (v < u) {
@@ -216,6 +213,7 @@ coincide(State *s, int a, int b)
             }
         }
     }
+    s->q_len = 0;
     return 0;
 }
 

@@ -9,8 +9,9 @@ run: congruence enumeration.  Table-filling over the right action of
 letters on classes, in the HLT style: classes are visited in creation
 order, every relation is traced at each live class (defining classes
 along the way), the class's row is then filled with new classes, and
-coincidences go through a FIFO queue with the smaller class id
-surviving.
+coincidences are merged first in, first out, with the smaller class id
+surviving: coincide appends pairs to a list that it scans in order, and
+no pair is pending once it returns, where classes may be renumbered.
 
 A step is one letter traced, one letter of a row merged in a
 coincidence, or one class defined while filling a row.  The budget is
@@ -82,7 +83,6 @@ proportion to its cap.
 """
 
 from array import array
-from collections import deque
 
 UNDEF = -1
 
@@ -143,7 +143,6 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
         watch = _checked_pair(watch, n_letters)
     parent = [0]
     table = [[UNDEF] * n_letters]
-    queue = deque()
     steps = 0
     live = peak = 1
     merges = 0
@@ -174,9 +173,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
 
     def coincide(a, b):
         nonlocal steps, live, merges
-        queue.append((a, b))
-        while queue:
-            u, v = queue.popleft()
+        queue = [(a, b)]
+        for u, v in queue:  # the loop reaches every pair appended
             u = _find(parent, u)
             v = _find(parent, v)
             if u == v:

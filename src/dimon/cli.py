@@ -37,10 +37,6 @@ from .presentations import (
     RelationFamily,
 )
 
-# printed in the order of the standard count table
-COUNT_ORDER = tuple(RelationFamily[name] for name in
-                    ("R", "V", "VBAR", "VBAR_PRIME", "Q", "Q_PRIME", "U", "Q0"))
-
 EXIT_CODES = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.INDETERMINATE: 3}
 WORST_FIRST = (Verdict.FAIL, Verdict.INDETERMINATE, Verdict.PASS)
 
@@ -114,9 +110,10 @@ def _parse_range(text):
         lo_n = int(lo)
         hi_n = int(hi) if sep else lo_n
     except ValueError:
-        raise click.BadParameter(f"bad range {text!r}, expected like 4..10")
+        raise click.BadParameter(f"bad range {text!r}, expected like 4..10",
+                                 param_hint="'--n-range'")
     if hi_n < lo_n:
-        raise click.BadParameter(f"empty range {text!r}")
+        raise click.BadParameter(f"empty range {text!r}", param_hint="'--n-range'")
     return range(lo_n, hi_n + 1)
 
 
@@ -360,7 +357,7 @@ def formulas(n_range, as_json):
             parts.append(f"|{fam.value.upper()}|={want}"
                          + ("" if want == got else f"!={got}"))
         counts = {}
-        for fam in COUNT_ORDER:
+        for fam in RelationFamily:
             value = presentations.expected_relation_count(fam, n)
             counts[fam.value] = value
             parts.append(f"|{fam.value}|={value}")

@@ -303,8 +303,13 @@ def verify_forms_set(
     docstring), so the forms then evaluate bijectively onto m's
     elements; no form is evaluated.  When the images do not generate m
     or the tables differ, that is the one problem reported about the
-    images.
+    images.  Forms over letters other than p's raise ValueError.
     """
+    if forms.letters != p.letters:
+        raise ValueError(
+            f"forms over letters {forms.letters} do not match "
+            f"the presentation's letters {p.letters}"
+        )
     result = enumerate_congruence(p, caps)
     if not result.is_complete:
         return FormsVerdict(

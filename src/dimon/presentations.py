@@ -158,14 +158,16 @@ class FormsSet:
 
 
 class RelationFamily(enum.Enum):
+    """The relation families, in the order of the standard count table."""
+
     R = "R"
-    U = "U"
     V = "V"
     VBAR = "Vbar"
     VBAR_PRIME = "VbarPrime"
     Q = "Q"
-    Q0 = "Q0"
     Q_PRIME = "QPrime"
+    U = "U"
+    Q0 = "Q0"
 
     @classmethod
     def parse(cls, text: str) -> "RelationFamily":

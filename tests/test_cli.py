@@ -250,6 +250,28 @@ def relation_dropped(n):
 WRONG_SUBSTITUTION_TAGS = "R_2, R_5[i=3], R_6[i=1], R_8[i=1,j=4], R_10[i=1], R_11"
 
 
+@pytest.mark.parametrize("verb, broken, line", [
+    ("verify-presentation", wrong_substitution,
+     f"FAIL, relations do not hold: {WRONG_SUBSTITUTION_TAGS}"),
+    ("verify-presentation", relation_dropped, "FAIL, reports 45 != 44"),
+    ("forms", relation_dropped,
+     "FAIL: forms do not cover every class; "
+     "classes do not map onto the monoid's elements"),
+], ids=["relations fail", "more classes", "forms"])
+def test_fail_report_says_why(runner, monkeypatch, verb, broken, line):
+    """A broken R(4) in place of the built one: each FAIL line says what
+    failed.  Only R is replaced, so forms reads its forms off the U seed
+    as built."""
+    build = presentations.build_relations
+    p = broken(4)[1]
+    monkeypatch.setattr(presentations, "build_relations",
+                        lambda family, n: p if family is RelationFamily.R
+                        else build(family, n))
+    res = runner.invoke(main, [verb, "--family", "R", "--n", "4"])
+    assert res.exit_code == 1, res.output
+    assert res.output == line + "\n"
+
+
 def test_tietze_checks_every_step_against_the_monoid(runner, monkeypatch):
     """A step whose relations fail under the family's assignment fails the
     chain, and so does one whose classes outnumber the monoid; the step's
@@ -330,11 +352,6 @@ def test_formulas_range_json(runner):
     assert data["rows"][0]["relation_counts"]["VbarPrime"] == 32
 
 
-def test_formulas_bad_range(runner):
-    assert runner.invoke(main, ["formulas", "--n-range", "abc"]).exit_code == 2
-    assert runner.invoke(main, ["formulas", "--n-range", "6..4"]).exit_code == 2
-
-
 # the relation family's range refuses these, and the message names it:
 # the targets OCI and CI build at n = 3, and ODI and OPDI would refuse
 # n = 2 and n = 3 themselves
@@ -358,6 +375,8 @@ RELATION_RANGE_CASES = (
     ["build", "--family", "oci", "--n", "256"],
     ["green", "--family", "oci", "--n", "256"],
     ["formulas", "--n-range", "256..256"],
+    ["formulas", "--n-range", "abc"],
+    ["formulas", "--n-range", "6..4"],
     ["check-relations", "--family", "R", "--n", "256"],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", "0"],
     ["verify-presentation", "--family", "R", "--n", "4", "--max-classes", str(2**30 + 1)],

@@ -32,6 +32,7 @@ from dimon.presentations import (
     build_assignment,
     build_forms,
     build_relations,
+    eliminate_generator,
     evaluate,
 )
 from oracles import tagged, without
@@ -373,11 +374,21 @@ def test_backends_identical(compiled_kernel):
     for max_steps in range(61):
         out_py = _tc_py.run(2, rels, 10**4, max_steps, watch)
         assert out_py == compiled_kernel.run(2, rels, 10**4, max_steps, watch), max_steps
+    # a c^1100 = b c^1100 defines two chains of c's, and a = b merges them
+    # pair by pair in one coincide call: 1100 pairs, past the compiled
+    # queue's first capacity of 1024
+    rels = (((0,) + (2,) * 1100, (1,) + (2,) * 1100), ((0,), (1,)))
+    out_py = _tc_py.run(3, rels, 3300, 10**8)
+    assert out_py == compiled_kernel.run(3, rels, 3300, 10**8)
+    assert out_py == (_tc_py.STATUS_CAPPED, None, {
+        "classes_defined": 3300, "peak_live_classes": 2202,
+        "coincidences": 1100, "steps": 6603})
 
 
 def test_backends_identical_on_edge_cases(compiled_kernel):
     """Both kernels return equal bytes with no letters (one class, table
-    b""), and no table from a capped run."""
+    b""), no table from a capped run, and stop alike at a watch that
+    merges before the first scan."""
     for args in ((0, (), 1, 0), (0, [((), ())], 10, 10)):
         out = _tc_py.run(*args)
         assert out == compiled_kernel.run(*args)
@@ -389,6 +400,18 @@ def test_backends_identical_on_edge_cases(compiled_kernel):
     capped = _tc_py.run(2, (), 10, 10**8)
     assert capped == compiled_kernel.run(2, (), 10, 10**8)
     assert capped[:2] == (_tc_py.STATUS_CAPPED, None)
+    # a watch whose words meet as soon as they are traced stops the run
+    # before its first scan
+    p = build_relations(RelationFamily.U, 4)
+    for watch, defined, steps in ((((0, 1), (0, 1)), 3, 4), (((), ()), 1, 0)):
+        args = (len(p.letters), p.relation_ids, 10**6, 10**8, watch)
+        out = _tc_py.run(*args)
+        assert out == compiled_kernel.run(*args)
+        assert out == (_tc_py.STATUS_WATCH_MERGED, None, {
+            "classes_defined": defined, "peak_live_classes": defined,
+            "coincidences": 0, "steps": steps})
+    w = p.relations[0].lhs
+    assert is_consequence(p, Relation(w, w, ""))
 
 
 # counters of complete runs, pinned when the tables became standardized:
@@ -829,6 +852,22 @@ def test_verify_forms_set_reports_unmapped_classes():
     v = verify_forms_set(p, forms, swapped, build_named(MonoidFamily.ODI, n))
     assert v.verdict is Verdict.FAIL
     assert v.problems == ("classes do not map onto the monoid's elements",)
+
+
+def test_verify_forms_set_refuses_forms_over_other_letters():
+    """R(4)'s forms against R(4) without e_4: refused up front, naming
+    both alphabets, before any form is traced."""
+    n = 4
+    p = build_relations(RelationFamily.R, n)
+    forms = build_forms(
+        RelationFamily.R, n, enumerate_congruence(build_relations(RelationFamily.U, n))
+    )
+    smaller = eliminate_generator(p, "e_4", ("x", "y"))
+    with pytest.raises(ValueError) as info:
+        verify_forms_set(smaller, forms, build_assignment(RelationFamily.R, n),
+                         build_named(MonoidFamily.ODI, n))
+    assert str(forms.letters) in str(info.value)
+    assert str(smaller.letters) in str(info.value)
 
 
 def test_verify_closes_no_images_that_are_the_monoids_generators(monkeypatch):

@@ -226,6 +226,8 @@ def test_eliminate_generator():
         eliminate_generator(p, "g", ("x",))
     with pytest.raises(ValueError):
         eliminate_generator(p, "e_4", ("x", "e_4"))
+    with pytest.raises(ValueError, match="replacement letter 'g' not in the alphabet"):
+        eliminate_generator(p, "e_4", ("g",))
 
 
 def test_elimination_chains_shape():
