@@ -28,7 +28,8 @@ EnumerationResult keeps as it came, and stats the run's counters
 keeps too.  setup.py compiles the extension from the hand-written C
 source _tc_core.c, which follows _tc_py step for step.  The kernel
 reads each presentation's relations as Presentation.relation_ids,
-encoded once; both kernels raise ValueError for a letter id outside
+encoded once, when the Presentation is made and checks its letters by
+encoding them; both kernels raise ValueError for a letter id outside
 range(n_letters).  A watched run (is_consequence) that completes never
 merged its pair, so the answer is no: the watch is checked after every
 scan, and only scans merge classes.
@@ -46,10 +47,11 @@ the run was capped, so a presentation whose relations fail under its
 assignment pays for one enumeration before its FAIL.  verify_forms_set
 evaluates no form: equal tables map the classes one to one onto the
 monoid's elements, so forms in distinct classes covering every class
-evaluate one to one onto the elements.  When the images are the
-monoid's own generators in order, as for U, V, VbarPrime and QPrime,
-their closure is the monoid itself: both checks then compare with its
-right table and neither closes the images again.
+evaluate one to one onto the elements; it takes every form's class in
+one call of EnumerationResult.word_classes, the one walk of a table.
+When the images are the monoid's own generators in order, as for U, V,
+VbarPrime and QPrime, their closure is the monoid itself: both checks
+then compare with its right table and neither closes the images again.
 
 Results depend on their arguments alone: a call without caps always
 gets EnumerationCaps(), and nothing here reads the environment.  Caps
@@ -143,19 +145,24 @@ class EnumerationResult:
         """The table's cells as ints."""
         return memoryview(self.table).cast("i")
 
-    @functools.cached_property
-    def _letter_ids(self) -> "dict[str, int]":
-        return {name: k for k, name in enumerate(self.letters)}
+    def word_classes(self, words) -> "list[int]":
+        """The class of each word, by replaying letter actions from class 0.
 
-    def word_class(self, w: "tuple[str, ...]") -> int:
-        """Class of a word, by replaying letter actions from class 0."""
+        The table is read once into one column per letter, so a letter
+        costs one lookup of its column and one read of the column.
+        """
         if not self.is_complete:
             raise IndeterminateError("enumeration was capped")
-        cells, width, ids = self._cells, len(self.letters), self._letter_ids
-        c = 0
-        for name in w:
-            c = cells[c * width + ids[name]]
-        return c
+        cells, width = self._cells, len(self.letters)
+        columns = {name: cells[k::width].tolist() for k, name in enumerate(self.letters)}
+        column = columns.__getitem__
+        classes = []
+        for w in words:
+            c = 0
+            for col in map(column, w):
+                c = col[c]
+            classes.append(c)
+        return classes
 
     def to_json_dict(self) -> dict:
         if self.is_complete:
@@ -316,7 +323,7 @@ def verify_forms_set(
             Verdict.INDETERMINATE, len(forms.words), None, m.size, (), result.stats
         )
     problems = []
-    classes = [result.word_class(w) for w in forms.words]
+    classes = result.word_classes(forms.words)
     distinct = set(classes)
     if len(distinct) != len(classes):
         problems.append("two forms share a class")

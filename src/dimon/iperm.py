@@ -142,11 +142,6 @@ def inverse(f: PartialPerm) -> PartialPerm:
     return PartialPerm.from_pairs(f.degree, ((q, p) for p, q in f.pairs()))
 
 
-def partial_identity(n: int, points: Iterable[Point]) -> PartialPerm:
-    """Identity map restricted to the given set of points."""
-    return PartialPerm.from_pairs(n, ((p, p) for p in set(points)))
-
-
 def identity(n: int) -> PartialPerm:
     """The total identity map on {1, ..., n}."""
     check_degree(n)
@@ -167,7 +162,8 @@ def named_generator(name: str, n: int) -> PartialPerm:
     In an indexed name the index is written out in decimal without
     leading zeros ("e_3", "x_2"), so each map has exactly one name.
     Any other name, or an index out of range at degree n, raises
-    ValueError.
+    ValueError.  Each map's key bytes are written here directly, and
+    PartialPerm checks them as it checks every key.
 
     >>> named_generator("g", 4).pairs()
     ((1, 2), (2, 3), (3, 4), (4, 1))
@@ -176,24 +172,31 @@ def named_generator(name: str, n: int) -> PartialPerm:
     """
     check_degree(n)
     if name == "g":
-        return PartialPerm.from_pairs(n, ((p, p % n + 1) for p in range(1, n + 1)))
+        return PartialPerm(bytes((0, *range(2, n + 1), 1)))
     if name == "h":
         if n < 2:
             raise ValueError("reflection needs degree at least 2")
-        return PartialPerm.from_pairs(n, ((p, n + 1 - p) for p in range(1, n + 1)))
+        return PartialPerm(bytes((0, *range(n, 0, -1))))
     if name == "x":
-        return PartialPerm.from_pairs(n, ((p, p + 1) for p in range(1, n)))
+        return PartialPerm(bytes((0, *range(2, n + 1), 0)))
     if name == "y":
-        return inverse(named_generator("x", n))
+        return PartialPerm(bytes((0, *range(n))))
     match = re.fullmatch(r"([exy])_([1-9][0-9]*)", name)
     if match is None:
         raise ValueError(f"unknown generator {name!r}")
     kind, i = match[1], int(match[2])
+    key = bytearray(n + 1)
     if kind == "e":
         if i > n:
             raise ValueError(f"{name} needs degree at least {i}, got {n}")
-        return partial_identity(n, (p for p in range(1, n + 1) if p != i))
+        key[1:] = range(1, n + 1)
+        key[i] = 0
+        return PartialPerm(bytes(key))
     if i > (n - 1) // 2:
         raise ValueError(f"{name} needs degree at least {2 * i + 1}, got {n}")
-    x_i = PartialPerm.from_pairs(n, [(1, 1), (1 + i, n - i + 1)])
-    return x_i if kind == "x" else inverse(x_i)
+    key[1] = 1
+    if kind == "x":
+        key[1 + i] = n - i + 1
+    else:
+        key[n - i + 1] = 1 + i
+    return PartialPerm(bytes(key))

@@ -210,6 +210,15 @@ def _check_n(family: MonoidFamily, n: int) -> None:
         raise ValueError(f"{family.value} needs n >= {low}, got {n}")
 
 
+# the generating sets that do not grow with n
+_FIXED_GENERATORS = {
+    MonoidFamily.DI: ("g", "h", "e_1"),
+    MonoidFamily.CI: ("g", "e_1"),
+    MonoidFamily.DIHEDRAL_GROUP: ("g", "h"),
+    MonoidFamily.CYCLIC_GROUP: ("g",),
+}
+
+
 def generator_names(family: MonoidFamily, n: int) -> list[str]:
     """The letter names of a family's standard generating set, in order.
 
@@ -220,20 +229,19 @@ def generator_names(family: MonoidFamily, n: int) -> list[str]:
     ['h', 'x', 'e_2', 'e_3', 'x_1', 'x_2', 'y_1', 'y_2']
     """
     _check_n(family, n)
+    if family in _FIXED_GENERATORS:
+        return list(_FIXED_GENERATORS[family])
+    if family == MonoidFamily.OCI:
+        return ["x", "y"] + [f"e_{i}" for i in range(1, n + 1)]
     m = (n - 1) // 2
     xs = [f"x_{i}" for i in range(1, m + 1)]
+    if family == MonoidFamily.OPDI:
+        return ["g", "e_1"] + xs
     ys = [f"y_{i}" for i in range(1, m + 1)]
-    es = [f"e_{i}" for i in range(1, n + 1)]
-    return {
-        MonoidFamily.DI: ["g", "h", "e_1"],
-        MonoidFamily.CI: ["g", "e_1"],
-        MonoidFamily.ODI: ["x", "y"] + es[1:n - 1] + xs + ys,
-        MonoidFamily.MDI: ["h", "x"] + es[1:(n + 1) // 2] + xs + ys,
-        MonoidFamily.OPDI: ["g", "e_1"] + xs,
-        MonoidFamily.OCI: ["x", "y"] + es,
-        MonoidFamily.DIHEDRAL_GROUP: ["g", "h"],
-        MonoidFamily.CYCLIC_GROUP: ["g"],
-    }[family]
+    if family == MonoidFamily.ODI:
+        return ["x", "y"] + [f"e_{i}" for i in range(2, n)] + xs + ys
+    # MDI, the one family left
+    return ["h", "x"] + [f"e_{i}" for i in range(2, (n + 1) // 2 + 1)] + xs + ys
 
 
 def generating_maps(

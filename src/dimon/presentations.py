@@ -58,41 +58,44 @@ class Presentation:
     """An alphabet of letter names with a finite list of defining relations.
 
     A letter's id, the integer the enumeration kernel reads, is its
-    position in letters.
+    position in letters.  Construction checks the letters by encoding
+    them: one pass builds the name-to-id map and relation_ids, and a
+    name the map lacks is an unknown letter.
     """
 
     label: str
     letters: "tuple[str, ...]"
     relations: "tuple[Relation, ...]"
+    _ids: "dict[str, int]" = dataclasses.field(init=False, repr=False, compare=False)
+    #: Every relation as its (lhs, rhs) pair of letter-id words: the
+    #: enumeration kernel's input, encoded once, in __post_init__.
+    relation_ids: "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]" = (
+        dataclasses.field(init=False, repr=False, compare=False)
+    )
 
     def __post_init__(self):
-        allowed = set(self.letters)
-        if len(allowed) != len(self.letters):
+        ids = {name: k for k, name in enumerate(self.letters)}
+        if len(ids) != len(self.letters):
             raise ValueError("duplicate letter names")
-        for rel in self.relations:
-            for name in rel.lhs + rel.rhs:
-                if name not in allowed:
-                    raise ValueError(
-                        f"relation {rel.tag or rel}: unknown letter {name!r}"
-                    )
-
-    @functools.cached_property
-    def _ids(self) -> "dict[str, int]":
-        return {name: k for k, name in enumerate(self.letters)}
+        encode = ids.__getitem__
+        try:
+            relation_ids = tuple(
+                (tuple(map(encode, r.lhs)), tuple(map(encode, r.rhs)))
+                for r in self.relations
+            )
+        except KeyError as exc:
+            # relations are encoded in order, so the first one with a
+            # name outside the map is the one that raised
+            rel = next(r for r in self.relations if not ids.keys() >= {*r.lhs, *r.rhs})
+            raise ValueError(
+                f"relation {rel.tag or rel}: unknown letter {exc.args[0]!r}"
+            ) from None
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "relation_ids", relation_ids)
 
     def word_ids(self, w: "tuple[str, ...]") -> "tuple[int, ...]":
-        return tuple(self._ids[name] for name in w)
-
-    @functools.cached_property
-    def relation_ids(self) -> "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]":
-        """Every relation as its (lhs, rhs) pair of letter-id words.
-
-        This is the enumeration kernel's input, encoded once per
-        presentation.
-        """
-        return tuple(
-            (self.word_ids(r.lhs), self.word_ids(r.rhs)) for r in self.relations
-        )
+        """A word's letter ids; KeyError for a name outside the alphabet."""
+        return tuple(map(self._ids.__getitem__, w))
 
     def to_json_dict(self) -> dict:
         return {
@@ -826,21 +829,20 @@ def delete_relation(p: Presentation, rel: Relation, caps=None) -> Presentation:
     ValueError when it is not, IndeterminateError when the caps stop the
     check first.
     """
-    index = next(
-        (k for k, r in enumerate(p.relations)
-         if r.lhs == rel.lhs and r.rhs == rel.rhs),
-        None,
-    )
-    if index is None:
-        raise KeyError(f"{rel.lhs} = {rel.rhs} not present")
-    # the parent passed __post_init__'s checks, and its letters with fewer
-    # relations pass them too, so copy it rather than check again; its
-    # encoding minus one entry goes where the cached_property keeps its
-    # value, so nothing is encoded again either
+    # letter ids name letters one to one, so the encoded pair finds the
+    # first relation with the same sides; a letter outside the alphabet
+    # has no id, and such a relation is not present either
     ids = p.relation_ids
+    try:
+        index = ids.index((p.word_ids(rel.lhs), p.word_ids(rel.rhs)))
+    except (KeyError, ValueError):
+        raise KeyError(f"{rel.lhs} = {rel.rhs} not present") from None
+    # the parent passed __post_init__'s checks, and its letters with fewer
+    # relations pass them too, so copy it rather than check again, with
+    # its encoding minus one entry: nothing is encoded again either
     smaller = copy.copy(p)
-    smaller.__dict__["relations"] = p.relations[:index] + p.relations[index + 1:]
-    smaller.__dict__["relation_ids"] = ids[:index] + ids[index + 1:]
+    object.__setattr__(smaller, "relations", p.relations[:index] + p.relations[index + 1:])
+    object.__setattr__(smaller, "relation_ids", ids[:index] + ids[index + 1:])
     from .congruence import is_consequence
 
     if not is_consequence(smaller, rel, caps):
@@ -960,20 +962,24 @@ def build_forms(family: RelationFamily, n: int, enumeration=None) -> FormsSet:
     if family == RelationFamily.VBAR:
         reps = list(reps)
         required = wprime1_words(n)
-        for w in required:
-            reps[enumeration.word_class(w)] = w
+        for c, w in zip(enumeration.word_classes(required), required):
+            reps[c] = w
         required_set = set(required)
         tail = [w + ("h",) for w in reps if w not in required_set]
         return FormsSet(f"Wbar(n={n})", letters, tuple(reps) + tuple(tail))
-    m = (n - 1) // 2
-    words = []
-    for r in range(n):
-        for k in range(n):
-            for subset in itertools.combinations(range(1, n + 1), k):
-                words.append(tuple(_pow("g", r) + [f"e_{i}" for i in subset]))
-    words.append(tuple(_erun(1, n)))
-    for i in range(1, m + 1):
-        for r in range(n):
-            for s in range(n):
-                words.append(tuple(_pow("g", r) + [f"x_{i}"] + _pow("g", s)))
+    es = tuple(_erun(1, n))
+    g_powers = [("g",) * r for r in range(n)]
+    words = [
+        g_r + subset
+        for g_r in g_powers
+        for k in range(n)
+        for subset in itertools.combinations(es, k)
+    ]
+    words.append(es)
+    words += [
+        g_r + (f"x_{i}",) + g_s
+        for i in range(1, (n - 1) // 2 + 1)
+        for g_r in g_powers
+        for g_s in g_powers
+    ]
     return FormsSet(f"Qforms(n={n})", letters, tuple(words))

@@ -89,8 +89,7 @@ def test_enumerate_trivial():
     p = Presentation("t", ("a",), (Relation(("a", "a"), ("a",), "sq"),))
     r = enumerate_congruence(p)
     assert r.is_complete and r.class_count == 2
-    assert r.word_class(()) == 0
-    assert r.word_class(("a",)) == r.word_class(("a", "a", "a"))
+    assert r.word_classes([(), ("a",), ("a", "a", "a")]) == [0, 1, 1]
     # a a traced from class 0 defines classes 1 and 2, and a a = a then
     # merges class 2 into class 1: seven steps in all
     stats = {"classes_defined": 3, "peak_live_classes": 3, "coincidences": 1, "steps": 7}
@@ -120,7 +119,7 @@ def test_enumerate_caps_out():
     assert r.class_count is None
     assert r.to_json_dict()["status"] == "capped"
     with pytest.raises(IndeterminateError):
-        r.word_class(("a",))
+        r.word_classes([("a",)])
 
 
 @pytest.mark.parametrize("family", tuple(RelationFamily))
@@ -132,10 +131,13 @@ def test_class_counts(family, n):
 
 def test_word_class_examples():
     r = enumerate_congruence(build_relations(RelationFamily.R, 4))
-    assert r.word_class(("x", "y")) == r.word_class(("e_4",))
-    assert r.word_class(("y", "x")) == r.word_class(("e_1",))
-    assert r.word_class(()) == 0
-    assert r.word_class(("x",)) != r.word_class(("y",))
+    xy, e4, yx, e1, empty, x, y = r.word_classes(
+        [("x", "y"), ("e_4",), ("y", "x"), ("e_1",), (), ("x",), ("y",)]
+    )
+    assert xy == e4 and yx == e1 and empty == 0 and x != y
+    # one word's class is its class among others
+    assert r.word_classes([("x", "y")]) == [xy]
+    assert r.word_classes([]) == []
 
 
 @pytest.mark.parametrize("family", tuple(RelationFamily))
@@ -144,8 +146,10 @@ def test_soundness_every_relation_resolves_equal(family):
     for n in (4, 5):
         p = build_relations(family, n)
         r = enumerate_congruence(p)
-        for rel in p.relations:
-            assert r.word_class(rel.lhs) == r.word_class(rel.rhs), rel.tag
+        lhs = r.word_classes(rel.lhs for rel in p.relations)
+        rhs = r.word_classes(rel.rhs for rel in p.relations)
+        for rel, u, v in zip(p.relations, lhs, rhs):
+            assert u == v, rel.tag
 
 
 @pytest.mark.parametrize("family", tuple(RelationFamily))
@@ -177,9 +181,9 @@ def test_classes_agree_with_evaluation():
     assert list(closed.keys) == [f.key for f in class_image]
     rng = random.Random(11)
     names = p.letters
-    for _ in range(400):
-        w = tuple(rng.choice(names) for _ in range(rng.randrange(8)))
-        assert evaluate(w, a) == class_image[r.word_class(w)]
+    words = [tuple(rng.choice(names) for _ in range(rng.randrange(8))) for _ in range(400)]
+    for w, c in zip(words, r.word_classes(words)):
+        assert evaluate(w, a) == class_image[c]
 
 
 def with_entry(r, c, k, t):
@@ -395,7 +399,7 @@ def test_backends_identical_on_edge_cases(compiled_kernel):
         assert out[:2] == (_tc_py.STATUS_COMPLETE, b"")
     p = Presentation("t", (), ())
     r = enumerate_congruence(p)
-    assert r.table == b"" and r.class_count == 1 and r.word_class(()) == 0
+    assert r.table == b"" and r.class_count == 1 and r.word_classes([()]) == [0]
     assert normal_forms(r, ()).words == ((),)
     capped = _tc_py.run(2, (), 10, 10**8)
     assert capped == compiled_kernel.run(2, (), 10, 10**8)
@@ -950,8 +954,7 @@ def test_normal_forms_u4():
     assert len(fs.words) == 38
     assert fs.words[0] == ()
     # representatives are indexed by class
-    for k, w in enumerate(fs.words):
-        assert r.word_class(w) == k
+    assert r.word_classes(fs.words) == list(range(len(fs.words)))
     # and are closed under taking prefixes
     reps = set(fs.words)
     for w in fs.words:

@@ -14,7 +14,6 @@ from dimon.iperm import (
     identity,
     inverse,
     named_generator,
-    partial_identity,
 )
 from oracles import (
     all_partial_perms,
@@ -30,6 +29,11 @@ EMPTY4 = PartialPerm(bytes(5))
 
 def graph(f):
     return frozenset(f.pairs())
+
+
+def partial_identity(n, points):
+    """The identity map restricted to a set of points."""
+    return PartialPerm.from_pairs(n, ((p, p) for p in set(points)))
 
 
 def test_doctests():
@@ -204,6 +208,55 @@ def test_named_generator_examples_and_errors():
     for name in ("e_0", "e_", "e_x", "g_1", "h_2", "z", "e_01", "x_-1", "e_6", "x_3"):
         with pytest.raises(ValueError):
             named_generator(name, 5)
+
+
+def generator_definitions(n):
+    """Every valid letter name at degree n, with its map built from pairs
+    as named_generator's docstring defines it."""
+    maps = {
+        "g": [(p, p % n + 1) for p in range(1, n + 1)],
+        "x": [(p, p + 1) for p in range(1, n)],
+        "y": [(p + 1, p) for p in range(1, n)],
+    }
+    if n >= 2:
+        maps["h"] = [(p, n + 1 - p) for p in range(1, n + 1)]
+    for i in range(1, n + 1):
+        maps[f"e_{i}"] = [(p, p) for p in range(1, n + 1) if p != i]
+    for i in range(1, (n - 1) // 2 + 1):
+        maps[f"x_{i}"] = [(1, 1), (1 + i, n - i + 1)]
+        maps[f"y_{i}"] = [(1, 1), (n - i + 1, 1 + i)]
+    return {name: PartialPerm.from_pairs(n, pairs) for name, pairs in maps.items()}
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 255])
+def test_named_generator_matches_its_definition(n):
+    """Each map's key is written directly; it equals the map built from
+    the pairs of its definition, up to degree 255, where g's last image
+    and h's first are 255 and y's key reads 254 last."""
+    definitions = generator_definitions(n)
+    for name, f in definitions.items():
+        assert named_generator(name, n) == f, name
+    if n == 255:
+        assert named_generator("g", n).key[-2:] == bytes((255, 1))
+        assert named_generator("h", n).key[1] == 255
+        assert named_generator("y", n).key[-1] == 254
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 255])
+def test_named_generator_refuses_every_invalid_name(n):
+    m = (n - 1) // 2
+    invalid = [
+        f"e_{n + 1}", f"x_{m + 1}", f"y_{m + 1}", "e_0", "x_0", "y_0", "e_01",
+        "e_", "e_x", "x_-1", "g_1", "h_2", "z", "", "G", "e 1", "e_1 ", "ee_1",
+        "e_1_1", "x_1.0", "e_\N{ARABIC-INDIC DIGIT ONE}",
+    ]
+    if n < 2:
+        invalid.append("h")
+    valid = generator_definitions(n)
+    for name in invalid:
+        assert name not in valid
+        with pytest.raises(ValueError):
+            named_generator(name, n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -1,7 +1,9 @@
 """Relation families: counts, satisfaction, Tietze moves, forms words."""
 
 import doctest
+import itertools
 import random
+import re
 
 import pytest
 
@@ -160,13 +162,22 @@ def test_relation_tags():
 
 
 def test_presentation_validation():
-    with pytest.raises(ValueError):
-        Presentation("p", ("a", "a"), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate letter names$"):
+        Presentation("p", ("a", "b", "a"), ())
+    with pytest.raises(ValueError, match="^relation t: unknown letter 'c'$"):
         Presentation("p", ("a", "b"), (Relation(("a", "c"), ("b",), "t"),))
+    # the first relation with an unknown letter is named, by its tag or,
+    # untagged, by itself, and its first unknown letter, rhs after lhs
+    ok = Relation(("a",), ("b",), "ok")
+    untagged = Relation(("a",), ("b", "d", "c"))
+    with pytest.raises(ValueError, match=r"^relation Relation\(lhs=\('a',\), .*: unknown letter 'd'$"):
+        Presentation("p", ("a", "b"), (ok, untagged, Relation(("c",), (), "later")))
     p = Presentation("p", ("a", "b"), (Relation(("a", "b"), (), "t"),))
     assert p.letters == ("a", "b")
     assert p.word_ids(("b", "a", "b")) == (1, 0, 1)
+    assert p.relation_ids == (((0, 1), ()),)
+    with pytest.raises(KeyError):
+        p.word_ids(("a", "c"))
 
 
 def test_presentation_json_round_trip():
@@ -256,8 +267,15 @@ def test_add_delete_relation_checked():
     bad = Presentation(p.label, p.letters, p.relations + (wrong,))
     with pytest.raises(ValueError):
         delete_relation(bad, wrong)
-    with pytest.raises(KeyError):
-        delete_relation(p, Relation(("x",), ("y",), "absent"))
+    # an absent relation, the sides of one swapped, or one with a letter
+    # outside the alphabet is refused by a KeyError naming it
+    for rel in (
+        Relation(("x",), ("y",), "absent"),
+        Relation(p.relations[0].rhs, p.relations[0].lhs),
+        Relation(("x", "g"), ("x",), "alien"),
+    ):
+        with pytest.raises(KeyError, match=re.escape(f"{rel.lhs} = {rel.rhs} not present")):
+            delete_relation(p, rel)
 
 
 def test_relation_ids_survive_deletion():
@@ -317,6 +335,28 @@ def test_build_forms_requires_enumeration():
         build_forms(RelationFamily.R, 4)
     with pytest.raises(ValueError):
         build_forms(RelationFamily.U, 4)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_q_forms_match_an_itertools_construction(n):
+    """The Q forms in order: g^r e_S for r < n and S a proper subset of
+    {1..n}, by size and then lexicographically; e_1...e_n; then
+    g^r x_i g^s by i, r and s."""
+    es = [f"e_{i}" for i in range(1, n + 1)]
+    proper = [s for k in range(n) for s in itertools.combinations(es, k)]
+    expected = [
+        tuple(itertools.chain(itertools.repeat("g", r), s))
+        for r, s in itertools.product(range(n), proper)
+    ]
+    expected.append(tuple(es))
+    expected += [
+        tuple(itertools.chain(itertools.repeat("g", r), [f"x_{i}"], itertools.repeat("g", s)))
+        for i, r, s in itertools.product(range(1, (n - 1) // 2 + 1), range(n), range(n))
+    ]
+    fs = build_forms(RelationFamily.Q, n)
+    assert fs.words == tuple(expected)
+    assert fs.letters == build_alphabet(RelationFamily.Q, n)
+    assert fs.label == f"Qforms(n={n})"
 
 
 def test_q_forms_words():
