@@ -21,7 +21,13 @@ from dimon.congruence import (
     verify_presentation,
 )
 from dimon.iperm import named_generator
-from dimon.monoids import MonoidFamily, build_named, closure
+from dimon.monoids import (
+    MonoidFamily,
+    build_named,
+    closure,
+    green_classes,
+    verify_generates,
+)
 from dimon.presentations import (
     Assignment,
     FormsSet,
@@ -894,18 +900,23 @@ def test_verify_closes_no_images_that_are_the_monoids_generators(monkeypatch):
 
 
 def test_verify_builds_no_key_index_it_does_not_read(monkeypatch):
-    """A monoid builds its key index on first use.  Verifying U and QPrime,
-    whose images are the monoid's own generators, builds none, and neither
-    does the closure of R's images; a membership test builds it."""
+    """A monoid holds its keys and right table and caches nothing per
+    element that verification does not read.  Verifying U and QPrime,
+    whose images are the monoid's own generators, checking that the
+    images generate it, labelling its Green's classes and testing
+    membership leave it with neither its elements nor its left table;
+    so do verifying R and the one closure of R's images it makes."""
+    fields = {"degree", "keys", "generators", "right_cayley"}
     for family, n in ((RelationFamily.U, 5), (RelationFamily.Q_PRIME, 5)):
         m = build_named(TARGETS[family], n)
         p, a = build_relations(family, n), build_assignment(family, n)
         assert verify_presentation(p, a, m).verdict is Verdict.PASS
         forms = normal_forms(enumerate_congruence(p), p.letters)
         assert verify_forms_set(p, forms, a, m).verdict is Verdict.PASS
-        assert "_index" not in m.__dict__, family
-    assert named_generator("g", 5) in m
-    assert "_index" in m.__dict__
+        assert verify_generates(m, [f for _, f in a.images])
+        assert green_classes(m).sizes[0] > 0
+        assert named_generator("h", 5) not in m
+        assert set(m.__dict__) == fields, family
     p, a = build_relations(RelationFamily.R, 5), build_assignment(RelationFamily.R, 5)
     m = build_named(MonoidFamily.ODI, 5)
     closed = []
@@ -916,7 +927,8 @@ def test_verify_builds_no_key_index_it_does_not_read(monkeypatch):
 
     monkeypatch.setattr(congruence.monoids, "closure", recording_closure)
     assert verify_presentation(p, a, m).verdict is Verdict.PASS
-    assert len(closed) == 1 and "_index" not in closed[0].__dict__
+    assert len(closed) == 1
+    assert set(m.__dict__) == set(closed[0].__dict__) == fields
 
 
 def test_capped_verify_closes_no_images(monkeypatch):

@@ -221,6 +221,13 @@ def test_closure_degree_fits_a_byte():
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_closure_tables_are_consistent(family, n):
     m = build_named(family, n)
+    assert_tables_compose(m)
+    assert m.elements[0] == identity(n)
+
+
+def assert_tables_compose(m):
+    """Cell (i, k) of the right table is element i then gen_k, and of the
+    left table gen_k then element i."""
     gens = [m.elements[k] for k in m.generators]
     right, left = rows(m, m.right_cayley), rows(m, m.left_cayley)
     assert type(m.right_cayley) is bytes and type(m.left_cayley) is bytes
@@ -229,7 +236,6 @@ def test_closure_tables_are_consistent(family, n):
         for k, s in enumerate(gens):
             assert m.elements[right[i][k]] == compose(f, s)
             assert m.elements[left[i][k]] == compose(s, f)
-    assert m.elements[0] == identity(n)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -275,6 +281,45 @@ def test_closure_matches_compose_bfs(seed):
     assert list(m.elements) == elements
     assert rows(m, m.right_cayley) == right
     assert rows(m, m.left_cayley) == left
+
+
+def generates(m, gens):
+    """verify_generates' answer by its definition: closing gens gives
+    m's element set."""
+    return set(closure(m.degree, gens).keys) == set(m.keys)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_generates_matches_closure_on_random_gens(seed):
+    """Against the closure of a seeded generating set, and against the
+    same monoid closed with two products of its generators added, whose
+    search for those products goes past the identity's row."""
+    rng = random.Random(seed)
+    gens = random_gens(seed)
+    m = closure(5, gens)
+    padded = closure(5, gens + [compose(*rng.sample(gens * 2, 2)) for _ in range(2)])
+    assert verify_generates(padded, gens)
+    candidates = [
+        gens, gens[::-1], gens[1:], gens + [m.element(m.size - 1)],
+        rng.sample(m.elements, min(3, m.size)), rng.sample(DEGREE_5, 2),
+    ]
+    for target in (m, padded):
+        for s in candidates:
+            assert verify_generates(target, s) == generates(target, s)
+
+
+@pytest.mark.parametrize("family", list(MonoidFamily))
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_verify_generates_matches_closure_on_random_subsets(family, n):
+    """Random subsets of m's elements, alone and joined with all of m's
+    generators but the first."""
+    m = build_named(family, n)
+    rng = random.Random(f"{family.value} {n}")
+    own = [m.element(g) for g in m.generators]
+    for size in (0, 1, 2, len(own), 2 * len(own)):
+        s = rng.sample(m.elements, min(size, m.size))
+        for gens in (s, s + own[1:]):
+            assert verify_generates(m, gens) == generates(m, gens)
 
 
 def test_random_generating_sets_include_non_inverse():
@@ -487,11 +532,15 @@ def test_kernels_share_one_contract(compiled_kernel):
 
 def test_closure_reads_generators_off_the_identitys_row():
     """A generator's index is its column in row 0, so a repeated
-    generator and the identity as a generator get theirs too."""
+    generator and the identity as a generator get theirs too, and the
+    left table, read off the right one, holds for them and for a
+    closure with no generators."""
     g, e_1 = named_generator("g", 4), named_generator("e_1", 4)
     m = closure(4, [g, g, identity(4), e_1])
     assert m.generators == (1, 1, 0, m.index(e_1))
-    assert closure(4, []).generators == ()
+    assert_tables_compose(m)
+    m = closure(4, [])
+    assert m.generators == () and m.left_cayley == m.right_cayley == b""
 
 
 def test_closure_and_green_call_the_kernel(monkeypatch):
