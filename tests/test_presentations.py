@@ -1,7 +1,9 @@
 """Relation families: counts, satisfaction, Tietze moves, forms words."""
 
 import doctest
+import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -119,6 +121,21 @@ def test_relation_counts_match_closed_forms(n):
     assert (
         expected_relation_count(RelationFamily.VBAR_PRIME, n)
         == VBARPRIME_LIST_COUNTS[n]
+    )
+
+
+def test_relation_lists_are_pinned():
+    # one sha256 over every family's label, letters and (lhs, rhs, tag)
+    # per relation at n = 4..12: any change to a list's words, order or
+    # tags changes it
+    h = hashlib.sha256()
+    for n in range(4, 13):
+        for family in ALL_RELATION_FAMILIES:
+            p = build_relations(family, n)
+            rels = [[r.lhs, r.rhs, r.tag] for r in p.relations]
+            h.update(json.dumps([p.label, p.letters, rels]).encode())
+    assert h.hexdigest() == (
+        "63d1b976883e6f96d68ef2c4c7c12814fd2711ea3eec668e337a5ca9b002768e"
     )
 
 
