@@ -123,14 +123,6 @@ class FiniteMonoid:
             left.extend([right[x * width + a] for x in left[i * width:(i + 1) * width]])
         return left.tobytes()
 
-    def index(self, f: PartialPerm) -> int:
-        """Index of an element, by a scan of keys that stops at the first
-        match; KeyError when f is not in the monoid."""
-        try:
-            return self.keys.index(f.key)
-        except ValueError:
-            raise KeyError(f.key) from None
-
     def __contains__(self, f: PartialPerm) -> bool:
         """Membership, by a scan of keys that stops at the first match."""
         return f.key in self.keys

@@ -24,6 +24,16 @@ The families:
                 x_i} and its core D0 = {g, e_1..e_n}
     QPrime      Q compressed to D' = {g, e_1, x_i}
 
+Two clause shapes recur, each written once, with i = 1..floor((n-1)/2):
+
+    absorption  x_i w_j = x_i and w_j y_i = y_i (R_7, V_10, Vp_10), or
+                w_j x_i = x_i and y_i w_j = y_i (R_8, V_11, Vp_11), over a
+                range of j; Q_7, Q_8, Qp_7, Qp_8 lack the y_i half.  R_7
+                skips j = n-i+1 as x_i e_{n-i+1} heads R_10's chain; V_10
+                and Vp_10 skip the heads of V_14's and Vp_14's chains.
+    rank-2      x_i w = e_{i+1} x_i = y_i e_{i+1} = w y_i = bottom (R_10,
+    chain       V_14, Vp_14).
+
 Every family needs n >= 4.  ``build_alphabet`` and
 ``expected_relation_count`` check it; the relations, assignments and
 forms builders reach that check through ``build_alphabet`` before they
@@ -258,6 +268,30 @@ class _Rels:
             self.add(a, b, tag)
 
 
+def _e(j: int) -> "list[str]":
+    return [f"e_{j}"]
+
+
+def _absorb(r: _Rels, clause, m, js, word, *, left, skip=None, ys=True) -> None:
+    """The absorption clause for i = 1..m and j in js but skip(i), w = word(j):
+    its y_i half mirrors the x_i half only because every w is a palindrome."""
+    for i in range(1, m + 1):
+        x, y = f"x_{i}", f"y_{i}"
+        for j in js:
+            if skip is not None and j == skip(i):
+                continue
+            w, tag = word(j), f"{clause}[i={i},j={j}]"
+            r.add([x] + w if left else w + [x], [x], tag)
+            if ys:
+                r.add(w + [y] if left else [y] + w, [y], tag)
+
+
+def _rank2_chain(r: _Rels, tag, i, w, bottom) -> None:
+    """The chain x_i w = e_{i+1} x_i = y_i e_{i+1} = w y_i = bottom."""
+    x, y, e = f"x_{i}", f"y_{i}", f"e_{i+1}"
+    r.chain([[x] + w, [e, x], [y, e], w + [y], bottom], f"{tag}[i={i}]")
+
+
 def _relations_r1_to_r5(n: int, r: _Rels) -> None:
     for i in range(1, n + 1):
         r.add([f"e_{i}", f"e_{i}"], [f"e_{i}"], f"R_1[i={i}]")
@@ -283,34 +317,15 @@ def _relations_R(n: int) -> "list[Relation]":
     for i in range(1, m + 1):
         r.add([f"x_{i}", f"y_{i}"], _erun(2, i) + _erun(i + 2, n), f"R_6[i={i}]")
         r.add([f"y_{i}", f"x_{i}"], _erun(2, n - i) + _erun(n - i + 2, n), f"R_6[i={i}]")
-    for i in range(1, m + 1):
-        for j in range(2, n + 1):
-            if j == n - i + 1:
-                continue  # that pair is the chain in R_10
-            r.add([f"x_{i}", f"e_{j}"], [f"x_{i}"], f"R_7[i={i},j={j}]")
-            r.add([f"e_{j}", f"y_{i}"], [f"y_{i}"], f"R_7[i={i},j={j}]")
-    for i in range(1, m + 1):
-        for j in range(2, n + 1):
-            if j == i + 1:
-                continue
-            r.add([f"e_{j}", f"x_{i}"], [f"x_{i}"], f"R_8[i={i},j={j}]")
-            r.add([f"y_{i}", f"e_{j}"], [f"y_{i}"], f"R_8[i={i},j={j}]")
+    _absorb(r, "R_7", m, range(2, n + 1), _e, left=True, skip=lambda i: n - i + 1)
+    _absorb(r, "R_8", m, range(2, n + 1), _e, left=False, skip=lambda i: i + 1)
     for i in range(1, m + 1):
         rhs_x = _pow("x", n - 2 * i) + _erun(n - 2 * i + 1, n - i) + _erun(n - i + 2, n)
         r.chain([["e_1", f"x_{i}"], [f"x_{i}", "e_1"], rhs_x], f"R_9[i={i}]")
         rhs_y = _pow("y", n - 2 * i) + _erun(1, i) + _erun(i + 2, 2 * i)
         r.chain([["e_1", f"y_{i}"], [f"y_{i}", "e_1"], rhs_y], f"R_9[i={i}]")
     for i in range(1, m + 1):
-        r.chain(
-            [
-                [f"x_{i}", f"e_{n-i+1}"],
-                [f"e_{i+1}", f"x_{i}"],
-                [f"y_{i}", f"e_{i+1}"],
-                [f"e_{n-i+1}", f"y_{i}"],
-                _erun(2, n),
-            ],
-            f"R_10[i={i}]",
-        )
+        _rank2_chain(r, "R_10", i, _e(n - i + 1), _erun(2, n))
     _relation_r11(n, r)
     return r.out
 
@@ -353,18 +368,8 @@ def _relations_V(n: int) -> "list[Relation]":
             _erun(2, n - i) + _erun(n - i + 2, n - 1) + xy,
             f"V_9[i={i}]",
         )
-    for i in range(1, m + 1):
-        for j in range(2, n):
-            if j == n - i + 1:
-                continue
-            r.add([f"x_{i}", f"e_{j}"], [f"x_{i}"], f"V_10[i={i},j={j}]")
-            r.add([f"e_{j}", f"y_{i}"], [f"y_{i}"], f"V_10[i={i},j={j}]")
-    for i in range(1, m + 1):
-        for j in range(2, n):
-            if j == i + 1:
-                continue
-            r.add([f"e_{j}", f"x_{i}"], [f"x_{i}"], f"V_11[i={i},j={j}]")
-            r.add([f"y_{i}", f"e_{j}"], [f"y_{i}"], f"V_11[i={i},j={j}]")
+    _absorb(r, "V_10", m, range(2, n), _e, left=True, skip=lambda i: n - i + 1)
+    _absorb(r, "V_11", m, range(2, n), _e, left=False, skip=lambda i: i + 1)
     for i in range(2, m + 1):
         r.chain([[f"x_{i}"] + xy, xy + [f"x_{i}"], [f"x_{i}"]], f"V_12[i={i}]")
         r.chain([xy + [f"y_{i}"], [f"y_{i}"] + xy, [f"y_{i}"]], f"V_12[i={i}]")
@@ -384,20 +389,8 @@ def _relations_V(n: int) -> "list[Relation]":
     for i in range(1, m + 1):
         rhs = _pow("y", n - 2 * i + 1) + ["x"] + _erun(2, i) + _erun(i + 2, 2 * i)
         r.chain([yx + [f"y_{i}"], [f"y_{i}"] + yx, rhs], f"V_13[i={i}]")
-    r.chain(
-        [["x_1"] + xy, ["e_2", "x_1"], ["y_1", "e_2"], xy + ["y_1"], u0], "V_14[i=1]"
-    )
-    for i in range(2, m + 1):
-        r.chain(
-            [
-                [f"x_{i}", f"e_{n-i+1}"],
-                [f"e_{i+1}", f"x_{i}"],
-                [f"y_{i}", f"e_{i+1}"],
-                [f"e_{n-i+1}", f"y_{i}"],
-                u0,
-            ],
-            f"V_14[i={i}]",
-        )
+    for i in range(1, m + 1):
+        _rank2_chain(r, "V_14", i, xy if i == 1 else _e(n - i + 1), u0)
     return r.out
 
 
@@ -466,26 +459,10 @@ def _relations_VbarPrime(n: int) -> "list[Relation]":
             _erun(2, q) + ["h"] + _erun(2, i - 1) + _erun(i + 1, p) + ["h"] + xh2
         )
         r.add([f"y_{i}", f"x_{i}"], rhs, f"Vp_9[i={i}]")
-    for i in range(1, m + 1):
-        for j in range(2, q + 1):
-            r.add([f"x_{i}", f"e_{j}"], [f"x_{i}"], f"Vp_10[i={i},j={j}]")
-            r.add([f"e_{j}", f"y_{i}"], [f"y_{i}"], f"Vp_10[i={i},j={j}]")
-    for i in range(1, m + 1):
-        for j in range(2, p + 1):
-            if j == i:
-                continue
-            r.add([f"x_{i}"] + heh(j), [f"x_{i}"], f"Vp_10[i={i},j={j}]")
-            r.add(heh(j) + [f"y_{i}"], [f"y_{i}"], f"Vp_10[i={i},j={j}]")
-    for i in range(1, m + 1):
-        for j in range(2, q + 1):
-            if j == i + 1:
-                continue
-            r.add([f"e_{j}", f"x_{i}"], [f"x_{i}"], f"Vp_11[i={i},j={j}]")
-            r.add([f"y_{i}", f"e_{j}"], [f"y_{i}"], f"Vp_11[i={i},j={j}]")
-    for i in range(1, m + 1):
-        for j in range(2, p + 1):
-            r.add(heh(j) + [f"x_{i}"], [f"x_{i}"], f"Vp_11[i={i},j={j}]")
-            r.add([f"y_{i}"] + heh(j), [f"y_{i}"], f"Vp_11[i={i},j={j}]")
+    _absorb(r, "Vp_10", m, range(2, q + 1), _e, left=True)
+    _absorb(r, "Vp_10", m, range(2, p + 1), heh, left=True, skip=lambda i: i)
+    _absorb(r, "Vp_11", m, range(2, q + 1), _e, left=False, skip=lambda i: i + 1)
+    _absorb(r, "Vp_11", m, range(2, p + 1), heh, left=False)
     for i in range(2, m + 1):
         r.chain([[f"x_{i}"] + xh2, xh2 + [f"x_{i}"], [f"x_{i}"]], f"Vp_12[i={i}]")
         r.chain([xh2 + [f"y_{i}"], [f"y_{i}"] + xh2, [f"y_{i}"]], f"Vp_12[i={i}]")
@@ -519,21 +496,8 @@ def _relations_VbarPrime(n: int) -> "list[Relation]":
         )
         r.chain([hx2 + [f"y_{i}"], [f"y_{i}"] + hx2, rhs], f"Vp_13[i={i}]")
     u0p = _erun(2, q) + ["h"] + _erun(2, p) + ["h"] + xh2
-    r.chain(
-        [["x_1"] + xh2, ["e_2", "x_1"], ["y_1", "e_2"], xh2 + ["y_1"], u0p],
-        "Vp_14[i=1]",
-    )
-    for i in range(2, m + 1):
-        r.chain(
-            [
-                [f"x_{i}"] + heh(i),
-                [f"e_{i+1}", f"x_{i}"],
-                [f"y_{i}", f"e_{i+1}"],
-                heh(i) + [f"y_{i}"],
-                u0p,
-            ],
-            f"Vp_14[i={i}]",
-        )
+    for i in range(1, m + 1):
+        _rank2_chain(r, "Vp_14", i, xh2 if i == 1 else heh(i), u0p)
     r.add(["h", "h"], [], "Vbarp_0")
     if n % 2 == 1:
         r.add(["h", f"e_{q}"], [f"e_{q}", "h"], f"Vbarp_1[i={q}]")
@@ -572,16 +536,9 @@ def _relations_Q(n: int) -> "list[Relation]":
     for i in range(1, m + 1):
         rhs = _pow("g", n - 2 * i) + _erun(1, n - i) + _erun(n - i + 2, n)
         r.chain([["e_1", f"x_{i}"], [f"x_{i}", "e_1"], rhs], f"Q_6[i={i}]")
-    for i in range(1, m + 1):
-        for j in range(2, n + 1):
-            if j == n - i + 1:
-                continue
-            r.add([f"x_{i}", f"e_{j}"], [f"x_{i}"], f"Q_7[i={i},j={j}]")
-    for i in range(1, m + 1):
-        for j in range(2, n + 1):
-            if j == i + 1:
-                continue
-            r.add([f"e_{j}", f"x_{i}"], [f"x_{i}"], f"Q_8[i={i},j={j}]")
+    js = range(2, n + 1)
+    _absorb(r, "Q_7", m, js, _e, left=True, skip=lambda i: n - i + 1, ys=False)
+    _absorb(r, "Q_8", m, js, _e, left=False, skip=lambda i: i + 1, ys=False)
     for i in range(1, m + 1):
         r.chain(
             [[f"x_{i}", f"e_{n-i+1}"], [f"e_{i+1}", f"x_{i}"], _erun(2, n)],
@@ -632,16 +589,9 @@ def _relations_QPrime(n: int) -> "list[Relation]":
             + t * (i - 1)
         )
         r.chain([["e_1", f"x_{i}"], [f"x_{i}", "e_1"], rhs], f"Qp_6[i={i}]")
-    for i in range(1, m + 1):
-        for j in range(2, n + 1):
-            if j == n - i + 1:
-                continue
-            r.add([f"x_{i}"] + ebar(j), [f"x_{i}"], f"Qp_7[i={i},j={j}]")
-    for i in range(1, m + 1):
-        for j in range(2, n + 1):
-            if j == i + 1:
-                continue
-            r.add(ebar(j) + [f"x_{i}"], [f"x_{i}"], f"Qp_8[i={i},j={j}]")
+    js = range(2, n + 1)
+    _absorb(r, "Qp_7", m, js, ebar, left=True, skip=lambda i: n - i + 1, ys=False)
+    _absorb(r, "Qp_8", m, js, ebar, left=False, skip=lambda i: i + 1, ys=False)
     for i in range(1, m + 1):
         r.chain(
             [

@@ -286,7 +286,7 @@ def test_class_c_is_closure_element_c(family, n):
     m = build_named(TARGETS[family], n)
     closed = closed_images(p, build_assignment(family, n))
     assert r.table == closed.right_cayley
-    elements = [m.index(closed.element(c)) for c in range(r.class_count)]
+    elements = [m.keys.index(closed.element(c).key) for c in range(r.class_count)]
     assert elements[0] == 0
     assert sorted(elements) == list(range(m.size))
 
