@@ -8,11 +8,10 @@ to build the package still installs, and dimon.monoids falls back to
 the pure-Python kernels in dimon._tc_py.  ``dimon.BACKEND`` says which
 kernel module is active.
 
-    python setup.py build_ext --inplace --force
+    python setup.py build_ext --inplace
 
-``--force`` compiles the C source even when an object file left under
-``build/`` looks newer than it, so an edited ``_tc_core.c`` is never
-linked from a stale object.
+Every build compiles the C source, so an object file left under
+``build/`` is never linked in place of an edited ``_tc_core.c``.
 """
 
 from setuptools import Extension, setup
@@ -20,5 +19,6 @@ from setuptools import Extension, setup
 setup(
     ext_modules=[
         Extension("dimon._tc_core", ["src/dimon/_tc_core.c"], optional=True)
-    ]
+    ],
+    options={"build_ext": {"force": True}},
 )

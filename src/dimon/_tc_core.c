@@ -25,13 +25,17 @@
    table (Records): an open-addressing hash table whose arrays double
    up to a limit and no further.
 
+   close and green read a monoid's keys as one buffer, key i at bytes
+   i * (degree + 1) to (i + 1) * (degree + 1), and count_keys checks
+   that it holds whole keys; no Python object is read or built per key.
+
    close: the same elements in the same breadth-first order.  Its keys
    are records limited to max_elements (the identity is always kept),
    so a capped closure allocates for at most max_elements elements, and
-   the right table grows as its rows are written.  It checks every key
-   before copying it into a 256-byte table, and finishes the closure in
-   C arrays, so a capped closure builds no Python object.  Only the
-   keys and the right table come back.
+   the right table grows as its rows are written.  It finishes the
+   closure in C arrays, so a capped closure builds no Python object.
+   Only the records, which are the keys end to end, and the right table
+   come back.
 
    green: R and L number 256-bit masks of each key's domain and image,
    H the (R, L) pairs, D the roots of a union-find over the R-classes;
@@ -599,23 +603,19 @@ intern(Records *t, const uint64_t *rec)
     return e;
 }
 
-static int
-check_degree(Py_ssize_t degree)
+/* The number of keys of degree + 1 bytes that fill len bytes, or -1
+   with ValueError when the degree is outside 1..255 or len is not a
+   multiple of degree + 1. */
+static Py_ssize_t
+count_keys(Py_ssize_t degree, Py_ssize_t len)
 {
-    if (1 <= degree && degree <= 255)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "degree must be 1 to 255, got %zd", degree);
-    return -1;
-}
-
-/* 0 when obj is bytes of length key_len, else -1 with ValueError. */
-static int
-check_key(PyObject *obj, Py_ssize_t key_len)
-{
-    if (PyBytes_CheckExact(obj) && PyBytes_GET_SIZE(obj) == key_len)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "expected a key of %zd bytes, got %R",
-                 key_len, obj);
+    if (degree < 1 || degree > 255)
+        PyErr_Format(PyExc_ValueError, "degree must be 1 to 255, got %zd", degree);
+    else if (len % (degree + 1) != 0)
+        PyErr_Format(PyExc_ValueError, "%zd bytes are not whole keys of %zd bytes",
+                     len, degree + 1);
+    else
+        return len / (degree + 1);
     return -1;
 }
 
@@ -663,60 +663,36 @@ done:
     return rc;
 }
 
-/* (keys, rows) as Python objects, rows the int32 right table. */
-static PyObject *
-closure_result(const Records *t, const int *rows, Py_ssize_t n_gens)
-{
-    PyObject *keys = PyTuple_New(t->count), *out;
-    Py_ssize_t i;
-    if (keys == NULL)
-        return NULL;
-    for (i = 0; i < t->count; i++) {
-        PyObject *key = PyBytes_FromStringAndSize(
-            (const char *)t->recs + (size_t)i * t->len, t->len);
-        if (key == NULL) {
-            Py_DECREF(keys);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(keys, i, key);
-    }
-    out = PyBytes_FromStringAndSize(
-        (const char *)rows, t->count * n_gens * (Py_ssize_t)sizeof(int));
-    return Py_BuildValue("NN", keys, out);
-}
-
 PyDoc_STRVAR(close_doc,
 "close(degree, gen_keys, max_elements, /)\n"
 "--\n\n"
 "Breadth-first closure of the identity under right products.\n\n"
-"Same contract as _tc_py.close: (keys, rows) with the elements in\n"
-"discovery order, or None when the closure has more than\n"
-"max_elements elements.  A degree outside 1..255, or a key that is\n"
-"not bytes of length degree + 1, raises ValueError.");
+"Same contract as _tc_py.close: gen_keys is a bytes-like buffer of\n"
+"keys of degree + 1 bytes end to end, and the result (keys, rows)\n"
+"the elements' keys end to end in discovery order and the int32 right\n"
+"table, or None when the closure has more than max_elements elements.\n"
+"A degree outside 1..255, or a buffer that is not whole keys, raises\n"
+"ValueError.");
 
 /* Python's close; the C name close belongs to POSIX. */
 static PyObject *
 close_monoid(PyObject *self, PyObject *args)
 {
     Py_ssize_t degree, max_elements, n_gens, k;
-    PyObject *gen_keys, *gens, *result = NULL;
+    Py_buffer gens;
+    PyObject *result = NULL;
     unsigned char (*tables)[256] = NULL;
     Records t = {0};
     int *rows = NULL, rc;
 
-    if (!PyArg_ParseTuple(args, "nOn:close", &degree, &gen_keys, &max_elements))
+    if (!PyArg_ParseTuple(args, "ny*n:close", &degree, &gens, &max_elements))
         return NULL;
-    if (check_degree(degree) < 0 || (gens = PySequence_Tuple(gen_keys)) == NULL)
-        return NULL;
-    n_gens = PyTuple_GET_SIZE(gens);
-    for (k = 0; k < n_gens; k++)
-        if (check_key(PyTuple_GET_ITEM(gens, k), degree + 1) < 0)
-            goto done;
-    if ((tables = grow(NULL, n_gens, 256)) == NULL)
+    if ((n_gens = count_keys(degree, gens.len)) < 0
+        || (tables = grow(NULL, n_gens, 256)) == NULL)
         goto done;
     for (k = 0; k < n_gens; k++) {
         memset(tables[k], 0, 256);
-        memcpy(tables[k], PyBytes_AS_STRING(PyTuple_GET_ITEM(gens, k)),
+        memcpy(tables[k], (const unsigned char *)gens.buf + k * (degree + 1),
                (size_t)degree + 1);
     }
     /* the identity is kept whatever the cap */
@@ -724,27 +700,30 @@ close_monoid(PyObject *self, PyObject *args)
         goto done;
 
     rc = close_elements(&t, &rows, n_gens, tables);
-    if (rc == 1)
-        result = closure_result(&t, rows, n_gens);
+    if (rc == 1)  /* rows is allocated: the identity has a row */
+        result = Py_BuildValue("y#y#", (const char *)t.recs, t.count * t.len,
+                               (const char *)rows,
+                               t.count * n_gens * (Py_ssize_t)sizeof(int));
     else if (rc == 0 && max_elements > t.limit)
         PyErr_SetString(PyExc_OverflowError, "closure beyond 2**31 - 1 elements");
     else if (rc == 0)
         result = Py_NewRef(Py_None);
 done:
-    Py_DECREF(gens);
+    PyBuffer_Release(&gens);
     PyMem_Free(tables);
     PyMem_Free(rows);
     records_free(&t);
     return result;
 }
 
-/* R, L, H and D labels of the n keys, at labels[0], [n], [2n] and [3n],
-   and the number of classes of each in counts[0..4): 0, or -1 with
-   MemoryError. */
+/* R, L, H and D labels of the n keys end to end at keys, at labels[0],
+   [n], [2n] and [3n], and the number of classes of each in
+   counts[0..4): 0, or -1 with MemoryError. */
 static int
-green_labels(PyObject *keys, Py_ssize_t key_len, int *labels, Py_ssize_t *counts)
+green_labels(const unsigned char *keys, Py_ssize_t n, Py_ssize_t key_len,
+             int *labels, Py_ssize_t *counts)
 {
-    Py_ssize_t n = PyTuple_GET_SIZE(keys), i, p;
+    Py_ssize_t i, p;
     int *r = labels, *l = labels + n, *h = labels + 2 * n, *d = labels + 3 * n;
     int *root = NULL, *meets = NULL, *d_of = NULL, rc = -1;
     Records dom = {0}, im = {0}, pairs = {0};
@@ -754,8 +733,7 @@ green_labels(PyObject *keys, Py_ssize_t key_len, int *labels, Py_ssize_t *counts
         goto done;
     /* n records at most, so no intern is CAPPED */
     for (i = 0; i < n; i++) {
-        const unsigned char *key =
-            (const unsigned char *)PyBytes_AS_STRING(PyTuple_GET_ITEM(keys, i));
+        const unsigned char *key = keys + i * key_len;
         uint64_t dom_mask[4] = {0}, im_mask[4] = {0}, pair;
         for (p = 0; p < key_len; p++) {
             dom_mask[p >> 6] |= (uint64_t)(key[p] != 0) << (p & 63);
@@ -804,33 +782,28 @@ done:
 }
 
 PyDoc_STRVAR(green_doc,
-"green(keys, /)\n"
+"green(keys, key_len, /)\n"
 "--\n\n"
 "Green's (R, L, H, D) labels of an inverse monoid's elements.\n\n"
-"Same contract as _tc_py.green: (r, l, h, d, counts), each label\n"
-"buffer int32 bytes of dense labels numbered by first occurrence in\n"
-"keys, and counts the four class counts.  A key that is not bytes of the first\n"
-"key's length, or a length outside 2..256, raises ValueError.");
+"Same contract as _tc_py.green: keys is a bytes-like buffer of keys\n"
+"of key_len bytes end to end, and the result (r, l, h, d, counts),\n"
+"each label buffer int32 bytes of dense labels numbered by first\n"
+"occurrence in keys, and counts the four class counts.  A key_len\n"
+"outside 2..256, or a buffer that is not whole keys, raises ValueError.");
 
 static PyObject *
-green(PyObject *self, PyObject *arg)
+green(PyObject *self, PyObject *args)
 {
-    PyObject *keys, *first, *result = NULL;
-    Py_ssize_t n, i, key_len, size, counts[4];
+    Py_buffer keys;
+    PyObject *result = NULL;
+    Py_ssize_t key_len, n, size, counts[4];
     int *labels = NULL;
 
-    if ((keys = PySequence_Tuple(arg)) == NULL)
+    if (!PyArg_ParseTuple(args, "y*n:green", &keys, &key_len))
         return NULL;
-    n = PyTuple_GET_SIZE(keys);
-    first = n > 0 ? PyTuple_GET_ITEM(keys, 0) : NULL;
-    key_len = first != NULL && PyBytes_CheckExact(first) ? PyBytes_GET_SIZE(first) : 2;
-    if (check_degree(key_len - 1) < 0)
-        goto done;
-    for (i = 0; i < n; i++)
-        if (check_key(PyTuple_GET_ITEM(keys, i), key_len) < 0)
-            goto done;
-    if ((labels = grow(NULL, 4 * n, sizeof(int))) == NULL
-        || green_labels(keys, key_len, labels, counts) < 0)
+    if ((n = count_keys(key_len - 1, keys.len)) < 0
+        || (labels = grow(NULL, 4 * n, sizeof(int))) == NULL
+        || green_labels(keys.buf, n, key_len, labels, counts) < 0)
         goto done;
     size = n * (Py_ssize_t)sizeof(int);
     result = Py_BuildValue(
@@ -839,14 +812,14 @@ green(PyObject *self, PyObject *arg)
         size, counts[0], counts[1], counts[2], counts[3]);
 done:
     PyMem_Free(labels);
-    Py_DECREF(keys);
+    PyBuffer_Release(&keys);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"run", run, METH_VARARGS, run_doc},
     {"close", close_monoid, METH_VARARGS, close_doc},
-    {"green", green, METH_O, green_doc},
+    {"green", green, METH_VARARGS, green_doc},
     {NULL, NULL, 0, NULL}
 };
 

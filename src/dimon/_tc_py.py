@@ -72,13 +72,14 @@ away) and steps.
 
 close: the breadth-first closure of a set of maps under right
 products (Froidure & Pin, 1997), on the maps' byte keys (see
-dimon.iperm), returns the elements and the right table only.  green:
-Green's R, L, H and D labels of an inverse monoid's elements, read
-off their keys.  Both check every key they are given, and raise
-ValueError for one that is not bytes of the expected length.  Both
-number distinct values by first occurrence, here with dicts; the C
-kernels do it with one record table, whose arrays close grows to at
-most max_elements elements, so a capped compiled closure allocates in
+dimon.iperm), returns the elements' keys and the right table only.
+green: Green's R, L, H and D labels of an inverse monoid's elements,
+read off their keys.  Keys cross the kernel boundary as one buffer,
+key i at bytes i * (degree + 1) to (i + 1) * (degree + 1), and both
+raise ValueError for a buffer that is not whole keys.  Both number
+distinct values by first occurrence, here with dicts; the C kernels do
+it with one record table, whose arrays close grows to at most
+max_elements elements, so a capped compiled closure allocates in
 proportion to its cap.
 """
 
@@ -283,33 +284,35 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
     return (STATUS_COMPLETE, out.tobytes(), stats)
 
 
-def _checked_keys(degree, keys):
-    """keys as a list, each the bytes key of a map of the given degree."""
+def _split_keys(degree, buf):
+    """The keys of degree + 1 bytes end to end in the bytes-like buf,
+    as a list of bytes."""
+    buf, width = memoryview(buf).tobytes(), degree + 1
     if not 1 <= degree <= 255:
         raise ValueError(f"degree must be 1 to 255, got {degree}")
-    keys = list(keys)
-    for key in keys:
-        if type(key) is not bytes or len(key) != degree + 1:
-            raise ValueError(f"expected a key of {degree + 1} bytes, got {key!r}")
-    return keys
+    if len(buf) % width:
+        raise ValueError(f"{len(buf)} bytes are not whole keys of {width} bytes")
+    return [buf[i:i + width] for i in range(0, len(buf), width)]
 
 
 def close(degree, gen_keys, max_elements, /):
     """Breadth-first closure of the identity under right products.
 
-    gen_keys are the generators' keys, each degree + 1 bytes.  Elements
-    are indexed in discovery order from the identity (element 0), over
-    (element, generator) pairs with the generators in the given order.
-    Element i then generator k is ``keys[i].translate(table_k)``, where
-    table_k is generator k's key padded to 256 bytes.
+    gen_keys is a bytes-like buffer of the generators' keys, each
+    degree + 1 bytes, end to end.  Elements are indexed in discovery
+    order from the identity (element 0), over (element, generator)
+    pairs with the generators in the given order.  Element i then
+    generator k is ``key_i.translate(table_k)``, where table_k is
+    generator k's key padded to 256 bytes.
 
-    Returns (keys, rows): the elements' keys as a tuple of bytes, and
-    the right table as int32 bytes with cell i * len(gen_keys) + k the
+    Returns (keys, rows): the elements' keys end to end as bytes, key i
+    at bytes i * (degree + 1) to (i + 1) * (degree + 1), and the right
+    table as int32 bytes with cell i * (number of generators) + k the
     index of element i times generator k.  Returns None when the
     closure has more than max_elements elements; the identity alone is
     kept whatever the cap.
     """
-    tables = [key.ljust(256, b"\0") for key in _checked_keys(degree, gen_keys)]
+    tables = [key.ljust(256, b"\0") for key in _split_keys(degree, gen_keys)]
     one = bytes(range(degree + 1))
     keys = [one]
     index = {one: 0}
@@ -329,7 +332,7 @@ def close(degree, gen_keys, max_elements, /):
                 keys.append(product)
             rows.append(target)
         pos += 1
-    return tuple(keys), rows.tobytes()
+    return b"".join(keys), rows.tobytes()
 
 
 def _dense(keys):
@@ -344,10 +347,11 @@ def _dense(keys):
 _DOM = bytes((0,)) + bytes((1,)) * 255
 
 
-def green(keys, /):
+def green(keys, key_len, /):
     """Green's R, L, H and D labels of an inverse monoid's elements.
 
-    keys are the elements' keys, all of one length.  Returns
+    keys is a bytes-like buffer of the elements' keys, each key_len
+    bytes, end to end.  Returns
     (r, l, h, d, counts): each label buffer is int32 bytes with one cell
     per key, numbering its classes densely by first occurrence in keys,
     and counts the numbers of R-, L-, H- and D-classes.  f R g iff
@@ -357,9 +361,7 @@ def green(keys, /):
     of R and L.  D = R o L, the join of R and L: a union-find joins each
     element's R-class with an R-class that meets its L-class.
     """
-    keys = list(keys)
-    first = keys[0] if keys else None
-    keys = _checked_keys(len(first) - 1 if type(first) is bytes else 1, keys)
+    keys = _split_keys(key_len - 1, keys)
     r, n_r = _dense(key.translate(_DOM) for key in keys)
     l, n_l = _dense(frozenset(key) for key in keys)
     root = list(range(len(keys)))  # union-find over the R-classes

@@ -149,7 +149,8 @@ class EnumerationResult:
         """The class of each word, by replaying letter actions from class 0.
 
         The table is read once into one column per letter, so a letter
-        costs one lookup of its column and one read of the column.
+        costs one lookup of its column and one read of the column.  A
+        word with a letter outside letters raises ValueError naming both.
         """
         if not self.is_complete:
             raise IndeterminateError("enumeration was capped")
@@ -157,11 +158,16 @@ class EnumerationResult:
         columns = {name: cells[k::width].tolist() for k, name in enumerate(self.letters)}
         column = columns.__getitem__
         classes = []
-        for w in words:
-            c = 0
-            for col in map(column, w):
-                c = col[c]
-            classes.append(c)
+        try:
+            for w in words:
+                c = 0
+                for col in map(column, w):
+                    c = col[c]
+                classes.append(c)
+        except KeyError as e:
+            raise ValueError(
+                f"word {w!r} has letter {e.args[0]!r}, not in {self.letters}"
+            ) from None
         return classes
 
     def to_json_dict(self) -> dict:
@@ -310,7 +316,8 @@ def verify_forms_set(
     docstring), so the forms then evaluate bijectively onto m's
     elements; no form is evaluated.  When the images do not generate m
     or the tables differ, that is the one problem reported about the
-    images.  Forms over letters other than p's raise ValueError.
+    images.  Forms over letters other than p's, or a form with a letter
+    outside them, raise ValueError.
     """
     if forms.letters != p.letters:
         raise ValueError(

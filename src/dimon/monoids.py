@@ -1,11 +1,12 @@
 """Finite monoids of partial permutations.
 
 Monoids are built by breadth-first closure of a generating set and
-stored as what closure computes: each element's byte key and the right
-Cayley table (right multiplication by each generator).  The elements
-as ``PartialPerm`` and the left table, which is read off the right
-table, are built on first use.  The named families live inside the
-symmetric inverse monoid on the chain {1 < ... < n}:
+stored as what closure computes: one buffer of the elements' byte keys
+end to end and the right Cayley table (right multiplication by each
+generator).  The elements as ``PartialPerm`` and the left table, which
+is read off the right table, are built on first use.  The named
+families live inside the symmetric inverse monoid on the chain
+{1 < ... < n}:
 
     DI    restrictions of the 2n symmetries of the regular n-gon
     CI    restrictions of the n rotations only
@@ -20,11 +21,11 @@ indices are reproducible across runs and platforms.
 
 Closure works on each element's ``PartialPerm.key`` and composes with
 ``table()``.  The monoid keeps no index of its keys: membership scans
-them.  The Cayley tables are flat buffers, as every kernel table is:
-bytes of native int32 cells, row-major, with entry (i, k) at cell
-i * len(generators) + k.  Two monoids closed from the same generators
-in the same order have equal tables, byte for byte, which is what
-dimon.congruence compares a standardized congruence table with.
+the key buffer.  The Cayley tables are flat buffers, as every kernel
+table is: bytes of native int32 cells, row-major, with entry (i, k) at
+cell i * len(generators) + k.  Two monoids closed from the same
+generators in the same order have equal tables, byte for byte, which is
+what dimon.congruence compares a standardized congruence table with.
 
 The closure loop and Green's labelling run in a kernel: the compiled
 extension dimon._tc_core when it was built, the pure-Python
@@ -79,9 +80,10 @@ class ClosureCapError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class FiniteMonoid:
-    """A closed set of partial permutations: byte keys and right table.
+    """A closed set of partial permutations: key buffer and right table.
 
-    keys[i] is the ``PartialPerm.key`` of element i, keys[0] the
+    key_bytes holds the elements' keys end to end, degree + 1 bytes
+    each: key(i) is the ``PartialPerm.key`` of element i, key(0) the
     identity's.  right_cayley is int32 bytes whose cell
     i * len(generators) + k is the index of element i times gen_k
     (apply element i first), where gen_k is element generators[k].
@@ -90,17 +92,22 @@ class FiniteMonoid:
     """
 
     degree: int
-    keys: tuple[bytes, ...]
+    key_bytes: bytes
     generators: tuple[int, ...]
     right_cayley: bytes
 
     @property
     def size(self) -> int:
-        return len(self.keys)
+        return len(self.key_bytes) // (self.degree + 1)
+
+    def key(self, i: int) -> bytes:
+        """The key of element i, read out of key_bytes."""
+        start = range(0, len(self.key_bytes), self.degree + 1)[i]
+        return self.key_bytes[start:start + self.degree + 1]
 
     def element(self, i: int) -> PartialPerm:
         """Element i as a checked PartialPerm."""
-        return PartialPerm(self.keys[i])
+        return PartialPerm(self.key(i))
 
     @functools.cached_property
     def elements(self) -> tuple[PartialPerm, ...]:
@@ -124,13 +131,18 @@ class FiniteMonoid:
         return left.tobytes()
 
     def __contains__(self, f: PartialPerm) -> bool:
-        """Membership, by a scan of keys that stops at the first match."""
-        return f.key in self.keys
+        """Membership, by a scan of key_bytes that stops at the first
+        match aligned to a key and skips every other one."""
+        key, width = f.key, self.degree + 1
+        at = self.key_bytes.find(key) if len(key) == width else -1
+        while at > 0 and at % width:
+            at = self.key_bytes.find(key, at + 1)
+        return at >= 0
 
     def is_closure_of(self, gens: "list[PartialPerm] | tuple[PartialPerm, ...]") -> bool:
         """Whether gens are this monoid's generators, in order: closure
         is deterministic, so closing them would rebuild it exactly."""
-        return [f.key for f in gens] == [self.keys[g] for g in self.generators]
+        return [f.key for f in gens] == [self.key(g) for g in self.generators]
 
     def to_json_dict(self) -> dict:
         width = len(self.generators)
@@ -172,9 +184,11 @@ def closure(
     generator of another degree, raises ValueError; a closure with more
     than max_elements elements raises ClosureCapError.  The cap bounds
     the element count, and memory only through it: the compiled close
-    holds about 4 * len(gens) + degree + 22 bytes per element (about
-    230 bytes on ODI(24), whose 46 generators make 184-byte table
-    rows), so pick max_elements from the memory a caller can spend.
+    holds about 4 * len(gens) + degree + 22 bytes per element while it
+    runs (about 230 bytes on ODI(24), whose 46 generators make 184-byte
+    table rows), so pick max_elements from the memory a caller can
+    spend.  The monoid it returns keeps degree + 1 bytes of key and
+    4 * len(gens) bytes of right table per element.
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
@@ -185,12 +199,12 @@ def closure(
     for f in gens:
         if f.degree != degree:
             raise ValueError(f"generator degree {f.degree} != {degree}")
-    closed = _kernel.close(degree, [f.key for f in gens], max_elements)
+    closed = _kernel.close(degree, b"".join(f.key for f in gens), max_elements)
     if closed is None:
         raise ClosureCapError(f"closure exceeded cap of {max_elements} elements")
-    keys, rows = closed
+    key_bytes, rows = closed
     generators = tuple(memoryview(rows).cast("i")[:len(gens)])
-    return FiniteMonoid(degree, keys, generators, rows)
+    return FiniteMonoid(degree, key_bytes, generators, rows)
 
 
 #: Minimum degree at which each family is defined, checked by _check_n
@@ -343,7 +357,7 @@ def verify_generates(
     if not all(f in m for f in gens):
         return False
     identity = m.element(0)
-    missing = {m.keys[g] for g in m.generators} - {identity.key}
+    missing = {m.key(g) for g in m.generators} - {identity.key}
     seen = {identity.key}
     queue = [identity]
     for f in queue:
@@ -396,7 +410,7 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
                 "Green's classes need an inverse monoid: the inverse of "
                 f"element {g}, a generator, is not in the monoid"
             )
-    return GreenClasses(*_kernel.green(m.keys))
+    return GreenClasses(*_kernel.green(m.key_bytes, m.degree + 1))
 
 
 def right_cayley_dot(m: FiniteMonoid) -> str:

@@ -5,7 +5,9 @@ representing a partial injection as a frozenset of (point, image)
 pairs.  Tests compare the package's breadth-first closures, cardinality
 formulas and Green's classes against these direct constructions, so a
 bug would have to appear in two unrelated code paths to go unnoticed.
-Five helpers touch the package: o_closure closes a generating set by
+Six helpers touch the package: keys_of cuts a monoid's key buffer
+into its keys by slicing, not through FiniteMonoid.key, for the
+tests' key-to-index lookups, o_closure closes a generating set by
 composing with iperm.compose, not on bytes as closure does,
 o_mutual_reachability reads its Cayley tables but finds their strongly
 connected components by brute force, a check of Green's classes that
@@ -157,6 +159,12 @@ def o_mutual_reachability(succ) -> tuple[int, ...]:
     return _dense(
         frozenset(j for j in reach[i] if i in reach[j]) for i in range(len(succ))
     )
+
+
+def keys_of(m) -> list[bytes]:
+    """Monoid m's keys in element order, cut from m.key_bytes."""
+    width = m.degree + 1
+    return [m.key_bytes[i:i + width] for i in range(0, len(m.key_bytes), width)]
 
 
 def o_closure(degree: int, gens: list) -> tuple[list, list, list]:

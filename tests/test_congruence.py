@@ -41,7 +41,7 @@ from dimon.presentations import (
     eliminate_generator,
     evaluate,
 )
-from oracles import tagged, without
+from oracles import keys_of, tagged, without
 
 # class counts double-checked against the closure sizes
 CLASS_COUNTS = {
@@ -146,6 +146,22 @@ def test_word_class_examples():
     assert r.word_classes([]) == []
 
 
+def test_a_letter_outside_the_alphabet_is_a_value_error():
+    """word_classes names the word and the letter it cannot read, and so
+    does verify_forms_set for a form with such a letter."""
+    p = build_relations(RelationFamily.R, 4)
+    r = enumerate_congruence(p)
+    message = r"word \('x', 'h'\) has letter 'h', not in \('x', 'y', "
+    with pytest.raises(ValueError, match=message):
+        r.word_classes([("x",), ("x", "h"), ("y",)])
+    forms = FormsSet("W", p.letters, ((), ("x", "h")))
+    with pytest.raises(ValueError, match=message):
+        verify_forms_set(
+            p, forms, build_assignment(RelationFamily.R, 4),
+            build_named(MonoidFamily.ODI, 4),
+        )
+
+
 @pytest.mark.parametrize("family", tuple(RelationFamily))
 def test_soundness_every_relation_resolves_equal(family):
     """A completed table must satisfy the relations it was built from."""
@@ -184,7 +200,7 @@ def test_classes_agree_with_evaluation():
     assert len(set(class_image)) == r.class_count
     closed = closed_images(p, a)
     assert r.table == closed.right_cayley
-    assert list(closed.keys) == [f.key for f in class_image]
+    assert closed.key_bytes == b"".join(f.key for f in class_image)
     rng = random.Random(11)
     names = p.letters
     words = [tuple(rng.choice(names) for _ in range(rng.randrange(8))) for _ in range(400)]
@@ -286,7 +302,8 @@ def test_class_c_is_closure_element_c(family, n):
     m = build_named(TARGETS[family], n)
     closed = closed_images(p, build_assignment(family, n))
     assert r.table == closed.right_cayley
-    elements = [m.keys.index(closed.element(c).key) for c in range(r.class_count)]
+    keys = keys_of(m)
+    elements = [keys.index(closed.element(c).key) for c in range(r.class_count)]
     assert elements[0] == 0
     assert sorted(elements) == list(range(m.size))
 
@@ -900,13 +917,13 @@ def test_verify_closes_no_images_that_are_the_monoids_generators(monkeypatch):
 
 
 def test_verify_builds_no_key_index_it_does_not_read(monkeypatch):
-    """A monoid holds its keys and right table and caches nothing per
+    """A monoid holds its key buffer and right table and caches nothing per
     element that verification does not read.  Verifying U and QPrime,
     whose images are the monoid's own generators, checking that the
     images generate it, labelling its Green's classes and testing
     membership leave it with neither its elements nor its left table;
     so do verifying R and the one closure of R's images it makes."""
-    fields = {"degree", "keys", "generators", "right_cayley"}
+    fields = {"degree", "key_bytes", "generators", "right_cayley"}
     for family, n in ((RelationFamily.U, 5), (RelationFamily.Q_PRIME, 5)):
         m = build_named(TARGETS[family], n)
         p, a = build_relations(family, n), build_assignment(family, n)

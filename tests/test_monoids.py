@@ -27,6 +27,7 @@ from dimon.monoids import (
 )
 from oracles import (
     all_partial_perms,
+    keys_of,
     o_closure,
     o_family_elements,
     o_family_size,
@@ -195,6 +196,39 @@ def test_group_predicates_require_total():
         assert (f in m) == (frozenset(f.pairs()) in symmetries)
 
 
+def test_key_reads_the_key_buffer():
+    """key(i) is the i-th degree + 1 bytes of key_bytes, counted from the
+    end for a negative i, and element(i) is built from it."""
+    m = build_named(MonoidFamily.MDI, 5)
+    keys = keys_of(m)
+    assert len(m.key_bytes) == 6 * m.size == 6 * len(keys)
+    assert [m.key(i) for i in range(m.size)] == keys
+    assert m.key(-1) == keys[-1] and m.element(-1).key == keys[-1]
+    for i in (m.size, -m.size - 1):
+        with pytest.raises(IndexError):
+            m.key(i)
+
+
+def test_membership_reads_aligned_keys_only():
+    """A map whose key occurs in the key buffer only across an element
+    boundary is not in the monoid, and one whose key occurs across a
+    boundary before it occurs as an element's key is.  Small closures
+    hold both cases."""
+    across = before = 0
+    for family in ALL_FAMILIES:
+        m = build_named(family, 4)
+        keys = set(keys_of(m))
+        for f in all_partial_perms(4):
+            at = m.key_bytes.find(f.key)
+            if f.key not in keys and at >= 0:
+                assert f not in m, (family, f)
+                across += 1
+            elif f.key in keys:
+                assert f in m, (family, f)
+                before += at % 5 != 0
+    assert across > 0 and before > 0, (across, before)
+
+
 def test_closure_cap():
     gens = [f for _, f in generating_maps(MonoidFamily.DI, 6)]
     with pytest.raises(ClosureCapError):
@@ -204,7 +238,7 @@ def test_closure_cap():
 def test_closure_degree_fits_a_byte():
     g = named_generator("g", 255)
     m = closure(255, [g])
-    assert m.size == 255 and m.keys.index(g.key) == 1
+    assert m.size == 255 and keys_of(m).index(g.key) == 1
     assert named_generator("g", 4) not in m
     with pytest.raises(ValueError, match="above 255"):
         closure(256, [])
@@ -244,10 +278,11 @@ def test_right_action_matches_compose(family):
     elements are m's."""
     m = build_named(family, 4)
     every = closure(4, m.elements)
-    assert set(every.keys) == set(m.keys)
+    keys = keys_of(every)
+    assert set(keys) == set(keys_of(m))
     right = rows(every, every.right_cayley)
     for k, f in enumerate(m.elements):
-        want = [every.keys.index(compose(g, f).key) for g in every.elements]
+        want = [keys.index(compose(g, f).key) for g in every.elements]
         assert [row[k] for row in right] == want
 
 
@@ -278,7 +313,7 @@ def test_closure_matches_compose_bfs(seed):
 def generates(m, gens):
     """verify_generates' answer by its definition: closing gens gives
     m's element set."""
-    return set(closure(m.degree, gens).keys) == set(m.keys)
+    return set(keys_of(closure(m.degree, gens))) == set(keys_of(m))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -392,7 +427,7 @@ def test_green_classes_structure():
             if same_r or same_l:
                 assert same_d
     # the group of units is one H-class: 8 total maps in DI_4
-    unit = h[m.keys.index(identity(4).key)]
+    unit = h[keys_of(m).index(identity(4).key)]
     assert h.count(unit) == 8
     # D-related elements have equal rank (the converse fails: DI_4 has
     # six D-classes over five rank levels)
@@ -403,55 +438,77 @@ def test_green_classes_structure():
                 assert len(m.elements[i].pairs()) == len(m.elements[j].pairs())
 
 
+def _gen_keys(family, n):
+    """The keys of the family's standard generators at n, end to end."""
+    return b"".join(f.key for _, f in generating_maps(family, n))
+
+
 def _defined_families(n):
-    """Each family with its generator keys at degree n, where it is defined."""
+    """Each family with its generator keys end to end at degree n, where
+    it is defined."""
     for family in MonoidFamily:
         try:
-            maps = generating_maps(family, n)
+            gen_keys = _gen_keys(family, n)
         except ValueError:
             continue
-        yield family, [f.key for _, f in maps]
+        yield family, gen_keys
 
 
 def test_kernels_close_and_label_alike(compiled_kernel):
     """The compiled close and green return what _tc_py's do: the same
-    keys in the same order, the same right table, and the same dense
-    R, L, H and D labels, for every family at n = 1..8."""
+    key buffer, keys in the same order, the same right table, and the
+    same dense R, L, H and D labels, for every family at n = 1..8."""
     cases = 0
     for n in range(1, 9):
         for family, gen_keys in _defined_families(n):
             closed = _tc_py.close(n, gen_keys, 10**6)
             assert compiled_kernel.close(n, gen_keys, 10**6) == closed, (family, n)
             keys = closed[0]
-            assert compiled_kernel.green(keys) == _tc_py.green(keys), (family, n)
+            assert compiled_kernel.green(keys, n + 1) == _tc_py.green(keys, n + 1), (
+                family, n)
             cases += 1
     assert cases == 51
     # the cyclic group of the largest degree: 255 keys of 256 bytes
-    g = [named_generator("g", 255).key]
+    g = named_generator("g", 255).key
     closed = _tc_py.close(255, g, 255)
-    assert len(closed[0]) == 255
+    assert len(closed[0]) == 255 * 256
     assert compiled_kernel.close(255, g, 255) == closed
-    assert compiled_kernel.green(closed[0]) == _tc_py.green(closed[0])
-    empty = (b"", b"", b"", b"", (0, 0, 0, 0))
-    assert compiled_kernel.green([]) == _tc_py.green([]) == empty
+    assert compiled_kernel.green(closed[0], 256) == _tc_py.green(closed[0], 256)
+
+
+def test_kernels_close_and_label_nothing_alike(kernel):
+    """With no generators a closure is the identity alone whatever the
+    cap, and no keys have no labels, at every key length."""
+    for degree in (1, 6, 255):
+        assert kernel.close(degree, b"", 0) == (bytes(range(degree + 1)), b"")
+        assert kernel.green(b"", degree + 1) == (b"", b"", b"", b"", (0, 0, 0, 0))
+
+
+def test_kernels_read_any_bytes_like_keys(kernel):
+    """close and green read a bytearray or a memoryview of keys as they
+    read the same bytes."""
+    gen_keys = _gen_keys(MonoidFamily.DI, 4)
+    closed = kernel.close(4, gen_keys, 1000)
+    for buf in (bytearray(gen_keys), memoryview(gen_keys)):
+        assert kernel.close(4, buf, 1000) == closed
+    labels = kernel.green(closed[0], 5)
+    for buf in (bytearray(closed[0]), memoryview(closed[0])):
+        assert kernel.green(buf, 5) == labels
 
 
 def test_kernels_cap_closure_alike(compiled_kernel):
     """A cap of exactly the size completes in both kernels; one below it
     stops both, at the element that would pass it."""
-    gen_keys = [f.key for _, f in generating_maps(MonoidFamily.DI, 6)]
+    gen_keys = _gen_keys(MonoidFamily.DI, 6)
     size = KNOWN_SIZES[MonoidFamily.DI][6]
     closed = _tc_py.close(6, gen_keys, size)
-    assert len(closed[0]) == size
+    assert len(closed[0]) == 7 * size
     assert compiled_kernel.close(6, gen_keys, size) == closed
     for cap in (size - 1, 10, 1, 0):
         assert _tc_py.close(6, gen_keys, cap) is None
         assert compiled_kernel.close(6, gen_keys, cap) is None
-    # the identity alone is kept whatever the cap
-    for kernel in (_tc_py, compiled_kernel):
-        assert kernel.close(6, [], 0) == ((bytes(range(7)),), b"")
     # caps beside the compiled kernel's capacity doublings, on DI(8)
-    gen_keys = [f.key for _, f in generating_maps(MonoidFamily.DI, 8)]
+    gen_keys = _gen_keys(MonoidFamily.DI, 8)
     size = KNOWN_SIZES[MonoidFamily.DI][8]
     for cap in (1024, 1025, 2048, 2049, size - 1, size):
         closed = _tc_py.close(8, gen_keys, cap)
@@ -463,7 +520,7 @@ def test_capped_compiled_closure_allocates_for_its_cap(compiled_kernel):
     """The compiled close grows its arrays up to max_elements and no
     further: on ODI(24), capped one element past a capacity doubling,
     its traced peak stays within 10 % of the peak at the doubling."""
-    gen_keys = [f.key for _, f in generating_maps(MonoidFamily.ODI, 24)]
+    gen_keys = _gen_keys(MonoidFamily.ODI, 24)
     peaks = []
     for cap in (1024, 1025):
         tracemalloc.start()
@@ -478,7 +535,7 @@ def test_capped_compiled_closure_allocates_for_its_cap(compiled_kernel):
 @pytest.mark.parametrize("degree, gen_keys", [
     (4, [b"\0\1\2\3"]),  # a key one byte short
     (4, [b"\0\2\3\4\1\0"]),  # one byte long
-    (4, [bytes(range(5)), bytearray(range(5))]),  # not bytes
+    (4, [bytes(range(5)), bytearray(range(5))]),
     (4, ["\0\1\2\3\4"]),  # a str
     (4, [None]),
     (0, []),
@@ -488,9 +545,31 @@ def test_capped_compiled_closure_allocates_for_its_cap(compiled_kernel):
     (-1, []),
 ])
 def test_kernels_refuse_malformed_keys(kernel, degree, gen_keys):
-    """close refuses a degree outside 1..255 and a key that is not bytes
-    of length degree + 1, with ValueError from both kernels."""
-    with pytest.raises(ValueError):
+    """A list of keys is not a buffer: close refuses each of these
+    lists with TypeError in both kernels, whatever its keys and its
+    degree."""
+    with pytest.raises(TypeError):
+        kernel.close(degree, gen_keys, 100)
+
+
+@pytest.mark.parametrize("degree, gen_keys, error", [
+    pytest.param(4, b"\0\1\2\3", ValueError, id="one-byte-short"),
+    pytest.param(4, b"\0\2\3\4\1\0", ValueError, id="one-byte-long"),
+    pytest.param(4, bytes(range(5)) + b"\0\1", ValueError, id="a-key-and-a-part"),
+    pytest.param(0, b"", ValueError, id="degree-0"),
+    pytest.param(0, b"\0", ValueError, id="degree-0-key"),
+    pytest.param(256, b"", ValueError, id="degree-256"),
+    pytest.param(256, bytes(257), ValueError, id="degree-256-key"),
+    pytest.param(-1, b"", ValueError, id="degree-minus-1"),
+    pytest.param(4, "\0\1\2\3\4", TypeError, id="str"),
+    pytest.param(4, None, TypeError, id="none"),
+    pytest.param(4, 5, TypeError, id="int"),
+])
+def test_kernels_refuse_malformed_key_buffers(kernel, degree, gen_keys, error):
+    """close refuses a degree outside 1..255, or a buffer that is not
+    whole keys of degree + 1 bytes, with ValueError, and anything that
+    is not bytes-like with TypeError, in both kernels."""
+    with pytest.raises(error):
         kernel.close(degree, gen_keys, 100)
 
 
@@ -503,8 +582,28 @@ def test_kernels_refuse_malformed_keys(kernel, degree, gen_keys):
     [bytes(257)],  # degree 256
 ])
 def test_kernels_refuse_malformed_green_keys(kernel, keys):
-    with pytest.raises(ValueError):
-        kernel.green(keys)
+    """A list of keys is not a buffer: green refuses each of these lists
+    with TypeError in both kernels."""
+    with pytest.raises(TypeError):
+        kernel.green(keys, 5)
+
+
+@pytest.mark.parametrize("keys, key_len, error", [
+    pytest.param(bytes(range(5)) + bytes(range(4)), 5, ValueError, id="a-key-short"),
+    pytest.param(bytes(range(5)), 4, ValueError, id="not-whole-keys"),
+    pytest.param(b"\0", 1, ValueError, id="degree-0"),
+    pytest.param(b"", 1, ValueError, id="degree-0-empty"),
+    pytest.param(b"", 0, ValueError, id="key-len-0"),
+    pytest.param(bytes(257), 257, ValueError, id="degree-256"),
+    pytest.param("\0\1", 2, TypeError, id="str"),
+    pytest.param(None, 2, TypeError, id="none"),
+])
+def test_kernels_refuse_malformed_green_key_buffers(kernel, keys, key_len, error):
+    """green refuses a key length outside 2..256, or a buffer that is not
+    whole keys of that length, with ValueError, and anything that is not
+    bytes-like with TypeError, in both kernels."""
+    with pytest.raises(error):
+        kernel.green(keys, key_len)
 
 
 def test_kernels_share_one_contract(compiled_kernel):
@@ -515,6 +614,9 @@ def test_kernels_share_one_contract(compiled_kernel):
         assert inspect.signature(getattr(compiled_kernel, name)) == inspect.signature(
             getattr(_tc_py, name)
         ), name
+    assert list(inspect.signature(_tc_py.close).parameters) == [
+        "degree", "gen_keys", "max_elements"]
+    assert list(inspect.signature(_tc_py.green).parameters) == ["keys", "key_len"]
     for name in ("STATUS_COMPLETE", "STATUS_CAPPED", "STATUS_WATCH_MERGED"):
         assert getattr(compiled_kernel, name) == getattr(_tc_py, name), name
     for kernel in (_tc_py, compiled_kernel):
@@ -529,7 +631,7 @@ def test_closure_reads_generators_off_the_identitys_row():
     closure with no generators."""
     g, e_1 = named_generator("g", 4), named_generator("e_1", 4)
     m = closure(4, [g, g, identity(4), e_1])
-    assert m.generators == (1, 1, 0, m.keys.index(e_1.key))
+    assert m.generators == (1, 1, 0, keys_of(m).index(e_1.key))
     assert_tables_compose(m)
     m = closure(4, [])
     assert m.generators == () and m.left_cayley == m.right_cayley == b""
@@ -545,9 +647,9 @@ def test_closure_and_green_call_the_kernel(monkeypatch):
             calls.append("close")
             return _tc_py.close(*args)
 
-        def green(self, keys):
+        def green(self, *args):
             calls.append("green")
-            return _tc_py.green(keys)
+            return _tc_py.green(*args)
 
     monkeypatch.setattr(monoids, "_kernel", Kernel())
     m = build_named(MonoidFamily.DI, 4)
