@@ -5,7 +5,9 @@
    argument that no final sweep is needed, and the status protocol.
 
    Every table and label array comes back as one bytes object of native
-   int32 cells, row-major; no Python object is built per cell.
+   int32 cells, row-major; no Python object is built per cell.  run reads
+   its relations and watch as such buffers of words, each its length and
+   then its letter ids, from one aligned copy that count_words checks.
 
    run: the same class creation order, the same coincidence handling,
    the same step count and the same standardized renumbering (live
@@ -152,23 +154,24 @@ q_push(State *s, int a, int b)
     return 0;
 }
 
-/* Follow word from class c, defining a new class at each missing edge. */
+/* Follow the first len letters of word, word[1] onwards (word[0] is its
+   length), from class c, defining a new class at each missing edge. */
 static int
-trace_define(State *s, int c, const int *word, Py_ssize_t len)
+trace_define(State *s, int c, const int *word, int len)
 {
-    Py_ssize_t i;
+    int i;
     for (i = 0; i < len; i++) {
         int t;
         s->steps++;
-        t = row(s, c)[word[i]];
+        t = row(s, c)[word[i + 1]];
         if (t == UNDEF) {
             t = new_class(s);
             if (t < 0)
                 return t;
-            row(s, c)[word[i]] = t;
+            row(s, c)[word[i + 1]] = t;
         }
         else if (s->parent[t] != t) {
-            row(s, c)[word[i]] = t = find(s->parent, t);
+            row(s, c)[word[i + 1]] = t = find(s->parent, t);
         }
         c = t;
     }
@@ -223,21 +226,20 @@ coincide(State *s, int a, int b)
 
 /* Apply the relation lhs = rhs at class c: 0, CAPPED or FAILED. */
 static int
-scan(State *s, int c, const int *lhs, Py_ssize_t llen,
-     const int *rhs, Py_ssize_t rlen)
+scan(State *s, int c, const int *lhs, const int *rhs)
 {
     int p, d, t, last;
-    p = trace_define(s, c, lhs, llen);
+    p = trace_define(s, c, lhs, lhs[0]);
     if (p < 0)
         return p;
-    if (rlen == 0) {
+    if (rhs[0] == 0) {
         int q = find(s->parent, c);
         return q != p && coincide(s, p, q) < 0 ? FAILED : 0;
     }
-    d = trace_define(s, find(s->parent, c), rhs, rlen - 1);
+    d = trace_define(s, find(s->parent, c), rhs, rhs[0] - 1);
     if (d < 0)
         return d;
-    last = rhs[rlen - 1];
+    last = rhs[rhs[0]];
     s->steps++;
     t = row(s, d)[last];
     if (t == UNDEF) {
@@ -249,77 +251,45 @@ scan(State *s, int c, const int *lhs, Py_ssize_t llen,
     return t != p && coincide(s, t, p) < 0 ? FAILED : 0;
 }
 
-/* Every word end to end, with word i at ids[bounds[i]:bounds[i + 1]]. */
-typedef struct {
-    int *ids;
-    Py_ssize_t len;
-    Py_ssize_t cap;
-    Py_ssize_t *bounds;
-    Py_ssize_t n_words;
-} Words;
-
-static const int *
-word(const Words *w, Py_ssize_t i, Py_ssize_t *len)
+/* The number of words in obj, a bytes-like buffer of native int32 cells,
+   each word its length and then its letter ids, with an aligned copy of
+   the cells in *cells for the caller to free; or -1 with TypeError,
+   MemoryError or ValueError (see run_doc).  The copy has one cell more,
+   so that enumerate's step past the last word stays inside it. */
+static Py_ssize_t
+count_words(PyObject *obj, int n_letters, int **cells)
 {
-    *len = w->bounds[i + 1] - w->bounds[i];
-    return w->ids + w->bounds[i];
-}
-
-/* Append one word, checking that each letter id is in range(n_letters). */
-static int
-add_word(Words *w, PyObject *obj, int n_letters)
-{
-    PyObject *seq = PySequence_Tuple(obj);
-    Py_ssize_t n, i;
-    if (seq == NULL)
+    Py_buffer b;
+    Py_ssize_t n, i = 0, end, count = 0, words = -1;
+    int *c;
+    if (PyObject_GetBuffer(obj, &b, PyBUF_SIMPLE) < 0)
         return -1;
-    n = PyTuple_GET_SIZE(seq);
-    if (w->len + n > w->cap) {
-        Py_ssize_t cap = 2 * w->cap > w->len + n ? 2 * w->cap : w->len + n;
-        int *ids = grow(w->ids, cap, sizeof(int));
-        if (ids == NULL)
-            goto error;
-        w->ids = ids;
-        w->cap = cap;
+    n = b.len / (Py_ssize_t)sizeof(int);
+    if (b.len % (Py_ssize_t)sizeof(int) != 0) {
+        PyErr_Format(PyExc_ValueError, "%zd bytes are not whole int32 cells", b.len);
+        goto done;
     }
-    for (i = 0; i < n; i++) {
-        PyObject *item = PyTuple_GET_ITEM(seq, i);
-        int overflow;
-        long a = PyLong_AsLongAndOverflow(item, &overflow);
-        if (a == -1 && !overflow && PyErr_Occurred())
-            goto error;
-        if (overflow || a < 0 || a >= n_letters) {
-            PyErr_Format(PyExc_ValueError, "letter id %R is not in range(%d)",
-                         item, n_letters);
-            goto error;
+    if ((*cells = c = grow(NULL, n + 1, sizeof(int))) == NULL)
+        goto done;
+    if (n > 0)
+        memcpy(c, b.buf, (size_t)b.len);
+    for (; i < n; count++) {
+        if (c[i] < 0 || c[i] >= n - i) {
+            PyErr_Format(PyExc_ValueError, "word %zd has length %d, not 0 to %zd",
+                         count, c[i], n - i - 1);
+            goto done;
         }
-        w->ids[w->len++] = (int)a;
+        for (end = i + 1 + c[i], i++; i < end; i++)
+            if (c[i] < 0 || c[i] >= n_letters) {
+                PyErr_Format(PyExc_ValueError, "letter id %d is not in range(%d)",
+                             c[i], n_letters);
+                goto done;
+            }
     }
-    w->bounds[++w->n_words] = w->len;
-    Py_DECREF(seq);
-    return 0;
-error:
-    Py_DECREF(seq);
-    return -1;
-}
-
-/* Append both words of an (lhs, rhs) pair. */
-static int
-add_pair(Words *w, PyObject *obj, int n_letters)
-{
-    PyObject *pair = PySequence_Tuple(obj);
-    int rc = -1;
-    if (pair == NULL)
-        return -1;
-    if (PyTuple_GET_SIZE(pair) != 2)
-        PyErr_Format(PyExc_ValueError,
-                     "expected an (lhs, rhs) pair of words, got %zd items",
-                     PyTuple_GET_SIZE(pair));
-    else if (add_word(w, PyTuple_GET_ITEM(pair, 0), n_letters) == 0
-             && add_word(w, PyTuple_GET_ITEM(pair, 1), n_letters) == 0)
-        rc = 0;
-    Py_DECREF(pair);
-    return rc;
+    words = count;
+done:
+    PyBuffer_Release(&b);
+    return words;
 }
 
 static int
@@ -328,21 +298,20 @@ watch_merged(State *s, int w1, int w2)
     return w1 != UNDEF && find(s->parent, w1) == find(s->parent, w2);
 }
 
-/* The enumeration proper: a status, or FAILED.  Words 2r and 2r + 1 are
-   relation r; words 2 n_rels and 2 n_rels + 1, when present, the watch.
-   Only scans merge classes, so the watch is checked after each one. */
+/* The enumeration proper: a status, or FAILED.  rels holds n_rels
+   relations, lhs then rhs, and watch, unless NULL, two words.  Only
+   scans merge classes, so the watch is checked after each one. */
 static int
-enumerate(State *s, const Words *w, Py_ssize_t n_rels)
+enumerate(State *s, const int *rels, Py_ssize_t n_rels, const int *watch)
 {
     const int *lhs, *rhs;
-    Py_ssize_t llen, rlen, r;
+    Py_ssize_t r;
     int c_idx, k, rc, w1 = UNDEF, w2 = UNDEF;
-    if (w->n_words > 2 * n_rels) {
-        lhs = word(w, 2 * n_rels, &llen);
-        rhs = word(w, 2 * n_rels + 1, &rlen);
-        if ((w1 = trace_define(s, 0, lhs, llen)) < 0)
+    if (watch != NULL) {
+        rhs = watch + 1 + watch[0];
+        if ((w1 = trace_define(s, 0, watch, watch[0])) < 0)
             return w1 == CAPPED ? STATUS_CAPPED : FAILED;
-        if ((w2 = trace_define(s, find(s->parent, 0), rhs, rlen)) < 0)
+        if ((w2 = trace_define(s, find(s->parent, 0), rhs, rhs[0])) < 0)
             return w2 == CAPPED ? STATUS_CAPPED : FAILED;
         if (watch_merged(s, w1, w2))
             return STATUS_WATCH_MERGED;
@@ -352,10 +321,9 @@ enumerate(State *s, const Words *w, Py_ssize_t n_rels)
             return STATUS_CAPPED;
         if (find(s->parent, c_idx) != c_idx)
             continue;
-        for (r = 0; r < n_rels; r++) {
-            lhs = word(w, 2 * r, &llen);
-            rhs = word(w, 2 * r + 1, &rlen);
-            rc = scan(s, find(s->parent, c_idx), lhs, llen, rhs, rlen);
+        for (r = 0, lhs = rels; r < n_rels; r++, lhs = rhs + 1 + rhs[0]) {
+            rhs = lhs + 1 + lhs[0];
+            rc = scan(s, find(s->parent, c_idx), lhs, rhs);
             if (rc < 0)
                 return rc == CAPPED ? STATUS_CAPPED : FAILED;
             if (watch_merged(s, w1, w2))
@@ -422,23 +390,22 @@ PyDoc_STRVAR(run_doc,
 "run(n_letters, relations, max_classes, max_steps, watch=None, /)\n"
 "--\n\n"
 "Enumerate the classes of the two-sided congruence.\n\n"
-"Same contract as _tc_py.run: relations are (lhs, rhs) pairs of\n"
-"letter-id words, watch is an optional pair of words, and the result\n"
-"is (status, table, stats): the standardized table as int32 bytes\n"
-"when status is 0 and None otherwise, stats the dict of the run's\n"
-"counters.  Status 0 with a watch means the pair is in\n"
-"two classes: the watch is checked after every scan, and only scans\n"
-"merge classes.  A letter id outside range(n_letters) raises\n"
-"ValueError.  It takes positional arguments only.");
+"Same contract as _tc_py.run: relations is a bytes-like buffer of\n"
+"int32 cells, each word its length and then its letter ids, lhs then\n"
+"rhs of each relation, and watch None or such a buffer of two words.\n"
+"The result is (status, table, stats): the standardized table as int32\n"
+"bytes when status is 0 and None otherwise, stats the run's counters.\n"
+"A buffer that is not whole words, an odd number of relation words, a\n"
+"watch of other than two words or a letter id outside range(n_letters)\n"
+"raises ValueError.  It takes positional arguments only.");
 
 static PyObject *
 run(PyObject *self, PyObject *args)
 {
-    PyObject *relations, *watch = Py_None, *rels, *result = NULL;
+    PyObject *relations, *watch = Py_None, *result = NULL;
     State s = {0};
-    Words w = {0};
-    Py_ssize_t n_rels, r;
-    int status;
+    int *rels = NULL, *pair = NULL, status;
+    Py_ssize_t n_words, n_watch;
 
     if (!PyArg_ParseTuple(args, "iOiL|O:run", &s.n_letters, &relations,
                           &s.max_classes, &s.max_steps, &watch))
@@ -446,23 +413,17 @@ run(PyObject *self, PyObject *args)
     if (s.n_letters < 0)
         return PyErr_Format(PyExc_ValueError,
                             "n_letters must be non-negative, got %d", s.n_letters);
-    if ((rels = PySequence_Tuple(relations)) == NULL)
-        return NULL;
-    n_rels = PyTuple_GET_SIZE(rels);
-    w.bounds = PyMem_New(Py_ssize_t, 2 * n_rels + 3);
-    if (w.bounds == NULL) {
-        PyErr_NoMemory();
+    if ((n_words = count_words(relations, s.n_letters, &rels)) % 2 != 0) {
+        if (n_words >= 0)
+            PyErr_Format(PyExc_ValueError,
+                         "relation words come in (lhs, rhs) pairs, got %zd", n_words);
         goto done;
     }
-    w.bounds[0] = 0;
-    w.cap = 64;
-    if ((w.ids = grow(NULL, w.cap, sizeof(int))) == NULL)
+    if (watch != Py_None && (n_watch = count_words(watch, s.n_letters, &pair)) != 2) {
+        if (n_watch >= 0)
+            PyErr_Format(PyExc_ValueError, "a watch is two words, got %zd", n_watch);
         goto done;
-    for (r = 0; r < n_rels; r++)
-        if (add_pair(&w, PyTuple_GET_ITEM(rels, r), s.n_letters) < 0)
-            goto done;
-    if (watch != Py_None && add_pair(&w, watch, s.n_letters) < 0)
-        goto done;
+    }
 
     s.cap = 1024;
     s.q_cap = 1024;
@@ -474,7 +435,7 @@ run(PyObject *self, PyObject *args)
     memset(row(&s, 0), 0xFF, (size_t)s.n_letters * sizeof(int));
     s.n_classes = s.live = s.peak_live = 1;
 
-    status = enumerate(&s, &w, n_rels);
+    status = enumerate(&s, rels, n_words / 2, pair);
     if (status != FAILED) {
         PyObject *table = status == STATUS_COMPLETE ? dense_table(&s) : Py_NewRef(Py_None);
         if (table != NULL)
@@ -484,9 +445,8 @@ run(PyObject *self, PyObject *args)
                 "coincidences", s.coincidences, "steps", s.steps);
     }
 done:
-    Py_DECREF(rels);
-    PyMem_Free(w.bounds);
-    PyMem_Free(w.ids);
+    PyMem_Free(rels);
+    PyMem_Free(pair);
     PyMem_Free(s.parent);
     PyMem_Free(s.table);
     PyMem_Free(s.queue);
@@ -782,28 +742,28 @@ done:
 }
 
 PyDoc_STRVAR(green_doc,
-"green(keys, key_len, /)\n"
+"green(degree, keys, /)\n"
 "--\n\n"
 "Green's (R, L, H, D) labels of an inverse monoid's elements.\n\n"
 "Same contract as _tc_py.green: keys is a bytes-like buffer of keys\n"
-"of key_len bytes end to end, and the result (r, l, h, d, counts),\n"
+"of degree + 1 bytes end to end, and the result (r, l, h, d, counts),\n"
 "each label buffer int32 bytes of dense labels numbered by first\n"
-"occurrence in keys, and counts the four class counts.  A key_len\n"
-"outside 2..256, or a buffer that is not whole keys, raises ValueError.");
+"occurrence in keys, and counts the four class counts.  A degree\n"
+"outside 1..255, or a buffer that is not whole keys, raises ValueError.");
 
 static PyObject *
 green(PyObject *self, PyObject *args)
 {
     Py_buffer keys;
     PyObject *result = NULL;
-    Py_ssize_t key_len, n, size, counts[4];
+    Py_ssize_t degree, n, size, counts[4];
     int *labels = NULL;
 
-    if (!PyArg_ParseTuple(args, "y*n:green", &keys, &key_len))
+    if (!PyArg_ParseTuple(args, "ny*:green", &degree, &keys))
         return NULL;
-    if ((n = count_keys(key_len - 1, keys.len)) < 0
+    if ((n = count_keys(degree, keys.len)) < 0
         || (labels = grow(NULL, 4 * n, sizeof(int))) == NULL
-        || green_labels(keys.buf, n, key_len, labels, counts) < 0)
+        || green_labels(keys.buf, n, degree + 1, labels, counts) < 0)
         goto done;
     size = n * (Py_ssize_t)sizeof(int);
     result = Py_BuildValue(

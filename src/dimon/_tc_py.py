@@ -48,7 +48,8 @@ at every live class once the main loop ends:
 Every table a kernel returns is one flat buffer: bytes of native int32
 cells, row-major, so entry (c, k) of a table of width L is cell c * L + k
 (``memoryview(table).cast("i")`` reads it).  With no letters or no
-generators the table is b"".
+generators the table is b"".  run's relations and watch come in as
+such buffers too, each word its length and then its letter ids.
 
 run returns (status, table, stats):
 
@@ -96,22 +97,25 @@ class _Capped(Exception):
     pass
 
 
-def _checked(word, n_letters):
-    """word as a tuple of letter ids, each in range(n_letters)."""
-    word = tuple(word)
-    for a in word:
-        if not 0 <= a < n_letters:
-            raise ValueError(f"letter id {a!r} is not in range({n_letters})")
-    return word
-
-
-def _checked_pair(pair, n_letters):
-    pair = tuple(pair)
-    if len(pair) != 2:
-        raise ValueError(
-            f"expected an (lhs, rhs) pair of words, got {len(pair)} items"
-        )
-    return _checked(pair[0], n_letters), _checked(pair[1], n_letters)
+def _words(buf, n_letters):
+    """The words in buf as lists of letter ids, checked as _tc_core's
+    count_words checks them, with its errors and messages."""
+    cells = array("i")
+    try:
+        cells.frombytes(buf)  # TypeError or BufferError as in count_words
+    except ValueError:
+        raise ValueError(f"{len(bytes(buf))} bytes are not whole int32 cells") from None
+    cells, words, i = cells.tolist(), [], 0
+    while i < len(cells):
+        n, left, word = cells[i], len(cells) - i - 1, cells[i + 1:i + 1 + cells[i]]
+        if not 0 <= n <= left:
+            raise ValueError(f"word {len(words)} has length {n}, not 0 to {left}")
+        if word and (min(word) < 0 or max(word) >= n_letters):
+            bad = next(a for a in word if not 0 <= a < n_letters)
+            raise ValueError(f"letter id {bad} is not in range({n_letters})")
+        words.append(word)
+        i += 1 + n
+    return words
 
 
 def _find(parent, c):
@@ -125,23 +129,30 @@ def _find(parent, c):
 def run(n_letters, relations, max_classes, max_steps, watch=None, /):
     """Enumerate the classes of the two-sided congruence.
 
-    relations: sequence of (lhs, rhs) pairs of letter-id tuples.
-    watch: optional (lhs, rhs) pair; when given, the run stops as soon
-    as the two words provably fall in one class.
+    relations: a bytes-like buffer of native int32 cells, each word its
+    length and then its letter ids, lhs then rhs of each relation.
+    watch: None, or such a buffer of two words; the run then stops as
+    soon as the two words provably fall in one class.
 
     Returns (status, table, stats): table is the standardized table as
     int32 bytes (class 0 = empty word) when status is 0, else None, and
     stats the run's counters (see the module docstring).  Status 0
     with a watch means the pair is in two classes of the table.  A
-    letter id outside range(n_letters), in a relation or in the watch
-    pair, raises ValueError, as does a negative n_letters.  Every
-    argument is positional only, as in close, green and _tc_core.run.
+    buffer that is not whole words, an odd number of relation words, a
+    watch of other than two words, a letter id outside range(n_letters)
+    or a negative n_letters raises ValueError, and a buffer that is not
+    bytes-like TypeError.  Every argument is positional only.
     """
     if n_letters < 0:
         raise ValueError(f"n_letters must be non-negative, got {n_letters}")
-    relations = [_checked_pair(pair, n_letters) for pair in relations]
+    words = _words(relations, n_letters)
+    if len(words) % 2:
+        raise ValueError(f"relation words come in (lhs, rhs) pairs, got {len(words)}")
+    relations = list(zip(words[0::2], words[1::2]))
     if watch is not None:
-        watch = _checked_pair(watch, n_letters)
+        watch = _words(watch, n_letters)
+        if len(watch) != 2:
+            raise ValueError(f"a watch is two words, got {len(watch)}")
     parent = [0]
     table = [[UNDEF] * n_letters]
     steps = 0
@@ -347,11 +358,11 @@ def _dense(keys):
 _DOM = bytes((0,)) + bytes((1,)) * 255
 
 
-def green(keys, key_len, /):
+def green(degree, keys, /):
     """Green's R, L, H and D labels of an inverse monoid's elements.
 
-    keys is a bytes-like buffer of the elements' keys, each key_len
-    bytes, end to end.  Returns
+    keys is a bytes-like buffer of the elements' keys, each degree + 1
+    bytes, end to end, as close returns them.  Returns
     (r, l, h, d, counts): each label buffer is int32 bytes with one cell
     per key, numbering its classes densely by first occurrence in keys,
     and counts the numbers of R-, L-, H- and D-classes.  f R g iff
@@ -361,7 +372,7 @@ def green(keys, key_len, /):
     of R and L.  D = R o L, the join of R and L: a union-find joins each
     element's R-class with an R-class that meets its L-class.
     """
-    keys = _split_keys(key_len - 1, keys)
+    keys = _split_keys(degree, keys)
     r, n_r = _dense(key.translate(_DOM) for key in keys)
     l, n_l = _dense(frozenset(key) for key in keys)
     root = list(range(len(keys)))  # union-find over the R-classes

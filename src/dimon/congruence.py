@@ -27,9 +27,9 @@ EnumerationResult keeps as it came, and stats the run's counters
 (classes defined, peak live classes, coincidences, steps), which it
 keeps too.  setup.py compiles the extension from the hand-written C
 source _tc_core.c, which follows _tc_py step for step.  The kernel
-reads each presentation's relations as Presentation.relation_ids,
-encoded once, when the Presentation is made and checks its letters by
-encoding them; both kernels raise ValueError for a letter id outside
+reads each presentation's relations as Presentation.relation_ids, int32
+words encoded once, when the Presentation is made and checks its letters
+by encoding them; both kernels raise ValueError for a letter id outside
 range(n_letters).  A watched run (is_consequence) that completes never
 merged its pair, so the answer is no: the watch is checked after every
 scan, and only scans merge classes.
@@ -206,10 +206,15 @@ def is_consequence(
 
     The run exits early once the two sides provably coincide, so true
     consequences are confirmed even when the presented monoid is
-    infinite.  A capped run without a merge raises IndeterminateError.
+    infinite.  A capped run without a merge raises IndeterminateError,
+    and a letter outside p's alphabet ValueError.
     """
     caps = caps or EnumerationCaps()
-    watch = (p.word_ids(rel.lhs), p.word_ids(rel.rhs))
+    try:
+        watch = p.encode((rel.lhs, rel.rhs))
+    except KeyError as e:
+        raise ValueError(f"relation {rel.lhs} = {rel.rhs} has letter {e.args[0]!r}, "
+                         f"not in {p.letters}") from None
     status, _, _ = _kernel.run(
         len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch
     )

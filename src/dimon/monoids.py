@@ -410,7 +410,7 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
                 "Green's classes need an inverse monoid: the inverse of "
                 f"element {g}, a generator, is not in the monoid"
             )
-    return GreenClasses(*_kernel.green(m.key_bytes, m.degree + 1))
+    return GreenClasses(*_kernel.green(m.degree, m.key_bytes))
 
 
 def right_cayley_dot(m: FiniteMonoid) -> str:

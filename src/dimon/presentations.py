@@ -49,6 +49,7 @@ import dataclasses
 import enum
 import functools
 import itertools
+import struct
 
 from .iperm import PartialPerm, compose, identity, named_generator
 from .monoids import MonoidFamily, generator_names
@@ -77,22 +78,18 @@ class Presentation:
     letters: "tuple[str, ...]"
     relations: "tuple[Relation, ...]"
     _ids: "dict[str, int]" = dataclasses.field(init=False, repr=False, compare=False)
-    #: Every relation as its (lhs, rhs) pair of letter-id words: the
+    #: Every relation's lhs and then its rhs, in encode's form: the
     #: enumeration kernel's input, encoded once, in __post_init__.
-    relation_ids: "tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]" = (
-        dataclasses.field(init=False, repr=False, compare=False)
-    )
+    relation_ids: bytes = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = {name: k for k, name in enumerate(self.letters)}
         if len(ids) != len(self.letters):
             raise ValueError("duplicate letter names")
-        encode = ids.__getitem__
+        object.__setattr__(self, "_ids", ids)
         try:
-            relation_ids = tuple(
-                (tuple(map(encode, r.lhs)), tuple(map(encode, r.rhs)))
-                for r in self.relations
-            )
+            object.__setattr__(self, "relation_ids", self.encode(
+                w for r in self.relations for w in (r.lhs, r.rhs)))
         except KeyError as exc:
             # relations are encoded in order, so the first one with a
             # name outside the map is the one that raised
@@ -100,12 +97,15 @@ class Presentation:
             raise ValueError(
                 f"relation {rel.tag or rel}: unknown letter {exc.args[0]!r}"
             ) from None
-        object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "relation_ids", relation_ids)
 
-    def word_ids(self, w: "tuple[str, ...]") -> "tuple[int, ...]":
-        """A word's letter ids; KeyError for a name outside the alphabet."""
-        return tuple(map(self._ids.__getitem__, w))
+    def encode(self, words) -> bytes:
+        """The words as the kernel reads them: native int32 cells, each word
+        its length and then its letter ids; KeyError for an unknown name."""
+        cells = []
+        for w in words:
+            cells.append(len(w))
+            cells += map(self._ids.__getitem__, w)
+        return struct.pack(f"{len(cells)}i", *cells)
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,6 +146,8 @@ class Assignment:
     images: "tuple[tuple[str, PartialPerm], ...]"
 
     def __post_init__(self):
+        if len(self._map) != len(self.images):
+            raise ValueError("duplicate letter names")
         for name, f in self.images:
             if f.degree != self.degree:
                 raise ValueError(f"image of {name!r} has degree {f.degree}")
@@ -779,20 +781,22 @@ def delete_relation(p: Presentation, rel: Relation, caps=None) -> Presentation:
     ValueError when it is not, IndeterminateError when the caps stop the
     check first.
     """
-    # letter ids name letters one to one, so the encoded pair finds the
-    # first relation with the same sides; a letter outside the alphabet
-    # has no id, and such a relation is not present either
-    ids = p.relation_ids
-    try:
-        index = ids.index((p.word_ids(rel.lhs), p.word_ids(rel.rhs)))
-    except (KeyError, ValueError):
-        raise KeyError(f"{rel.lhs} = {rel.rhs} not present") from None
+    # a relation's cells, 4 bytes each, are its two lengths and its letters
+    start = 0
+    for index, r in enumerate(p.relations):
+        end = start + 4 * (2 + len(r.lhs) + len(r.rhs))
+        if r.lhs == rel.lhs and r.rhs == rel.rhs:
+            break
+        start = end
+    else:
+        raise KeyError(f"{rel.lhs} = {rel.rhs} not present")
     # the parent passed __post_init__'s checks, and its letters with fewer
     # relations pass them too, so copy it rather than check again, with
-    # its encoding minus one entry: nothing is encoded again either
+    # its encoding minus that relation's cells: nothing is encoded again
     smaller = copy.copy(p)
+    ids = p.relation_ids
     object.__setattr__(smaller, "relations", p.relations[:index] + p.relations[index + 1:])
-    object.__setattr__(smaller, "relation_ids", ids[:index] + ids[index + 1:])
+    object.__setattr__(smaller, "relation_ids", ids[:start] + ids[end:])
     from .congruence import is_consequence
 
     if not is_consequence(smaller, rel, caps):

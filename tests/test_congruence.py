@@ -2,6 +2,7 @@
 
 import doctest
 import random
+import re
 import tracemalloc
 from array import array
 
@@ -336,11 +337,26 @@ def trace(table, width, c, word):
     return c
 
 
+def encode(*words):
+    """Letter-id words as the kernels read them: native int32 cells, each
+    word its length and then its letter ids."""
+    return array("i", [cell for w in words for cell in (len(w), *w)]).tobytes()
+
+
+def decode(buf):
+    """The (lhs, rhs) pairs of letter-id tuples in a buffer of words."""
+    cells, words = memoryview(buf).cast("i").tolist(), []
+    while cells:
+        words.append(tuple(cells[1:1 + cells[0]]))
+        del cells[:1 + cells[0]]
+    return list(zip(words[0::2], words[1::2]))
+
+
 def assert_relations_hold_at_every_class(table, width, relation_ids):
-    """Every relation, traced from every class of a complete table, ends
-    in one class on both sides."""
+    """Every relation of a relations buffer, traced from every class of a
+    complete table, ends in one class on both sides."""
     for c in range(len(table) // (4 * width)):
-        for lhs, rhs in relation_ids:
+        for lhs, rhs in decode(relation_ids):
             ends = trace(table, width, c, lhs), trace(table, width, c, rhs)
             assert ends[0] == ends[1], (c, lhs, rhs)
 
@@ -380,31 +396,32 @@ def test_backends_identical(compiled_kernel):
         (Relation(("h", "h"), (), "s"), Relation(("h", "x"), ("y", "h"), "c")),
     )
     rels = p.relation_ids
-    watch = (p.word_ids(("h", "y")), p.word_ids(("x", "h")))
+    watch = p.encode((("h", "y"), ("x", "h")))
+    assert watch == encode((0, 2), (1, 0))
     for max_steps in STEP_CAPS:
         assert _tc_py.run(3, rels, 10**6, max_steps, watch) == compiled_kernel.run(
             3, rels, 10**6, max_steps, watch
         )
-    assert _tc_py.run(1, (), 7, 10**8) == compiled_kernel.run(1, (), 7, 10**8)
-    assert _tc_py.run(0, (), 1, 0) == compiled_kernel.run(0, (), 1, 0)
+    assert _tc_py.run(1, b"", 7, 10**8) == compiled_kernel.run(1, b"", 7, 10**8)
+    assert _tc_py.run(0, b"", 1, 0) == compiled_kernel.run(0, b"", 1, 0)
     # no relations: every class is defined while filling a row, and each
     # definition is a step, so the step cap binds long before the class cap
     for max_steps in (0, 1, 2, 3, 10, 999, 12_000):
-        out_py = _tc_py.run(2, (), 10**5, max_steps)
-        assert out_py == compiled_kernel.run(2, (), 10**5, max_steps)
+        out_py = _tc_py.run(2, b"", 10**5, max_steps)
+        assert out_py == compiled_kernel.run(2, b"", 10**5, max_steps)
         assert out_py[:2] == (_tc_py.STATUS_CAPPED, None)
     # letter 1 is free, so row filling defines its classes: the watched
     # run's outcome at each step cap depends on that filling counting
     # steps the same way in both kernels
-    rels = (((0, 0), ()),)
-    watch = ((0, 0, 1), (1, 0, 0))
+    rels = encode((0, 0), ())
+    watch = encode((0, 0, 1), (1, 0, 0))
     for max_steps in range(61):
         out_py = _tc_py.run(2, rels, 10**4, max_steps, watch)
         assert out_py == compiled_kernel.run(2, rels, 10**4, max_steps, watch), max_steps
     # a c^1100 = b c^1100 defines two chains of c's, and a = b merges them
     # pair by pair in one coincide call: 1100 pairs, past the compiled
     # queue's first capacity of 1024
-    rels = (((0,) + (2,) * 1100, (1,) + (2,) * 1100), ((0,), (1,)))
+    rels = encode((0,) + (2,) * 1100, (1,) + (2,) * 1100, (0,), (1,))
     out_py = _tc_py.run(3, rels, 3300, 10**8)
     assert out_py == compiled_kernel.run(3, rels, 3300, 10**8)
     assert out_py == (_tc_py.STATUS_CAPPED, None, {
@@ -416,7 +433,7 @@ def test_backends_identical_on_edge_cases(compiled_kernel):
     """Both kernels return equal bytes with no letters (one class, table
     b""), no table from a capped run, and stop alike at a watch that
     merges before the first scan."""
-    for args in ((0, (), 1, 0), (0, [((), ())], 10, 10)):
+    for args in ((0, b"", 1, 0), (0, encode((), ()), 10, 10)):
         out = _tc_py.run(*args)
         assert out == compiled_kernel.run(*args)
         assert out[:2] == (_tc_py.STATUS_COMPLETE, b"")
@@ -424,13 +441,13 @@ def test_backends_identical_on_edge_cases(compiled_kernel):
     r = enumerate_congruence(p)
     assert r.table == b"" and r.class_count == 1 and r.word_classes([()]) == [0]
     assert normal_forms(r, ()).words == ((),)
-    capped = _tc_py.run(2, (), 10, 10**8)
-    assert capped == compiled_kernel.run(2, (), 10, 10**8)
+    capped = _tc_py.run(2, b"", 10, 10**8)
+    assert capped == compiled_kernel.run(2, b"", 10, 10**8)
     assert capped[:2] == (_tc_py.STATUS_CAPPED, None)
     # a watch whose words meet as soon as they are traced stops the run
     # before its first scan
     p = build_relations(RelationFamily.U, 4)
-    for watch, defined, steps in ((((0, 1), (0, 1)), 3, 4), (((), ()), 1, 0)):
+    for watch, defined, steps in ((encode((0, 1), (0, 1)), 3, 4), (encode((), ()), 1, 0)):
         args = (len(p.letters), p.relation_ids, 10**6, 10**8, watch)
         out = _tc_py.run(*args)
         assert out == compiled_kernel.run(*args)
@@ -486,7 +503,7 @@ def test_backends_identical_on_deletions(compiled_kernel, family):
     statuses = set()
     for i, rel in enumerate(p.relations):
         smaller = without(p, i)
-        watch = (p.word_ids(rel.lhs), p.word_ids(rel.rhs))
+        watch = p.encode((rel.lhs, rel.rhs))
         for w in (None, watch):
             args = (len(p.letters), smaller.relation_ids, 500, 10**8, w)
             out_py = _tc_py.run(*args)
@@ -497,7 +514,8 @@ def test_backends_identical_on_deletions(compiled_kernel, family):
                 assert_standardized(table, width)
                 assert_relations_hold_at_every_class(table, width, smaller.relation_ids)
                 if w is not None:
-                    assert trace(table, width, 0, w[0]) != trace(table, width, 0, w[1])
+                    [(lhs, rhs)] = decode(w)
+                    assert trace(table, width, 0, lhs) != trace(table, width, 0, rhs)
     assert statuses == DELETION_OUTCOMES[family]
 
 
@@ -515,9 +533,10 @@ CONSEQUENCE_OUTCOMES = {
 def consequence_runs(kernel, family, n):
     """The watched run of each deletion from family(n), in relation order."""
     p = build_relations(family, n)
-    ids = p.relation_ids
-    return [kernel.run(len(p.letters), ids[:i] + ids[i + 1:], 5000, 10**8, ids[i])
-            for i in range(len(ids))]
+    rels = [encode(*pair) for pair in decode(p.relation_ids)]
+    return [kernel.run(len(p.letters), b"".join(rels[:i] + rels[i + 1:]), 5000, 10**8,
+                       rels[i])
+            for i in range(len(rels))]
 
 
 def test_consequence_batch_is_pinned(compiled_kernel):
@@ -562,7 +581,7 @@ def test_row_filling_counts_steps(kernel):
     long before the class cap lets the class arrays grow."""
     tracemalloc.start()
     try:
-        out = kernel.run(2, (), 10**5, 10)
+        out = kernel.run(2, b"", 10**5, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -580,47 +599,96 @@ def test_letter_ids_checked_at_the_kernel(kernel, bad):
     is refused before any class is read or written."""
     ok = ((0, 1), (2,))
     for relations, watch in (
-        ([((bad,), ())], None),
-        ([ok, ((0,), (1, bad))], None),
-        ([ok], ((bad,), ())),
-        ([ok], ((0,), (2, bad))),
+        (encode((bad,), ()), None),
+        (encode(*ok, (0,), (1, bad)), None),
+        (encode(*ok), encode((bad,), ())),
+        (encode(*ok), encode((0,), (2, bad))),
     ):
         with pytest.raises(ValueError, match=f"letter id {bad} is not in range\\(3\\)"):
             kernel.run(3, relations, 100, 10**6, watch)
     with pytest.raises(ValueError, match="n_letters must be non-negative"):
-        kernel.run(-1, [], 100, 10**6)
+        kernel.run(-1, b"", 100, 10**6)
 
 
 @pytest.mark.parametrize(
     "relations, error",
     [
-        ([((0,), (1,), (0,))], ValueError),  # three words, not a pair
-        ([((0,),)], ValueError),  # one word
-        ([5], TypeError),  # a pair that is no sequence
-        ([((0,), 1)], TypeError),  # a word that is no sequence
-        ([((0,), ("a",))], TypeError),  # a letter id that is no integer
+        # three words, not pairs
+        pytest.param(encode((0,), (1,), (0,)), ValueError, id="relations0-ValueError"),
+        pytest.param(encode((0,)), ValueError, id="relations1-ValueError"),  # one word
+        # a list of pairs is no buffer
+        pytest.param([((0,), (1,))], TypeError, id="relations2-TypeError"),
+        pytest.param(5, TypeError, id="relations3-TypeError"),
+        # a str is no buffer either
+        pytest.param("\0\0\0\0", TypeError, id="relations4-TypeError"),
+        pytest.param(memoryview(encode((0,), ()) * 2)[::2], BufferError, id="strided"),
     ],
 )
 def test_malformed_relations_rejected(kernel, relations, error):
-    """A relation or watch that is not a pair of integer words raises."""
+    """A relations buffer or a watch that is not whole (lhs, rhs) pairs
+    raises ValueError, one that is not bytes-like TypeError, and one that
+    is not contiguous BufferError."""
     with pytest.raises(error):
         kernel.run(2, relations, 100, 10**6)
     with pytest.raises(error):
-        kernel.run(2, [], 100, 10**6, relations[0])
+        kernel.run(2, b"", 100, 10**6, relations)
+
+
+@pytest.mark.parametrize("relations, watch, message", [
+    pytest.param(encode((0, 1), ())[:-1], None, "15 bytes are not whole int32 cells",
+                 id="odd-bytes"),
+    pytest.param(encode((0,), ()), encode((0,), (1,)) + b"\0",
+                 "17 bytes are not whole int32 cells", id="watch-odd-bytes"),
+    pytest.param(array("i", [-1]).tobytes(), None, "word 0 has length -1, not 0 to 0",
+                 id="negative-length"),
+    pytest.param(encode((0,), ()), array("i", [0, -2]).tobytes(),
+                 "word 1 has length -2, not 0 to 0", id="watch-negative-length"),
+    pytest.param(encode((0, 1)) + array("i", [2, 0]).tobytes(), None,
+                 "word 1 has length 2, not 0 to 1", id="past-the-end"),
+    pytest.param(encode((0,), ()), array("i", [1, 0, 2, 1]).tobytes(),
+                 "word 1 has length 2, not 0 to 1", id="watch-past-the-end"),
+    pytest.param(encode((0,), (1,), (0,)), None,
+                 "relation words come in (lhs, rhs) pairs, got 3", id="odd-relation-words"),
+    pytest.param(encode((0,), ()), encode((0,)), "a watch is two words, got 1",
+                 id="watch-of-1"),
+    pytest.param(encode((0,), ()), encode((0,), (1,), (0,)), "a watch is two words, got 3",
+                 id="watch-of-3"),
+    pytest.param(encode((0,), ()), b"", "a watch is two words, got 0", id="watch-of-0"),
+])
+def test_malformed_word_buffers_rejected(kernel, relations, watch, message):
+    """Both kernels refuse, with the same message, a relations buffer or a
+    watch that is not whole words, an odd number of relation words, and
+    a watch of other than two words."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kernel.run(2, relations, 100, 10**6, watch)
+
+
+def test_kernels_read_any_bytes_like_words(kernel):
+    """run reads a bytearray, or a memoryview starting at an odd byte
+    offset, as it reads the same bytes, b"" among them."""
+    def at_odd_offset(buf):
+        return memoryview(b"\0" + buf)[1:]
+
+    rels = encode((0, 1), (2,), (1, 1), ())
+    watch = encode((0,), (0, 0))
+    for relations, w in ((rels, None), (rels, watch), (b"", None), (b"", watch)):
+        expected = kernel.run(3, relations, 100, 10**4, w)
+        for view in (bytearray, at_odd_offset):
+            assert kernel.run(3, view(relations), 100, 10**4, w and view(w)) == expected
 
 
 def test_compiled_caps_beyond_c_types(compiled_kernel):
     """Class ids are C ints and the step count a C long long."""
     with pytest.raises(OverflowError):
-        compiled_kernel.run(1, (), 2**31, 10)
+        compiled_kernel.run(1, b"", 2**31, 10)
     with pytest.raises(OverflowError):
-        compiled_kernel.run(1, (), 10, 2**63)
+        compiled_kernel.run(1, b"", 10, 2**63)
     with pytest.raises(OverflowError):
-        compiled_kernel.run(2**31, (), 10, 10)
+        compiled_kernel.run(2**31, b"", 10, 10)
     # the largest caps are accepted (a negative step cap stops at once)
     capped = (_tc_py.STATUS_CAPPED, None)
-    assert compiled_kernel.run(1, (), 2**31 - 1, -1)[:2] == capped
-    assert compiled_kernel.run(1, (), 10, 2**63 - 1)[:2] == capped
+    assert compiled_kernel.run(1, b"", 2**31 - 1, -1)[:2] == capped
+    assert compiled_kernel.run(1, b"", 10, 2**63 - 1)[:2] == capped
 
 
 def test_power_identities_follow_from_u():

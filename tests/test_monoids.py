@@ -464,8 +464,7 @@ def test_kernels_close_and_label_alike(compiled_kernel):
             closed = _tc_py.close(n, gen_keys, 10**6)
             assert compiled_kernel.close(n, gen_keys, 10**6) == closed, (family, n)
             keys = closed[0]
-            assert compiled_kernel.green(keys, n + 1) == _tc_py.green(keys, n + 1), (
-                family, n)
+            assert compiled_kernel.green(n, keys) == _tc_py.green(n, keys), (family, n)
             cases += 1
     assert cases == 51
     # the cyclic group of the largest degree: 255 keys of 256 bytes
@@ -473,7 +472,7 @@ def test_kernels_close_and_label_alike(compiled_kernel):
     closed = _tc_py.close(255, g, 255)
     assert len(closed[0]) == 255 * 256
     assert compiled_kernel.close(255, g, 255) == closed
-    assert compiled_kernel.green(closed[0], 256) == _tc_py.green(closed[0], 256)
+    assert compiled_kernel.green(255, closed[0]) == _tc_py.green(255, closed[0])
 
 
 def test_kernels_close_and_label_nothing_alike(kernel):
@@ -481,7 +480,7 @@ def test_kernels_close_and_label_nothing_alike(kernel):
     cap, and no keys have no labels, at every key length."""
     for degree in (1, 6, 255):
         assert kernel.close(degree, b"", 0) == (bytes(range(degree + 1)), b"")
-        assert kernel.green(b"", degree + 1) == (b"", b"", b"", b"", (0, 0, 0, 0))
+        assert kernel.green(degree, b"") == (b"", b"", b"", b"", (0, 0, 0, 0))
 
 
 def test_kernels_read_any_bytes_like_keys(kernel):
@@ -491,9 +490,9 @@ def test_kernels_read_any_bytes_like_keys(kernel):
     closed = kernel.close(4, gen_keys, 1000)
     for buf in (bytearray(gen_keys), memoryview(gen_keys)):
         assert kernel.close(4, buf, 1000) == closed
-    labels = kernel.green(closed[0], 5)
+    labels = kernel.green(4, closed[0])
     for buf in (bytearray(closed[0]), memoryview(closed[0])):
-        assert kernel.green(buf, 5) == labels
+        assert kernel.green(4, buf) == labels
 
 
 def test_kernels_cap_closure_alike(compiled_kernel):
@@ -585,43 +584,47 @@ def test_kernels_refuse_malformed_green_keys(kernel, keys):
     """A list of keys is not a buffer: green refuses each of these lists
     with TypeError in both kernels."""
     with pytest.raises(TypeError):
-        kernel.green(keys, 5)
+        kernel.green(4, keys)
 
 
-@pytest.mark.parametrize("keys, key_len, error", [
-    pytest.param(bytes(range(5)) + bytes(range(4)), 5, ValueError, id="a-key-short"),
-    pytest.param(bytes(range(5)), 4, ValueError, id="not-whole-keys"),
-    pytest.param(b"\0", 1, ValueError, id="degree-0"),
-    pytest.param(b"", 1, ValueError, id="degree-0-empty"),
-    pytest.param(b"", 0, ValueError, id="key-len-0"),
-    pytest.param(bytes(257), 257, ValueError, id="degree-256"),
-    pytest.param("\0\1", 2, TypeError, id="str"),
-    pytest.param(None, 2, TypeError, id="none"),
+@pytest.mark.parametrize("degree, keys, error", [
+    pytest.param(4, bytes(range(5)) + bytes(range(4)), ValueError, id="a-key-short"),
+    pytest.param(3, bytes(range(5)), ValueError, id="not-whole-keys"),
+    pytest.param(0, b"\0", ValueError, id="degree-0"),
+    pytest.param(0, b"", ValueError, id="degree-0-empty"),
+    pytest.param(-1, b"", ValueError, id="key-len-0"),
+    pytest.param(256, bytes(257), ValueError, id="degree-256"),
+    pytest.param(1, "\0\1", TypeError, id="str"),
+    pytest.param(1, None, TypeError, id="none"),
 ])
-def test_kernels_refuse_malformed_green_key_buffers(kernel, keys, key_len, error):
-    """green refuses a key length outside 2..256, or a buffer that is not
-    whole keys of that length, with ValueError, and anything that is not
-    bytes-like with TypeError, in both kernels."""
+def test_kernels_refuse_malformed_green_key_buffers(kernel, degree, keys, error):
+    """green refuses a degree outside 1..255 (a key length outside
+    2..256), or a buffer that is not whole keys of degree + 1 bytes, with
+    ValueError, and anything that is not bytes-like with TypeError, in
+    both kernels."""
     with pytest.raises(error):
-        kernel.green(keys, key_len)
+        kernel.green(degree, keys)
 
 
 def test_kernels_share_one_contract(compiled_kernel):
     """Both kernel modules expose run, close and green with the same
     signatures, and the same status constants.  No compiled kernel takes
-    keywords, so every signature says so."""
+    keywords, so every signature says so.  close and green take the
+    degree first, then the keys."""
     for name in ("run", "close", "green"):
         assert inspect.signature(getattr(compiled_kernel, name)) == inspect.signature(
             getattr(_tc_py, name)
         ), name
     assert list(inspect.signature(_tc_py.close).parameters) == [
         "degree", "gen_keys", "max_elements"]
-    assert list(inspect.signature(_tc_py.green).parameters) == ["keys", "key_len"]
+    assert list(inspect.signature(_tc_py.green).parameters) == ["degree", "keys"]
+    assert list(inspect.signature(_tc_py.run).parameters) == [
+        "n_letters", "relations", "max_classes", "max_steps", "watch"]
     for name in ("STATUS_COMPLETE", "STATUS_CAPPED", "STATUS_WATCH_MERGED"):
         assert getattr(compiled_kernel, name) == getattr(_tc_py, name), name
     for kernel in (_tc_py, compiled_kernel):
         with pytest.raises(TypeError):
-            kernel.run(1, (), 10, 10, watch=None)
+            kernel.run(1, b"", 10, 10, watch=None)
 
 
 def test_closure_reads_generators_off_the_identitys_row():

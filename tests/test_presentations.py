@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+from array import array
 
 import pytest
 
@@ -191,10 +192,12 @@ def test_presentation_validation():
         Presentation("p", ("a", "b"), (ok, untagged, Relation(("c",), (), "later")))
     p = Presentation("p", ("a", "b"), (Relation(("a", "b"), (), "t"),))
     assert p.letters == ("a", "b")
-    assert p.word_ids(("b", "a", "b")) == (1, 0, 1)
-    assert p.relation_ids == (((0, 1), ()),)
+    # each word its length and then its letter ids, in int32 cells
+    assert p.encode([("b", "a", "b")]) == array("i", [3, 1, 0, 1]).tobytes()
+    assert p.encode([("a",), ()]) == array("i", [1, 0, 0]).tobytes()
+    assert p.relation_ids == array("i", [2, 0, 1, 0]).tobytes()
     with pytest.raises(KeyError):
-        p.word_ids(("a", "c"))
+        p.encode([("a", "c")])
 
 
 def test_presentation_json_round_trip():
@@ -217,6 +220,16 @@ def test_assignment_access():
 def test_assignment_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         Assignment(4, (("x", named_generator("x", 5)),))
+
+
+def test_assignment_refuses_a_repeated_name():
+    """A name has one image, as a letter of a Presentation is one letter."""
+    g, h = named_generator("g", 4), named_generator("e_1", 4)
+    with pytest.raises(ValueError, match="^duplicate letter names$"):
+        Assignment(4, (("g", g), ("g", h)))
+    with pytest.raises(ValueError, match="^duplicate letter names$"):
+        Assignment(4, (("g", g), ("h", h), ("g", g)))
+    assert Assignment(4, (("g", g), ("h", h))).names() == ("g", "h")
 
 
 def test_evaluate_is_a_homomorphism():
@@ -295,13 +308,25 @@ def test_add_delete_relation_checked():
             delete_relation(p, rel)
 
 
+def test_is_consequence_names_a_letter_outside_the_alphabet():
+    """A relation over letters p lacks is refused with ValueError naming
+    the letter and p's alphabet, not a bare KeyError."""
+    p = build_relations(RelationFamily.U, 4)
+    for rel in (Relation(("x", "zz"), ("x",)), Relation(("x",), ("zz",))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"has letter 'zz', not in {p.letters}")):
+            is_consequence(p, rel)
+
+
 def test_relation_ids_survive_deletion():
-    """delete_relation hands on its parent's encoding minus one entry; it
-    equals the encoding of the smaller presentation built from scratch."""
+    """delete_relation hands on its parent's encoding minus one relation's
+    cells; it equals the encoding of the smaller presentation built from
+    scratch."""
     p = build_relations(RelationFamily.Q, 4)
-    assert p.relation_ids == tuple(
-        (p.word_ids(r.lhs), p.word_ids(r.rhs)) for r in p.relations
-    )
+    ids = {name: k for k, name in enumerate(p.letters)}
+    cells = [cell for r in p.relations for w in (r.lhs, r.rhs)
+             for cell in (len(w), *(ids[name] for name in w))]
+    assert p.relation_ids == array("i", cells).tobytes()
     # each relation appended again, so that deleting its first copy, at
     # every position in turn, is a consequence of the copy left behind
     for rel in p.relations:
