@@ -1,8 +1,9 @@
-/* Compiled kernels: congruence enumeration, monoid closure, Green's.
+/* Compiled kernels: congruence enumeration, a search for a small model,
+   monoid closure, Green's.
 
-   Step-for-step ports of dimon._tc_py's run, close and green, written
-   against the CPython C API.  See _tc_py for each procedure, the
-   argument that no final sweep is needed, and the status protocol.
+   Step-for-step ports of dimon._tc_py's run, witness, close and green,
+   written against the CPython C API.  See _tc_py for each procedure,
+   the argument that no final sweep is needed, and the status protocol.
 
    Every table and label array comes back as one bytes object of native
    int32 cells, row-major; no Python object is built per cell.  run reads
@@ -21,7 +22,15 @@
    find(), so the write changes no step, decision, counter or table.
    coincide appends pairs to an array, scans it by index and empties it
    before it returns, where no pair is pending and classes may be
-   renumbered.
+   renumbered.  The watch is checked only after a scan that merged
+   classes.
+
+   witness: the same depth-first search for a small action separating
+   the watch, choice for choice, with the same deductions and the same
+   node count, so both kernels return equal (table, stats) pairs.  It
+   reads the words as run does; a trail of the cells each choice defined
+   undoes it on backtracking, and each letter's relations are listed
+   once, so a choice re-traces only the relations holding its letter.
 
    close and green number fixed-length byte records through one record
    table (Records): an open-addressing hash table whose arrays double
@@ -292,6 +301,39 @@ done:
     return words;
 }
 
+/* The number of words in relations, copied into *rels as count_words
+   copies them, or -1 with an exception set: also for a negative
+   n_letters or an odd number of words. */
+static Py_ssize_t
+relation_words(PyObject *relations, int n_letters, int **rels)
+{
+    Py_ssize_t n;
+    if (n_letters < 0) {
+        PyErr_Format(PyExc_ValueError, "n_letters must be non-negative, got %d", n_letters);
+        return -1;
+    }
+    if ((n = count_words(relations, n_letters, rels)) % 2 != 0) {
+        if (n >= 0)
+            PyErr_Format(PyExc_ValueError,
+                         "relation words come in (lhs, rhs) pairs, got %zd", n);
+        return -1;
+    }
+    return n;
+}
+
+/* The watch's two words copied into *pair: 0, or -1 with an exception
+   set, also for other than two words. */
+static int
+watch_words(PyObject *watch, int n_letters, int **pair)
+{
+    Py_ssize_t n = count_words(watch, n_letters, pair);
+    if (n == 2)
+        return 0;
+    if (n >= 0)
+        PyErr_Format(PyExc_ValueError, "a watch is two words, got %zd", n);
+    return -1;
+}
+
 static int
 watch_merged(State *s, int w1, int w2)
 {
@@ -300,13 +342,14 @@ watch_merged(State *s, int w1, int w2)
 
 /* The enumeration proper: a status, or FAILED.  rels holds n_rels
    relations, lhs then rhs, and watch, unless NULL, two words.  Only
-   scans merge classes, so the watch is checked after each one. */
+   scans merge classes, so the watch is checked after each one that
+   merged some. */
 static int
 enumerate(State *s, const int *rels, Py_ssize_t n_rels, const int *watch)
 {
     const int *lhs, *rhs;
     Py_ssize_t r;
-    int c_idx, k, rc, w1 = UNDEF, w2 = UNDEF;
+    int c_idx, k, rc, merged, w1 = UNDEF, w2 = UNDEF;
     if (watch != NULL) {
         rhs = watch + 1 + watch[0];
         if ((w1 = trace_define(s, 0, watch, watch[0])) < 0)
@@ -323,10 +366,11 @@ enumerate(State *s, const int *rels, Py_ssize_t n_rels, const int *watch)
             continue;
         for (r = 0, lhs = rels; r < n_rels; r++, lhs = rhs + 1 + rhs[0]) {
             rhs = lhs + 1 + lhs[0];
+            merged = s->coincidences;
             rc = scan(s, find(s->parent, c_idx), lhs, rhs);
             if (rc < 0)
                 return rc == CAPPED ? STATUS_CAPPED : FAILED;
-            if (watch_merged(s, w1, w2))
+            if (s->coincidences != merged && watch_merged(s, w1, w2))
                 return STATUS_WATCH_MERGED;
         }
         if (find(s->parent, c_idx) == c_idx) {
@@ -405,25 +449,14 @@ run(PyObject *self, PyObject *args)
     PyObject *relations, *watch = Py_None, *result = NULL;
     State s = {0};
     int *rels = NULL, *pair = NULL, status;
-    Py_ssize_t n_words, n_watch;
+    Py_ssize_t n_words;
 
     if (!PyArg_ParseTuple(args, "iOiL|O:run", &s.n_letters, &relations,
                           &s.max_classes, &s.max_steps, &watch))
         return NULL;
-    if (s.n_letters < 0)
-        return PyErr_Format(PyExc_ValueError,
-                            "n_letters must be non-negative, got %d", s.n_letters);
-    if ((n_words = count_words(relations, s.n_letters, &rels)) % 2 != 0) {
-        if (n_words >= 0)
-            PyErr_Format(PyExc_ValueError,
-                         "relation words come in (lhs, rhs) pairs, got %zd", n_words);
+    if ((n_words = relation_words(relations, s.n_letters, &rels)) < 0
+        || (watch != Py_None && watch_words(watch, s.n_letters, &pair) < 0))
         goto done;
-    }
-    if (watch != Py_None && (n_watch = count_words(watch, s.n_letters, &pair)) != 2) {
-        if (n_watch >= 0)
-            PyErr_Format(PyExc_ValueError, "a watch is two words, got %zd", n_watch);
-        goto done;
-    }
 
     s.cap = 1024;
     s.q_cap = 1024;
@@ -450,6 +483,276 @@ done:
     PyMem_Free(s.parent);
     PyMem_Free(s.table);
     PyMem_Free(s.queue);
+    return result;
+}
+
+/* ---- A small action that separates the watch ---- */
+
+/* One choice of the search: its cell, the next target to try, the
+   trail's length and the number of points before the choice. */
+typedef struct {
+    Py_ssize_t cell;
+    Py_ssize_t mark;
+    int next;
+    int points;
+} Choice;
+
+typedef struct {
+    int width;            /* letters */
+    const int **holding;  /* letter a's relations: see index_holding */
+    Py_ssize_t *starts;
+    int *table;           /* cell q * width + a, UNDEF where undefined */
+    Py_ssize_t *trail;    /* the defined cells, in order */
+    Py_ssize_t trail_len;
+    int *queue;           /* one deduce's letters, each queued once at a time */
+    unsigned char *queued;
+    Choice *stack;
+    long long nodes;
+} Search;
+
+/* The point word (its length, then its letters) reaches from q, and in
+   *read the letters it read before a missing edge stopped it. */
+static int
+walk(const Search *w, int q, const int *word, int *read)
+{
+    int i, t;
+    for (i = 0; i < word[0]; i++) {
+        if ((t = w->table[(Py_ssize_t)q * w->width + word[i + 1]]) == UNDEF)
+            break;
+        q = t;
+    }
+    *read = i;
+    return q;
+}
+
+static void
+define(Search *w, Py_ssize_t cell, int t)
+{
+    w->table[cell] = t;
+    w->trail[w->trail_len++] = cell;
+}
+
+/* Whether every relation holding letter a can still hold at each of the
+   points, defining each edge that one forces.  A letter is queued when
+   it is not queued already.  Every letter queued after a comes with a
+   newly defined cell, so the queue holds at most the cells and one. */
+static int
+deduce(Search *w, int points, int a)
+{
+    Py_ssize_t head, n = 1, k, cell;
+    w->queue[0] = a;
+    w->queued[a] = 1;
+    for (head = 0; head < n; head++) {
+        int b = w->queue[head];
+        w->queued[b] = 0;
+        for (k = w->starts[b]; k < w->starts[b + 1]; k++) {
+            const int *lhs = w->holding[k], *rhs = lhs + 1 + lhs[0];
+            int q, i, j, p, r, c;
+            for (q = 0; q < points; q++) {
+                /* one side must be complete and the other at most one
+                   edge short */
+                p = walk(w, q, lhs, &i);
+                if (i < lhs[0] - 1)
+                    continue;
+                r = walk(w, q, rhs, &j);
+                if (i == lhs[0] && j == rhs[0]) {
+                    if (p == r)
+                        continue;
+                    while (++head < n)  /* leave no letter marked queued */
+                        w->queued[w->queue[head]] = 0;
+                    return 0;
+                }
+                if (i == lhs[0] && j == rhs[0] - 1) {
+                    cell = (Py_ssize_t)r * w->width + rhs[j + 1];
+                    r = p;
+                }
+                else if (j == rhs[0] && i == lhs[0] - 1)
+                    cell = (Py_ssize_t)p * w->width + lhs[i + 1];
+                else
+                    continue;
+                define(w, cell, r);  /* the edge to the other side's end */
+                if (!w->queued[c = (int)(cell % w->width)]) {
+                    w->queue[n++] = c;
+                    w->queued[c] = 1;
+                }
+            }
+        }
+    }
+    return 1;
+}
+
+static int
+separates(const Search *w, int points, const int *watch)
+{
+    const int *rhs = watch + 1 + watch[0];
+    int q, i;
+    for (q = 0; q < points; q++)
+        if (walk(w, q, watch, &i) != walk(w, q, rhs, &i))
+            return 1;
+    return 0;
+}
+
+/* The points of the action the table holds on at most bound points, 0
+   when there is none, -1 when budget nodes ran out.  Each choice is of
+   a cell past its parent's, so the stack holds at most the cells. */
+static int
+search(Search *w, int bound, long long budget, const int *watch)
+{
+    long long spent = 0;
+    Py_ssize_t cell = 0, top = 0;
+    int points = 1, t;
+    Choice *f;
+    for (;;) {
+        while (cell < (Py_ssize_t)points * w->width && w->table[cell] != UNDEF)
+            cell++;
+        if (cell < (Py_ssize_t)points * w->width) {
+            f = &w->stack[top++];
+            f->cell = cell;
+            f->mark = w->trail_len;
+            f->next = 0;
+            f->points = points;
+        }
+        else if (separates(w, points, watch))
+            return points;
+        for (;;) {  /* the next choice, backtracking past spent ones */
+            if (top == 0)
+                return 0;
+            f = &w->stack[top - 1];
+            cell = f->cell;
+            points = f->points;
+            while (w->trail_len > f->mark)
+                w->table[w->trail[--w->trail_len]] = UNDEF;
+            if ((t = f->next) == (points + 1 < bound ? points + 1 : bound)) {
+                top--;
+                continue;
+            }
+            if (spent == budget) {  /* leave the table empty for the next phase */
+                while (w->trail_len > 0)
+                    w->table[w->trail[--w->trail_len]] = UNDEF;
+                return -1;
+            }
+            f->next = t + 1;
+            spent++;
+            w->nodes++;
+            if (points < t + 1)
+                points = t + 1;
+            define(w, cell, t);
+            if (deduce(w, points, (int)(cell % w->width)))
+                break;
+        }
+        cell++;
+    }
+}
+
+/* Letter a's relations, in relation order, as their lhs (each rhs
+   follows its lhs) in w->holding from w->starts[a] to w->starts[a + 1],
+   read off a letter-by-relation matrix: 0, or -1 with MemoryError. */
+static int
+index_holding(Search *w, const int *rels, Py_ssize_t n_rels)
+{
+    const int *lhs, *rhs;
+    const int **lhs_of = grow(NULL, n_rels, sizeof(int *));
+    unsigned char *holds = grow(NULL, w->width * n_rels, 1);  /* [a * n_rels + r] */
+    Py_ssize_t r, i, a, k = 0;
+    int rc = -1;
+    if (lhs_of == NULL || holds == NULL)
+        goto done;
+    memset(holds, 0, (size_t)(w->width * n_rels));
+    for (r = 0, lhs = rels; r < n_rels; r++, lhs = rhs + 1 + rhs[0]) {
+        rhs = lhs + 1 + lhs[0];
+        lhs_of[r] = lhs;
+        for (i = 1; i <= lhs[0]; i++)
+            holds[lhs[i] * n_rels + r] = 1;
+        for (i = 1; i <= rhs[0]; i++)
+            holds[rhs[i] * n_rels + r] = 1;
+    }
+    for (i = 0; i < w->width * n_rels; i++)
+        k += holds[i];
+    if ((w->holding = grow(NULL, k, sizeof(int *))) == NULL
+        || (w->starts = grow(NULL, w->width + 1, sizeof(Py_ssize_t))) == NULL)
+        goto done;
+    for (a = 0, k = 0; a < w->width; a++) {
+        w->starts[a] = k;
+        for (r = 0; r < n_rels; r++)
+            if (holds[a * n_rels + r])
+                w->holding[k++] = lhs_of[r];
+    }
+    w->starts[w->width] = k;
+    rc = 0;
+done:
+    PyMem_Free(lhs_of);
+    PyMem_Free(holds);
+    return rc;
+}
+
+PyDoc_STRVAR(witness_doc,
+"witness(n_letters, relations, watch, max_points, max_nodes, /)\n"
+"--\n\n"
+"Search for a small action in which the watch's two words differ.\n\n"
+"Same contract as _tc_py.witness: relations and watch are buffers of\n"
+"words as run reads them.  Actions on at most min(2, max_points) points\n"
+"are searched, then on at most max_points points, each within max_nodes\n"
+"nodes.  The result is (table, stats): the first action found\n"
+"in which every relation holds at every point and the watch's words\n"
+"differ at one, as int32 bytes, cell q * n_letters + a the image of\n"
+"point q under letter a, or None; stats the nodes searched and the\n"
+"point bound of the last phase.  max_points outside 1..256, a negative\n"
+"max_nodes, or buffers that run refuses raise ValueError.  It takes\n"
+"positional arguments only.");
+
+static PyObject *
+witness(PyObject *self, PyObject *args)
+{
+    PyObject *relations, *watch, *result = NULL, *table;
+    Search w = {0};
+    int *rels = NULL, *pair = NULL, max_points, bound, points;
+    long long max_nodes;
+    Py_ssize_t n_words, cells;
+
+    if (!PyArg_ParseTuple(args, "iOOiL:witness", &w.width, &relations, &watch,
+                          &max_points, &max_nodes))
+        return NULL;
+    if (max_points < 1 || max_points > 256)
+        return PyErr_Format(PyExc_ValueError, "max_points must be 1 to 256, got %d",
+                            max_points);
+    if (max_nodes < 0)
+        return PyErr_Format(PyExc_ValueError, "max_nodes must be non-negative, got %lld",
+                            max_nodes);
+    if ((n_words = relation_words(relations, w.width, &rels)) < 0
+        || watch_words(watch, w.width, &pair) < 0)
+        goto done;
+    cells = (Py_ssize_t)max_points * w.width;
+    if ((w.table = grow(NULL, cells, sizeof(int))) == NULL
+        || (w.trail = grow(NULL, cells, sizeof(Py_ssize_t))) == NULL
+        || (w.queue = grow(NULL, cells + 1, sizeof(int))) == NULL
+        || (w.queued = grow(NULL, w.width, 1)) == NULL
+        || (w.stack = grow(NULL, cells, sizeof(Choice))) == NULL
+        || index_holding(&w, rels, n_words / 2) < 0)
+        goto done;
+    memset(w.table, 0xFF, (size_t)cells * sizeof(int));
+    memset(w.queued, 0, (size_t)w.width);
+
+    /* two points, then max_points, each within max_nodes */
+    bound = max_points < 2 ? max_points : 2;
+    points = search(&w, bound, max_nodes, pair);
+    if (points <= 0 && max_points > 2)
+        points = search(&w, bound = max_points, max_nodes, pair);
+    table = points > 0
+        ? PyBytes_FromStringAndSize((const char *)w.table,
+                                    (Py_ssize_t)points * w.width * (Py_ssize_t)sizeof(int))
+        : Py_NewRef(Py_None);
+    if (table != NULL)
+        result = Py_BuildValue("N{s:L,s:i}", table, "nodes", w.nodes, "points", bound);
+done:
+    PyMem_Free(rels);
+    PyMem_Free(pair);
+    PyMem_Free(w.table);
+    PyMem_Free(w.trail);
+    PyMem_Free(w.queue);
+    PyMem_Free(w.stack);
+    PyMem_Free(w.queued);
+    PyMem_Free(w.holding);
+    PyMem_Free(w.starts);
     return result;
 }
 
@@ -780,12 +1083,13 @@ static PyMethodDef methods[] = {
     {"run", run, METH_VARARGS, run_doc},
     {"close", close_monoid, METH_VARARGS, close_doc},
     {"green", green, METH_VARARGS, green_doc},
+    {"witness", witness, METH_VARARGS, witness_doc},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_tc_core",
-    "Compiled kernels: run, close and green; see dimon._tc_py.", -1, methods
+    "Compiled kernels: run, witness, close and green; see dimon._tc_py.", -1, methods
 };
 
 PyMODINIT_FUNC

@@ -1,9 +1,10 @@
-"""Pure-Python kernels: congruence enumeration, monoid closure, Green's.
+"""Pure-Python kernels: congruence enumeration, a search for a small
+model, monoid closure, Green's.
 
 This module is the reference and the fallback when no C compiler is
 available.  The hand-written C extension _tc_core implements the same
-three functions: run, close and green.  Each C function follows its
-Python twin step for step and returns equal values.
+four functions: run, witness, close and green.  Each C function follows
+its Python twin step for step and returns equal values.
 
 run: congruence enumeration.  Table-filling over the right action of
 letters on classes, in the HLT style: classes are visited in creation
@@ -66,10 +67,20 @@ a coincidence keeps every edge of the class it merges away.  Standardizing
 runs after the enumeration and counts no steps.
 
 A complete watched run never merged its pair: the watch is checked
-after every scan, and only scans merge classes.  stats is a dict of
-the run's counters at its stop, whatever the status: classes_defined
-(class 0 included), peak_live_classes, coincidences (classes merged
-away) and steps.
+after every scan that merged classes, and only scans merge classes.
+stats is a dict of the run's counters at its stop, whatever the
+status: classes_defined (class 0 included), peak_live_classes,
+coincidences (classes merged away) and steps.
+
+witness: what a capped watched run cannot decide, a small model can.
+It searches depth first, with the relations pruning each branch, for
+an action of the letters on at most max_points points in which every
+relation acts equally at every point and the watch's two words act
+differently at some point: a bounded low-index search
+(Anagnostopoulou-Merkouri, Cirpons, Mitchell & Tsalakou, 2023).  Two
+points are searched first, then more, each within a node budget.  It
+returns the action as int32 bytes or None, and its counters: nodes and
+points.
 
 close: the breadth-first closure of a set of maps under right
 products (Froidure & Pin, 1997), on the maps' byte keys (see
@@ -118,6 +129,24 @@ def _words(buf, n_letters):
     return words
 
 
+def _relation_pairs(buf, n_letters):
+    """The relations in buf as (lhs, rhs) pairs of letter-id lists."""
+    if n_letters < 0:
+        raise ValueError(f"n_letters must be non-negative, got {n_letters}")
+    words = _words(buf, n_letters)
+    if len(words) % 2:
+        raise ValueError(f"relation words come in (lhs, rhs) pairs, got {len(words)}")
+    return list(zip(words[0::2], words[1::2]))
+
+
+def _watch(buf, n_letters):
+    """The two words of the watch in buf."""
+    watch = _words(buf, n_letters)
+    if len(watch) != 2:
+        raise ValueError(f"a watch is two words, got {len(watch)}")
+    return watch
+
+
 def _find(parent, c):
     """The root of c in a union-find forest, halving the path to it."""
     while parent[c] != c:
@@ -143,16 +172,9 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
     or a negative n_letters raises ValueError, and a buffer that is not
     bytes-like TypeError.  Every argument is positional only.
     """
-    if n_letters < 0:
-        raise ValueError(f"n_letters must be non-negative, got {n_letters}")
-    words = _words(relations, n_letters)
-    if len(words) % 2:
-        raise ValueError(f"relation words come in (lhs, rhs) pairs, got {len(words)}")
-    relations = list(zip(words[0::2], words[1::2]))
+    relations = _relation_pairs(relations, n_letters)
     if watch is not None:
-        watch = _words(watch, n_letters)
-        if len(watch) != 2:
-            raise ValueError(f"a watch is two words, got {len(watch)}")
+        watch = _watch(watch, n_letters)
     parent = [0]
     table = [[UNDEF] * n_letters]
     steps = 0
@@ -256,8 +278,9 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
                 c_idx += 1
                 continue
             for lhs, rhs in relations:
+                merged = merges
                 scan(_find(parent, c_idx), lhs, rhs)
-                if watch_merged():
+                if merges != merged and watch_merged():
                     return STATUS_WATCH_MERGED
             if _find(parent, c_idx) == c_idx:
                 row = table[c_idx]
@@ -295,10 +318,152 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
     return (STATUS_COMPLETE, out.tobytes(), stats)
 
 
+def witness(n_letters, relations, watch, max_points, max_nodes, /):
+    """Search for a small action in which the watch's two words differ.
+
+    An action of the letters on points 0..k-1 maps each point under
+    each letter, and a word acts as its letters do in turn.  When every
+    relation's two sides act equally at every point, the action is one
+    of the presented monoid, so watch words that act differently at
+    some point are two elements: the watch is no consequence.
+
+    relations and watch are buffers of words as run reads them, and
+    the watch must be given.  Only actions reached from point 0 are
+    searched, each once: depth first over the first undefined cell,
+    point by point and letters in order, whose target is each point in
+    turn and then a new point while there are fewer than the bound.
+    Such a choice is a node.  After each one, every relation holding
+    that cell's letter is traced at every point: with both sides
+    complete and unequal the choice fails, and with one side complete
+    and the other missing only its last edge, that edge is defined to
+    agree and its letter traced in turn.  Actions on at most
+    min(2, max_points) points are searched first, then, when max_points
+    is larger and none was found, actions on at most max_points points;
+    each phase stops after max_nodes nodes.  With letters in few
+    relations a phase can have about 4**n_letters nodes, so no phase
+    runs without that bound.
+
+    Returns (table, stats): table the first action found as int32
+    bytes, cell q * n_letters + a the image of point q under letter a,
+    or None; stats the nodes of all phases and the point bound of the
+    last.  max_points outside 1..256 or a negative max_nodes raises
+    ValueError, and so do the buffers as in run.  Every argument is
+    positional only.
+    """
+    if not 1 <= max_points <= 256:
+        raise ValueError(f"max_points must be 1 to 256, got {max_points}")
+    if max_nodes < 0:
+        raise ValueError(f"max_nodes must be non-negative, got {max_nodes}")
+    relations = _relation_pairs(relations, n_letters)
+    watch = _watch(watch, n_letters)
+    width = n_letters
+    holding = [[(lhs, rhs) for lhs, rhs in relations if a in lhs or a in rhs]
+               for a in range(width)]
+    table = [UNDEF] * (max_points * width)
+    trail = []  # the defined cells, in order
+    nodes = 0
+
+    def walk(q, word):
+        """The point word reaches from q, and the letters it read before
+        a missing edge stopped it."""
+        for i, a in enumerate(word):
+            t = table[q * width + a]
+            if t == UNDEF:
+                return q, i
+            q = t
+        return q, len(word)
+
+    def deduce(points, a):
+        """Whether every relation holding letter a can still hold at every
+        point, defining each edge that one forces.  A letter is queued
+        when it is not queued already."""
+        queue, queued = [a], {a}
+        for b in queue:  # the loop reaches every letter appended
+            queued.discard(b)
+            for lhs, rhs in holding[b]:
+                for q in range(points):
+                    # one side must be complete and the other at most one
+                    # edge short
+                    p, i = walk(q, lhs)
+                    if i < len(lhs) - 1:
+                        continue
+                    r, j = walk(q, rhs)
+                    if i == len(lhs) and j == len(rhs):
+                        if p != r:
+                            return False
+                        continue
+                    if i == len(lhs) and j == len(rhs) - 1:
+                        cell, t = r * width + rhs[j], p
+                    elif j == len(rhs) and i == len(lhs) - 1:
+                        cell, t = p * width + lhs[i], r
+                    else:
+                        continue
+                    table[cell] = t
+                    trail.append(cell)
+                    c = cell % width
+                    if c not in queued:
+                        queue.append(c)
+                        queued.add(c)
+        return True
+
+    def separates(points):
+        return any(walk(q, watch[0])[0] != walk(q, watch[1])[0] for q in range(points))
+
+    def search(bound, budget):
+        """The points of the action the table holds on at most bound
+        points, 0 when there is none, None when budget nodes ran out."""
+        nonlocal nodes
+        spent, points, cell = 0, 1, 0
+        stack = []  # per choice: its cell, next target, trail length, points
+        while True:
+            while cell < points * width and table[cell] != UNDEF:
+                cell += 1
+            if cell < points * width:
+                stack.append([cell, 0, len(trail), points])
+            elif separates(points):
+                return points
+            while stack:  # the next choice, backtracking past spent ones
+                frame = stack[-1]
+                cell, t, mark, points = frame
+                while len(trail) > mark:
+                    table[trail.pop()] = UNDEF
+                if t == min(points + 1, bound):
+                    stack.pop()
+                    continue
+                if spent == budget:  # leave the table empty for the next phase
+                    while trail:
+                        table[trail.pop()] = UNDEF
+                    return None
+                frame[1] = t + 1
+                spent += 1
+                nodes += 1
+                points = max(points, t + 1)
+                table[cell] = t
+                trail.append(cell)
+                if deduce(points, cell % width):
+                    break
+            else:
+                return 0
+            cell += 1
+
+    # two points, then max_points, each within max_nodes
+    bound = min(2, max_points)
+    points = search(bound, max_nodes)
+    if not points and max_points > 2:
+        bound = max_points
+        points = search(bound, max_nodes)
+    found = array("i", table[:points * width]).tobytes() if points else None
+    return found, {"nodes": nodes, "points": bound}
+
+
 def _split_keys(degree, buf):
     """The keys of degree + 1 bytes end to end in the bytes-like buf,
-    as a list of bytes."""
-    buf, width = memoryview(buf).tobytes(), degree + 1
+    as a list of bytes.  A buffer that is not contiguous raises
+    BufferError, as _tc_core's y* does."""
+    view, width = memoryview(buf), degree + 1
+    if not view.c_contiguous:
+        raise BufferError("memoryview: underlying buffer is not C-contiguous")
+    buf = view.tobytes()
     if not 1 <= degree <= 255:
         raise ValueError(f"degree must be 1 to 255, got {degree}")
     if len(buf) % width:

@@ -21,18 +21,35 @@ The kernel is the compiled extension dimon._tc_core when it was built,
 and the pure-Python dimon._tc_py otherwise; dimon.monoids chooses it
 once, for closure as well, and this module re-exports that choice as
 _kernel and BACKEND ("compiled" or "pure").  Both kernels implement the
-identical procedure and return identical (status, table, stats)
+identical procedures: run returns identical (status, table, stats)
 triples: the table int32 bytes, row-major, or None, which
 EnumerationResult keeps as it came, and stats the run's counters
 (classes defined, peak live classes, coincidences, steps), which it
-keeps too.  setup.py compiles the extension from the hand-written C
-source _tc_core.c, which follows _tc_py step for step.  The kernel
+keeps too; witness returns identical (table, stats) pairs.  setup.py
+compiles the extension from the hand-written C source _tc_core.c, which
+follows _tc_py step for step.  The kernel
 reads each presentation's relations as Presentation.relation_ids, int32
 words encoded once, when the Presentation is made and checks its letters
 by encoding them; both kernels raise ValueError for a letter id outside
-range(n_letters).  A watched run (is_consequence) that completes never
-merged its pair, so the answer is no: the watch is checked after every
-scan, and only scans merge classes.
+range(n_letters).
+
+is_consequence watches the pair's two sides.  A run that merges them
+answers True, and one that completes never merged them, so it answers
+False: the watch is checked after every scan that merged classes, and
+only scans merge classes.  A capped run decides nothing, as the monoid
+may be too large for the caps or infinite, so the kernel's witness then
+searches for a finite model: an action of the letters on at most
+WITNESS_POINTS points, reached from point 0, in which every relation
+acts equally at every point and the pair's sides act differently at
+some point (a bounded low-index search, as in Anagnostopoulou-Merkouri,
+Cirpons, Mitchell and Tsalakou, 2023).  Such an action is one of the
+presented monoid, in which the two sides are then distinct, so the
+answer is False once is_consequence has traced the action again here,
+one bytes.translate per letter; an action that fails that trace raises
+RuntimeError.  With no such action on two points, nor then on three,
+each searched within WITNESS_NODES nodes, the capped run raises
+IndeterminateError.
+verify_presentation searches for no action.
 
 Checking a presentation or a forms set against a concrete monoid is a
 comparison of two tables.  monoids.closure numbers the elements that
@@ -84,6 +101,12 @@ class Verdict(enum.Enum):
     FAIL = "FAIL"
     INDETERMINATE = "INDETERMINATE"
 
+
+# a capped watched run searches actions on at most this many points for
+# one that separates the watch: on two points, then on WITNESS_POINTS,
+# each search within this many nodes
+WITNESS_POINTS = 3
+WITNESS_NODES = 100
 
 # the compiled kernel holds class ids in C ints, hence a round bound
 # below INT_MAX (its capacity doubles in a Py_ssize_t, not an int), and
@@ -206,8 +229,12 @@ def is_consequence(
 
     The run exits early once the two sides provably coincide, so true
     consequences are confirmed even when the presented monoid is
-    infinite.  A capped run without a merge raises IndeterminateError,
-    and a letter outside p's alphabet ValueError.
+    infinite.  A run that completes without merging them answers False.
+    A capped run is followed by a search for an action of p's letters on
+    at most WITNESS_POINTS points in which p's relations hold and rel's
+    sides differ (see the module docstring); such an action answers
+    False, and without one the run raises IndeterminateError.  A letter
+    outside p's alphabet raises ValueError.
     """
     caps = caps or EnumerationCaps()
     try:
@@ -218,12 +245,50 @@ def is_consequence(
     status, _, _ = _kernel.run(
         len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch
     )
-    if status == _kernel.STATUS_CAPPED:
+    if status != _kernel.STATUS_CAPPED:
+        return status == _kernel.STATUS_WATCH_MERGED
+    table, _ = _kernel.witness(
+        len(p.letters), p.relation_ids, watch, WITNESS_POINTS, WITNESS_NODES
+    )
+    if table is None:
         raise IndeterminateError(
             f"capped at {caps.max_classes} classes before deciding "
-            f"{rel.lhs} = {rel.rhs}"
+            f"{rel.lhs} = {rel.rhs}, and no action on at most {WITNESS_POINTS} "
+            f"points separates it within {WITNESS_NODES} nodes"
         )
-    return status == _kernel.STATUS_WATCH_MERGED
+    if not _separates(p, rel, table):
+        raise RuntimeError(
+            f"the kernel's action does not separate {rel.lhs} = {rel.rhs} "
+            "in a model of the relations: witness search soundness violated"
+        )
+    return False
+
+
+def _separates(p: Presentation, rel: Relation, table: bytes) -> bool:
+    """Whether table, an action of p's letters as witness returns it, is
+    one in which each of p's relations acts equally at every point and
+    rel's two sides act differently at some point.
+
+    Each letter's column is a bytes.translate table, so a word acts on
+    all the points at once, one translate per letter.
+    """
+    width = len(p.letters)
+    cells = memoryview(table).cast("i")
+    points = len(cells) // width
+    if not 0 < points * width == len(cells) or not 0 <= min(cells) <= max(cells) < points:
+        return False
+    columns = {name: bytes(cells[k::width].tolist()).ljust(256, b"\0")
+               for k, name in enumerate(p.letters)}
+    start = bytes(range(points))
+
+    def act(word):
+        q = start
+        for name in word:
+            q = q.translate(columns[name])
+        return q
+
+    return (all(act(r.lhs) == act(r.rhs) for r in p.relations)
+            and act(rel.lhs) != act(rel.rhs))
 
 
 def _closure_of_images(m: FiniteMonoid, images: list):

@@ -777,9 +777,11 @@ def eliminate_generator(
 def delete_relation(p: Presentation, rel: Relation, caps=None) -> Presentation:
     """Remove the first relation with the same sides as rel.
 
-    The removed relation must be a consequence of the remaining ones:
-    ValueError when it is not, IndeterminateError when the caps stop the
-    check first.
+    The removed relation must be a consequence of the remaining ones,
+    checked by congruence.is_consequence: ValueError when it is not,
+    because the watched run completed without merging its sides or, once
+    capped, a small action of the letters separates them; and
+    IndeterminateError when the run capped and no such action turned up.
     """
     # a relation's cells, 4 bytes each, are its two lengths and its letters
     start = 0

@@ -555,6 +555,172 @@ def test_consequence_batch_is_pinned(compiled_kernel):
         compiled_kernel, RelationFamily.Q, 5)
 
 
+# the batch's capped runs, each searched for an action on at most
+# WITNESS_POINTS points that separates the deleted relation within
+# WITNESS_NODES nodes: (actions on 2 points, on 3, none) per family
+WITNESS_OUTCOMES = {
+    (RelationFamily.R, 5): (4, 6, 4),
+    (RelationFamily.Q, 5): (1, 0, 2),
+    (RelationFamily.VBAR, 5): (2, 1, 6),
+    (RelationFamily.Q_PRIME, 6): (2, 1, 22),
+    (RelationFamily.U, 6): (5, 10, 6),
+}
+
+
+def assert_separates(table, width, relation_ids, watch):
+    """table is an action in which every relation acts equally at every
+    point and the watch's two words act differently at some point."""
+    points = len(table) // (4 * width)
+    assert 4 * width * points == len(table) > 0
+    assert all(0 <= t < points for t in memoryview(table).cast("i"))
+    assert_relations_hold_at_every_class(table, width, relation_ids)
+    [(lhs, rhs)] = decode(watch)
+    assert any(trace(table, width, q, lhs) != trace(table, width, q, rhs)
+               for q in range(points))
+
+
+def test_kernels_find_the_same_witnesses(compiled_kernel):
+    """Both kernels return equal (table, stats) on each of the batch's 72
+    capped runs.  Every action found separates the deleted relation in a
+    model of the rest, re-checked by tracing here; which runs find one,
+    on how many points, and the nodes searched are pinned."""
+    nodes = 0
+    for (family, n), outcomes in WITNESS_OUTCOMES.items():
+        p = build_relations(family, n)
+        width = len(p.letters)
+        rels = [encode(*pair) for pair in decode(p.relation_ids)]
+        found = []
+        for i, out in enumerate(consequence_runs(compiled_kernel, family, n)):
+            if out[0] != _tc_py.STATUS_CAPPED:
+                continue
+            args = (width, b"".join(rels[:i] + rels[i + 1:]), rels[i],
+                    congruence.WITNESS_POINTS, congruence.WITNESS_NODES)
+            table, stats = _tc_py.witness(*args)
+            assert compiled_kernel.witness(*args) == (table, stats), (family, i)
+            nodes += stats["nodes"]
+            if table is not None:
+                assert_separates(table, width, args[1], rels[i])
+                assert len(table) // (4 * width) == stats["points"]
+            found.append(table and stats["points"])
+        assert (found.count(2), found.count(3), found.count(None)) == outcomes, family
+    assert nodes == 7233
+
+
+def test_consequence_batch_answers(monkeypatch, compiled_kernel):
+    """is_consequence on the 260 deletions at a 5000-class cap: the 188
+    runs that merge or complete answer as they did and never search; of
+    the 72 capped ones, 32 answer False by an action and 40 raise
+    IndeterminateError."""
+    searches = []
+    witness = compiled_kernel.witness
+    monkeypatch.setattr(congruence, "_kernel", compiled_kernel)
+    monkeypatch.setattr(compiled_kernel, "witness",
+                        lambda *args: searches.append(args) or witness(*args))
+    caps = EnumerationCaps(max_classes=5000)
+    answers = {True: 0, False: 0, None: 0}
+    for family, n in CONSEQUENCE_OUTCOMES:
+        p = build_relations(family, n)
+        for i, out in enumerate(consequence_runs(compiled_kernel, family, n)):
+            searched = len(searches)
+            try:
+                answer = is_consequence(without(p, i), p.relations[i], caps)
+            except IndeterminateError:
+                answer = None
+            answers[answer] += 1
+            if out[0] != _tc_py.STATUS_CAPPED:
+                assert answer is (out[0] == _tc_py.STATUS_WATCH_MERGED)
+                assert len(searches) == searched
+            else:
+                assert answer is not True and len(searches) == searched + 1
+    assert answers == {True: 162, False: 58, None: 40}
+
+
+def reflection():
+    """h h = 1 and h x = y h: the monoid they present is infinite."""
+    return Presentation(
+        "two-relations", ("h", "x", "y"),
+        (Relation(("h", "h"), (), "inv"), Relation(("h", "x"), ("y", "h"), "conj")),
+    )
+
+
+def test_a_changed_witness_cell_is_refused(monkeypatch):
+    """is_consequence re-checks the kernel's action before it answers
+    False.  The action separating x from y, with any one cell changed to
+    any point of three, no longer separates them in a model of the
+    relations, and is refused with RuntimeError."""
+    p, rel = reflection(), Relation(("x",), ("y",), "")
+    caps = EnumerationCaps(max_classes=3000, max_steps=10**6)
+    watch = p.encode((rel.lhs, rel.rhs))
+    table, stats = congruence._kernel.witness(3, p.relation_ids, watch, 3, 100)
+    # h swaps the two points, x sends both to 0 and y both to 1
+    assert memoryview(table).cast("i").tolist() == [1, 0, 1, 0, 0, 1]
+    assert stats == {"nodes": 21, "points": 2}
+    for k in range(6):
+        for t in range(3):
+            cells = array("i", table)
+            if cells[k] == t:
+                continue
+            cells[k] = t
+            changed = cells.tobytes()
+            with pytest.raises(AssertionError):
+                assert_separates(changed, 3, p.relation_ids, watch)
+            monkeypatch.setattr(congruence._kernel, "witness", lambda *args: (changed, stats))
+            with pytest.raises(RuntimeError, match="witness search soundness"):
+                is_consequence(p, rel, caps)
+
+
+A_AA, AA_AAAA = encode((0,), (0, 0)), encode((0, 0), (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("n_letters, watch, max_points, max_nodes, cells, stats", [
+    # a swap of two points separates a from a a
+    pytest.param(1, A_AA, 3, 100, [1, 0], {"nodes": 3, "points": 2}, id="swap"),
+    # one point separates nothing
+    pytest.param(1, A_AA, 1, 100, None, {"nodes": 1, "points": 1}, id="one-point"),
+    # a a = a a a a holds on two points; a 3-cycle separates it
+    pytest.param(1, AA_AAAA, 3, 100, [1, 2, 0], {"nodes": 10, "points": 3}, id="3-cycle"),
+    pytest.param(1, AA_AAAA, 2, 100, None, {"nodes": 4, "points": 2}, id="two-points"),
+    # each phase stops after max_nodes nodes
+    pytest.param(1, AA_AAAA, 3, 5, None, {"nodes": 9, "points": 3}, id="budget-5"),
+    pytest.param(1, AA_AAAA, 3, 0, None, {"nodes": 0, "points": 3}, id="budget-0"),
+    pytest.param(3, AA_AAAA, 2, 50, None, {"nodes": 50, "points": 2}, id="two-point-budget"),
+    # 4**20 actions of 20 free letters on two points: two phases of 100
+    pytest.param(20, AA_AAAA, 3, 100, None, {"nodes": 200, "points": 3}, id="20-letters"),
+    pytest.param(0, encode((), ()), 3, 5, None, {"nodes": 0, "points": 3}, id="no-letters"),
+])
+def test_witness_small_cases(kernel, n_letters, watch, max_points, max_nodes, cells, stats):
+    """With no relations, actions on two points are searched and then,
+    if none separates the watch, actions on max_points, each phase
+    within max_nodes nodes."""
+    table, got = kernel.witness(n_letters, b"", watch, max_points, max_nodes)
+    assert got == stats
+    assert (table and memoryview(table).cast("i").tolist()) == cells
+
+
+@pytest.mark.parametrize("args, error, message", [
+    pytest.param((2, b"", A_AA, 0, 10), ValueError, "max_points must be 1 to 256, got 0",
+                 id="points-0"),
+    pytest.param((2, b"", A_AA, 257, 10), ValueError, "max_points must be 1 to 256, got 257",
+                 id="points-257"),
+    pytest.param((2, b"", A_AA, 3, -1), ValueError, "max_nodes must be non-negative, got -1",
+                 id="nodes-negative"),
+    pytest.param((2, b"", encode((0,)), 3, 10), ValueError, "a watch is two words, got 1",
+                 id="watch-of-1"),
+    pytest.param((2, encode((0,)), A_AA, 3, 10), ValueError,
+                 "relation words come in (lhs, rhs) pairs, got 1", id="odd-relation-words"),
+    pytest.param((2, b"", encode((0,), (2,)), 3, 10), ValueError,
+                 "letter id 2 is not in range(2)", id="letter-id"),
+    pytest.param((-1, b"", encode((), ()), 3, 10), ValueError,
+                 "n_letters must be non-negative, got -1", id="n-letters"),
+    pytest.param((2, b"", None, 3, 10), TypeError, None, id="no-watch"),
+    pytest.param((2, b"", memoryview(A_AA)[::2], 3, 10), BufferError, None, id="strided"),
+])
+def test_witness_refuses_bad_arguments(kernel, args, error, message):
+    """witness checks its bounds, then reads its buffers as run does."""
+    with pytest.raises(error, match=message and f"^{re.escape(message)}$"):
+        kernel.witness(*args)
+
+
 @pytest.mark.parametrize("family", tuple(RelationFamily))
 def test_every_relation_holds_at_every_class(kernel, family):
     """No final sweep re-checks the relations, so the main loop alone
@@ -743,15 +909,22 @@ def test_rank_two_products_collapse():
 def test_reflection_conjugation_derivation():
     """hy = xh follows from h^2 = 1 and hx = yh, although the monoid
     presented by those two relations alone is infinite."""
-    p = Presentation(
-        "two-relations", ("h", "x", "y"),
-        (Relation(("h", "h"), (), "inv"), Relation(("h", "x"), ("y", "h"), "conj")),
-    )
+    p = reflection()
     assert is_consequence(p, Relation(("h", "y"), ("x", "h"), ""))
-    # but x = y does not follow
-    with pytest.raises(IndeterminateError):
-        is_consequence(p, Relation(("x",), ("y",), ""),
-                       EnumerationCaps(max_classes=3000, max_steps=10**6))
+    # but x = y does not follow: the run caps, and on two points h swapping
+    # them, x sending both to 0 and y both to 1 satisfy h h = 1 and h x = y h
+    caps = EnumerationCaps(max_classes=3000, max_steps=10**6)
+    assert not is_consequence(p, Relation(("x",), ("y",), ""), caps)
+
+
+def test_capped_without_a_small_witness_is_indeterminate():
+    """Q(5) without Q_10[i=1] caps at 5000 classes, and no action on at
+    most three points separates the deleted relation."""
+    p = build_relations(RelationFamily.Q, 5)
+    rel = p.relations[42]
+    assert rel.tag == "Q_10[i=1]"
+    with pytest.raises(IndeterminateError, match="no action on at most 3 points"):
+        is_consequence(without(p, 42), rel, EnumerationCaps(max_classes=5000))
 
 
 def test_is_consequence_false_on_finite():

@@ -563,11 +563,13 @@ def test_kernels_refuse_malformed_keys(kernel, degree, gen_keys):
     pytest.param(4, "\0\1\2\3\4", TypeError, id="str"),
     pytest.param(4, None, TypeError, id="none"),
     pytest.param(4, 5, TypeError, id="int"),
+    pytest.param(1, memoryview(bytes(8))[::2], BufferError, id="strided"),
 ])
 def test_kernels_refuse_malformed_key_buffers(kernel, degree, gen_keys, error):
     """close refuses a degree outside 1..255, or a buffer that is not
-    whole keys of degree + 1 bytes, with ValueError, and anything that
-    is not bytes-like with TypeError, in both kernels."""
+    whole keys of degree + 1 bytes, with ValueError, anything that is
+    not bytes-like with TypeError, and a buffer that is not contiguous
+    with BufferError, in both kernels."""
     with pytest.raises(error):
         kernel.close(degree, gen_keys, 100)
 
@@ -596,22 +598,23 @@ def test_kernels_refuse_malformed_green_keys(kernel, keys):
     pytest.param(256, bytes(257), ValueError, id="degree-256"),
     pytest.param(1, "\0\1", TypeError, id="str"),
     pytest.param(1, None, TypeError, id="none"),
+    pytest.param(1, memoryview(bytes(8))[::2], BufferError, id="strided"),
 ])
 def test_kernels_refuse_malformed_green_key_buffers(kernel, degree, keys, error):
     """green refuses a degree outside 1..255 (a key length outside
     2..256), or a buffer that is not whole keys of degree + 1 bytes, with
-    ValueError, and anything that is not bytes-like with TypeError, in
-    both kernels."""
+    ValueError, anything that is not bytes-like with TypeError, and a
+    buffer that is not contiguous with BufferError, in both kernels."""
     with pytest.raises(error):
         kernel.green(degree, keys)
 
 
 def test_kernels_share_one_contract(compiled_kernel):
-    """Both kernel modules expose run, close and green with the same
-    signatures, and the same status constants.  No compiled kernel takes
-    keywords, so every signature says so.  close and green take the
+    """Both kernel modules expose run, witness, close and green with the
+    same signatures, and the same status constants.  No compiled kernel
+    takes keywords, so every signature says so.  close and green take the
     degree first, then the keys."""
-    for name in ("run", "close", "green"):
+    for name in ("run", "witness", "close", "green"):
         assert inspect.signature(getattr(compiled_kernel, name)) == inspect.signature(
             getattr(_tc_py, name)
         ), name
@@ -620,6 +623,8 @@ def test_kernels_share_one_contract(compiled_kernel):
     assert list(inspect.signature(_tc_py.green).parameters) == ["degree", "keys"]
     assert list(inspect.signature(_tc_py.run).parameters) == [
         "n_letters", "relations", "max_classes", "max_steps", "watch"]
+    assert list(inspect.signature(_tc_py.witness).parameters) == [
+        "n_letters", "relations", "watch", "max_points", "max_nodes"]
     for name in ("STATUS_COMPLETE", "STATUS_CAPPED", "STATUS_WATCH_MERGED"):
         assert getattr(compiled_kernel, name) == getattr(_tc_py, name), name
     for kernel in (_tc_py, compiled_kernel):
