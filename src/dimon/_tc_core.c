@@ -28,9 +28,10 @@
    witness: the same depth-first search for a small action separating
    the watch, choice for choice, with the same deductions and the same
    node count, so both kernels return equal (table, stats) pairs.  It
-   reads the words as run does; a trail of the cells each choice defined
-   undoes it on backtracking, and each letter's relations are listed
-   once, so a choice re-traces only the relations holding its letter.
+   reads the words as run does.  The trail of the cells each choice
+   defined undoes it on backtracking and is its deductions' worklist:
+   each cell defined since the choice is traced in turn, through the
+   relations holding its letter, listed in one pass over the words.
 
    close and green number fixed-length byte records through one record
    table (Records): an open-addressing hash table whose arrays double
@@ -444,7 +445,7 @@ PyDoc_STRVAR(run_doc,
 "raises ValueError.  It takes positional arguments only.");
 
 static PyObject *
-run(PyObject *self, PyObject *args)
+run(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *relations, *watch = Py_None, *result = NULL;
     State s = {0};
@@ -498,14 +499,17 @@ typedef struct {
 } Choice;
 
 typedef struct {
+    const int *lhs;       /* a relation's lhs; its rhs follows */
+    Py_ssize_t next;      /* the next in holding of the same letter, or -1 */
+} Holding;
+
+typedef struct {
     int width;            /* letters */
-    const int **holding;  /* letter a's relations: see index_holding */
-    Py_ssize_t *starts;
+    Holding *holding;     /* each letter's relations: see index_holding */
+    Py_ssize_t *first;    /* letter a's first in holding at a, its last at width + a */
     int *table;           /* cell q * width + a, UNDEF where undefined */
     Py_ssize_t *trail;    /* the defined cells, in order */
     Py_ssize_t trail_len;
-    int *queue;           /* one deduce's letters, each queued once at a time */
-    unsigned char *queued;
     Choice *stack;
     long long nodes;
 } Search;
@@ -532,52 +536,36 @@ define(Search *w, Py_ssize_t cell, int t)
     w->trail[w->trail_len++] = cell;
 }
 
-/* Whether every relation holding letter a can still hold at each of the
-   points, defining each edge that one forces.  A letter is queued when
-   it is not queued already.  Every letter queued after a comes with a
-   newly defined cell, so the queue holds at most the cells and one. */
+/* Whether every relation can still hold at each of the points, defining
+   each edge that one forces: with one side complete and the other one
+   edge short, the edge to the complete side's end.  The relations
+   holding the letter of each cell on the trail from mark on are traced
+   in turn, the cells they define included, as coincide scans the pairs
+   it appends; forced edges reach the same fixpoint, or fail, in any
+   order. */
 static int
-deduce(Search *w, int points, int a)
+deduce(Search *w, int points, Py_ssize_t mark)
 {
-    Py_ssize_t head, n = 1, k, cell;
-    w->queue[0] = a;
-    w->queued[a] = 1;
-    for (head = 0; head < n; head++) {
-        int b = w->queue[head];
-        w->queued[b] = 0;
-        for (k = w->starts[b]; k < w->starts[b + 1]; k++) {
-            const int *lhs = w->holding[k], *rhs = lhs + 1 + lhs[0];
-            int q, i, j, p, r, c;
+    Py_ssize_t k;
+    for (; mark < w->trail_len; mark++)
+        for (k = w->first[w->trail[mark] % w->width]; k >= 0; k = w->holding[k].next) {
+            const int *lhs = w->holding[k].lhs, *rhs = lhs + 1 + lhs[0];
+            int q, i, j, p, r;
             for (q = 0; q < points; q++) {
-                /* one side must be complete and the other at most one
-                   edge short */
                 p = walk(w, q, lhs, &i);
                 if (i < lhs[0] - 1)
                     continue;
                 r = walk(w, q, rhs, &j);
                 if (i == lhs[0] && j == rhs[0]) {
-                    if (p == r)
-                        continue;
-                    while (++head < n)  /* leave no letter marked queued */
-                        w->queued[w->queue[head]] = 0;
-                    return 0;
+                    if (p != r)
+                        return 0;
                 }
-                if (i == lhs[0] && j == rhs[0] - 1) {
-                    cell = (Py_ssize_t)r * w->width + rhs[j + 1];
-                    r = p;
-                }
+                else if (i == lhs[0] && j == rhs[0] - 1)
+                    define(w, (Py_ssize_t)r * w->width + rhs[j + 1], p);
                 else if (j == rhs[0] && i == lhs[0] - 1)
-                    cell = (Py_ssize_t)p * w->width + lhs[i + 1];
-                else
-                    continue;
-                define(w, cell, r);  /* the edge to the other side's end */
-                if (!w->queued[c = (int)(cell % w->width)]) {
-                    w->queue[n++] = c;
-                    w->queued[c] = 1;
-                }
+                    define(w, (Py_ssize_t)p * w->width + lhs[i + 1], r);
             }
         }
-    }
     return 1;
 }
 
@@ -605,13 +593,8 @@ search(Search *w, int bound, long long budget, const int *watch)
     for (;;) {
         while (cell < (Py_ssize_t)points * w->width && w->table[cell] != UNDEF)
             cell++;
-        if (cell < (Py_ssize_t)points * w->width) {
-            f = &w->stack[top++];
-            f->cell = cell;
-            f->mark = w->trail_len;
-            f->next = 0;
-            f->points = points;
-        }
+        if (cell < (Py_ssize_t)points * w->width)
+            w->stack[top++] = (Choice){cell, w->trail_len, 0, points};
         else if (separates(w, points, watch))
             return points;
         for (;;) {  /* the next choice, backtracking past spent ones */
@@ -637,52 +620,43 @@ search(Search *w, int bound, long long budget, const int *watch)
             if (points < t + 1)
                 points = t + 1;
             define(w, cell, t);
-            if (deduce(w, points, (int)(cell % w->width)))
+            if (deduce(w, points, f->mark))
                 break;
         }
         cell++;
     }
 }
 
-/* Letter a's relations, in relation order, as their lhs (each rhs
-   follows its lhs) in w->holding from w->starts[a] to w->starts[a + 1],
-   read off a letter-by-relation matrix: 0, or -1 with MemoryError. */
+/* Letter a's relations, in relation order: w->holding[k] from
+   k = w->first[a] on along each next.  One pass over the words appends
+   each relation to the list of each letter it holds: 0, or -1 with
+   MemoryError. */
 static int
 index_holding(Search *w, const int *rels, Py_ssize_t n_rels)
 {
-    const int *lhs, *rhs;
-    const int **lhs_of = grow(NULL, n_rels, sizeof(int *));
-    unsigned char *holds = grow(NULL, w->width * n_rels, 1);  /* [a * n_rels + r] */
-    Py_ssize_t r, i, a, k = 0;
-    int rc = -1;
-    if (lhs_of == NULL || holds == NULL)
-        goto done;
-    memset(holds, 0, (size_t)(w->width * n_rels));
-    for (r = 0, lhs = rels; r < n_rels; r++, lhs = rhs + 1 + rhs[0]) {
+    const int *lhs = rels, *rhs, *a;
+    Py_ssize_t r, k = 0, cap = 0, *last;
+    Holding *h;
+    if ((w->first = grow(NULL, 2 * (Py_ssize_t)w->width, sizeof(Py_ssize_t))) == NULL)
+        return -1;
+    last = w->first + w->width;
+    memset(w->first, 0xFF, 2 * (size_t)w->width * sizeof(Py_ssize_t));  /* -1 */
+    for (r = 0; r < n_rels; r++, lhs = rhs + 1 + rhs[0]) {
         rhs = lhs + 1 + lhs[0];
-        lhs_of[r] = lhs;
-        for (i = 1; i <= lhs[0]; i++)
-            holds[lhs[i] * n_rels + r] = 1;
-        for (i = 1; i <= rhs[0]; i++)
-            holds[rhs[i] * n_rels + r] = 1;
+        for (a = lhs + 1; a <= rhs + rhs[0]; a++) {
+            if (a == rhs || (last[*a] >= 0 && w->holding[last[*a]].lhs == lhs))
+                continue;  /* the rhs's length, or a letter listed already */
+            if (k == cap) {
+                if ((h = grow(w->holding, cap = 2 * cap + 16, sizeof(Holding))) == NULL)
+                    return -1;
+                w->holding = h;
+            }
+            w->holding[k] = (Holding){lhs, -1};
+            *(last[*a] < 0 ? &w->first[*a] : &w->holding[last[*a]].next) = k;
+            last[*a] = k++;
+        }
     }
-    for (i = 0; i < w->width * n_rels; i++)
-        k += holds[i];
-    if ((w->holding = grow(NULL, k, sizeof(int *))) == NULL
-        || (w->starts = grow(NULL, w->width + 1, sizeof(Py_ssize_t))) == NULL)
-        goto done;
-    for (a = 0, k = 0; a < w->width; a++) {
-        w->starts[a] = k;
-        for (r = 0; r < n_rels; r++)
-            if (holds[a * n_rels + r])
-                w->holding[k++] = lhs_of[r];
-    }
-    w->starts[w->width] = k;
-    rc = 0;
-done:
-    PyMem_Free(lhs_of);
-    PyMem_Free(holds);
-    return rc;
+    return 0;
 }
 
 PyDoc_STRVAR(witness_doc,
@@ -701,7 +675,7 @@ PyDoc_STRVAR(witness_doc,
 "positional arguments only.");
 
 static PyObject *
-witness(PyObject *self, PyObject *args)
+witness(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *relations, *watch, *result = NULL, *table;
     Search w = {0};
@@ -724,13 +698,10 @@ witness(PyObject *self, PyObject *args)
     cells = (Py_ssize_t)max_points * w.width;
     if ((w.table = grow(NULL, cells, sizeof(int))) == NULL
         || (w.trail = grow(NULL, cells, sizeof(Py_ssize_t))) == NULL
-        || (w.queue = grow(NULL, cells + 1, sizeof(int))) == NULL
-        || (w.queued = grow(NULL, w.width, 1)) == NULL
         || (w.stack = grow(NULL, cells, sizeof(Choice))) == NULL
         || index_holding(&w, rels, n_words / 2) < 0)
         goto done;
     memset(w.table, 0xFF, (size_t)cells * sizeof(int));
-    memset(w.queued, 0, (size_t)w.width);
 
     /* two points, then max_points, each within max_nodes */
     bound = max_points < 2 ? max_points : 2;
@@ -748,11 +719,9 @@ done:
     PyMem_Free(pair);
     PyMem_Free(w.table);
     PyMem_Free(w.trail);
-    PyMem_Free(w.queue);
     PyMem_Free(w.stack);
-    PyMem_Free(w.queued);
     PyMem_Free(w.holding);
-    PyMem_Free(w.starts);
+    PyMem_Free(w.first);
     return result;
 }
 
@@ -939,7 +908,7 @@ PyDoc_STRVAR(close_doc,
 
 /* Python's close; the C name close belongs to POSIX. */
 static PyObject *
-close_monoid(PyObject *self, PyObject *args)
+close_monoid(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_ssize_t degree, max_elements, n_gens, k;
     Py_buffer gens;
@@ -1055,7 +1024,7 @@ PyDoc_STRVAR(green_doc,
 "outside 1..255, or a buffer that is not whole keys, raises ValueError.");
 
 static PyObject *
-green(PyObject *self, PyObject *args)
+green(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer keys;
     PyObject *result = NULL;
@@ -1089,7 +1058,8 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_tc_core",
-    "Compiled kernels: run, witness, close and green; see dimon._tc_py.", -1, methods
+    "Compiled kernels: run, witness, close and green; see dimon._tc_py.", -1, methods,
+    NULL, NULL, NULL, NULL
 };
 
 PyMODINIT_FUNC

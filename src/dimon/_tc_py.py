@@ -77,10 +77,12 @@ It searches depth first, with the relations pruning each branch, for
 an action of the letters on at most max_points points in which every
 relation acts equally at every point and the watch's two words act
 differently at some point: a bounded low-index search
-(Anagnostopoulou-Merkouri, Cirpons, Mitchell & Tsalakou, 2023).  Two
-points are searched first, then more, each within a node budget.  It
-returns the action as int32 bytes or None, and its counters: nodes and
-points.
+(Anagnostopoulou-Merkouri, Cirpons, Mitchell & Tsalakou, 2023).  After
+each choice of a cell's target, each cell defined since the choice is
+traced in turn, through the relations holding its letter, for the edges
+they force.  Two points are searched first, then more, each within a
+node budget.  It returns the action as int32 bytes or None, and its
+counters: nodes and points.
 
 close: the breadth-first closure of a set of maps under right
 products (Froidure & Pin, 1997), on the maps' byte keys (see
@@ -96,6 +98,7 @@ proportion to its cap.
 """
 
 from array import array
+from itertools import islice
 
 UNDEF = -1
 
@@ -336,12 +339,13 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
     that cell's letter is traced at every point: with both sides
     complete and unequal the choice fails, and with one side complete
     and the other missing only its last edge, that edge is defined to
-    agree and its letter traced in turn.  Actions on at most
-    min(2, max_points) points are searched first, then, when max_points
-    is larger and none was found, actions on at most max_points points;
-    each phase stops after max_nodes nodes.  With letters in few
-    relations a phase can have about 4**n_letters nodes, so no phase
-    runs without that bound.
+    agree.  Each cell defined since the choice is traced in turn, so
+    the trail that undoes a choice is also its deductions' worklist.
+    Actions on at most min(2, max_points) points are searched first,
+    then, when max_points is larger and none was found, actions on at
+    most max_points points; each phase stops after max_nodes nodes.
+    With letters in few relations a phase can have about 4**n_letters
+    nodes, so no phase runs without that bound.
 
     Returns (table, stats): table the first action found as int32
     bytes, cell q * n_letters + a the image of point q under letter a,
@@ -363,6 +367,10 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
     trail = []  # the defined cells, in order
     nodes = 0
 
+    def define(cell, t):
+        table[cell] = t
+        trail.append(cell)
+
     def walk(q, word):
         """The point word reaches from q, and the letters it read before
         a missing edge stopped it."""
@@ -373,14 +381,13 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
             q = t
         return q, len(word)
 
-    def deduce(points, a):
-        """Whether every relation holding letter a can still hold at every
-        point, defining each edge that one forces.  A letter is queued
-        when it is not queued already."""
-        queue, queued = [a], {a}
-        for b in queue:  # the loop reaches every letter appended
-            queued.discard(b)
-            for lhs, rhs in holding[b]:
+    def deduce(points, mark):
+        """Whether every relation can still hold at every point, defining
+        each edge that one forces: the relations holding the letter of
+        each cell on the trail from mark on are traced in turn, the
+        cells they define included."""
+        for cell in islice(trail, mark, None):  # reaches every cell appended
+            for lhs, rhs in holding[cell % width]:
                 for q in range(points):
                     # one side must be complete and the other at most one
                     # edge short
@@ -391,19 +398,10 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
                     if i == len(lhs) and j == len(rhs):
                         if p != r:
                             return False
-                        continue
-                    if i == len(lhs) and j == len(rhs) - 1:
-                        cell, t = r * width + rhs[j], p
+                    elif i == len(lhs) and j == len(rhs) - 1:
+                        define(r * width + rhs[j], p)
                     elif j == len(rhs) and i == len(lhs) - 1:
-                        cell, t = p * width + lhs[i], r
-                    else:
-                        continue
-                    table[cell] = t
-                    trail.append(cell)
-                    c = cell % width
-                    if c not in queued:
-                        queue.append(c)
-                        queued.add(c)
+                        define(p * width + lhs[i], r)
         return True
 
     def separates(points):
@@ -438,9 +436,8 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
                 spent += 1
                 nodes += 1
                 points = max(points, t + 1)
-                table[cell] = t
-                trail.append(cell)
-                if deduce(points, cell % width):
+                define(cell, t)
+                if deduce(points, mark):
                     break
             else:
                 return 0

@@ -96,13 +96,6 @@ def _budgets(command):
     return classes(steps(command))
 
 
-def _capped(caps, stats):
-    """The report of a capped enumeration: both counters against both caps."""
-    return (f"capped at {stats['classes_defined']} classes defined "
-            f"(cap {caps.max_classes}) after {stats['steps']} steps "
-            f"(cap {caps.max_steps})")
-
-
 def _parse_range(text):
     """Parse "4..10" (or a single "6") into an inclusive range."""
     lo, sep, hi = text.partition("..")
@@ -183,7 +176,7 @@ def verify_presentation(family, n, max_classes, max_steps, as_json):
     elif v.verdict is Verdict.FAIL:
         lines = [f"FAIL, reports {v.class_count} != {v.monoid_size}"]
     else:
-        lines = [f"INDETERMINATE, {_capped(caps, v.stats)}"]
+        lines = [f"INDETERMINATE, {caps.report(v.stats)}"]
     payload = {"verb": "verify-presentation", "family": fam.value, "n": n,
                "monoid": TARGET_MONOID[fam].value, "verdict": v.verdict.value,
                "classes": v.class_count, "size": v.monoid_size,
@@ -210,7 +203,7 @@ def enumerate_presentation(path, max_classes, max_steps, as_json):
             ) from exc
     r = congruence.enumerate_congruence(p, EnumerationCaps(max_classes, max_steps))
     outcome = (f"complete, {r.class_count} classes" if r.is_complete
-               else _capped(r.caps, r.stats))
+               else r.caps.report(r.stats))
     payload = {"verb": "enumerate", "presentation": path, "label": p.label,
                "result": r.to_json_dict(), "backend": congruence.BACKEND}
     verdict = Verdict.PASS if r.is_complete else Verdict.INDETERMINATE
@@ -263,7 +256,7 @@ def forms(family, n, max_classes, max_steps, as_json):
             # the forms are read off the seed's classes: none to check
             payload.update(verdict=Verdict.INDETERMINATE.value, forms=None,
                            classes=None, problems=[], stats=dict(base.stats))
-            lines = [f"INDETERMINATE, seed {seed.label}: {_capped(caps, base.stats)}"]
+            lines = [f"INDETERMINATE, seed {seed.label}: {caps.report(base.stats)}"]
             return _emit(lines, payload, Verdict.INDETERMINATE, as_json)
     v = congruence.verify_forms_set(presentations.build_relations(fam, n),
                                     presentations.build_forms(fam, n, base), a, m, caps)
@@ -273,7 +266,7 @@ def forms(family, n, max_classes, max_steps, as_json):
     elif v.verdict is Verdict.FAIL:
         lines = [f"FAIL: {'; '.join(v.problems)}"]
     else:
-        lines = [f"INDETERMINATE, {_capped(caps, v.stats)}"]
+        lines = [f"INDETERMINATE, {caps.report(v.stats)}"]
     payload.update(verdict=v.verdict.value, forms=v.forms_count,
                    classes=v.class_count, problems=list(v.problems),
                    stats=dict(v.stats))
@@ -299,7 +292,7 @@ def tietze(chain, n, max_classes, max_steps, as_json):
     for p in build_chain(n):
         v = congruence.verify_presentation(p, a, m, caps)
         verdicts.append(v.verdict)
-        outcome = (_capped(caps, v.stats) if v.verdict is Verdict.INDETERMINATE
+        outcome = (caps.report(v.stats) if v.verdict is Verdict.INDETERMINATE
                    else f"relations do not hold: {', '.join(v.failing_tags)}"
                    if v.failing_tags else f"{v.class_count} classes")
         lines.append(f"{p.label}: {len(p.letters)} letters, {outcome}")

@@ -47,8 +47,9 @@ presented monoid, in which the two sides are then distinct, so the
 answer is False once is_consequence has traced the action again here,
 one bytes.translate per letter; an action that fails that trace raises
 RuntimeError.  With no such action on two points, nor then on three,
-each searched within WITNESS_NODES nodes, the capped run raises
-IndeterminateError.
+each phase searched within WITNESS_NODES nodes (so up to twice that in
+all), the capped run raises IndeterminateError, whose message gives the
+run's counters against both caps and the nodes searched.
 verify_presentation searches for no action.
 
 Checking a presentation or a forms set against a concrete monoid is a
@@ -104,7 +105,7 @@ class Verdict(enum.Enum):
 
 # a capped watched run searches actions on at most this many points for
 # one that separates the watch: on two points, then on WITNESS_POINTS,
-# each search within this many nodes
+# each phase within WITNESS_NODES nodes, so up to twice that in all
 WITNESS_POINTS = 3
 WITNESS_NODES = 100
 
@@ -133,6 +134,13 @@ class EnumerationCaps:
             raise ValueError(
                 f"max_steps must be at most 2**63 - 1, got {self.max_steps}"
             )
+
+    def report(self, stats) -> str:
+        """The report of a run capped under these caps, from its stats:
+        both counters against both caps, whichever bound."""
+        return (f"capped at {stats['classes_defined']} classes defined "
+                f"(cap {self.max_classes}) after {stats['steps']} steps "
+                f"(cap {self.max_steps})")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,19 +250,19 @@ def is_consequence(
     except KeyError as e:
         raise ValueError(f"relation {rel.lhs} = {rel.rhs} has letter {e.args[0]!r}, "
                          f"not in {p.letters}") from None
-    status, _, _ = _kernel.run(
+    status, _, stats = _kernel.run(
         len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch
     )
     if status != _kernel.STATUS_CAPPED:
         return status == _kernel.STATUS_WATCH_MERGED
-    table, _ = _kernel.witness(
+    table, searched = _kernel.witness(
         len(p.letters), p.relation_ids, watch, WITNESS_POINTS, WITNESS_NODES
     )
     if table is None:
         raise IndeterminateError(
-            f"capped at {caps.max_classes} classes before deciding "
-            f"{rel.lhs} = {rel.rhs}, and no action on at most {WITNESS_POINTS} "
-            f"points separates it within {WITNESS_NODES} nodes"
+            f"{caps.report(stats)} before deciding {rel.lhs} = {rel.rhs}, and "
+            f"no action on at most {WITNESS_POINTS} points separates it in the "
+            f"{searched['nodes']} nodes searched"
         )
     if not _separates(p, rel, table):
         raise RuntimeError(

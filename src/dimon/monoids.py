@@ -78,6 +78,12 @@ class ClosureCapError(RuntimeError):
     """Raised when a closure exceeds its element-count cap."""
 
 
+#: The memory a closure may hold by default, in bytes: with no
+#: max_elements, closure caps the element count at the elements that
+#: fit in it, and at 10**7 elements.
+CLOSURE_BYTES = 2**30
+
+
 @dataclasses.dataclass(frozen=True)
 class FiniteMonoid:
     """A closed set of partial permutations: key buffer and right table.
@@ -168,7 +174,7 @@ def table_rows(table: bytes, count: int, width: int) -> list[list[int]]:
 def closure(
     degree: int,
     gens: "list[PartialPerm] | tuple[PartialPerm, ...]",
-    max_elements: int = 10_000_000,
+    max_elements: "int | None" = None,
 ) -> FiniteMonoid:
     """Smallest monoid containing the identity and the generators.
 
@@ -182,13 +188,13 @@ def closure(
     An element is its ``PartialPerm.key``, and f then g is
     ``f.key.translate(g.table())``.  A degree outside 1..255, or a
     generator of another degree, raises ValueError; a closure with more
-    than max_elements elements raises ClosureCapError.  The cap bounds
-    the element count, and memory only through it: the compiled close
-    holds about 4 * len(gens) + degree + 22 bytes per element while it
-    runs (about 230 bytes on ODI(24), whose 46 generators make 184-byte
-    table rows), so pick max_elements from the memory a caller can
-    spend.  The monoid it returns keeps degree + 1 bytes of key and
-    4 * len(gens) bytes of right table per element.
+    than max_elements elements raises ClosureCapError.  The compiled
+    close holds about 4 * len(gens) + degree + 22 bytes per element
+    while it runs (about 230 bytes on ODI(24), whose 46 generators make
+    184-byte table rows), so without max_elements the cap is the
+    elements that fit in CLOSURE_BYTES, and at most 10**7.  The monoid
+    it returns keeps degree + 1 bytes of key and 4 * len(gens) bytes of
+    right table per element.
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
@@ -199,9 +205,15 @@ def closure(
     for f in gens:
         if f.degree != degree:
             raise ValueError(f"generator degree {f.degree} != {degree}")
-    closed = _kernel.close(degree, b"".join(f.key for f in gens), max_elements)
+    cap, budget = max_elements, ""
+    if cap is None:
+        per_element = 4 * len(gens) + degree + 22
+        cap = min(10**7, CLOSURE_BYTES // per_element)
+        budget = (f" (the default: {CLOSURE_BYTES} bytes at {per_element} bytes "
+                  f"an element, and at most 10**7)")
+    closed = _kernel.close(degree, b"".join(f.key for f in gens), cap)
     if closed is None:
-        raise ClosureCapError(f"closure exceeded cap of {max_elements} elements")
+        raise ClosureCapError(f"closure exceeded cap of {cap} elements{budget}")
     key_bytes, rows = closed
     generators = tuple(memoryview(rows).cast("i")[:len(gens)])
     return FiniteMonoid(degree, key_bytes, generators, rows)

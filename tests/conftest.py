@@ -1,9 +1,9 @@
 """Fixtures shared by the tests of the kernels.
 
-compiled_kernel compiles _tc_core.c with -Werror and loads it; kernel
-gives each kernel module in turn.  A checkout whose extension was not
-built in place imports the pure backend, so these fixtures are what
-exercises the compiled run, close and green there.
+compiled_kernel compiles _tc_core.c with -Wextra -Werror and loads it;
+kernel gives each kernel module in turn.  A checkout whose extension was
+not built in place imports the pure backend, so these fixtures are what
+exercises the compiled run, witness, close and green there.
 """
 
 import importlib.util
@@ -33,8 +33,8 @@ def compiled_kernel(tmp_path_factory):
     if shutil.which(cc) is None or not headers.is_file():
         pytest.skip("no C compiler or no Python headers to build the compiled kernel")
     out = tmp_path_factory.mktemp("tc_core")
-    # -Werror joins Python's own warning flags: a compiler warning fails
-    cflags = f"{os.environ.get('CFLAGS', '')} -Werror".strip()
+    # -Wextra -Werror join Python's own warning flags: a compiler warning fails
+    cflags = f"{os.environ.get('CFLAGS', '')} -Wextra -Werror".strip()
     done = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],

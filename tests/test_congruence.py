@@ -557,13 +557,23 @@ def test_consequence_batch_is_pinned(compiled_kernel):
 
 # the batch's capped runs, each searched for an action on at most
 # WITNESS_POINTS points that separates the deleted relation within
-# WITNESS_NODES nodes: (actions on 2 points, on 3, none) per family
+# max_nodes nodes a phase: (actions on 2 points, on 3, none, nodes
+# searched) per family, at WITNESS_NODES and at 1000 nodes a phase
 WITNESS_OUTCOMES = {
-    (RelationFamily.R, 5): (4, 6, 4),
-    (RelationFamily.Q, 5): (1, 0, 2),
-    (RelationFamily.VBAR, 5): (2, 1, 6),
-    (RelationFamily.Q_PRIME, 6): (2, 1, 22),
-    (RelationFamily.U, 6): (5, 10, 6),
+    100: {
+        (RelationFamily.R, 5): (4, 6, 4, 990),
+        (RelationFamily.Q, 5): (1, 0, 2, 260),
+        (RelationFamily.VBAR, 5): (2, 1, 6, 1057),
+        (RelationFamily.Q_PRIME, 6): (2, 1, 22, 3298),
+        (RelationFamily.U, 6): (5, 10, 6, 1628),
+    },
+    1000: {
+        (RelationFamily.R, 5): (4, 10, 0, 1405),
+        (RelationFamily.Q, 5): (1, 0, 2, 896),
+        (RelationFamily.VBAR, 5): (2, 4, 3, 3372),
+        (RelationFamily.Q_PRIME, 6): (2, 1, 22, 23098),
+        (RelationFamily.U, 6): (5, 16, 0, 3336),
+    },
 }
 
 
@@ -579,22 +589,23 @@ def assert_separates(table, width, relation_ids, watch):
                for q in range(points))
 
 
-def test_kernels_find_the_same_witnesses(compiled_kernel):
-    """Both kernels return equal (table, stats) on each of the batch's 72
-    capped runs.  Every action found separates the deleted relation in a
-    model of the rest, re-checked by tracing here; which runs find one,
-    on how many points, and the nodes searched are pinned."""
-    nodes = 0
-    for (family, n), outcomes in WITNESS_OUTCOMES.items():
+def witness_outcomes(compiled_kernel, max_nodes):
+    """(actions on 2 points, on 3, none, nodes searched) per family of the
+    batch's 72 capped runs, each searched within max_nodes nodes a phase.
+    Both kernels must return equal (table, stats), and every action
+    found must separate the deleted relation in a model of the rest,
+    re-checked by tracing here."""
+    outcomes = {}
+    for family, n in WITNESS_OUTCOMES[max_nodes]:
         p = build_relations(family, n)
         width = len(p.letters)
         rels = [encode(*pair) for pair in decode(p.relation_ids)]
-        found = []
+        found, nodes = [], 0
         for i, out in enumerate(consequence_runs(compiled_kernel, family, n)):
             if out[0] != _tc_py.STATUS_CAPPED:
                 continue
             args = (width, b"".join(rels[:i] + rels[i + 1:]), rels[i],
-                    congruence.WITNESS_POINTS, congruence.WITNESS_NODES)
+                    congruence.WITNESS_POINTS, max_nodes)
             table, stats = _tc_py.witness(*args)
             assert compiled_kernel.witness(*args) == (table, stats), (family, i)
             nodes += stats["nodes"]
@@ -602,8 +613,29 @@ def test_kernels_find_the_same_witnesses(compiled_kernel):
                 assert_separates(table, width, args[1], rels[i])
                 assert len(table) // (4 * width) == stats["points"]
             found.append(table and stats["points"])
-        assert (found.count(2), found.count(3), found.count(None)) == outcomes, family
-    assert nodes == 7233
+        outcomes[family, n] = (found.count(2), found.count(3), found.count(None), nodes)
+    return outcomes
+
+
+def test_kernels_find_the_same_witnesses(compiled_kernel):
+    """Both kernels return equal (table, stats) on each of the batch's 72
+    capped runs at WITNESS_NODES nodes a phase.  Every action found
+    separates the deleted relation in a model of the rest; which runs
+    find one, on how many points, and the nodes searched are pinned."""
+    outcomes = witness_outcomes(compiled_kernel, congruence.WITNESS_NODES)
+    assert outcomes == WITNESS_OUTCOMES[congruence.WITNESS_NODES]
+    assert sum(o[3] for o in outcomes.values()) == 7233
+
+
+def test_kernels_find_the_same_witnesses_within_1000_nodes(compiled_kernel):
+    """The same at 1000 nodes a phase, where the searches go deeper than
+    is_consequence's budget: 45 of the 72 capped runs find an action, in
+    32,107 nodes, so a change to the deductions that shows only in a
+    deeper search still moves the pins."""
+    outcomes = witness_outcomes(compiled_kernel, 1000)
+    assert outcomes == WITNESS_OUTCOMES[1000]
+    assert sum(o[0] + o[1] for o in outcomes.values()) == 45
+    assert sum(o[3] for o in outcomes.values()) == 32107
 
 
 def test_consequence_batch_answers(monkeypatch, compiled_kernel):
@@ -693,6 +725,26 @@ def test_witness_small_cases(kernel, n_letters, watch, max_points, max_nodes, ce
     if none separates the watch, actions on max_points, each phase
     within max_nodes nodes."""
     table, got = kernel.witness(n_letters, b"", watch, max_points, max_nodes)
+    assert got == stats
+    assert (table and memoryview(table).cast("i").tolist()) == cells
+
+
+# <a, b | a = 1>: a relation with an empty side forces nothing at a
+# point until a cell of its letter is defined there
+A_IS_1 = encode((0,), ())
+
+
+@pytest.mark.parametrize("watch, cells, stats", [
+    pytest.param(encode((1,), ()), [0, 1, 1, 0], {"nodes": 6, "points": 2}, id="b=1"),
+    pytest.param(encode((0, 1), (1, 1)), [0, 1, 1, 0], {"nodes": 6, "points": 2}, id="ab=bb"),
+    # b a = b follows from a = 1
+    pytest.param(encode((1, 0), (1,)), None, {"nodes": 24, "points": 3}, id="ba=b"),
+])
+def test_witness_with_an_identity_relation(kernel, watch, cells, stats):
+    """a = 1 is traced only after a cell of a is defined, so an action
+    in which a fixes both points takes 6 nodes, and a consequence of
+    a = 1 exhausts both phases in 24; both kernels search alike."""
+    table, got = kernel.witness(2, A_IS_1, watch, 3, 100)
     assert got == stats
     assert (table and memoryview(table).cast("i").tolist()) == cells
 
@@ -919,12 +971,19 @@ def test_reflection_conjugation_derivation():
 
 def test_capped_without_a_small_witness_is_indeterminate():
     """Q(5) without Q_10[i=1] caps at 5000 classes, and no action on at
-    most three points separates the deleted relation."""
+    most three points separates the deleted relation in the 124 nodes of
+    the two phases.  The message gives the run's counters against both
+    caps, so one capped by its steps names them."""
     p = build_relations(RelationFamily.Q, 5)
     rel = p.relations[42]
     assert rel.tag == "Q_10[i=1]"
-    with pytest.raises(IndeterminateError, match="no action on at most 3 points"):
+    nodes = "no action on at most 3 points separates it in the 124 nodes searched"
+    with pytest.raises(IndeterminateError, match=rf"^capped at 5000 classes defined "
+                       rf"\(cap 5000\) after \d+ steps \(cap 100000000\) .*{nodes}$"):
         is_consequence(without(p, 42), rel, EnumerationCaps(max_classes=5000))
+    with pytest.raises(IndeterminateError, match=rf"^capped at \d+ classes defined "
+                       rf"\(cap 1000000\) after 1099 steps \(cap 1000\) .*{nodes}$"):
+        is_consequence(without(p, 42), rel, EnumerationCaps(max_steps=1000))
 
 
 def test_is_consequence_false_on_finite():

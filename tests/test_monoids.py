@@ -235,6 +235,21 @@ def test_closure_cap():
         closure(6, gens, max_elements=10)
 
 
+def test_default_closure_cap_is_a_byte_budget(monkeypatch):
+    """Without max_elements, the cap is the elements of 4 * len(gens) +
+    degree + 22 bytes that fit in CLOSURE_BYTES, at most 10**7, and the
+    error names the budget; DI(6) has 703 elements of 40 bytes."""
+    gens = [f for _, f in generating_maps(MonoidFamily.DI, 6)]
+    monkeypatch.setattr(monoids, "CLOSURE_BYTES", 702 * 40 + 39)
+    with pytest.raises(ClosureCapError, match=(
+            r"^closure exceeded cap of 702 elements \(the default: 28119 bytes "
+            r"at 40 bytes an element, and at most 10\*\*7\)$")):
+        closure(6, gens)
+    monkeypatch.setattr(monoids, "CLOSURE_BYTES", 703 * 40)
+    assert closure(6, gens).size == 703
+    assert closure(6, gens, max_elements=703).size == 703
+
+
 def test_closure_degree_fits_a_byte():
     g = named_generator("g", 255)
     m = closure(255, [g])
