@@ -1,7 +1,8 @@
 """Build hook for the optional compiled kernels.
 
-``dimon._tc_core`` (congruence enumeration, monoid closure and Green's
-classes) is compiled from the hand-written C source
+``dimon._tc_core`` (congruence enumeration, the search for a small
+separating action, monoid closure and Green's classes: run, witness,
+close and green) is compiled from the hand-written C source
 ``src/dimon/_tc_core.c`` with the C compiler and the Python headers; no
 code generator is involved.  The extension is optional: when it fails
 to build the package still installs, and dimon.monoids falls back to

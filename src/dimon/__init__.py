@@ -16,11 +16,11 @@ Modules:
     congruence     two-sided congruence enumeration and verification
     cli            command-line front end
 
-The closure loop, Green's labelling and the enumeration run in one
-kernel module: the compiled extension _tc_core (close, green and run,
-from the hand-written _tc_core.c) when it was built, and the
-pure-Python _tc_py, which it follows step for step, otherwise.  BACKEND
-says which ("compiled" or "pure").
+The closure loop, Green's labelling, the enumeration and the witness
+search run in one kernel module: the compiled extension _tc_core (run,
+witness, close and green, from the hand-written _tc_core.c) when it was
+built, and the pure-Python _tc_py, which it follows step for step,
+otherwise.  BACKEND says which ("compiled" or "pure").
 """
 
 from .congruence import (

@@ -25,10 +25,11 @@
    renumbered.  The watch is checked only after a scan that merged
    classes.
 
-   witness: the same depth-first search for a small action separating
-   the watch, choice for choice, with the same deductions and the same
-   node count, so both kernels return equal (table, stats) pairs.  It
-   reads the words as run does.  The trail of the cells each choice
+   witness: the same bounded depth-first search for a small action
+   separating the watch, one search on at most max_points points within
+   max_nodes nodes, choice for choice, with the same deductions and the
+   same node count, so both kernels return equal (table, nodes) pairs.
+   It reads the words as run does.  The trail of the cells each choice
    defined undoes it on backtracking and is its deductions' worklist:
    each cell defined since the choice is traced in turn, through the
    relations holding its letter, listed in one pass over the words.
@@ -264,8 +265,7 @@ scan(State *s, int c, const int *lhs, const int *rhs)
 /* The number of words in obj, a bytes-like buffer of native int32 cells,
    each word its length and then its letter ids, with an aligned copy of
    the cells in *cells for the caller to free; or -1 with TypeError,
-   MemoryError or ValueError (see run_doc).  The copy has one cell more,
-   so that enumerate's step past the last word stays inside it. */
+   MemoryError or ValueError (see run_doc). */
 static Py_ssize_t
 count_words(PyObject *obj, int n_letters, int **cells)
 {
@@ -279,7 +279,7 @@ count_words(PyObject *obj, int n_letters, int **cells)
         PyErr_Format(PyExc_ValueError, "%zd bytes are not whole int32 cells", b.len);
         goto done;
     }
-    if ((*cells = c = grow(NULL, n + 1, sizeof(int))) == NULL)
+    if ((*cells = c = grow(NULL, n, sizeof(int))) == NULL)
         goto done;
     if (n > 0)
         memcpy(c, b.buf, (size_t)b.len);
@@ -580,13 +580,12 @@ separates(const Search *w, int points, const int *watch)
     return 0;
 }
 
-/* The points of the action the table holds on at most bound points, 0
-   when there is none, -1 when budget nodes ran out.  Each choice is of
-   a cell past its parent's, so the stack holds at most the cells. */
+/* The points of the first action found on at most bound points, or 0
+   when there is none or budget nodes ran out.  Each choice is of a cell
+   past its parent's, so the stack holds at most the cells. */
 static int
 search(Search *w, int bound, long long budget, const int *watch)
 {
-    long long spent = 0;
     Py_ssize_t cell = 0, top = 0;
     int points = 1, t;
     Choice *f;
@@ -609,13 +608,9 @@ search(Search *w, int bound, long long budget, const int *watch)
                 top--;
                 continue;
             }
-            if (spent == budget) {  /* leave the table empty for the next phase */
-                while (w->trail_len > 0)
-                    w->table[w->trail[--w->trail_len]] = UNDEF;
-                return -1;
-            }
+            if (w->nodes == budget)
+                return 0;
             f->next = t + 1;
-            spent++;
             w->nodes++;
             if (points < t + 1)
                 points = t + 1;
@@ -664,13 +659,12 @@ PyDoc_STRVAR(witness_doc,
 "--\n\n"
 "Search for a small action in which the watch's two words differ.\n\n"
 "Same contract as _tc_py.witness: relations and watch are buffers of\n"
-"words as run reads them.  Actions on at most min(2, max_points) points\n"
-"are searched, then on at most max_points points, each within max_nodes\n"
-"nodes.  The result is (table, stats): the first action found\n"
-"in which every relation holds at every point and the watch's words\n"
-"differ at one, as int32 bytes, cell q * n_letters + a the image of\n"
-"point q under letter a, or None; stats the nodes searched and the\n"
-"point bound of the last phase.  max_points outside 1..256, a negative\n"
+"words as run reads them.  One depth-first search of actions on at most\n"
+"max_points points, within max_nodes nodes.  The result is\n"
+"(table, nodes): the first action found in which every relation holds\n"
+"at every point and the watch's words differ at one, as int32 bytes,\n"
+"cell q * n_letters + a the image of point q under letter a, or None;\n"
+"and the nodes searched.  max_points outside 1..256, a negative\n"
 "max_nodes, or buffers that run refuses raise ValueError.  It takes\n"
 "positional arguments only.");
 
@@ -679,7 +673,7 @@ witness(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *relations, *watch, *result = NULL, *table;
     Search w = {0};
-    int *rels = NULL, *pair = NULL, max_points, bound, points;
+    int *rels = NULL, *pair = NULL, max_points, points;
     long long max_nodes;
     Py_ssize_t n_words, cells;
 
@@ -703,17 +697,13 @@ witness(PyObject *Py_UNUSED(self), PyObject *args)
         goto done;
     memset(w.table, 0xFF, (size_t)cells * sizeof(int));
 
-    /* two points, then max_points, each within max_nodes */
-    bound = max_points < 2 ? max_points : 2;
-    points = search(&w, bound, max_nodes, pair);
-    if (points <= 0 && max_points > 2)
-        points = search(&w, bound = max_points, max_nodes, pair);
+    points = search(&w, max_points, max_nodes, pair);
     table = points > 0
         ? PyBytes_FromStringAndSize((const char *)w.table,
                                     (Py_ssize_t)points * w.width * (Py_ssize_t)sizeof(int))
         : Py_NewRef(Py_None);
     if (table != NULL)
-        result = Py_BuildValue("N{s:L,s:i}", table, "nodes", w.nodes, "points", bound);
+        result = Py_BuildValue("NL", table, w.nodes);
 done:
     PyMem_Free(rels);
     PyMem_Free(pair);

@@ -80,9 +80,9 @@ differently at some point: a bounded low-index search
 (Anagnostopoulou-Merkouri, Cirpons, Mitchell & Tsalakou, 2023).  After
 each choice of a cell's target, each cell defined since the choice is
 traced in turn, through the relations holding its letter, for the edges
-they force.  Two points are searched first, then more, each within a
-node budget.  It returns the action as int32 bytes or None, and its
-counters: nodes and points.
+they force.  One call is one search, on at most max_points points and
+within max_nodes nodes; it returns the action as int32 bytes or None,
+and the nodes searched.
 
 close: the breadth-first closure of a set of maps under right
 products (Froidure & Pin, 1997), on the maps' byte keys (see
@@ -341,18 +341,17 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
     and the other missing only its last edge, that edge is defined to
     agree.  Each cell defined since the choice is traced in turn, so
     the trail that undoes a choice is also its deductions' worklist.
-    Actions on at most min(2, max_points) points are searched first,
-    then, when max_points is larger and none was found, actions on at
-    most max_points points; each phase stops after max_nodes nodes.
-    With letters in few relations a phase can have about 4**n_letters
-    nodes, so no phase runs without that bound.
+    The search stops at the first action that separates the watch, or
+    after max_nodes nodes: with letters in few relations, actions on
+    two points alone can take about 4**n_letters nodes, so no search
+    runs without that bound.  Which point bounds to search, and in what
+    order, is the caller's (see dimon.congruence).
 
-    Returns (table, stats): table the first action found as int32
+    Returns (table, nodes): table the first action found as int32
     bytes, cell q * n_letters + a the image of point q under letter a,
-    or None; stats the nodes of all phases and the point bound of the
-    last.  max_points outside 1..256 or a negative max_nodes raises
-    ValueError, and so do the buffers as in run.  Every argument is
-    positional only.
+    or None; nodes the choices made.  max_points outside 1..256 or a
+    negative max_nodes raises ValueError, and so do the buffers as in
+    run.  Every argument is positional only.
     """
     if not 1 <= max_points <= 256:
         raise ValueError(f"max_points must be 1 to 256, got {max_points}")
@@ -365,7 +364,6 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
                for a in range(width)]
     table = [UNDEF] * (max_points * width)
     trail = []  # the defined cells, in order
-    nodes = 0
 
     def define(cell, t):
         table[cell] = t
@@ -407,50 +405,34 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
     def separates(points):
         return any(walk(q, watch[0])[0] != walk(q, watch[1])[0] for q in range(points))
 
-    def search(bound, budget):
-        """The points of the action the table holds on at most bound
-        points, 0 when there is none, None when budget nodes ran out."""
-        nonlocal nodes
-        spent, points, cell = 0, 1, 0
-        stack = []  # per choice: its cell, next target, trail length, points
-        while True:
-            while cell < points * width and table[cell] != UNDEF:
-                cell += 1
-            if cell < points * width:
-                stack.append([cell, 0, len(trail), points])
-            elif separates(points):
-                return points
-            while stack:  # the next choice, backtracking past spent ones
-                frame = stack[-1]
-                cell, t, mark, points = frame
-                while len(trail) > mark:
-                    table[trail.pop()] = UNDEF
-                if t == min(points + 1, bound):
-                    stack.pop()
-                    continue
-                if spent == budget:  # leave the table empty for the next phase
-                    while trail:
-                        table[trail.pop()] = UNDEF
-                    return None
-                frame[1] = t + 1
-                spent += 1
-                nodes += 1
-                points = max(points, t + 1)
-                define(cell, t)
-                if deduce(points, mark):
-                    break
-            else:
-                return 0
+    nodes, points, cell = 0, 1, 0
+    stack = []  # per choice: its cell, next target, trail length, points
+    while True:
+        while cell < points * width and table[cell] != UNDEF:
             cell += 1
-
-    # two points, then max_points, each within max_nodes
-    bound = min(2, max_points)
-    points = search(bound, max_nodes)
-    if not points and max_points > 2:
-        bound = max_points
-        points = search(bound, max_nodes)
-    found = array("i", table[:points * width]).tobytes() if points else None
-    return found, {"nodes": nodes, "points": bound}
+        if cell < points * width:
+            stack.append([cell, 0, len(trail), points])
+        elif separates(points):
+            return array("i", table[:points * width]).tobytes(), nodes
+        while stack:  # the next choice, backtracking past spent ones
+            frame = stack[-1]
+            cell, t, mark, points = frame
+            while len(trail) > mark:
+                table[trail.pop()] = UNDEF
+            if t == min(points + 1, max_points):
+                stack.pop()
+                continue
+            if nodes == max_nodes:
+                return None, nodes
+            frame[1] = t + 1
+            nodes += 1
+            points = max(points, t + 1)
+            define(cell, t)
+            if deduce(points, mark):
+                break
+        else:
+            return None, nodes
+        cell += 1
 
 
 def _split_keys(degree, buf):

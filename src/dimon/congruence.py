@@ -25,7 +25,7 @@ identical procedures: run returns identical (status, table, stats)
 triples: the table int32 bytes, row-major, or None, which
 EnumerationResult keeps as it came, and stats the run's counters
 (classes defined, peak live classes, coincidences, steps), which it
-keeps too; witness returns identical (table, stats) pairs.  setup.py
+keeps too; witness returns identical (table, nodes) pairs.  setup.py
 compiles the extension from the hand-written C source _tc_core.c, which
 follows _tc_py step for step.  The kernel
 reads each presentation's relations as Presentation.relation_ids, int32
@@ -37,19 +37,20 @@ is_consequence watches the pair's two sides.  A run that merges them
 answers True, and one that completes never merged them, so it answers
 False: the watch is checked after every scan that merged classes, and
 only scans merge classes.  A capped run decides nothing, as the monoid
-may be too large for the caps or infinite, so the kernel's witness then
-searches for a finite model: an action of the letters on at most
-WITNESS_POINTS points, reached from point 0, in which every relation
-acts equally at every point and the pair's sides act differently at
-some point (a bounded low-index search, as in Anagnostopoulou-Merkouri,
-Cirpons, Mitchell and Tsalakou, 2023).  Such an action is one of the
-presented monoid, in which the two sides are then distinct, so the
-answer is False once is_consequence has traced the action again here,
-one bytes.translate per letter; an action that fails that trace raises
-RuntimeError.  With no such action on two points, nor then on three,
-each phase searched within WITNESS_NODES nodes (so up to twice that in
-all), the capped run raises IndeterminateError, whose message gives the
-run's counters against both caps and the nodes searched.
+may be too large for the caps or infinite, so is_consequence then
+searches for a finite model: an action of the letters, reached from
+point 0, in which every relation acts equally at every point and the
+pair's sides act differently at some point (a bounded low-index search,
+as in Anagnostopoulou-Merkouri, Cirpons, Mitchell and Tsalakou, 2023).
+Such an action is one of the presented monoid, in which the two sides
+are then distinct, so the answer is False once is_consequence has traced
+the action again here, one bytes.translate per letter; an action that
+fails that trace raises RuntimeError.  The schedule is is_consequence's
+alone: one kernel witness call searches actions on at most two points,
+and, when it finds none, a second on at most WITNESS_POINTS points, each
+within WITNESS_NODES nodes (so up to twice that in all).  With neither
+finding one, the capped run raises IndeterminateError, whose message
+gives the run's counters against both caps and the nodes searched.
 verify_presentation searches for no action.
 
 Checking a presentation or a forms set against a concrete monoid is a
@@ -103,9 +104,9 @@ class Verdict(enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
-# a capped watched run searches actions on at most this many points for
-# one that separates the watch: on two points, then on WITNESS_POINTS,
-# each phase within WITNESS_NODES nodes, so up to twice that in all
+# a capped watched run searches for an action that separates the watch
+# on at most two points and then, if none does, on at most
+# WITNESS_POINTS points, each search within WITNESS_NODES nodes
 WITNESS_POINTS = 3
 WITNESS_NODES = 100
 
@@ -238,10 +239,11 @@ def is_consequence(
     The run exits early once the two sides provably coincide, so true
     consequences are confirmed even when the presented monoid is
     infinite.  A run that completes without merging them answers False.
-    A capped run is followed by a search for an action of p's letters on
-    at most WITNESS_POINTS points in which p's relations hold and rel's
-    sides differ (see the module docstring); such an action answers
-    False, and without one the run raises IndeterminateError.  A letter
+    A capped run is followed by a search for an action of p's letters in
+    which p's relations hold and rel's sides differ, on at most two
+    points and then on at most WITNESS_POINTS, each within WITNESS_NODES
+    nodes (see the module docstring); such an action answers False, and
+    without one the run raises IndeterminateError.  A letter
     outside p's alphabet raises ValueError.
     """
     caps = caps or EnumerationCaps()
@@ -255,14 +257,19 @@ def is_consequence(
     )
     if status != _kernel.STATUS_CAPPED:
         return status == _kernel.STATUS_WATCH_MERGED
-    table, searched = _kernel.witness(
-        len(p.letters), p.relation_ids, watch, WITNESS_POINTS, WITNESS_NODES
-    )
-    if table is None:
+    nodes = 0
+    for points in (2, WITNESS_POINTS):
+        table, searched = _kernel.witness(
+            len(p.letters), p.relation_ids, watch, points, WITNESS_NODES
+        )
+        nodes += searched
+        if table is not None:
+            break
+    else:
         raise IndeterminateError(
             f"{caps.report(stats)} before deciding {rel.lhs} = {rel.rhs}, and "
             f"no action on at most {WITNESS_POINTS} points separates it in the "
-            f"{searched['nodes']} nodes searched"
+            f"{nodes} nodes searched"
         )
     if not _separates(p, rel, table):
         raise RuntimeError(

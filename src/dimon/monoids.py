@@ -190,11 +190,13 @@ def closure(
     generator of another degree, raises ValueError; a closure with more
     than max_elements elements raises ClosureCapError.  The compiled
     close holds about 4 * len(gens) + degree + 22 bytes per element
-    while it runs (about 230 bytes on ODI(24), whose 46 generators make
-    184-byte table rows), so without max_elements the cap is the
-    elements that fit in CLOSURE_BYTES, and at most 10**7.  The monoid
-    it returns keeps degree + 1 bytes of key and 4 * len(gens) bytes of
-    right table per element.
+    while it runs, and copies the degree + 1 bytes of key and
+    4 * len(gens) bytes of right table per element that the monoid
+    keeps into its result before it frees its own arrays: at the peak,
+    8 * len(gens) + 2 * degree + 23 bytes per element (439 bytes on
+    ODI(24), whose 46 generators make 184-byte table rows).  So without
+    max_elements the cap is the elements that fit in CLOSURE_BYTES at
+    that peak, and at most 10**7.
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
@@ -207,7 +209,7 @@ def closure(
             raise ValueError(f"generator degree {f.degree} != {degree}")
     cap, budget = max_elements, ""
     if cap is None:
-        per_element = 4 * len(gens) + degree + 22
+        per_element = 8 * len(gens) + 2 * degree + 23
         cap = min(10**7, CLOSURE_BYTES // per_element)
         budget = (f" (the default: {CLOSURE_BYTES} bytes at {per_element} bytes "
                   f"an element, and at most 10**7)")

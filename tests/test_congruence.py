@@ -555,10 +555,11 @@ def test_consequence_batch_is_pinned(compiled_kernel):
         compiled_kernel, RelationFamily.Q, 5)
 
 
-# the batch's capped runs, each searched for an action on at most
-# WITNESS_POINTS points that separates the deleted relation within
-# max_nodes nodes a phase: (actions on 2 points, on 3, none, nodes
-# searched) per family, at WITNESS_NODES and at 1000 nodes a phase
+# the batch's capped runs, each searched for an action that separates
+# the deleted relation on at most 2 points and then, if none does, on
+# at most WITNESS_POINTS, each search within max_nodes nodes: (actions
+# on 2 points, on 3, none, nodes searched) per family, at WITNESS_NODES
+# and at 1000 nodes a search
 WITNESS_OUTCOMES = {
     100: {
         (RelationFamily.R, 5): (4, 6, 4, 990),
@@ -589,12 +590,27 @@ def assert_separates(table, width, relation_ids, watch):
                for q in range(points))
 
 
+def witness_in_turn(kernel, n_letters, relations, watch, bounds, max_nodes):
+    """kernel.witness at each point bound in turn, each within max_nodes
+    nodes, until one finds an action: that action or None, and the nodes
+    each call searched."""
+    nodes = []
+    for bound in bounds:
+        table, searched = kernel.witness(n_letters, relations, watch, bound, max_nodes)
+        nodes.append(searched)
+        if table is not None:
+            break
+    return table, nodes
+
+
 def witness_outcomes(compiled_kernel, max_nodes):
     """(actions on 2 points, on 3, none, nodes searched) per family of the
-    batch's 72 capped runs, each searched within max_nodes nodes a phase.
-    Both kernels must return equal (table, stats), and every action
-    found must separate the deleted relation in a model of the rest,
+    batch's 72 capped runs, each searched on at most 2 points and then
+    WITNESS_POINTS, within max_nodes nodes a search.  Both kernels must
+    return equal (table, nodes) at each bound, and every action found
+    must separate the deleted relation in a model of the rest,
     re-checked by tracing here."""
+    bounds = (2, congruence.WITNESS_POINTS)
     outcomes = {}
     for family, n in WITNESS_OUTCOMES[max_nodes]:
         p = build_relations(family, n)
@@ -604,22 +620,21 @@ def witness_outcomes(compiled_kernel, max_nodes):
         for i, out in enumerate(consequence_runs(compiled_kernel, family, n)):
             if out[0] != _tc_py.STATUS_CAPPED:
                 continue
-            args = (width, b"".join(rels[:i] + rels[i + 1:]), rels[i],
-                    congruence.WITNESS_POINTS, max_nodes)
-            table, stats = _tc_py.witness(*args)
-            assert compiled_kernel.witness(*args) == (table, stats), (family, i)
-            nodes += stats["nodes"]
+            args = (width, b"".join(rels[:i] + rels[i + 1:]), rels[i], bounds, max_nodes)
+            table, searched = witness_in_turn(_tc_py, *args)
+            assert witness_in_turn(compiled_kernel, *args) == (table, searched), (family, i)
+            nodes += sum(searched)
             if table is not None:
                 assert_separates(table, width, args[1], rels[i])
-                assert len(table) // (4 * width) == stats["points"]
-            found.append(table and stats["points"])
+                assert len(table) // (4 * width) == bounds[len(searched) - 1]
+            found.append(table and bounds[len(searched) - 1])
         outcomes[family, n] = (found.count(2), found.count(3), found.count(None), nodes)
     return outcomes
 
 
 def test_kernels_find_the_same_witnesses(compiled_kernel):
-    """Both kernels return equal (table, stats) on each of the batch's 72
-    capped runs at WITNESS_NODES nodes a phase.  Every action found
+    """Both kernels return equal (table, nodes) on each of the batch's 72
+    capped runs at WITNESS_NODES nodes a search.  Every action found
     separates the deleted relation in a model of the rest; which runs
     find one, on how many points, and the nodes searched are pinned."""
     outcomes = witness_outcomes(compiled_kernel, congruence.WITNESS_NODES)
@@ -628,7 +643,7 @@ def test_kernels_find_the_same_witnesses(compiled_kernel):
 
 
 def test_kernels_find_the_same_witnesses_within_1000_nodes(compiled_kernel):
-    """The same at 1000 nodes a phase, where the searches go deeper than
+    """The same at 1000 nodes a search, where the searches go deeper than
     is_consequence's budget: 45 of the 72 capped runs find an action, in
     32,107 nodes, so a change to the deductions that shows only in a
     deeper search still moves the pins."""
@@ -642,7 +657,9 @@ def test_consequence_batch_answers(monkeypatch, compiled_kernel):
     """is_consequence on the 260 deletions at a 5000-class cap: the 188
     runs that merge or complete answer as they did and never search; of
     the 72 capped ones, 32 answer False by an action and 40 raise
-    IndeterminateError."""
+    IndeterminateError.  Each capped run searches on at most 2 points,
+    and the 58 that find no action there search again on at most
+    WITNESS_POINTS: 130 searches."""
     searches = []
     witness = compiled_kernel.witness
     monkeypatch.setattr(congruence, "_kernel", compiled_kernel)
@@ -663,8 +680,11 @@ def test_consequence_batch_answers(monkeypatch, compiled_kernel):
                 assert answer is (out[0] == _tc_py.STATUS_WATCH_MERGED)
                 assert len(searches) == searched
             else:
-                assert answer is not True and len(searches) == searched + 1
+                assert answer is not True
+                assert [args[3] for args in searches[searched:]] in (
+                    [2], [2, congruence.WITNESS_POINTS])
     assert answers == {True: 162, False: 58, None: 40}
+    assert len(searches) == 130
 
 
 def reflection():
@@ -683,10 +703,10 @@ def test_a_changed_witness_cell_is_refused(monkeypatch):
     p, rel = reflection(), Relation(("x",), ("y",), "")
     caps = EnumerationCaps(max_classes=3000, max_steps=10**6)
     watch = p.encode((rel.lhs, rel.rhs))
-    table, stats = congruence._kernel.witness(3, p.relation_ids, watch, 3, 100)
+    table, nodes = congruence._kernel.witness(3, p.relation_ids, watch, 2, 100)
     # h swaps the two points, x sends both to 0 and y both to 1
     assert memoryview(table).cast("i").tolist() == [1, 0, 1, 0, 0, 1]
-    assert stats == {"nodes": 21, "points": 2}
+    assert nodes == 21
     for k in range(6):
         for t in range(3):
             cells = array("i", table)
@@ -696,7 +716,7 @@ def test_a_changed_witness_cell_is_refused(monkeypatch):
             changed = cells.tobytes()
             with pytest.raises(AssertionError):
                 assert_separates(changed, 3, p.relation_ids, watch)
-            monkeypatch.setattr(congruence._kernel, "witness", lambda *args: (changed, stats))
+            monkeypatch.setattr(congruence._kernel, "witness", lambda *args: (changed, nodes))
             with pytest.raises(RuntimeError, match="witness search soundness"):
                 is_consequence(p, rel, caps)
 
@@ -704,28 +724,31 @@ def test_a_changed_witness_cell_is_refused(monkeypatch):
 A_AA, AA_AAAA = encode((0,), (0, 0)), encode((0, 0), (0, 0, 0, 0))
 
 
-@pytest.mark.parametrize("n_letters, watch, max_points, max_nodes, cells, stats", [
+# each case searches its point bounds in turn, as is_consequence does,
+# and pins the nodes of each call and their total, the nodes such a
+# schedule reports
+@pytest.mark.parametrize("n_letters, watch, bounds, max_nodes, cells, nodes, total", [
     # a swap of two points separates a from a a
-    pytest.param(1, A_AA, 3, 100, [1, 0], {"nodes": 3, "points": 2}, id="swap"),
+    pytest.param(1, A_AA, (2, 3), 100, [1, 0], [3], 3, id="swap"),
     # one point separates nothing
-    pytest.param(1, A_AA, 1, 100, None, {"nodes": 1, "points": 1}, id="one-point"),
+    pytest.param(1, A_AA, (1,), 100, None, [1], 1, id="one-point"),
     # a a = a a a a holds on two points; a 3-cycle separates it
-    pytest.param(1, AA_AAAA, 3, 100, [1, 2, 0], {"nodes": 10, "points": 3}, id="3-cycle"),
-    pytest.param(1, AA_AAAA, 2, 100, None, {"nodes": 4, "points": 2}, id="two-points"),
-    # each phase stops after max_nodes nodes
-    pytest.param(1, AA_AAAA, 3, 5, None, {"nodes": 9, "points": 3}, id="budget-5"),
-    pytest.param(1, AA_AAAA, 3, 0, None, {"nodes": 0, "points": 3}, id="budget-0"),
-    pytest.param(3, AA_AAAA, 2, 50, None, {"nodes": 50, "points": 2}, id="two-point-budget"),
-    # 4**20 actions of 20 free letters on two points: two phases of 100
-    pytest.param(20, AA_AAAA, 3, 100, None, {"nodes": 200, "points": 3}, id="20-letters"),
-    pytest.param(0, encode((), ()), 3, 5, None, {"nodes": 0, "points": 3}, id="no-letters"),
+    pytest.param(1, AA_AAAA, (2, 3), 100, [1, 2, 0], [4, 6], 10, id="3-cycle"),
+    pytest.param(1, AA_AAAA, (2,), 100, None, [4], 4, id="two-points"),
+    # each search stops after max_nodes nodes
+    pytest.param(1, AA_AAAA, (2, 3), 5, None, [4, 5], 9, id="budget-5"),
+    pytest.param(1, AA_AAAA, (2, 3), 0, None, [0, 0], 0, id="budget-0"),
+    pytest.param(3, AA_AAAA, (2,), 50, None, [50], 50, id="two-point-budget"),
+    # 4**20 actions of 20 free letters on two points: two searches of 100
+    pytest.param(20, AA_AAAA, (2, 3), 100, None, [100, 100], 200, id="20-letters"),
+    pytest.param(0, encode((), ()), (2, 3), 5, None, [0, 0], 0, id="no-letters"),
 ])
-def test_witness_small_cases(kernel, n_letters, watch, max_points, max_nodes, cells, stats):
-    """With no relations, actions on two points are searched and then,
-    if none separates the watch, actions on max_points, each phase
-    within max_nodes nodes."""
-    table, got = kernel.witness(n_letters, b"", watch, max_points, max_nodes)
-    assert got == stats
+def test_witness_small_cases(kernel, n_letters, watch, bounds, max_nodes, cells, nodes,
+                             total):
+    """With no relations, each call searches actions on at most its
+    point bound, within max_nodes nodes."""
+    table, got = witness_in_turn(kernel, n_letters, b"", watch, bounds, max_nodes)
+    assert got == nodes and sum(got) == total
     assert (table and memoryview(table).cast("i").tolist()) == cells
 
 
@@ -734,18 +757,19 @@ def test_witness_small_cases(kernel, n_letters, watch, max_points, max_nodes, ce
 A_IS_1 = encode((0,), ())
 
 
-@pytest.mark.parametrize("watch, cells, stats", [
-    pytest.param(encode((1,), ()), [0, 1, 1, 0], {"nodes": 6, "points": 2}, id="b=1"),
-    pytest.param(encode((0, 1), (1, 1)), [0, 1, 1, 0], {"nodes": 6, "points": 2}, id="ab=bb"),
+@pytest.mark.parametrize("watch, cells, nodes, total", [
+    pytest.param(encode((1,), ()), [0, 1, 1, 0], [6], 6, id="b=1"),
+    pytest.param(encode((0, 1), (1, 1)), [0, 1, 1, 0], [6], 6, id="ab=bb"),
     # b a = b follows from a = 1
-    pytest.param(encode((1, 0), (1,)), None, {"nodes": 24, "points": 3}, id="ba=b"),
+    pytest.param(encode((1, 0), (1,)), None, [8, 16], 24, id="ba=b"),
 ])
-def test_witness_with_an_identity_relation(kernel, watch, cells, stats):
+def test_witness_with_an_identity_relation(kernel, watch, cells, nodes, total):
     """a = 1 is traced only after a cell of a is defined, so an action
     in which a fixes both points takes 6 nodes, and a consequence of
-    a = 1 exhausts both phases in 24; both kernels search alike."""
-    table, got = kernel.witness(2, A_IS_1, watch, 3, 100)
-    assert got == stats
+    a = 1 exhausts 2 points in 8 and then 3 in 16; both kernels search
+    alike."""
+    table, got = witness_in_turn(kernel, 2, A_IS_1, watch, (2, 3), 100)
+    assert got == nodes and sum(got) == total
     assert (table and memoryview(table).cast("i").tolist()) == cells
 
 
@@ -972,7 +996,7 @@ def test_reflection_conjugation_derivation():
 def test_capped_without_a_small_witness_is_indeterminate():
     """Q(5) without Q_10[i=1] caps at 5000 classes, and no action on at
     most three points separates the deleted relation in the 124 nodes of
-    the two phases.  The message gives the run's counters against both
+    its two searches.  The message gives the run's counters against both
     caps, so one capped by its steps names them."""
     p = build_relations(RelationFamily.Q, 5)
     rel = p.relations[42]
@@ -984,6 +1008,45 @@ def test_capped_without_a_small_witness_is_indeterminate():
     with pytest.raises(IndeterminateError, match=rf"^capped at \d+ classes defined "
                        rf"\(cap 1000000\) after 1099 steps \(cap 1000\) .*{nodes}$"):
         is_consequence(without(p, 42), rel, EnumerationCaps(max_steps=1000))
+
+
+@pytest.mark.parametrize("case, calls, answer", [
+    # h swaps two points, x sends both to 0 and y both to 1
+    pytest.param("x=y", [(2, 21, True)], False, id="found-on-2"),
+    # a a = a a a a holds on two points; a 3-cycle separates it
+    pytest.param("aa=aaaa", [(2, 4, False), (3, 6, True)], False, id="found-on-3"),
+    # the 124 nodes that the IndeterminateError names
+    pytest.param("Q(5) #42", [(2, 24, False), (3, 100, False)], None, id="none"),
+])
+def test_is_consequence_searches_two_points_then_three(monkeypatch, case, calls, answer):
+    """A capped is_consequence asks the kernel for one search on at most
+    2 points and, only if that finds no action, one on at most
+    WITNESS_POINTS, each within WITNESS_NODES nodes."""
+    q = build_relations(RelationFamily.Q, 5)
+    p, rel, caps = {
+        "x=y": (reflection(), Relation(("x",), ("y",), ""),
+                EnumerationCaps(max_classes=3000, max_steps=10**6)),
+        "aa=aaaa": (Presentation("free", ("a",), ()),
+                    Relation(("a", "a"), ("a", "a", "a", "a"), ""),
+                    EnumerationCaps(max_classes=100)),
+        "Q(5) #42": (without(q, 42), q.relations[42], EnumerationCaps(max_classes=5000)),
+    }[case]
+    searches = []
+    witness = congruence._kernel.witness
+
+    def spy(*args):
+        table, nodes = witness(*args)
+        assert args[4] == congruence.WITNESS_NODES
+        searches.append((args[3], nodes, table is not None))
+        return table, nodes
+
+    monkeypatch.setattr(congruence._kernel, "witness", spy)
+    try:
+        got = is_consequence(p, rel, caps)
+    except IndeterminateError:
+        got = None
+    assert got is answer
+    assert searches == calls
 
 
 def test_is_consequence_false_on_finite():

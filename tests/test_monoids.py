@@ -236,16 +236,16 @@ def test_closure_cap():
 
 
 def test_default_closure_cap_is_a_byte_budget(monkeypatch):
-    """Without max_elements, the cap is the elements of 4 * len(gens) +
-    degree + 22 bytes that fit in CLOSURE_BYTES, at most 10**7, and the
-    error names the budget; DI(6) has 703 elements of 40 bytes."""
+    """Without max_elements, the cap is the elements of 8 * len(gens) +
+    2 * degree + 23 bytes that fit in CLOSURE_BYTES, at most 10**7, and
+    the error names the budget; DI(6) has 703 elements of 59 bytes."""
     gens = [f for _, f in generating_maps(MonoidFamily.DI, 6)]
-    monkeypatch.setattr(monoids, "CLOSURE_BYTES", 702 * 40 + 39)
+    monkeypatch.setattr(monoids, "CLOSURE_BYTES", 702 * 59 + 58)
     with pytest.raises(ClosureCapError, match=(
-            r"^closure exceeded cap of 702 elements \(the default: 28119 bytes "
-            r"at 40 bytes an element, and at most 10\*\*7\)$")):
+            r"^closure exceeded cap of 702 elements \(the default: 41476 bytes "
+            r"at 59 bytes an element, and at most 10\*\*7\)$")):
         closure(6, gens)
-    monkeypatch.setattr(monoids, "CLOSURE_BYTES", 703 * 40)
+    monkeypatch.setattr(monoids, "CLOSURE_BYTES", 703 * 59)
     assert closure(6, gens).size == 703
     assert closure(6, gens, max_elements=703).size == 703
 
