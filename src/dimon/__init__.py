@@ -16,7 +16,7 @@ Modules:
     congruence     two-sided congruence enumeration and verification
     cli            command-line front end
 
-The closure loop, Green's labelling, the enumeration and the witness
+The closure loop, Green's class counts, the enumeration and the witness
 search run in one kernel module: the compiled extension _tc_core (run,
 witness, close and green, from the hand-written _tc_core.c) when it was
 built, and the pure-Python _tc_py, which it follows step for step,

@@ -5,9 +5,9 @@
    written against the CPython C API.  See _tc_py for each procedure,
    the argument that no final sweep is needed, and the status protocol.
 
-   Every table and label array comes back as one bytes object of native
-   int32 cells, row-major; no Python object is built per cell.  run reads
-   its relations and watch as such buffers of words, each its length and
+   Every table comes back as one bytes object of native int32 cells,
+   row-major; no Python object is built per cell.  run reads its
+   relations and watch as such buffers of words, each its length and
    then its letter ids, from one aligned copy that count_words checks.
 
    run: the same class creation order, the same coincidence handling,
@@ -50,10 +50,11 @@
    Only the records, which are the keys end to end, and the right table
    come back.
 
-   green: R and L number 256-bit masks of each key's domain and image,
-   H the (R, L) pairs, D the roots of a union-find over the R-classes;
-   the labels are dense by first occurrence, so equal to _tc_py's, and
-   come back as int32 bytes with the four class counts.
+   green: one pass over the keys numbers 256-bit masks of each key's
+   domain and image (its R- and L-class) and the (R, L) pairs (its
+   H-class), and joins its R-class with the first R-class its L-class
+   met in a union-find over the R-classes, whose roots are the
+   D-classes.  Only the four class counts come back, equal to _tc_py's.
 
    Every allocation failure raises MemoryError. */
 
@@ -938,21 +939,25 @@ done:
     return result;
 }
 
-/* R, L, H and D labels of the n keys end to end at keys, at labels[0],
-   [n], [2n] and [3n], and the number of classes of each in
-   counts[0..4): 0, or -1 with MemoryError. */
+/* The numbers of R-, L-, H- and D-classes of the n keys end to end at
+   keys, in counts[0..4), from one pass over the keys: 0, or -1 with
+   MemoryError. */
 static int
-green_labels(const unsigned char *keys, Py_ssize_t n, Py_ssize_t key_len,
-             int *labels, Py_ssize_t *counts)
+green_counts(const unsigned char *keys, Py_ssize_t n, Py_ssize_t key_len,
+             Py_ssize_t *counts)
 {
-    Py_ssize_t i, p;
-    int *r = labels, *l = labels + n, *h = labels + 2 * n, *d = labels + 3 * n;
-    int *root = NULL, *meets = NULL, *d_of = NULL, rc = -1;
+    Py_ssize_t i, p, joins = 0;
+    int *root = grow(NULL, n, sizeof(int)), *meets = grow(NULL, n, sizeof(int));
+    int r, l, a, b, rc = -1;
     Records dom = {0}, im = {0}, pairs = {0};
-    if (records_init(&dom, 4 * sizeof(uint64_t), n) < 0
+    if (root == NULL || meets == NULL
+        || records_init(&dom, 4 * sizeof(uint64_t), n) < 0
         || records_init(&im, 4 * sizeof(uint64_t), n) < 0
         || records_init(&pairs, sizeof(uint64_t), n) < 0)
         goto done;
+    /* a union-find over the R-classes, and an R-class each L-class meets */
+    for (i = 0; i < n; i++)
+        root[i] = (int)i, meets[i] = NO_RECORD;
     /* n records at most, so no intern is CAPPED */
     for (i = 0; i < n; i++) {
         const unsigned char *key = keys + i * key_len;
@@ -961,44 +966,27 @@ green_labels(const unsigned char *keys, Py_ssize_t n, Py_ssize_t key_len,
             dom_mask[p >> 6] |= (uint64_t)(key[p] != 0) << (p & 63);
             im_mask[key[p] >> 6] |= (uint64_t)1 << (key[p] & 63);
         }
-        if ((r[i] = intern(&dom, dom_mask)) < 0 || (l[i] = intern(&im, im_mask)) < 0)
+        if ((r = intern(&dom, dom_mask)) < 0 || (l = intern(&im, im_mask)) < 0)
             goto done;
-        pair = (uint64_t)r[i] << 32 | (uint64_t)l[i];
-        if ((h[i] = intern(&pairs, &pair)) < 0)
+        pair = (uint64_t)r << 32 | (uint64_t)l;
+        if (intern(&pairs, &pair) < 0)
             goto done;
+        /* D joins the key's R-class with the first one its L-class met */
+        if (meets[l] == NO_RECORD)
+            meets[l] = r;
+        if ((a = find(root, r)) != (b = find(root, meets[l])))
+            root[a] = b, joins++;
     }
     counts[0] = dom.count;
     counts[1] = im.count;
     counts[2] = pairs.count;
-    root = grow(NULL, counts[0], sizeof(int));
-    d_of = grow(NULL, counts[0], sizeof(int));
-    meets = grow(NULL, counts[1], sizeof(int));
-    if (root == NULL || d_of == NULL || meets == NULL)
-        goto done;
-    /* D joins each element's R-class with an R-class its L-class meets */
-    for (i = 0; i < counts[0]; i++)
-        root[i] = (int)i, d_of[i] = NO_RECORD;
-    memset(meets, 0xFF, (size_t)counts[1] * sizeof(int));
-    for (i = 0; i < n; i++) {
-        if (meets[l[i]] == NO_RECORD)
-            meets[l[i]] = r[i];
-        root[find(root, r[i])] = find(root, meets[l[i]]);
-    }
-    /* D numbers the roots in order of first occurrence */
-    counts[3] = 0;
-    for (i = 0; i < n; i++) {
-        int a = find(root, r[i]);
-        if (d_of[a] == NO_RECORD)
-            d_of[a] = (int)counts[3]++;
-        d[i] = d_of[a];
-    }
+    counts[3] = dom.count - joins;  /* the roots */
     rc = 0;
 done:
     records_free(&dom);
     records_free(&im);
     records_free(&pairs);
     PyMem_Free(root);
-    PyMem_Free(d_of);
     PyMem_Free(meets);
     return rc;
 }
@@ -1006,34 +994,24 @@ done:
 PyDoc_STRVAR(green_doc,
 "green(degree, keys, /)\n"
 "--\n\n"
-"Green's (R, L, H, D) labels of an inverse monoid's elements.\n\n"
+"The numbers of Green's R-, L-, H- and D-classes of an inverse monoid.\n\n"
 "Same contract as _tc_py.green: keys is a bytes-like buffer of keys\n"
-"of degree + 1 bytes end to end, and the result (r, l, h, d, counts),\n"
-"each label buffer int32 bytes of dense labels numbered by first\n"
-"occurrence in keys, and counts the four class counts.  A degree\n"
-"outside 1..255, or a buffer that is not whole keys, raises ValueError.");
+"of degree + 1 bytes end to end, and the result (r, l, h, d) the four\n"
+"class counts, from one pass over the keys.  A degree outside 1..255,\n"
+"or a buffer that is not whole keys, raises ValueError.");
 
 static PyObject *
 green(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer keys;
     PyObject *result = NULL;
-    Py_ssize_t degree, n, size, counts[4];
-    int *labels = NULL;
+    Py_ssize_t n, degree, counts[4];
 
     if (!PyArg_ParseTuple(args, "ny*:green", &degree, &keys))
         return NULL;
-    if ((n = count_keys(degree, keys.len)) < 0
-        || (labels = grow(NULL, 4 * n, sizeof(int))) == NULL
-        || green_labels(keys.buf, n, degree + 1, labels, counts) < 0)
-        goto done;
-    size = n * (Py_ssize_t)sizeof(int);
-    result = Py_BuildValue(
-        "y#y#y#y#(nnnn)", (const char *)labels, size, (const char *)(labels + n),
-        size, (const char *)(labels + 2 * n), size, (const char *)(labels + 3 * n),
-        size, counts[0], counts[1], counts[2], counts[3]);
-done:
-    PyMem_Free(labels);
+    if ((n = count_keys(degree, keys.len)) >= 0
+        && green_counts(keys.buf, n, degree + 1, counts) == 0)
+        result = Py_BuildValue("nnnn", counts[0], counts[1], counts[2], counts[3]);
     PyBuffer_Release(&keys);
     return result;
 }

@@ -87,13 +87,14 @@ and the nodes searched.
 close: the breadth-first closure of a set of maps under right
 products (Froidure & Pin, 1997), on the maps' byte keys (see
 dimon.iperm), returns the elements' keys and the right table only.
-green: Green's R, L, H and D labels of an inverse monoid's elements,
-read off their keys.  Keys cross the kernel boundary as one buffer,
-key i at bytes i * (degree + 1) to (i + 1) * (degree + 1), and both
-raise ValueError for a buffer that is not whole keys.  Both number
-distinct values by first occurrence, here with dicts; the C kernels do
-it with one record table, whose arrays close grows to at most
-max_elements elements, so a capped compiled closure allocates in
+green: the numbers of Green's R-, L-, H- and D-classes of an inverse
+monoid, read off its elements' keys in one pass.  Keys cross the kernel
+boundary as one buffer, key i at bytes i * (degree + 1) to
+(i + 1) * (degree + 1), and both raise ValueError for a buffer that is
+not whole keys.  close numbers distinct keys and green distinct
+domains, images and (R, L) pairs, here with dicts and a set; the C
+kernels do it with one record table, whose arrays close grows to at
+most max_elements elements, so a capped compiled closure allocates in
 proportion to its cap.
 """
 
@@ -490,40 +491,34 @@ def close(degree, gen_keys, max_elements, /):
     return b"".join(keys), rows.tobytes()
 
 
-def _dense(keys):
-    """Renumber hashable keys 0, 1, ... by first occurrence: the labels
-    as an int32 array, and how many there are."""
-    ids = {}
-    labels = array("i", [ids.setdefault(key, len(ids)) for key in keys])
-    return labels, len(ids)
-
-
 #: Byte translation table: 0 (undefined) to 0, every point to 1.
 _DOM = bytes((0,)) + bytes((1,)) * 255
 
 
 def green(degree, keys, /):
-    """Green's R, L, H and D labels of an inverse monoid's elements.
+    """The numbers of Green's R-, L-, H- and D-classes of an inverse
+    monoid.
 
     keys is a bytes-like buffer of the elements' keys, each degree + 1
-    bytes, end to end, as close returns them.  Returns
-    (r, l, h, d, counts): each label buffer is int32 bytes with one cell
-    per key, numbering its classes densely by first occurrence in keys,
-    and counts the numbers of R-, L-, H- and D-classes.  f R g iff
+    bytes, end to end, as close returns them.  Returns (r, l, h, d), the
+    class counts, from one pass over the keys.  f R g iff
     dom f = dom g, read off the key's nonzero bytes, and f L g iff
     im f = im g, read off the set of its bytes; these hold in an inverse
     monoid only, which the caller checks.  H is the common refinement
-    of R and L.  D = R o L, the join of R and L: a union-find joins each
-    element's R-class with an R-class that meets its L-class.
+    of R and L, so its classes are the (R, L) pairs.  D = R o L, the
+    join of R and L: a union-find joins each key's R-class with the
+    first R-class its L-class met, and the D-classes are its roots.
     """
     keys = _split_keys(degree, keys)
-    r, n_r = _dense(key.translate(_DOM) for key in keys)
-    l, n_l = _dense(frozenset(key) for key in keys)
+    dom, im, pairs = {}, {}, set()
     root = list(range(len(keys)))  # union-find over the R-classes
-    meets = {}  # L-class -> an R-class it meets
-    for a, b in zip(r, l):
-        x, y = _find(root, a), _find(root, meets.setdefault(b, a))
+    meets = {}  # L-class -> the first R-class it met
+    joins = 0
+    for key in keys:
+        r = dom.setdefault(key.translate(_DOM), len(dom))
+        l = im.setdefault(frozenset(key), len(im))
+        pairs.add((r, l))
+        x, y = _find(root, r), _find(root, meets.setdefault(l, r))
         root[x] = y
-    h, n_h = _dense(zip(r, l))
-    d, n_d = _dense(_find(root, a) for a in r)
-    return r.tobytes(), l.tobytes(), h.tobytes(), d.tobytes(), (n_r, n_l, n_h, n_d)
+        joins += x != y
+    return len(dom), len(im), len(pairs), len(dom) - joins

@@ -27,7 +27,7 @@ cell i * len(generators) + k.  Two monoids closed from the same
 generators in the same order have equal tables, byte for byte, which is
 what dimon.congruence compares a standardized congruence table with.
 
-The closure loop and Green's labelling run in a kernel: the compiled
+The closure loop and Green's class counts run in a kernel: the compiled
 extension dimon._tc_core when it was built, the pure-Python
 dimon._tc_py otherwise, which the C one follows step for step.  This
 module chooses it once, as _kernel, and BACKEND names it ("compiled"
@@ -75,12 +75,12 @@ class MonoidFamily(enum.Enum):
 
 
 class ClosureCapError(RuntimeError):
-    """Raised when a closure exceeds its element-count cap."""
+    """Raised when a closure has more elements than fit in its byte
+    budget, CLOSURE_BYTES."""
 
 
-#: The memory a closure may hold by default, in bytes: with no
-#: max_elements, closure caps the element count at the elements that
-#: fit in it, and at 10**7 elements.
+#: The memory a closure may hold, in bytes: closure caps the element
+#: count at the elements that fit in it.
 CLOSURE_BYTES = 2**30
 
 
@@ -172,9 +172,7 @@ def table_rows(table: bytes, count: int, width: int) -> list[list[int]]:
 
 
 def closure(
-    degree: int,
-    gens: "list[PartialPerm] | tuple[PartialPerm, ...]",
-    max_elements: "int | None" = None,
+    degree: int, gens: "list[PartialPerm] | tuple[PartialPerm, ...]"
 ) -> FiniteMonoid:
     """Smallest monoid containing the identity and the generators.
 
@@ -188,15 +186,14 @@ def closure(
     An element is its ``PartialPerm.key``, and f then g is
     ``f.key.translate(g.table())``.  A degree outside 1..255, or a
     generator of another degree, raises ValueError; a closure with more
-    than max_elements elements raises ClosureCapError.  The compiled
-    close holds about 4 * len(gens) + degree + 22 bytes per element
+    elements than fit in CLOSURE_BYTES raises ClosureCapError.  The
+    compiled close holds about 4 * len(gens) + degree + 22 bytes per element
     while it runs, and copies the degree + 1 bytes of key and
     4 * len(gens) bytes of right table per element that the monoid
     keeps into its result before it frees its own arrays: at the peak,
     8 * len(gens) + 2 * degree + 23 bytes per element (439 bytes on
-    ODI(24), whose 46 generators make 184-byte table rows).  So without
-    max_elements the cap is the elements that fit in CLOSURE_BYTES at
-    that peak, and at most 10**7.
+    ODI(24), whose 46 generators make 184-byte table rows).  So the cap
+    is the elements that fit in CLOSURE_BYTES at that peak.
 
     >>> g = named_generator("g", 4)
     >>> closure(4, [g]).size
@@ -207,15 +204,12 @@ def closure(
     for f in gens:
         if f.degree != degree:
             raise ValueError(f"generator degree {f.degree} != {degree}")
-    cap, budget = max_elements, ""
-    if cap is None:
-        per_element = 8 * len(gens) + 2 * degree + 23
-        cap = min(10**7, CLOSURE_BYTES // per_element)
-        budget = (f" (the default: {CLOSURE_BYTES} bytes at {per_element} bytes "
-                  f"an element, and at most 10**7)")
+    per_element = 8 * len(gens) + 2 * degree + 23
+    cap = CLOSURE_BYTES // per_element
     closed = _kernel.close(degree, b"".join(f.key for f in gens), cap)
     if closed is None:
-        raise ClosureCapError(f"closure exceeded cap of {cap} elements{budget}")
+        raise ClosureCapError(f"closure exceeded cap of {cap} elements ({CLOSURE_BYTES} "
+                              f"bytes at {per_element} bytes an element)")
     key_bytes, rows = closed
     generators = tuple(memoryview(rows).cast("i")[:len(gens)])
     return FiniteMonoid(degree, key_bytes, generators, rows)
@@ -388,18 +382,9 @@ def verify_generates(
 
 @dataclasses.dataclass(frozen=True)
 class GreenClasses:
-    """Class index per element for each of Green's equivalences.
+    """The numbers of R-, L-, H- and D-classes, in sizes, as the kernel
+    counted them."""
 
-    r, l, h and d are int32 bytes with one cell per element.  Class ids
-    are dense and numbered by first occurrence in element order, so the
-    identity's class is always 0.  sizes holds the numbers of R-, L-,
-    H- and D-classes, as the kernel counted them.
-    """
-
-    r: bytes
-    l: bytes
-    h: bytes
-    d: bytes
     sizes: tuple[int, int, int, int]
 
     def counts(self) -> dict[str, int]:
@@ -414,8 +399,8 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
     otherwise: m is when every generator's inverse is in it, since
     (s_1...s_k)^-1 = s_k^-1...s_1^-1.  In an inverse monoid of partial
     permutations f R g iff dom f = dom g and f L g iff im f = im g, so
-    the kernel's green reads R off each key's domain and L off its
-    image.  H is the common refinement of R and L.  D = R o L in every
+    the kernel's green counts R off the keys' domains and L off their
+    images.  H is the common refinement of R and L.  D = R o L in every
     semigroup, so D is the join of R and L.
     """
     for g in m.generators:
@@ -424,7 +409,7 @@ def green_classes(m: FiniteMonoid) -> GreenClasses:
                 "Green's classes need an inverse monoid: the inverse of "
                 f"element {g}, a generator, is not in the monoid"
             )
-    return GreenClasses(*_kernel.green(m.degree, m.key_bytes))
+    return GreenClasses(_kernel.green(m.degree, m.key_bytes))
 
 
 def right_cayley_dot(m: FiniteMonoid) -> str:

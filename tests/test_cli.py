@@ -407,25 +407,27 @@ def test_family_help_names_every_accepted_value(runner, verb):
     assert sorted(listed) == sorted(f.value for f in ACCEPTED_FAMILIES[verb])
 
 
-@pytest.mark.parametrize("args", [
-    ["build", "--family", "odi", "--n", "4"],
-    ["verify-presentation", "--family", "R", "--n", "4"],
-    ["forms", "--family", "Q", "--n", "4"],
-    ["tietze", "--chain", "odi", "--n", "4"],
-    ["green", "--family", "di", "--n", "4"],
-    ["formulas", "--n-range", "4..4"],
-], ids=lambda args: args[0])
-def test_closure_cap_is_indeterminate(runner, monkeypatch, args):
-    monkeypatch.setattr(
-        monoids, "build_named",
-        lambda family, n: monoids.closure(
-            n, [f for _, f in monoids.generating_maps(family, n)], max_elements=10
-        ),
-    )
+@pytest.mark.parametrize("args, per_element", [
+    pytest.param(args, per_element, id=args[0]) for args, per_element in [
+        (["build", "--family", "odi", "--n", "4"], 79),
+        (["verify-presentation", "--family", "R", "--n", "4"], 79),
+        (["forms", "--family", "Q", "--n", "4"], 55),
+        (["tietze", "--chain", "odi", "--n", "4"], 79),
+        (["green", "--family", "di", "--n", "4"], 55),
+        (["formulas", "--n-range", "4..4"], 79),
+    ]
+])
+def test_closure_cap_is_indeterminate(runner, monkeypatch, args, per_element):
+    """With a budget of 10 elements of the bytes each verb's first
+    closure holds an element (ODI(4) 79, DI(4) and OPDI(4) 55), that
+    closure caps and the verb is INDETERMINATE."""
+    budget = 10 * per_element
+    monkeypatch.setattr(monoids, "CLOSURE_BYTES", budget)
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr == "INDETERMINATE, closure exceeded cap of 10 elements\n"
+    assert res.stderr == (f"INDETERMINATE, closure exceeded cap of 10 elements "
+                          f"({budget} bytes at {per_element} bytes an element)\n")
 
 
 @pytest.mark.parametrize("kernel_call, args", [

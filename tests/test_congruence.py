@@ -1283,7 +1283,7 @@ def test_verify_builds_no_key_index_it_does_not_read(monkeypatch):
     """A monoid holds its key buffer and right table and caches nothing per
     element that verification does not read.  Verifying U and QPrime,
     whose images are the monoid's own generators, checking that the
-    images generate it, labelling its Green's classes and testing
+    images generate it, counting its Green's classes and testing
     membership leave it with neither its elements nor its left table;
     so do verifying R and the one closure of R's images it makes."""
     fields = {"degree", "key_bytes", "generators", "right_cayley"}

@@ -59,7 +59,9 @@ def probe_calls():
     turn as a watched run and as witness at 2 and at 3 points; on each
     monoid family at n = 4 and the cyclic group of degree 255, close
     (complete, capped one element short and at the identity) and green;
-    and the edge buffers."""
+    on DI(8), whose 3,985 elements grow every record table past its
+    first 1,024 records, close at caps beside the doublings and at its
+    size, and green; and the edge buffers."""
     calls = []
     for family in RelationFamily:
         p = build_relations(family, 4)
@@ -74,6 +76,10 @@ def probe_calls():
         keys = b"".join(m.key(k) for k in m.generators)
         calls += [("close", (degree, keys, cap)) for cap in (m.size, m.size - 1, 1)]
         calls.append(("green", (degree, m.key_bytes)))
+    m = build_named(MonoidFamily.DI, 8)
+    keys = b"".join(m.key(k) for k in m.generators)
+    calls += [("close", (8, keys, cap)) for cap in (1024, 1025, 2049, m.size)]
+    calls.append(("green", (8, m.key_bytes)))
     calls += [
         ("run", (0, b"", 10, 10)),
         ("run", (2, b"", 10, 100)),
