@@ -25,6 +25,18 @@
    renumbered.  The watch is checked only after a scan that merged
    classes.
 
+   run and witness take an optional stop flag, byte 0 of a writable
+   buffer that stop_flag checks where it enters: run checks it before
+   each class visit, after the step cap, and returns STATUS_STOPPED (3)
+   once it is set; witness checks it before each node and returns
+   (None, nodes).  Both release the GIL while they enumerate or search,
+   which touches no Python object: the flag is read through a volatile
+   pointer, whose one writer is the Python side's byte store, and every
+   kernel array comes from one raw allocator (grow), which needs no GIL
+   and sets no exception.  Each caller of grow raises MemoryError once
+   it holds the GIL: run after Py_END_ALLOW_THREADS, when enumerate
+   returns FAILED.
+
    witness: the same bounded depth-first search for a small action
    separating the watch, one search on at most max_points points within
    max_nodes nodes, choice for choice, with the same deductions and the
@@ -56,7 +68,8 @@
    met in a union-find over the R-classes, whose roots are the
    D-classes.  Only the four class counts come back, equal to _tc_py's.
 
-   Every allocation failure raises MemoryError. */
+   Every allocation failure raises MemoryError, and every array is freed
+   with PyMem_RawFree. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -67,10 +80,11 @@
 #define STATUS_COMPLETE 0
 #define STATUS_CAPPED 1
 #define STATUS_WATCH_MERGED 2
+#define STATUS_STOPPED 3
 
 /* class-returning helpers answer a class id, or one of these */
 #define CAPPED (-1)
-#define FAILED (-2) /* a Python exception is set */
+#define FAILED (-2) /* out of memory, or a Python exception is set */
 
 typedef struct {
     int n_letters;
@@ -82,6 +96,7 @@ typedef struct {
     Py_ssize_t cap;       /* classes the parent and table arrays hold */
     long long steps;
     long long max_steps;
+    volatile const char *stop;  /* the stop flag, or NULL */
     int *parent;          /* union-find forest over class ids */
     int *table;           /* flat, row c starts at c * n_letters */
     int *queue;           /* one coincide's pairs, empty between calls */
@@ -89,21 +104,26 @@ typedef struct {
     Py_ssize_t q_cap;     /* in pairs */
 } State;
 
-/* Grow p to n items of size bytes; on failure p stays valid.  A row of
-   a table with no letters has size 0. */
+/* Grow p to n items of size bytes, or NULL with p still valid and no
+   exception set, so that it runs without the GIL.  A row of a table
+   with no letters has size 0. */
 static void *
 grow(void *p, Py_ssize_t n, size_t size)
 {
-    void *q;
     if (n < 1)
         n = 1;
     if (size < 1)
         size = 1;
-    if ((size_t)n > (size_t)PY_SSIZE_T_MAX / size) {
-        PyErr_NoMemory();
+    if ((size_t)n > (size_t)PY_SSIZE_T_MAX / size)
         return NULL;
-    }
-    q = PyMem_Realloc(p, (size_t)n * size);
+    return PyMem_RawRealloc(p, (size_t)n * size);
+}
+
+/* grow, raising MemoryError on failure: for a caller holding the GIL */
+static void *
+grow_or_raise(void *p, Py_ssize_t n, size_t size)
+{
+    void *q = grow(p, n, size);
     if (q == NULL)
         PyErr_NoMemory();
     return q;
@@ -280,7 +300,7 @@ count_words(PyObject *obj, int n_letters, int **cells)
         PyErr_Format(PyExc_ValueError, "%zd bytes are not whole int32 cells", b.len);
         goto done;
     }
-    if ((*cells = c = grow(NULL, n, sizeof(int))) == NULL)
+    if ((*cells = c = grow_or_raise(NULL, n, sizeof(int))) == NULL)
         goto done;
     if (n > 0)
         memcpy(c, b.buf, (size_t)b.len);
@@ -364,6 +384,8 @@ enumerate(State *s, const int *rels, Py_ssize_t n_rels, const int *watch)
     for (c_idx = 0; c_idx < s->n_classes; c_idx++) {
         if (s->steps > s->max_steps)
             return STATUS_CAPPED;
+        if (s->stop != NULL && *s->stop)
+            return STATUS_STOPPED;
         if (find(s->parent, c_idx) != c_idx)
             continue;
         for (r = 0, lhs = rels; r < n_rels; r++, lhs = rhs + 1 + rhs[0]) {
@@ -399,8 +421,8 @@ static PyObject *
 dense_table(State *s)
 {
     PyObject *out = NULL;
-    int *renum = grow(NULL, s->n_classes, sizeof(int));
-    int *order = grow(NULL, s->live, sizeof(int));
+    int *renum = grow_or_raise(NULL, s->n_classes, sizeof(int));
+    int *order = grow_or_raise(NULL, s->live, sizeof(int));
     int *cells, head, next = 1, k;
     if (renum == NULL || order == NULL)
         goto done;
@@ -427,51 +449,84 @@ dense_table(State *s)
         Py_CLEAR(out);
     }
 done:
-    PyMem_Free(renum);
-    PyMem_Free(order);
+    PyMem_RawFree(renum);
+    PyMem_RawFree(order);
     return out;
 }
 
+/* The flag in stop: None, or a writable buffer of at least one byte held
+   in *b, whose byte 0 is the flag.  0 with *flag NULL for None or byte
+   0's address, or -1 with BufferError for a buffer that is read-only
+   (as PyBUF_WRITABLE refuses bytes) or not contiguous, ValueError for
+   an empty one and TypeError for no buffer.  The caller releases *b,
+   zeroed before the call, whatever the outcome. */
+static int
+stop_flag(PyObject *stop, Py_buffer *b, volatile const char **flag)
+{
+    *flag = NULL;
+    if (stop == Py_None)
+        return 0;
+    if (PyObject_GetBuffer(stop, b, PyBUF_WRITABLE) < 0)
+        return -1;
+    if (b->len < 1) {
+        PyErr_SetString(PyExc_ValueError, "stop must be at least one byte");
+        return -1;
+    }
+    *flag = b->buf;
+    return 0;
+}
+
 PyDoc_STRVAR(run_doc,
-"run(n_letters, relations, max_classes, max_steps, watch=None, /)\n"
+"run(n_letters, relations, max_classes, max_steps, watch=None, stop=None, /)\n"
 "--\n\n"
 "Enumerate the classes of the two-sided congruence.\n\n"
 "Same contract as _tc_py.run: relations is a bytes-like buffer of\n"
 "int32 cells, each word its length and then its letter ids, lhs then\n"
 "rhs of each relation, and watch None or such a buffer of two words.\n"
+"stop is None or a writable buffer whose byte 0, once nonzero, stops\n"
+"the run before its next class visit with status 3 (STATUS_STOPPED).\n"
 "The result is (status, table, stats): the standardized table as int32\n"
 "bytes when status is 0 and None otherwise, stats the run's counters.\n"
 "A buffer that is not whole words, an odd number of relation words, a\n"
-"watch of other than two words or a letter id outside range(n_letters)\n"
-"raises ValueError.  It takes positional arguments only.");
+"watch of other than two words, a letter id outside range(n_letters)\n"
+"or an empty stop raises ValueError, a read-only stop BufferError.\n"
+"The GIL is released while the run enumerates.  It takes positional\n"
+"arguments only.");
 
 static PyObject *
 run(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *relations, *watch = Py_None, *result = NULL;
+    PyObject *relations, *watch = Py_None, *stop = Py_None, *result = NULL;
+    Py_buffer flag = {0};
     State s = {0};
     int *rels = NULL, *pair = NULL, status;
     Py_ssize_t n_words;
 
-    if (!PyArg_ParseTuple(args, "iOiL|O:run", &s.n_letters, &relations,
-                          &s.max_classes, &s.max_steps, &watch))
+    if (!PyArg_ParseTuple(args, "iOiL|OO:run", &s.n_letters, &relations,
+                          &s.max_classes, &s.max_steps, &watch, &stop))
         return NULL;
-    if ((n_words = relation_words(relations, s.n_letters, &rels)) < 0
+    if (stop_flag(stop, &flag, &s.stop) < 0
+        || (n_words = relation_words(relations, s.n_letters, &rels)) < 0
         || (watch != Py_None && watch_words(watch, s.n_letters, &pair) < 0))
         goto done;
 
     s.cap = 1024;
     s.q_cap = 1024;
-    if ((s.parent = grow(NULL, s.cap, sizeof(int))) == NULL
-        || (s.table = grow(NULL, s.cap, (size_t)s.n_letters * sizeof(int))) == NULL
-        || (s.queue = grow(NULL, s.q_cap, 2 * sizeof(int))) == NULL)
+    if ((s.parent = grow_or_raise(NULL, s.cap, sizeof(int))) == NULL
+        || (s.table = grow_or_raise(NULL, s.cap, (size_t)s.n_letters * sizeof(int))) == NULL
+        || (s.queue = grow_or_raise(NULL, s.q_cap, 2 * sizeof(int))) == NULL)
         goto done;
     s.parent[0] = 0;
     memset(row(&s, 0), 0xFF, (size_t)s.n_letters * sizeof(int));
     s.n_classes = s.live = s.peak_live = 1;
 
+    Py_BEGIN_ALLOW_THREADS
     status = enumerate(&s, rels, n_words / 2, pair);
-    if (status != FAILED) {
+    Py_END_ALLOW_THREADS
+    if (status == FAILED) {
+        PyErr_NoMemory();
+    }
+    else {
         PyObject *table = status == STATUS_COMPLETE ? dense_table(&s) : Py_NewRef(Py_None);
         if (table != NULL)
             result = Py_BuildValue(
@@ -480,11 +535,12 @@ run(PyObject *Py_UNUSED(self), PyObject *args)
                 "coincidences", s.coincidences, "steps", s.steps);
     }
 done:
-    PyMem_Free(rels);
-    PyMem_Free(pair);
-    PyMem_Free(s.parent);
-    PyMem_Free(s.table);
-    PyMem_Free(s.queue);
+    PyBuffer_Release(&flag);
+    PyMem_RawFree(rels);
+    PyMem_RawFree(pair);
+    PyMem_RawFree(s.parent);
+    PyMem_RawFree(s.table);
+    PyMem_RawFree(s.queue);
     return result;
 }
 
@@ -513,6 +569,7 @@ typedef struct {
     Py_ssize_t trail_len;
     Choice *stack;
     long long nodes;
+    volatile const char *stop;  /* the stop flag, or NULL */
 } Search;
 
 /* The point word (its length, then its letters) reaches from q, and in
@@ -582,8 +639,9 @@ separates(const Search *w, int points, const int *watch)
 }
 
 /* The points of the first action found on at most bound points, or 0
-   when there is none or budget nodes ran out.  Each choice is of a cell
-   past its parent's, so the stack holds at most the cells. */
+   when there is none, budget nodes ran out or the stop flag was set.
+   Each choice is of a cell past its parent's, so the stack holds at most
+   the cells. */
 static int
 search(Search *w, int bound, long long budget, const int *watch)
 {
@@ -609,7 +667,7 @@ search(Search *w, int bound, long long budget, const int *watch)
                 top--;
                 continue;
             }
-            if (w->nodes == budget)
+            if (w->nodes == budget || (w->stop != NULL && *w->stop))
                 return 0;
             f->next = t + 1;
             w->nodes++;
@@ -633,7 +691,8 @@ index_holding(Search *w, const int *rels, Py_ssize_t n_rels)
     const int *lhs = rels, *rhs, *a;
     Py_ssize_t r, k = 0, cap = 0, *last;
     Holding *h;
-    if ((w->first = grow(NULL, 2 * (Py_ssize_t)w->width, sizeof(Py_ssize_t))) == NULL)
+    if ((w->first = grow_or_raise(NULL, 2 * (Py_ssize_t)w->width, sizeof(Py_ssize_t)))
+        == NULL)
         return -1;
     last = w->first + w->width;
     memset(w->first, 0xFF, 2 * (size_t)w->width * sizeof(Py_ssize_t));  /* -1 */
@@ -643,7 +702,8 @@ index_holding(Search *w, const int *rels, Py_ssize_t n_rels)
             if (a == rhs || (last[*a] >= 0 && w->holding[last[*a]].lhs == lhs))
                 continue;  /* the rhs's length, or a letter listed already */
             if (k == cap) {
-                if ((h = grow(w->holding, cap = 2 * cap + 16, sizeof(Holding))) == NULL)
+                if ((h = grow_or_raise(w->holding, cap = 2 * cap + 16, sizeof(Holding)))
+                    == NULL)
                     return -1;
                 w->holding = h;
             }
@@ -656,7 +716,7 @@ index_holding(Search *w, const int *rels, Py_ssize_t n_rels)
 }
 
 PyDoc_STRVAR(witness_doc,
-"witness(n_letters, relations, watch, max_points, max_nodes, /)\n"
+"witness(n_letters, relations, watch, max_points, max_nodes, stop=None, /)\n"
 "--\n\n"
 "Search for a small action in which the watch's two words differ.\n\n"
 "Same contract as _tc_py.witness: relations and watch are buffers of\n"
@@ -665,40 +725,51 @@ PyDoc_STRVAR(witness_doc,
 "(table, nodes): the first action found in which every relation holds\n"
 "at every point and the watch's words differ at one, as int32 bytes,\n"
 "cell q * n_letters + a the image of point q under letter a, or None;\n"
-"and the nodes searched.  max_points outside 1..256, a negative\n"
-"max_nodes, or buffers that run refuses raise ValueError.  It takes\n"
-"positional arguments only.");
+"and the nodes searched.  stop is a flag as run reads it: once byte 0\n"
+"is nonzero the search ends before its next node, with no action.\n"
+"max_points outside 1..256, a negative max_nodes, or buffers and flags\n"
+"that run refuses raise ValueError, BufferError or TypeError as there.\n"
+"The GIL is released while the search runs.  It takes positional\n"
+"arguments only.");
 
 static PyObject *
 witness(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *relations, *watch, *result = NULL, *table;
+    PyObject *relations, *watch, *stop = Py_None, *result = NULL, *table;
+    Py_buffer flag = {0};
     Search w = {0};
     int *rels = NULL, *pair = NULL, max_points, points;
     long long max_nodes;
     Py_ssize_t n_words, cells;
 
-    if (!PyArg_ParseTuple(args, "iOOiL:witness", &w.width, &relations, &watch,
-                          &max_points, &max_nodes))
+    if (!PyArg_ParseTuple(args, "iOOiL|O:witness", &w.width, &relations, &watch,
+                          &max_points, &max_nodes, &stop))
         return NULL;
-    if (max_points < 1 || max_points > 256)
-        return PyErr_Format(PyExc_ValueError, "max_points must be 1 to 256, got %d",
-                            max_points);
-    if (max_nodes < 0)
-        return PyErr_Format(PyExc_ValueError, "max_nodes must be non-negative, got %lld",
-                            max_nodes);
+    if (stop_flag(stop, &flag, &w.stop) < 0)
+        goto done;
+    if (max_points < 1 || max_points > 256) {
+        PyErr_Format(PyExc_ValueError, "max_points must be 1 to 256, got %d", max_points);
+        goto done;
+    }
+    if (max_nodes < 0) {
+        PyErr_Format(PyExc_ValueError, "max_nodes must be non-negative, got %lld",
+                     max_nodes);
+        goto done;
+    }
     if ((n_words = relation_words(relations, w.width, &rels)) < 0
         || watch_words(watch, w.width, &pair) < 0)
         goto done;
     cells = (Py_ssize_t)max_points * w.width;
-    if ((w.table = grow(NULL, cells, sizeof(int))) == NULL
-        || (w.trail = grow(NULL, cells, sizeof(Py_ssize_t))) == NULL
-        || (w.stack = grow(NULL, cells, sizeof(Choice))) == NULL
+    if ((w.table = grow_or_raise(NULL, cells, sizeof(int))) == NULL
+        || (w.trail = grow_or_raise(NULL, cells, sizeof(Py_ssize_t))) == NULL
+        || (w.stack = grow_or_raise(NULL, cells, sizeof(Choice))) == NULL
         || index_holding(&w, rels, n_words / 2) < 0)
         goto done;
     memset(w.table, 0xFF, (size_t)cells * sizeof(int));
 
+    Py_BEGIN_ALLOW_THREADS
     points = search(&w, max_points, max_nodes, pair);
+    Py_END_ALLOW_THREADS
     table = points > 0
         ? PyBytes_FromStringAndSize((const char *)w.table,
                                     (Py_ssize_t)points * w.width * (Py_ssize_t)sizeof(int))
@@ -706,13 +777,14 @@ witness(PyObject *Py_UNUSED(self), PyObject *args)
     if (table != NULL)
         result = Py_BuildValue("NL", table, w.nodes);
 done:
-    PyMem_Free(rels);
-    PyMem_Free(pair);
-    PyMem_Free(w.table);
-    PyMem_Free(w.trail);
-    PyMem_Free(w.stack);
-    PyMem_Free(w.holding);
-    PyMem_Free(w.first);
+    PyBuffer_Release(&flag);
+    PyMem_RawFree(rels);
+    PyMem_RawFree(pair);
+    PyMem_RawFree(w.table);
+    PyMem_RawFree(w.trail);
+    PyMem_RawFree(w.stack);
+    PyMem_RawFree(w.holding);
+    PyMem_RawFree(w.first);
     return result;
 }
 
@@ -760,17 +832,17 @@ records_grow(Records *t, Py_ssize_t cap)
     void *p;
     while (size < 2 * (size_t)cap)
         size *= 2;
-    if ((p = grow(t->recs, cap, (size_t)t->len)) == NULL)
+    if ((p = grow_or_raise(t->recs, cap, (size_t)t->len)) == NULL)
         return -1;
     t->recs = p;
-    if ((p = grow(t->hashes, cap, sizeof(uint64_t))) == NULL)
+    if ((p = grow_or_raise(t->hashes, cap, sizeof(uint64_t))) == NULL)
         return -1;
     t->hashes = p;
     t->cap = cap;
-    if ((slots = grow(NULL, (Py_ssize_t)size, sizeof(int))) == NULL)
+    if ((slots = grow_or_raise(NULL, (Py_ssize_t)size, sizeof(int))) == NULL)
         return -1;
     memset(slots, 0xFF, size * sizeof(int));
-    PyMem_Free(t->slots);
+    PyMem_RawFree(t->slots);
     t->slots = slots;
     t->mask = size - 1;
     for (e = 0; e < t->count; e++) {
@@ -795,9 +867,9 @@ records_init(Records *t, Py_ssize_t len, Py_ssize_t limit)
 static void
 records_free(Records *t)
 {
-    PyMem_Free(t->recs);
-    PyMem_Free(t->hashes);
-    PyMem_Free(t->slots);
+    PyMem_RawFree(t->recs);
+    PyMem_RawFree(t->hashes);
+    PyMem_RawFree(t->slots);
 }
 
 /* The number of the record, len bytes at rec zero-padded to whole
@@ -863,7 +935,7 @@ close_elements(Records *t, int **rows_out, Py_ssize_t n_gens,
         if (pos == rows_cap) {
             int *q;
             rows_cap = 0 < rows_cap && rows_cap < t->cap / 2 ? 2 * rows_cap : t->cap;
-            if ((q = grow(rows, rows_cap, (size_t)n_gens * sizeof(int))) == NULL)
+            if ((q = grow_or_raise(rows, rows_cap, (size_t)n_gens * sizeof(int))) == NULL)
                 goto done;
             rows = q;
         }
@@ -911,7 +983,7 @@ close_monoid(PyObject *Py_UNUSED(self), PyObject *args)
     if (!PyArg_ParseTuple(args, "ny*n:close", &degree, &gens, &max_elements))
         return NULL;
     if ((n_gens = count_keys(degree, gens.len)) < 0
-        || (tables = grow(NULL, n_gens, 256)) == NULL)
+        || (tables = grow_or_raise(NULL, n_gens, 256)) == NULL)
         goto done;
     for (k = 0; k < n_gens; k++) {
         memset(tables[k], 0, 256);
@@ -933,8 +1005,8 @@ close_monoid(PyObject *Py_UNUSED(self), PyObject *args)
         result = Py_NewRef(Py_None);
 done:
     PyBuffer_Release(&gens);
-    PyMem_Free(tables);
-    PyMem_Free(rows);
+    PyMem_RawFree(tables);
+    PyMem_RawFree(rows);
     records_free(&t);
     return result;
 }
@@ -947,7 +1019,8 @@ green_counts(const unsigned char *keys, Py_ssize_t n, Py_ssize_t key_len,
              Py_ssize_t *counts)
 {
     Py_ssize_t i, p, joins = 0;
-    int *root = grow(NULL, n, sizeof(int)), *meets = grow(NULL, n, sizeof(int));
+    int *root = grow_or_raise(NULL, n, sizeof(int));
+    int *meets = grow_or_raise(NULL, n, sizeof(int));
     int r, l, a, b, rc = -1;
     Records dom = {0}, im = {0}, pairs = {0};
     if (root == NULL || meets == NULL
@@ -986,8 +1059,8 @@ done:
     records_free(&dom);
     records_free(&im);
     records_free(&pairs);
-    PyMem_Free(root);
-    PyMem_Free(meets);
+    PyMem_RawFree(root);
+    PyMem_RawFree(meets);
     return rc;
 }
 
@@ -1039,7 +1112,8 @@ PyInit__tc_core(void)
     if (PyModule_AddIntConstant(m, "STATUS_COMPLETE", STATUS_COMPLETE) < 0
         || PyModule_AddIntConstant(m, "STATUS_CAPPED", STATUS_CAPPED) < 0
         || PyModule_AddIntConstant(m, "STATUS_WATCH_MERGED",
-                                   STATUS_WATCH_MERGED) < 0) {
+                                   STATUS_WATCH_MERGED) < 0
+        || PyModule_AddIntConstant(m, "STATUS_STOPPED", STATUS_STOPPED) < 0) {
         Py_DECREF(m);
         return NULL;
     }

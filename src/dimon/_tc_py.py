@@ -57,6 +57,7 @@ run returns (status, table, stats):
     status 0  complete: table is the dense right-action table
     status 1  capped: class or step budget exhausted, no table
     status 2  the watch pair merged before completion, no table
+    status 3  stopped by the stop flag before completion, no table
 
 A complete table is standardized: the live classes are numbered
 breadth-first from class 0, each class's targets read in letter order,
@@ -71,6 +72,20 @@ after every scan that merged classes, and only scans merge classes.
 stats is a dict of the run's counters at its stop, whatever the
 status: classes_defined (class 0 included), peak_live_classes,
 coincidences (classes merged away) and steps.
+
+run and witness take an optional stop flag, so that a caller can run
+both at once, on two threads, and end the one whose answer it no longer
+needs: None, or a writable buffer of at least one byte, whose byte 0 is
+the flag.  It is checked where it enters: a read-only buffer (bytes, say)
+raises BufferError, an empty one ValueError and an object that is no
+buffer TypeError, in both kernels.  run checks the flag before each
+class visit, after the step cap, and returns status 3 once it is set;
+witness checks it before each node and then returns (None, nodes).
+With no flag, or one that stays 0, both return what they return
+without it.  The compiled kernels release the GIL while they enumerate
+or search, which their one raw allocator (it needs no GIL) allows, and
+read the flag through a volatile pointer; here the two threads
+interleave under the GIL.
 
 witness: what a capped watched run cannot decide, a small model can.
 It searches depth first, with the relations pruning each branch, for
@@ -106,6 +121,7 @@ UNDEF = -1
 STATUS_COMPLETE = 0
 STATUS_CAPPED = 1
 STATUS_WATCH_MERGED = 2
+STATUS_STOPPED = 3
 
 
 class _Capped(Exception):
@@ -151,6 +167,21 @@ def _watch(buf, n_letters):
     return watch
 
 
+def _stop_flag(stop):
+    """The flag in stop as a one-byte-per-item view, byte 0 the flag, or
+    None for None; refused as _tc_core's stop_flag refuses it."""
+    if stop is None:
+        return None
+    view = memoryview(stop)  # TypeError for an object that is no buffer
+    if view.readonly:
+        raise BufferError("Object is not writable.")
+    if not view.c_contiguous:
+        raise BufferError("memoryview: underlying buffer is not C-contiguous")
+    if not view.nbytes:
+        raise ValueError("stop must be at least one byte")
+    return view.cast("B")
+
+
 def _find(parent, c):
     """The root of c in a union-find forest, halving the path to it."""
     while parent[c] != c:
@@ -159,13 +190,15 @@ def _find(parent, c):
     return c
 
 
-def run(n_letters, relations, max_classes, max_steps, watch=None, /):
+def run(n_letters, relations, max_classes, max_steps, watch=None, stop=None, /):
     """Enumerate the classes of the two-sided congruence.
 
     relations: a bytes-like buffer of native int32 cells, each word its
     length and then its letter ids, lhs then rhs of each relation.
     watch: None, or such a buffer of two words; the run then stops as
     soon as the two words provably fall in one class.
+    stop: None, or a stop flag (see the module docstring); once it is
+    set the run stops before its next class visit with status 3.
 
     Returns (status, table, stats): table is the standardized table as
     int32 bytes (class 0 = empty word) when status is 0, else None, and
@@ -174,8 +207,10 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
     buffer that is not whole words, an odd number of relation words, a
     watch of other than two words, a letter id outside range(n_letters)
     or a negative n_letters raises ValueError, and a buffer that is not
-    bytes-like TypeError.  Every argument is positional only.
+    bytes-like TypeError; a stop flag is refused as the module docstring
+    says.  Every argument is positional only.
     """
+    flag = _stop_flag(stop)
     relations = _relation_pairs(relations, n_letters)
     if watch is not None:
         watch = _watch(watch, n_letters)
@@ -278,6 +313,8 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
         while c_idx < len(parent):
             if steps > max_steps:
                 return STATUS_CAPPED
+            if flag is not None and flag[0]:
+                return STATUS_STOPPED
             if _find(parent, c_idx) != c_idx:
                 c_idx += 1
                 continue
@@ -322,7 +359,7 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, /):
     return (STATUS_COMPLETE, out.tobytes(), stats)
 
 
-def witness(n_letters, relations, watch, max_points, max_nodes, /):
+def witness(n_letters, relations, watch, max_points, max_nodes, stop=None, /):
     """Search for a small action in which the watch's two words differ.
 
     An action of the letters on points 0..k-1 maps each point under
@@ -345,15 +382,18 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
     The search stops at the first action that separates the watch, or
     after max_nodes nodes: with letters in few relations, actions on
     two points alone can take about 4**n_letters nodes, so no search
-    runs without that bound.  Which point bounds to search, and in what
-    order, is the caller's (see dimon.congruence).
+    runs without that bound, nor after the stop flag, if given, is set.
+    Which point bounds to search, and in what order, is the caller's (see
+    dimon.congruence).
 
     Returns (table, nodes): table the first action found as int32
     bytes, cell q * n_letters + a the image of point q under letter a,
     or None; nodes the choices made.  max_points outside 1..256 or a
-    negative max_nodes raises ValueError, and so do the buffers as in
-    run.  Every argument is positional only.
+    negative max_nodes raises ValueError, and the buffers and the stop
+    flag are refused as run refuses them.  Every argument is positional
+    only.
     """
+    flag = _stop_flag(stop)
     if not 1 <= max_points <= 256:
         raise ValueError(f"max_points must be 1 to 256, got {max_points}")
     if max_nodes < 0:
@@ -423,7 +463,7 @@ def witness(n_letters, relations, watch, max_points, max_nodes, /):
             if t == min(points + 1, max_points):
                 stack.pop()
                 continue
-            if nodes == max_nodes:
+            if nodes == max_nodes or flag is not None and flag[0]:
                 return None, nodes
             frame[1] = t + 1
             nodes += 1

@@ -37,20 +37,33 @@ is_consequence watches the pair's two sides.  A run that merges them
 answers True, and one that completes never merged them, so it answers
 False: the watch is checked after every scan that merged classes, and
 only scans merge classes.  A capped run decides nothing, as the monoid
-may be too large for the caps or infinite, so is_consequence then
-searches for a finite model: an action of the letters, reached from
-point 0, in which every relation acts equally at every point and the
-pair's sides act differently at some point (a bounded low-index search,
-as in Anagnostopoulou-Merkouri, Cirpons, Mitchell and Tsalakou, 2023).
-Such an action is one of the presented monoid, in which the two sides
-are then distinct, so the answer is False once is_consequence has traced
-the action again here, one bytes.translate per letter; an action that
-fails that trace raises RuntimeError.  The schedule is is_consequence's
-alone: one kernel witness call searches actions on at most two points,
-and, when it finds none, a second on at most WITNESS_POINTS points, each
-within WITNESS_NODES nodes (so up to twice that in all).  With neither
-finding one, the capped run raises IndeterminateError, whose message
-gives the run's counters against both caps and the nodes searched.
+may be too large for the caps or infinite; a finite model can: an
+action of the letters, reached from point 0, in which every relation
+acts equally at every point and the pair's sides act differently at
+some point (a bounded low-index search, as in Anagnostopoulou-Merkouri,
+Cirpons, Mitchell and Tsalakou, 2023).  Such an action is one of the
+presented monoid, in which the two sides are then distinct, so the
+answer is False once is_consequence has traced the action again here,
+one bytes.translate per letter; an action that fails that trace raises
+RuntimeError.  The schedule is is_consequence's alone: one kernel
+witness call searches actions on at most two points, and, when it finds
+none, a second on at most WITNESS_POINTS points, each within
+WITNESS_NODES nodes (so up to twice that in all).
+
+is_consequence races the two, as libsemigroups' Congruence races its
+algorithms: the search runs on one helper thread while the watched run
+runs in the calling thread, and whichever decides first sets a one-byte
+stop flag that the other polls.  A run that merges or completes answers
+at once and leaves the search to end within one node; an action found
+stops the run, which returns STATUS_STOPPED.  A capped run waits for the
+whole search, and with no action found raises IndeterminateError, whose
+message gives the run's counters against both caps and the nodes
+searched.  An action and a merged run exclude each other, and a complete
+run and an action both mean False, so no answer depends on which
+finishes first.  The compiled kernels release the GIL, so the two use
+two cores; the pure ones interleave under the GIL.  The helper is one
+daemon thread, started by the first is_consequence call, and again when
+it is not alive (in a forked child); it calls only the kernel's witness.
 verify_presentation searches for no action.
 
 Checking a presentation or a forms set against a concrete monoid is a
@@ -83,6 +96,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import threading
 
 from . import monoids
 from .monoids import BACKEND, FiniteMonoid, _kernel, verify_generates
@@ -239,12 +253,15 @@ def is_consequence(
     The run exits early once the two sides provably coincide, so true
     consequences are confirmed even when the presented monoid is
     infinite.  A run that completes without merging them answers False.
-    A capped run is followed by a search for an action of p's letters in
-    which p's relations hold and rel's sides differ, on at most two
-    points and then on at most WITNESS_POINTS, each within WITNESS_NODES
-    nodes (see the module docstring); such an action answers False, and
-    without one the run raises IndeterminateError.  A letter
-    outside p's alphabet raises ValueError.
+    Alongside the run, a helper thread searches for an action of p's
+    letters in which p's relations hold and rel's sides differ, on at
+    most two points and then on at most WITNESS_POINTS, each within
+    WITNESS_NODES nodes (see the module docstring).  A run that merges
+    or completes answers without waiting for the search; an action
+    answers False, stopping the run if it is still going; and a capped
+    run waits for the whole search, raising IndeterminateError when it
+    finds no action.  The answers are those of running the two one after
+    the other.  A letter outside p's alphabet raises ValueError.
     """
     caps = caps or EnumerationCaps()
     try:
@@ -252,20 +269,21 @@ def is_consequence(
     except KeyError as e:
         raise ValueError(f"relation {rel.lhs} = {rel.rhs} has letter {e.args[0]!r}, "
                          f"not in {p.letters}") from None
+    stop = bytearray(1)
+    search = _Search(_kernel.witness, len(p.letters), p.relation_ids, watch, stop)
     status, _, stats = _kernel.run(
-        len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch
+        len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch, stop
     )
-    if status != _kernel.STATUS_CAPPED:
+    if status in (_kernel.STATUS_COMPLETE, _kernel.STATUS_WATCH_MERGED):
+        stop[0] = 1
         return status == _kernel.STATUS_WATCH_MERGED
-    nodes = 0
-    for points in (2, WITNESS_POINTS):
-        table, searched = _kernel.witness(
-            len(p.letters), p.relation_ids, watch, points, WITNESS_NODES
+    table, nodes = search.result()
+    if table is None and status == _kernel.STATUS_STOPPED:
+        raise RuntimeError(
+            "the run was stopped although the witness search found no action: "
+            "stop flag protocol violated"
         )
-        nodes += searched
-        if table is not None:
-            break
-    else:
+    if table is None:
         raise IndeterminateError(
             f"{caps.report(stats)} before deciding {rel.lhs} = {rel.rhs}, and "
             f"no action on at most {WITNESS_POINTS} points separates it in the "
@@ -277,6 +295,69 @@ def is_consequence(
             "in a model of the relations: witness search soundness violated"
         )
     return False
+
+
+# the helper thread that runs the witness searches, and its queue of
+# them: made by the first search, and again when the thread is not alive
+_helper = None
+_jobs = None
+
+
+class _Search:
+    """is_consequence's witness schedule, queued for the helper thread.
+
+    witness is the kernel's, as the caller found it.  stop is the flag
+    the search shares with the run: the search ends once it is set, and
+    sets it when it finds an action.  result() waits for the search and
+    returns (table, nodes), or raises what the search raised.
+    """
+
+    def __init__(self, witness, n_letters, relations, watch, stop):
+        global _helper, _jobs
+        self._args = (witness, n_letters, relations, watch, stop)
+        self._outcome = None
+        self._done = threading.Lock()
+        self._done.acquire()
+        if _helper is None or not _helper.is_alive():
+            import queue  # on first use: importing dimon loads no more modules
+
+            _jobs = queue.SimpleQueue()
+            _helper = threading.Thread(target=_serve, args=(_jobs,), daemon=True,
+                                       name="dimon-witness")
+            _helper.start()
+        _jobs.put(self)
+
+    def search(self):
+        witness, n_letters, relations, watch, stop = self._args
+        try:
+            nodes = 0
+            for points in (2, WITNESS_POINTS):
+                table, searched = witness(
+                    n_letters, relations, watch, points, WITNESS_NODES, stop
+                )
+                nodes += searched
+                if table is not None:
+                    stop[0] = 1  # the run may stop
+                    break
+                if stop[0]:  # the run decided
+                    break
+            self._outcome = (table, nodes)
+        except BaseException as e:  # raised again by result(), as a future does
+            self._outcome = e
+        finally:
+            self._done.release()
+
+    def result(self):
+        self._done.acquire()
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        return self._outcome
+
+
+def _serve(jobs):
+    """The helper thread: each queued search in turn."""
+    while True:
+        jobs.get().search()
 
 
 def _separates(p: Presentation, rel: Relation, table: bytes) -> bool:

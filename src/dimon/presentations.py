@@ -779,9 +779,12 @@ def delete_relation(p: Presentation, rel: Relation, caps=None) -> Presentation:
 
     The removed relation must be a consequence of the remaining ones,
     checked by congruence.is_consequence: ValueError when it is not,
-    because the watched run completed without merging its sides or, once
-    capped, a small action of the letters separates them; and
-    IndeterminateError when the run capped and no such action turned up.
+    because the watched run completed without merging its sides or a
+    small action of the letters separates them; and IndeterminateError
+    when the run capped and no such action turned up.  is_consequence
+    searches for the action on a helper thread while the run goes on, so
+    an action stops the run early and a run that decides ends the
+    search; the answers are those of the run followed by the search.
     """
     # a relation's cells, 4 bytes each, are its two lengths and its letters
     start = 0

@@ -1,8 +1,13 @@
 """Congruence enumeration: counts, verdicts, consequences, invariants."""
 
 import doctest
+import os
 import random
 import re
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from array import array
 
@@ -388,6 +393,10 @@ def test_backends_identical(compiled_kernel):
             out_py = _tc_py.run(len(p.letters), rels, 10**6, max_steps)
             out_c = compiled_kernel.run(len(p.letters), rels, 10**6, max_steps)
             assert out_py == out_c, (p.label, max_steps)
+            # a stop flag that stays 0 changes nothing
+            for kernel in (_tc_py, compiled_kernel):
+                out = kernel.run(len(p.letters), rels, 10**6, max_steps, None, bytearray(1))
+                assert out == out_py, (kernel.__name__, p.label, max_steps)
             statuses.add(out_py[0])
         assert statuses == {_tc_py.STATUS_CAPPED, _tc_py.STATUS_COMPLETE}
     # watch and cap outcomes agree as well
@@ -590,13 +599,13 @@ def assert_separates(table, width, relation_ids, watch):
                for q in range(points))
 
 
-def witness_in_turn(kernel, n_letters, relations, watch, bounds, max_nodes):
+def witness_in_turn(kernel, n_letters, relations, watch, bounds, max_nodes, stop=None):
     """kernel.witness at each point bound in turn, each within max_nodes
-    nodes, until one finds an action: that action or None, and the nodes
-    each call searched."""
+    nodes and given the stop flag, until one finds an action: that action
+    or None, and the nodes each call searched."""
     nodes = []
     for bound in bounds:
-        table, searched = kernel.witness(n_letters, relations, watch, bound, max_nodes)
+        table, searched = kernel.witness(n_letters, relations, watch, bound, max_nodes, stop)
         nodes.append(searched)
         if table is not None:
             break
@@ -607,7 +616,8 @@ def witness_outcomes(compiled_kernel, max_nodes):
     """(actions on 2 points, on 3, none, nodes searched) per family of the
     batch's 72 capped runs, each searched on at most 2 points and then
     WITNESS_POINTS, within max_nodes nodes a search.  Both kernels must
-    return equal (table, nodes) at each bound, and every action found
+    return equal (table, nodes) at each bound, with no stop flag and with
+    one that stays 0, and every action found
     must separate the deleted relation in a model of the rest,
     re-checked by tracing here."""
     bounds = (2, congruence.WITNESS_POINTS)
@@ -622,7 +632,9 @@ def witness_outcomes(compiled_kernel, max_nodes):
                 continue
             args = (width, b"".join(rels[:i] + rels[i + 1:]), rels[i], bounds, max_nodes)
             table, searched = witness_in_turn(_tc_py, *args)
-            assert witness_in_turn(compiled_kernel, *args) == (table, searched), (family, i)
+            for kernel, stop in ((compiled_kernel, None), (_tc_py, bytearray(1)),
+                                 (compiled_kernel, bytearray(1))):
+                assert witness_in_turn(kernel, *args, stop) == (table, searched), (family, i)
             nodes += sum(searched)
             if table is not None:
                 assert_separates(table, width, args[1], rels[i])
@@ -655,36 +667,45 @@ def test_kernels_find_the_same_witnesses_within_1000_nodes(compiled_kernel):
 
 def test_consequence_batch_answers(monkeypatch, compiled_kernel):
     """is_consequence on the 260 deletions at a 5000-class cap: the 188
-    runs that merge or complete answer as they did and never search; of
-    the 72 capped ones, 32 answer False by an action and 40 raise
-    IndeterminateError.  Each capped run searches on at most 2 points,
-    and the 58 that find no action there search again on at most
-    WITNESS_POINTS: 130 searches."""
-    searches = []
+    runs that merge or complete give the run's answer, whatever their
+    searches did meanwhile; of the 72 capped ones, 32 answer False by an
+    action and 40 raise IndeterminateError.  Each capped run's search
+    covers at most 2 points, and the 58 that find no action there search
+    again on at most WITNESS_POINTS: 130 searches.  The searches run on
+    the helper thread, and a decided run's search may still be ending
+    during the next job, so each witness call is charged to its job by
+    its relations and watch, not by when it came."""
+    searches = {}
     witness = compiled_kernel.witness
+
+    def spy(*args):
+        searches.setdefault(args[1:3], []).append(args[3])
+        return witness(*args)
+
     monkeypatch.setattr(congruence, "_kernel", compiled_kernel)
-    monkeypatch.setattr(compiled_kernel, "witness",
-                        lambda *args: searches.append(args) or witness(*args))
+    monkeypatch.setattr(compiled_kernel, "witness", spy)
     caps = EnumerationCaps(max_classes=5000)
     answers = {True: 0, False: 0, None: 0}
+    capped = 0
     for family, n in CONSEQUENCE_OUTCOMES:
         p = build_relations(family, n)
         for i, out in enumerate(consequence_runs(compiled_kernel, family, n)):
-            searched = len(searches)
+            smaller = without(p, i)
             try:
-                answer = is_consequence(without(p, i), p.relations[i], caps)
+                answer = is_consequence(smaller, p.relations[i], caps)
             except IndeterminateError:
                 answer = None
             answers[answer] += 1
             if out[0] != _tc_py.STATUS_CAPPED:
                 assert answer is (out[0] == _tc_py.STATUS_WATCH_MERGED)
-                assert len(searches) == searched
             else:
                 assert answer is not True
-                assert [args[3] for args in searches[searched:]] in (
-                    [2], [2, congruence.WITNESS_POINTS])
+                rel = p.relations[i]
+                bounds = searches[smaller.relation_ids, p.encode((rel.lhs, rel.rhs))]
+                assert bounds in ([2], [2, congruence.WITNESS_POINTS])
+                capped += len(bounds)
     assert answers == {True: 162, False: 58, None: 40}
-    assert len(searches) == 130
+    assert capped == 130
 
 
 def reflection():
@@ -693,6 +714,137 @@ def reflection():
         "two-relations", ("h", "x", "y"),
         (Relation(("h", "h"), (), "inv"), Relation(("h", "x"), ("y", "h"), "conj")),
     )
+
+
+def test_an_action_stops_the_run(monkeypatch, kernel):
+    """x = y does not follow from h h = 1 and h x = y h, whose monoid is
+    infinite.  At 10**6 classes the run would go on to its cap, but the
+    helper thread's search finds an action on two points in 21 nodes and
+    sets the stop flag.  The answer is False whichever finishes first:
+    the run's status is STOPPED or CAPPED, as the threads were
+    scheduled."""
+    statuses = []
+    run = kernel.run
+
+    def spy(*args):
+        out = run(*args)
+        statuses.append(out[0])
+        return out
+
+    monkeypatch.setattr(congruence, "_kernel", kernel)
+    monkeypatch.setattr(kernel, "run", spy)
+    assert not is_consequence(reflection(), Relation(("x",), ("y",), ""),
+                              EnumerationCaps(max_classes=10**6))
+    assert len(statuses) == 1
+    assert statuses[0] in (kernel.STATUS_STOPPED, kernel.STATUS_CAPPED)
+
+
+def test_concurrent_callers_get_a_lone_callers_answers(monkeypatch, compiled_kernel):
+    """Four threads, more than the cores, call is_consequence on U(6)'s 31
+    deletions at once under a short switch interval, through a helper
+    thread that they may race to start.  Each call's flag, search and
+    outcome are its own, so every answer and every IndeterminateError
+    message is the one a lone caller gets."""
+    monkeypatch.setattr(congruence, "_kernel", compiled_kernel)
+    monkeypatch.setattr(congruence, "_helper", None)
+    p = build_relations(RelationFamily.U, 6)
+    caps = EnumerationCaps(max_classes=5000)
+
+    def answers():
+        out = []
+        for i, rel in enumerate(p.relations):
+            try:
+                out.append(is_consequence(without(p, i), rel, caps))
+            except IndeterminateError as e:
+                out.append(str(e))
+        return out
+
+    alone = answers()
+    assert (alone.count(True), alone.count(False)) == (2, 23)  # and 6 undecided
+    got = [None] * 4
+    threads = [threading.Thread(target=lambda k=k: got.__setitem__(k, answers()))
+               for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [alone] * 4
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_starts_its_own_helper():
+    """The helper thread does not survive os.fork: the child's first
+    is_consequence finds it not alive, starts its own and answers."""
+    p, rel = reflection(), Relation(("x",), ("y",), "")
+    caps = EnumerationCaps(max_classes=3000, max_steps=10**6)
+    assert not is_consequence(p, rel, caps)
+    assert congruence._helper.is_alive()
+    pid = os.fork()
+    if pid == 0:  # the child reports by its exit code alone
+        code = 1
+        try:
+            code = 0 if is_consequence(p, rel, caps) is False else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_a_preset_stop_flag_stops_both_kernels_alike(compiled_kernel):
+    """A flag set before the call.  run checks the step cap and then the
+    flag before each class visit, so it stops at its first visit with
+    equal (STATUS_STOPPED, None, stats) from both kernels, with and
+    without a watch, and caps instead when the watch's trace has passed
+    the step cap; witness stops before its first node.  Byte 0 is the
+    flag, whatever follows it."""
+    p = build_relations(RelationFamily.R, 4)
+    rel, width = p.relations[0], len(p.letters)
+    assert (rel.lhs, rel.rhs) == (("e_1", "e_1"), ("e_1",))
+    rels, watch = without(p, 0).relation_ids, p.encode((rel.lhs, rel.rhs))
+    # the watch's trace defines two classes in three steps
+    for w, max_steps, status, defined, steps in (
+        (None, 10**8, _tc_py.STATUS_STOPPED, 1, 0),
+        (watch, 10**8, _tc_py.STATUS_STOPPED, 3, 3),
+        (watch, 2, _tc_py.STATUS_CAPPED, 3, 3),
+    ):
+        args = (width, rels, 10**6, max_steps, w, bytearray(b"\1\0"))
+        out = _tc_py.run(*args)
+        assert out == compiled_kernel.run(*args), (w, max_steps)
+        assert out == (status, None, {
+            "classes_defined": defined, "peak_live_classes": defined,
+            "coincidences": 0, "steps": steps})
+    for kernel in (_tc_py, compiled_kernel):
+        assert kernel.witness(width, rels, watch, 3, 100, bytearray(b"\1")) == (None, 0)
+        assert kernel.run(width, rels, 10**6, 10**8, watch, bytearray(b"\0\1")) == (
+            _tc_py.run(width, rels, 10**6, 10**8, watch))
+
+
+@pytest.mark.parametrize("stop, error", [
+    pytest.param(b"\0", BufferError, id="bytes"),
+    pytest.param(memoryview(bytearray(4))[::2], BufferError, id="strided"),
+    pytest.param(bytearray(), ValueError, id="empty"),
+    pytest.param(0, TypeError, id="int"),
+])
+def test_kernels_refuse_bad_stop_flags(kernel, stop, error):
+    """The stop flag is checked where it enters run and witness: a
+    read-only or non-contiguous buffer raises BufferError, as
+    PyBUF_WRITABLE refuses it, an empty one ValueError and an object
+    that is no buffer TypeError, in both kernels."""
+    with pytest.raises(error):
+        kernel.run(2, b"", 10, 10, None, stop)
+    with pytest.raises(error):
+        kernel.witness(2, b"", A_AA, 3, 10, stop)
 
 
 def test_a_changed_witness_cell_is_refused(monkeypatch):

@@ -608,7 +608,8 @@ def test_kernels_refuse_malformed_green_key_buffers(kernel, degree, keys, error)
 
 def test_kernels_share_one_contract(compiled_kernel):
     """Both kernel modules expose run, witness, close and green with the
-    same signatures, and the same status constants.  No compiled kernel
+    same signatures, run and witness ending in the optional stop flag,
+    and the same status constants, STATUS_STOPPED among them.  No compiled kernel
     takes keywords, so every signature says so.  close and green take the
     degree first, then the keys."""
     for name in ("run", "witness", "close", "green"):
@@ -619,10 +620,11 @@ def test_kernels_share_one_contract(compiled_kernel):
         "degree", "gen_keys", "max_elements"]
     assert list(inspect.signature(_tc_py.green).parameters) == ["degree", "keys"]
     assert list(inspect.signature(_tc_py.run).parameters) == [
-        "n_letters", "relations", "max_classes", "max_steps", "watch"]
+        "n_letters", "relations", "max_classes", "max_steps", "watch", "stop"]
     assert list(inspect.signature(_tc_py.witness).parameters) == [
-        "n_letters", "relations", "watch", "max_points", "max_nodes"]
-    for name in ("STATUS_COMPLETE", "STATUS_CAPPED", "STATUS_WATCH_MERGED"):
+        "n_letters", "relations", "watch", "max_points", "max_nodes", "stop"]
+    for name in ("STATUS_COMPLETE", "STATUS_CAPPED", "STATUS_WATCH_MERGED",
+                 "STATUS_STOPPED"):
         assert getattr(compiled_kernel, name) == getattr(_tc_py, name), name
     for kernel in (_tc_py, compiled_kernel):
         with pytest.raises(TypeError):

@@ -5,9 +5,12 @@ Python that preloads the sanitizer's runtime and sends every allocation
 through malloc (PYTHONMALLOC=malloc), so a read or write outside a
 kernel's buffers, or a use after free, ends the child with a sanitizer
 report.  The child's answers must equal those of the kernel built
-without the sanitizer, so every call was made.
+without the sanitizer, so every call was made.  One call races witness
+on a second thread against run, both with the GIL released, as
+dimon.congruence.is_consequence does.
 """
 
+import inspect
 import marshal
 import os
 import subprocess
@@ -18,34 +21,52 @@ import pytest
 
 from conftest import CC, build_kernel
 from dimon.monoids import MonoidFamily, build_named
-from dimon.presentations import RelationFamily, build_relations
+from dimon.presentations import Presentation, Relation, RelationFamily, build_relations
+
+
+def answers(kernel, calls):
+    """Each call's answer, or the name of the error it raised.  A call is
+    (name, args), or (name, args, flag) to pass a stop flag after args, a
+    bytearray of flag's bytes (marshal gives a bytearray back as bytes).
+    The name race stands for witness on a second thread and run on this
+    one, sharing one flag that the search sets when it finds an action:
+    its answer is the search's, and whether the run stopped or capped,
+    as it may do either."""
+    import threading
+
+    def race(width, relations, watch, max_classes, max_points, max_nodes):
+        flag, found = bytearray(1), []
+
+        def search():
+            found.append(kernel.witness(width, relations, watch, max_points, max_nodes, flag))
+            flag[0] = found[0][0] is not None
+
+        thread = threading.Thread(target=search)
+        thread.start()
+        status = kernel.run(width, relations, max_classes, 10**8, watch, flag)[0]
+        thread.join()
+        return found[0], status in (kernel.STATUS_STOPPED, kernel.STATUS_CAPPED)
+
+    out = []
+    for name, args, *flag in calls:
+        try:
+            args = (*args, *map(bytearray, flag))
+            out.append(race(*args) if name == "race" else getattr(kernel, name)(*args))
+        except (ValueError, TypeError) as e:
+            out.append(type(e).__name__)
+    return out
+
 
 # the child: loads the kernel built at argv[1], makes the calls it reads
-# from stdin and writes their answers, as answers does
-PROBE = """
+# from stdin and writes their answers, with answers itself
+PROBE = f"""
 import importlib.util, marshal, sys
 spec = importlib.util.spec_from_file_location("dimon._tc_core", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
-answers = []
-for name, args in marshal.load(sys.stdin.buffer):
-    try:
-        answers.append(getattr(kernel, name)(*args))
-    except (ValueError, TypeError) as e:
-        answers.append(type(e).__name__)
-marshal.dump(answers, sys.stdout.buffer)
+{inspect.getsource(answers)}
+marshal.dump(answers(kernel, marshal.load(sys.stdin.buffer)), sys.stdout.buffer)
 """
-
-
-def answers(kernel, calls):
-    """Each call's answer, or the name of the error it raised."""
-    out = []
-    for name, args in calls:
-        try:
-            out.append(getattr(kernel, name)(*args))
-        except (ValueError, TypeError) as e:
-            out.append(type(e).__name__)
-    return out
 
 
 def words(*ws):
@@ -61,7 +82,11 @@ def probe_calls():
     (complete, capped one element short and at the identity) and green;
     on DI(8), whose 3,985 elements grow every record table past its
     first 1,024 records, close at caps beside the doublings and at its
-    size, and green; and the edge buffers."""
+    size, and green; the edge buffers; run, with and without a watch, and
+    witness, each given a flag already set, and both given an empty one;
+    and the race of witness against run on h h = 1, h x = y h, whose
+    monoid is infinite, watching x = y at 10**6 classes, where an action
+    on two points separates them."""
     calls = []
     for family in RelationFamily:
         p = build_relations(family, 4)
@@ -100,6 +125,18 @@ def probe_calls():
         ("green", (4, b"")),
         ("green", (4, b"\0" * 3)),
     ]
+    p = build_relations(RelationFamily.R, 4)
+    width, watch = len(p.letters), p.encode((("x",), ("y",)))
+    calls += [
+        ("run", (width, p.relation_ids, 10**6, 10**8, None), b"\1"),
+        ("run", (width, p.relation_ids, 10**6, 10**8, watch), b"\1"),
+        ("witness", (width, p.relation_ids, watch, 3, 100), b"\1"),
+        ("run", (width, p.relation_ids, 10**6, 10**8, None), b""),
+        ("witness", (width, p.relation_ids, watch, 3, 100), b""),
+    ]
+    p = Presentation("reflection", ("h", "x", "y"), (
+        Relation(("h", "h"), (), "inv"), Relation(("h", "x"), ("y", "h"), "conj")))
+    calls.append(("race", (3, p.relation_ids, p.encode((("x",), ("y",))), 10**6, 2, 100)))
     return calls
 
 
