@@ -26,16 +26,20 @@
    classes.
 
    run and witness take an optional stop flag, byte 0 of a writable
-   buffer that stop_flag checks where it enters: run checks it before
-   each class visit, after the step cap, and returns STATUS_STOPPED (3)
-   once it is set; witness checks it before each node and returns
-   (None, nodes).  Both release the GIL while they enumerate or search,
-   which touches no Python object: the flag is read through a volatile
-   pointer, whose one writer is the Python side's byte store, and every
-   kernel array comes from one raw allocator (grow), which needs no GIL
-   and sets no exception.  Each caller of grow raises MemoryError once
-   it holds the GIL: run after Py_END_ALLOW_THREADS, when enumerate
-   returns FAILED.
+   buffer that stop_flag checks where it enters: 0 while the caller's
+   other search goes on, 1 once it found what the run was for, 2 once
+   it ended without.  run checks it before each class visit, after the
+   step cap, and returns STATUS_STOPPED (3) on a 1.  A run that caps or
+   completes first waits, yielding the CPU, until the flag is nonzero,
+   and returns STATUS_STOPPED on a 1 too, so a run's status does not
+   depend on which finished first.  witness checks it before each node
+   and returns (None, nodes) once it is nonzero.  Both release the GIL
+   while they enumerate, search or wait, which touches no Python
+   object: the flag is read through a volatile pointer, whose writers
+   are the Python side's byte stores, and every kernel array comes from
+   one raw allocator (grow), which needs no GIL and sets no exception.
+   Each caller of grow raises MemoryError once it holds the GIL: run
+   after Py_END_ALLOW_THREADS, when enumerate returns FAILED.
 
    witness: the same bounded depth-first search for a small action
    separating the watch, one search on at most max_points points within
@@ -73,6 +77,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <sched.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -384,7 +389,7 @@ enumerate(State *s, const int *rels, Py_ssize_t n_rels, const int *watch)
     for (c_idx = 0; c_idx < s->n_classes; c_idx++) {
         if (s->steps > s->max_steps)
             return STATUS_CAPPED;
-        if (s->stop != NULL && *s->stop)
+        if (s->stop != NULL && *s->stop == 1)
             return STATUS_STOPPED;
         if (find(s->parent, c_idx) != c_idx)
             continue;
@@ -483,8 +488,11 @@ PyDoc_STRVAR(run_doc,
 "Same contract as _tc_py.run: relations is a bytes-like buffer of\n"
 "int32 cells, each word its length and then its letter ids, lhs then\n"
 "rhs of each relation, and watch None or such a buffer of two words.\n"
-"stop is None or a writable buffer whose byte 0, once nonzero, stops\n"
-"the run before its next class visit with status 3 (STATUS_STOPPED).\n"
+"stop is None or a writable buffer whose byte 0 is 0 while another\n"
+"search goes on, 1 once it succeeded and 2 once it failed: a 1 stops the\n"
+"run before its next class visit with status 3 (STATUS_STOPPED), and a\n"
+"run that caps or completes first waits for a nonzero byte and returns\n"
+"status 3 on a 1.\n"
 "The result is (status, table, stats): the standardized table as int32\n"
 "bytes when status is 0 and None otherwise, stats the run's counters.\n"
 "A buffer that is not whole words, an odd number of relation words, a\n"
@@ -522,6 +530,12 @@ run(PyObject *Py_UNUSED(self), PyObject *args)
 
     Py_BEGIN_ALLOW_THREADS
     status = enumerate(&s, rels, n_words / 2, pair);
+    if (s.stop != NULL && (status == STATUS_CAPPED || status == STATUS_COMPLETE)) {
+        while (*s.stop == 0)
+            sched_yield();
+        if (*s.stop == 1)
+            status = STATUS_STOPPED;
+    }
     Py_END_ALLOW_THREADS
     if (status == FAILED) {
         PyErr_NoMemory();
@@ -725,8 +739,9 @@ PyDoc_STRVAR(witness_doc,
 "(table, nodes): the first action found in which every relation holds\n"
 "at every point and the watch's words differ at one, as int32 bytes,\n"
 "cell q * n_letters + a the image of point q under letter a, or None;\n"
-"and the nodes searched.  stop is a flag as run reads it: once byte 0\n"
-"is nonzero the search ends before its next node, with no action.\n"
+"and the nodes searched.  stop is None or a buffer as run takes it:\n"
+"once byte 0 is nonzero the search ends before its next node, with no\n"
+"action.\n"
 "max_points outside 1..256, a negative max_nodes, or buffers and flags\n"
 "that run refuses raise ValueError, BufferError or TypeError as there.\n"
 "The GIL is released while the search runs.  It takes positional\n"

@@ -78,14 +78,20 @@ both at once, on two threads, and end the one whose answer it no longer
 needs: None, or a writable buffer of at least one byte, whose byte 0 is
 the flag.  It is checked where it enters: a read-only buffer (bytes, say)
 raises BufferError, an empty one ValueError and an object that is no
-buffer TypeError, in both kernels.  run checks the flag before each
-class visit, after the step cap, and returns status 3 once it is set;
-witness checks it before each node and then returns (None, nodes).
-With no flag, or one that stays 0, both return what they return
-without it.  The compiled kernels release the GIL while they enumerate
-or search, which their one raw allocator (it needs no GIL) allows, and
-read the flag through a volatile pointer; here the two threads
-interleave under the GIL.
+buffer TypeError, in both kernels.  Byte 0 is 0 while the caller's
+other search goes on, 1 once it found what the run was for, and 2 once
+it ended without.  run checks it before each class visit, after the
+step cap, and returns status 3 on a 1; a run that caps or completes
+first waits until the byte is nonzero and returns status 3 on a 1 too.
+So a run's status does not depend on which finished first, and a flag
+that stays 0 keeps a run that caps or completes waiting for good.
+witness checks the flag before each node and returns (None, nodes)
+once it is nonzero.  With no flag, or one of 2, both return what they
+return without it.  The compiled kernels release the GIL while they
+enumerate, search or wait, which their one raw allocator (it needs no
+GIL) allows, and read the flag through a volatile pointer; here the two
+threads interleave under the GIL, and the wait sleeps to let the other
+one run.
 
 witness: what a capped watched run cannot decide, a small model can.
 It searches depth first, with the relations pruning each branch, for
@@ -113,6 +119,7 @@ most max_elements elements, so a capped compiled closure allocates in
 proportion to its cap.
 """
 
+import time
 from array import array
 from itertools import islice
 
@@ -197,8 +204,10 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, stop=None, /):
     length and then its letter ids, lhs then rhs of each relation.
     watch: None, or such a buffer of two words; the run then stops as
     soon as the two words provably fall in one class.
-    stop: None, or a stop flag (see the module docstring); once it is
-    set the run stops before its next class visit with status 3.
+    stop: None, or a stop flag (see the module docstring): a 1 stops
+    the run before its next class visit with status 3, and a run that
+    caps or completes first waits for a nonzero flag, returning status
+    3 on a 1.
 
     Returns (status, table, stats): table is the standardized table as
     int32 bytes (class 0 = empty word) when status is 0, else None, and
@@ -313,7 +322,7 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, stop=None, /):
         while c_idx < len(parent):
             if steps > max_steps:
                 return STATUS_CAPPED
-            if flag is not None and flag[0]:
+            if flag is not None and flag[0] == 1:
                 return STATUS_STOPPED
             if _find(parent, c_idx) != c_idx:
                 c_idx += 1
@@ -336,6 +345,11 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, stop=None, /):
         status = enumerate_classes()
     except _Capped:
         status = STATUS_CAPPED
+    if flag is not None and status in (STATUS_CAPPED, STATUS_COMPLETE):
+        while not flag[0]:
+            time.sleep(0)  # lets the thread that sets it run
+        if flag[0] == 1:
+            status = STATUS_STOPPED
     stats = {
         "classes_defined": len(parent),
         "peak_live_classes": peak,
@@ -382,7 +396,7 @@ def witness(n_letters, relations, watch, max_points, max_nodes, stop=None, /):
     The search stops at the first action that separates the watch, or
     after max_nodes nodes: with letters in few relations, actions on
     two points alone can take about 4**n_letters nodes, so no search
-    runs without that bound, nor after the stop flag, if given, is set.
+    runs without that bound, nor once the stop flag, if given, is nonzero.
     Which point bounds to search, and in what order, is the caller's (see
     dimon.congruence).
 

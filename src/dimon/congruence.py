@@ -52,18 +52,23 @@ WITNESS_NODES nodes (so up to twice that in all).
 
 is_consequence races the two, as libsemigroups' Congruence races its
 algorithms: the search runs on one helper thread while the watched run
-runs in the calling thread, and whichever decides first sets a one-byte
-stop flag that the other polls.  A run that merges or completes answers
-at once and leaves the search to end within one node; an action found
-stops the run, which returns STATUS_STOPPED.  A capped run waits for the
-whole search, and with no action found raises IndeterminateError, whose
+runs in the calling thread, and the two share a one-byte stop flag.
+When the run merges, is_consequence sets it to 1, which ends the search
+within one node.  The search sets it when it ends, to 1 for an action,
+which stops the run before its next class visit (STATUS_STOPPED), and to
+2 for none.  A run that caps or completes before the search ends waits
+for the flag, and returns STATUS_STOPPED on a 1: so a run's status
+depends on its arguments alone, not on which thread finished first; only
+a stopped run's counters do.  A capped run thus waits for the whole
+search, and with no action found raises IndeterminateError, whose
 message gives the run's counters against both caps and the nodes
 searched.  An action and a merged run exclude each other, and a complete
-run and an action both mean False, so no answer depends on which
-finishes first.  The compiled kernels release the GIL, so the two use
-two cores; the pure ones interleave under the GIL.  The helper is one
-daemon thread, started by the first is_consequence call, and again when
-it is not alive (in a forked child); it calls only the kernel's witness.
+run and an action both mean False, so the answers are those of the run
+followed by the search.  The compiled kernels release the GIL, so the
+two use two cores; the pure ones interleave under the GIL.  The helper
+is one daemon thread, started by the first is_consequence call, and
+again when it is not alive (in a forked child); it calls only the
+kernel's witness, and skips a search whose run has decided.
 verify_presentation searches for no action.
 
 Checking a presentation or a forms set against a concrete monoid is a
@@ -257,11 +262,12 @@ def is_consequence(
     letters in which p's relations hold and rel's sides differ, on at
     most two points and then on at most WITNESS_POINTS, each within
     WITNESS_NODES nodes (see the module docstring).  A run that merges
-    or completes answers without waiting for the search; an action
-    answers False, stopping the run if it is still going; and a capped
-    run waits for the whole search, raising IndeterminateError when it
-    finds no action.  The answers are those of running the two one after
-    the other.  A letter outside p's alphabet raises ValueError.
+    answers without waiting for the search; an action stops the run and
+    answers False; and a run that caps or completes first waits for the
+    whole search, a capped one raising IndeterminateError when it finds
+    no action.  The answers are those of running the two one after the
+    other, and the run's status does not depend on thread timing.  A
+    letter outside p's alphabet raises ValueError.
     """
     caps = caps or EnumerationCaps()
     try:
@@ -270,14 +276,19 @@ def is_consequence(
         raise ValueError(f"relation {rel.lhs} = {rel.rhs} has letter {e.args[0]!r}, "
                          f"not in {p.letters}") from None
     stop = bytearray(1)
-    search = _Search(_kernel.witness, len(p.letters), p.relation_ids, watch, stop)
+    reply = _search(_kernel.witness, len(p.letters), p.relation_ids, watch, stop)
     status, _, stats = _kernel.run(
         len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch, stop
     )
-    if status in (_kernel.STATUS_COMPLETE, _kernel.STATUS_WATCH_MERGED):
-        stop[0] = 1
-        return status == _kernel.STATUS_WATCH_MERGED
-    table, nodes = search.result()
+    if status == _kernel.STATUS_WATCH_MERGED:
+        stop[0] = 1  # ends the search
+        return True
+    if status == _kernel.STATUS_COMPLETE:  # and the search found no action
+        return False
+    outcome = reply.get()
+    if isinstance(outcome, BaseException):
+        raise outcome
+    table, nodes = outcome
     if table is None and status == _kernel.STATUS_STOPPED:
         raise RuntimeError(
             "the run was stopped although the witness search found no action: "
@@ -298,37 +309,39 @@ def is_consequence(
 
 
 # the helper thread that runs the witness searches, and its queue of
-# them: made by the first search, and again when the thread is not alive
+# them: started by the first search, and again when it is not alive
 _helper = None
 _jobs = None
 
 
-class _Search:
-    """is_consequence's witness schedule, queued for the helper thread.
+def _search(*args):
+    """Queue a witness schedule, (witness, n_letters, relations, watch,
+    stop), for the helper thread.  The queue returned receives its
+    (table, nodes), or what it raised."""
+    global _helper, _jobs
+    import queue  # here: importing dimon loads no more modules
 
-    witness is the kernel's, as the caller found it.  stop is the flag
-    the search shares with the run: the search ends once it is set, and
-    sets it when it finds an action.  result() waits for the search and
-    returns (table, nodes), or raises what the search raised.
-    """
+    if _helper is None or not _helper.is_alive():
+        _jobs = queue.SimpleQueue()
+        _helper = threading.Thread(target=_serve, args=(_jobs,), daemon=True,
+                                   name="dimon-witness")
+        _helper.start()
+    reply = queue.SimpleQueue()
+    _jobs.put((args, reply))
+    return reply
 
-    def __init__(self, witness, n_letters, relations, watch, stop):
-        global _helper, _jobs
-        self._args = (witness, n_letters, relations, watch, stop)
-        self._outcome = None
-        self._done = threading.Lock()
-        self._done.acquire()
-        if _helper is None or not _helper.is_alive():
-            import queue  # on first use: importing dimon loads no more modules
 
-            _jobs = queue.SimpleQueue()
-            _helper = threading.Thread(target=_serve, args=(_jobs,), daemon=True,
-                                       name="dimon-witness")
-            _helper.start()
-        _jobs.put(self)
-
-    def search(self):
-        witness, n_letters, relations, watch, stop = self._args
+def _serve(jobs):
+    """The helper thread: each queued witness schedule in turn, on at
+    most 2 points and then on at most WITNESS_POINTS, until it finds an
+    action or the run merges (the flag is then 1).  Once it ends, it
+    sets the flag to 1 for an action, which stops the run, and to 2
+    otherwise, which lets a capped or complete run return."""
+    while True:
+        (witness, n_letters, relations, watch, stop), reply = jobs.get()
+        if stop[0]:  # the run merged first: no one waits for this search
+            continue
+        found = False
         try:
             nodes = 0
             for points in (2, WITNESS_POINTS):
@@ -336,28 +349,15 @@ class _Search:
                     n_letters, relations, watch, points, WITNESS_NODES, stop
                 )
                 nodes += searched
-                if table is not None:
-                    stop[0] = 1  # the run may stop
+                if table is not None or stop[0]:
                     break
-                if stop[0]:  # the run decided
-                    break
-            self._outcome = (table, nodes)
-        except BaseException as e:  # raised again by result(), as a future does
-            self._outcome = e
-        finally:
-            self._done.release()
-
-    def result(self):
-        self._done.acquire()
-        if isinstance(self._outcome, BaseException):
-            raise self._outcome
-        return self._outcome
-
-
-def _serve(jobs):
-    """The helper thread: each queued search in turn."""
-    while True:
-        jobs.get().search()
+            found = table is not None
+            outcome = (table, nodes)
+        except BaseException as e:  # raised again by is_consequence
+            outcome = e
+        # after a merged run no one reads the flag, so this may overwrite it
+        stop[0] = 1 if found else 2
+        reply.put(outcome)
 
 
 def _separates(p: Presentation, rel: Relation, table: bytes) -> bool:

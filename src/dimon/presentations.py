@@ -782,9 +782,10 @@ def delete_relation(p: Presentation, rel: Relation, caps=None) -> Presentation:
     because the watched run completed without merging its sides or a
     small action of the letters separates them; and IndeterminateError
     when the run capped and no such action turned up.  is_consequence
-    searches for the action on a helper thread while the run goes on, so
-    an action stops the run early and a run that decides ends the
-    search; the answers are those of the run followed by the search.
+    searches for the action on a helper thread while the run goes on: a
+    run that merges ends the search, an action stops the run, and a run
+    that caps or completes first waits for the search.  The answers are
+    those of the run followed by the search.
     """
     # a relation's cells, 4 bytes each, are its two lengths and its letters
     start = 0

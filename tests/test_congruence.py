@@ -393,9 +393,9 @@ def test_backends_identical(compiled_kernel):
             out_py = _tc_py.run(len(p.letters), rels, 10**6, max_steps)
             out_c = compiled_kernel.run(len(p.letters), rels, 10**6, max_steps)
             assert out_py == out_c, (p.label, max_steps)
-            # a stop flag that stays 0 changes nothing
+            # a stop flag of 2 (the search found nothing) changes nothing
             for kernel in (_tc_py, compiled_kernel):
-                out = kernel.run(len(p.letters), rels, 10**6, max_steps, None, bytearray(1))
+                out = kernel.run(len(p.letters), rels, 10**6, max_steps, None, bytearray(b"\2"))
                 assert out == out_py, (kernel.__name__, p.label, max_steps)
             statuses.add(out_py[0])
         assert statuses == {_tc_py.STATUS_CAPPED, _tc_py.STATUS_COMPLETE}
@@ -720,9 +720,8 @@ def test_an_action_stops_the_run(monkeypatch, kernel):
     """x = y does not follow from h h = 1 and h x = y h, whose monoid is
     infinite.  At 10**6 classes the run would go on to its cap, but the
     helper thread's search finds an action on two points in 21 nodes and
-    sets the stop flag.  The answer is False whichever finishes first:
-    the run's status is STOPPED or CAPPED, as the threads were
-    scheduled."""
+    sets the stop flag to 1: the run returns STATUS_STOPPED, wherever
+    the flag found it, and the answer is False."""
     statuses = []
     run = kernel.run
 
@@ -735,8 +734,58 @@ def test_an_action_stops_the_run(monkeypatch, kernel):
     monkeypatch.setattr(kernel, "run", spy)
     assert not is_consequence(reflection(), Relation(("x",), ("y",), ""),
                               EnumerationCaps(max_classes=10**6))
-    assert len(statuses) == 1
-    assert statuses[0] in (kernel.STATUS_STOPPED, kernel.STATUS_CAPPED)
+    assert statuses == [kernel.STATUS_STOPPED]
+
+
+def test_run_statuses_do_not_depend_on_the_searchs_timing(monkeypatch, compiled_kernel):
+    """Each run of is_consequence returns the same status whether its
+    search ends at once or 2 ms late: on U(6)'s 31 deletions and
+    Vbar(5)'s first 40 at a 5000-class cap, a run returns STATUS_STOPPED
+    exactly when its search finds an action, and otherwise what it
+    returns with no flag, table and counters too."""
+    monkeypatch.setattr(congruence, "_kernel", compiled_kernel)
+    run, witness = compiled_kernel.run, compiled_kernel.witness
+    outs = []
+
+    def spy(*args):
+        outs.append(run(*args))
+        return outs[-1]
+
+    def slow(*args):
+        time.sleep(0.002)
+        return witness(*args)
+
+    monkeypatch.setattr(compiled_kernel, "run", spy)
+    caps = EnumerationCaps(max_classes=5000)
+    jobs = [(p, i) for p in (build_relations(RelationFamily.U, 6),
+                             build_relations(RelationFamily.VBAR, 5))
+            for i in range(min(40, len(p.relations)))]
+
+    def batch():
+        outs.clear()
+        for p, i in jobs:
+            try:
+                is_consequence(without(p, i), p.relations[i], caps)
+            except IndeterminateError:
+                pass
+        return list(outs)
+
+    prompt = batch()
+    monkeypatch.setattr(compiled_kernel, "witness", slow)
+    late = batch()
+    assert [out[0] for out in late] == [out[0] for out in prompt]
+    stopped = 0
+    for (p, i), out, again in zip(jobs, prompt, late):
+        rel = p.relations[i]
+        args = (len(p.letters), without(p, i).relation_ids, 5000, caps.max_steps,
+                p.encode((rel.lhs, rel.rhs)))
+        found = witness_in_turn(compiled_kernel, *args[:2], args[4],
+                                (2, congruence.WITNESS_POINTS), congruence.WITNESS_NODES)
+        assert (out[0] == compiled_kernel.STATUS_STOPPED) == (found[0] is not None)
+        if found[0] is None:
+            assert out == again == run(*args)
+        stopped += found[0] is not None
+    assert stopped == 17
 
 
 def test_concurrent_callers_get_a_lone_callers_answers(monkeypatch, compiled_kernel):
@@ -802,31 +851,36 @@ def test_a_forked_child_starts_its_own_helper():
 
 
 def test_a_preset_stop_flag_stops_both_kernels_alike(compiled_kernel):
-    """A flag set before the call.  run checks the step cap and then the
-    flag before each class visit, so it stops at its first visit with
-    equal (STATUS_STOPPED, None, stats) from both kernels, with and
-    without a watch, and caps instead when the watch's trace has passed
-    the step cap; witness stops before its first node.  Byte 0 is the
-    flag, whatever follows it."""
+    """A flag set before the call.  run checks the step cap and then a
+    flag of 1 before each class visit, so it stops at its first visit
+    with equal (STATUS_STOPPED, None, stats) from both kernels, with and
+    without a watch; a run whose step cap binds first, after the watch's
+    trace, returns STATUS_STOPPED too, since the flag says the other
+    search succeeded; a watch that merges as it is traced still answers
+    STATUS_WATCH_MERGED.  A flag of 2 changes nothing, and witness stops
+    before its first node.  Byte 0 is the flag, whatever follows it."""
     p = build_relations(RelationFamily.R, 4)
     rel, width = p.relations[0], len(p.letters)
     assert (rel.lhs, rel.rhs) == (("e_1", "e_1"), ("e_1",))
     rels, watch = without(p, 0).relation_ids, p.encode((rel.lhs, rel.rhs))
     # the watch's trace defines two classes in three steps
-    for w, max_steps, status, defined, steps in (
-        (None, 10**8, _tc_py.STATUS_STOPPED, 1, 0),
-        (watch, 10**8, _tc_py.STATUS_STOPPED, 3, 3),
-        (watch, 2, _tc_py.STATUS_CAPPED, 3, 3),
+    for w, max_steps, defined, steps in (
+        (None, 10**8, 1, 0),
+        (watch, 10**8, 3, 3),
+        (watch, 2, 3, 3),
     ):
         args = (width, rels, 10**6, max_steps, w, bytearray(b"\1\0"))
         out = _tc_py.run(*args)
         assert out == compiled_kernel.run(*args), (w, max_steps)
-        assert out == (status, None, {
+        assert out == (_tc_py.STATUS_STOPPED, None, {
             "classes_defined": defined, "peak_live_classes": defined,
             "coincidences": 0, "steps": steps})
+    merged = p.encode((("e_1",), ("e_1",)))
     for kernel in (_tc_py, compiled_kernel):
+        assert kernel.run(width, rels, 10**6, 10**8, merged, bytearray(b"\1"))[0] == (
+            _tc_py.STATUS_WATCH_MERGED)
         assert kernel.witness(width, rels, watch, 3, 100, bytearray(b"\1")) == (None, 0)
-        assert kernel.run(width, rels, 10**6, 10**8, watch, bytearray(b"\0\1")) == (
+        assert kernel.run(width, rels, 10**6, 10**8, watch, bytearray(b"\2\1")) == (
             _tc_py.run(width, rels, 10**6, 10**8, watch))
 
 

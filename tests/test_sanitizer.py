@@ -29,9 +29,10 @@ def answers(kernel, calls):
     (name, args), or (name, args, flag) to pass a stop flag after args, a
     bytearray of flag's bytes (marshal gives a bytearray back as bytes).
     The name race stands for witness on a second thread and run on this
-    one, sharing one flag that the search sets when it finds an action:
-    its answer is the search's, and whether the run stopped or capped,
-    as it may do either."""
+    one, sharing one flag that the search sets once it ends, to 1 when
+    it found an action and to 2 otherwise: its answer is the search's
+    and the run's status, which the flag decides wherever it finds the
+    run."""
     import threading
 
     def race(width, relations, watch, max_classes, max_points, max_nodes):
@@ -39,13 +40,13 @@ def answers(kernel, calls):
 
         def search():
             found.append(kernel.witness(width, relations, watch, max_points, max_nodes, flag))
-            flag[0] = found[0][0] is not None
+            flag[0] = 1 if found[0][0] is not None else 2
 
         thread = threading.Thread(target=search)
         thread.start()
         status = kernel.run(width, relations, max_classes, 10**8, watch, flag)[0]
         thread.join()
-        return found[0], status in (kernel.STATUS_STOPPED, kernel.STATUS_CAPPED)
+        return found[0], status
 
     out = []
     for name, args, *flag in calls:
@@ -82,11 +83,13 @@ def probe_calls():
     (complete, capped one element short and at the identity) and green;
     on DI(8), whose 3,985 elements grow every record table past its
     first 1,024 records, close at caps beside the doublings and at its
-    size, and green; the edge buffers; run, with and without a watch, and
-    witness, each given a flag already set, and both given an empty one;
-    and the race of witness against run on h h = 1, h x = y h, whose
-    monoid is infinite, watching x = y at 10**6 classes, where an action
-    on two points separates them."""
+    size, and green; the edge buffers; on h h = 1, h x = y h, whose
+    monoid is infinite, run with and without a watch given a flag of 1,
+    which stops it at its first class visit, and a watched run given a
+    flag of 2, which goes on to its step cap, witness given a flag of 1,
+    and both given an empty one; and the race of witness against run there,
+    watching x = y at 10**6 classes, where an action on two points
+    separates them."""
     calls = []
     for family in RelationFamily:
         p = build_relations(family, 4)
@@ -125,18 +128,18 @@ def probe_calls():
         ("green", (4, b"")),
         ("green", (4, b"\0" * 3)),
     ]
-    p = build_relations(RelationFamily.R, 4)
-    width, watch = len(p.letters), p.encode((("x",), ("y",)))
-    calls += [
-        ("run", (width, p.relation_ids, 10**6, 10**8, None), b"\1"),
-        ("run", (width, p.relation_ids, 10**6, 10**8, watch), b"\1"),
-        ("witness", (width, p.relation_ids, watch, 3, 100), b"\1"),
-        ("run", (width, p.relation_ids, 10**6, 10**8, None), b""),
-        ("witness", (width, p.relation_ids, watch, 3, 100), b""),
-    ]
     p = Presentation("reflection", ("h", "x", "y"), (
         Relation(("h", "h"), (), "inv"), Relation(("h", "x"), ("y", "h"), "conj")))
-    calls.append(("race", (3, p.relation_ids, p.encode((("x",), ("y",))), 10**6, 2, 100)))
+    rels, watch = p.relation_ids, p.encode((("x",), ("y",)))
+    calls += [
+        ("run", (3, rels, 10**6, 10**8, None), b"\1"),
+        ("run", (3, rels, 10**6, 10**8, watch), b"\1"),
+        ("run", (3, rels, 10**6, 10**4, watch), b"\2"),
+        ("witness", (3, rels, watch, 3, 100), b"\1"),
+        ("run", (3, rels, 10**6, 10**8, None), b""),
+        ("witness", (3, rels, watch, 3, 100), b""),
+        ("race", (3, rels, watch, 10**6, 2, 100)),
+    ]
     return calls
 
 
