@@ -26,14 +26,9 @@
    classes.
 
    run and witness take an optional stop flag, byte 0 of a writable
-   buffer that stop_flag checks where it enters: 0 while the caller's
-   other search goes on, 1 once it found what the run was for, 2 once
-   it ended without.  run checks it before each class visit, after the
-   step cap, and returns STATUS_STOPPED (3) on a 1.  A run that caps or
-   completes first waits, yielding the CPU, until the flag is nonzero,
-   and returns STATUS_STOPPED on a 1 too, so a run's status does not
-   depend on which finished first.  witness checks it before each node
-   and returns (None, nodes) once it is nonzero.  Both release the GIL
+   buffer that stop_flag checks where it enters, and keep its contract
+   as _tc_py's module docstring states it; a run that caps or completes
+   first waits for the flag, yielding the CPU.  Both release the GIL
    while they enumerate, search or wait, which touches no Python
    object: the flag is read through a volatile pointer, whose writers
    are the Python side's byte stores, and every kernel array comes from
@@ -488,11 +483,7 @@ PyDoc_STRVAR(run_doc,
 "Same contract as _tc_py.run: relations is a bytes-like buffer of\n"
 "int32 cells, each word its length and then its letter ids, lhs then\n"
 "rhs of each relation, and watch None or such a buffer of two words.\n"
-"stop is None or a writable buffer whose byte 0 is 0 while another\n"
-"search goes on, 1 once it succeeded and 2 once it failed: a 1 stops the\n"
-"run before its next class visit with status 3 (STATUS_STOPPED), and a\n"
-"run that caps or completes first waits for a nonzero byte and returns\n"
-"status 3 on a 1.\n"
+"stop is None or a stop flag, as _tc_py's module docstring gives it.\n"
 "The result is (status, table, stats): the standardized table as int32\n"
 "bytes when status is 0 and None otherwise, stats the run's counters.\n"
 "A buffer that is not whole words, an odd number of relation words, a\n"
@@ -739,9 +730,7 @@ PyDoc_STRVAR(witness_doc,
 "(table, nodes): the first action found in which every relation holds\n"
 "at every point and the watch's words differ at one, as int32 bytes,\n"
 "cell q * n_letters + a the image of point q under letter a, or None;\n"
-"and the nodes searched.  stop is None or a buffer as run takes it:\n"
-"once byte 0 is nonzero the search ends before its next node, with no\n"
-"action.\n"
+"and the nodes searched.  stop is None or a stop flag as run takes it.\n"
 "max_points outside 1..256, a negative max_nodes, or buffers and flags\n"
 "that run refuses raise ValueError, BufferError or TypeError as there.\n"
 "The GIL is released while the search runs.  It takes positional\n"

@@ -78,20 +78,24 @@ both at once, on two threads, and end the one whose answer it no longer
 needs: None, or a writable buffer of at least one byte, whose byte 0 is
 the flag.  It is checked where it enters: a read-only buffer (bytes, say)
 raises BufferError, an empty one ValueError and an object that is no
-buffer TypeError, in both kernels.  Byte 0 is 0 while the caller's
-other search goes on, 1 once it found what the run was for, and 2 once
-it ended without.  run checks it before each class visit, after the
-step cap, and returns status 3 on a 1; a run that caps or completes
-first waits until the byte is nonzero and returns status 3 on a 1 too.
-So a run's status does not depend on which finished first, and a flag
-that stays 0 keeps a run that caps or completes waiting for good.
-witness checks the flag before each node and returns (None, nodes)
-once it is nonzero.  With no flag, or one of 2, both return what they
-return without it.  The compiled kernels release the GIL while they
-enumerate, search or wait, which their one raw allocator (it needs no
-GIL) allows, and read the flag through a volatile pointer; here the two
-threads interleave under the GIL, and the wait sleeps to let the other
-one run.
+buffer TypeError, in both kernels.  This is the flag's one contract:
+
+    0  both go on
+    1  one decided: the search found an action, or the run merged its
+       watch (then the caller writes it, once run has returned)
+    2  the search ended without an action
+
+run checks the flag before each class visit, after the step cap, and
+returns status 3 on a 1; a run that caps or completes first waits until
+the flag is nonzero and returns status 3 on a 1 too.  So a run's status
+does not depend on which finished first, and a flag that stays 0 keeps a
+run that caps or completes waiting for good.  witness checks the flag
+before each node and returns (None, nodes) once it is nonzero.  With no
+flag, or one of 2, both return what they return without it.  The
+compiled kernels release the GIL while they enumerate, search or wait,
+which their one raw allocator (it needs no GIL) allows, and read the
+flag through a volatile pointer; here the two threads interleave under
+the GIL, and the wait sleeps to let the other one run.
 
 witness: what a capped watched run cannot decide, a small model can.
 It searches depth first, with the relations pruning each branch, for
@@ -204,10 +208,7 @@ def run(n_letters, relations, max_classes, max_steps, watch=None, stop=None, /):
     length and then its letter ids, lhs then rhs of each relation.
     watch: None, or such a buffer of two words; the run then stops as
     soon as the two words provably fall in one class.
-    stop: None, or a stop flag (see the module docstring): a 1 stops
-    the run before its next class visit with status 3, and a run that
-    caps or completes first waits for a nonzero flag, returning status
-    3 on a 1.
+    stop: None, or a stop flag (see the module docstring).
 
     Returns (status, table, stats): table is the standardized table as
     int32 bytes (class 0 = empty word) when status is 0, else None, and

@@ -52,23 +52,27 @@ WITNESS_NODES nodes (so up to twice that in all).
 
 is_consequence races the two, as libsemigroups' Congruence races its
 algorithms: the search runs on one helper thread while the watched run
-runs in the calling thread, and the two share a one-byte stop flag.
-When the run merges, is_consequence sets it to 1, which ends the search
-within one node.  The search sets it when it ends, to 1 for an action,
-which stops the run before its next class visit (STATUS_STOPPED), and to
-2 for none.  A run that caps or completes before the search ends waits
-for the flag, and returns STATUS_STOPPED on a 1: so a run's status
-depends on its arguments alone, not on which thread finished first; only
-a stopped run's counters do.  A capped run thus waits for the whole
-search, and with no action found raises IndeterminateError, whose
+runs in the calling thread, over the kernels' one-byte stop flag (its
+contract is in _tc_py's module docstring).  Each call builds its search
+as one local function: it holds the schedule, skips a search whose run
+has already merged, appends its (table, nodes), or what it raised, to
+the call's own list, and then, in a finally, sets the flag to 1 for an
+action, which stops the run (STATUS_STOPPED), or to 2 for none.  A run
+that merges sets the flag to 1, which ends the search within one node.
+A run that caps or completes first waits for the flag, so its status
+depends on its arguments alone, and only a stopped run's counters on
+which thread finished first.  The outcome is in the list by then: the
+search appends it before it writes the flag, and is_consequence reads
+it only once it holds the GIL again.  A capped run thus waits for the
+whole search, and with no action found raises IndeterminateError, whose
 message gives the run's counters against both caps and the nodes
-searched.  An action and a merged run exclude each other, and a complete
-run and an action both mean False, so the answers are those of the run
-followed by the search.  The compiled kernels release the GIL, so the
-two use two cores; the pure ones interleave under the GIL.  The helper
-is one daemon thread, started by the first is_consequence call, and
-again when it is not alive (in a forked child); it calls only the
-kernel's witness, and skips a search whose run has decided.
+searched.  An action and a merged run exclude each other, and a
+complete run and an action both mean False, so the answers are those of
+the run followed by the search.  The compiled kernels release the GIL,
+so the two use two cores; the pure ones interleave under the GIL.  The
+helper is one daemon thread, started by the first is_consequence call
+and again when it is not alive (in a forked child), that runs the
+functions queued for it in turn.
 verify_presentation searches for no action.
 
 Checking a presentation or a forms set against a concrete monoid is a
@@ -258,16 +262,11 @@ def is_consequence(
     The run exits early once the two sides provably coincide, so true
     consequences are confirmed even when the presented monoid is
     infinite.  A run that completes without merging them answers False.
-    Alongside the run, a helper thread searches for an action of p's
-    letters in which p's relations hold and rel's sides differ, on at
-    most two points and then on at most WITNESS_POINTS, each within
-    WITNESS_NODES nodes (see the module docstring).  A run that merges
-    answers without waiting for the search; an action stops the run and
-    answers False; and a run that caps or completes first waits for the
-    whole search, a capped one raising IndeterminateError when it finds
-    no action.  The answers are those of running the two one after the
-    other, and the run's status does not depend on thread timing.  A
-    letter outside p's alphabet raises ValueError.
+    A capped run is decided by a search for a small action that
+    separates them, raced against the run on a helper thread (see the
+    module docstring): False when it finds one, IndeterminateError when
+    it does not.  The answers are those of running the two one after
+    the other.  A letter outside p's alphabet raises ValueError.
     """
     caps = caps or EnumerationCaps()
     try:
@@ -275,20 +274,40 @@ def is_consequence(
     except KeyError as e:
         raise ValueError(f"relation {rel.lhs} = {rel.rhs} has letter {e.args[0]!r}, "
                          f"not in {p.letters}") from None
-    stop = bytearray(1)
-    reply = _search(_kernel.witness, len(p.letters), p.relation_ids, watch, stop)
+    n_letters, relations, witness = len(p.letters), p.relation_ids, _kernel.witness
+    stop, outcome = bytearray(1), []
+
+    def search():
+        if stop[0]:  # the run merged first: no one waits for this search
+            return
+        table, nodes = None, 0
+        try:
+            for points in (2, WITNESS_POINTS):
+                table, searched = witness(
+                    n_letters, relations, watch, points, WITNESS_NODES, stop
+                )
+                nodes += searched
+                if table is not None or stop[0]:
+                    break
+            outcome.append((table, nodes))
+        except BaseException as e:  # raised again below
+            outcome.append(e)
+        finally:
+            # after a merged run no one reads the flag, so this may overwrite it
+            stop[0] = 1 if table is not None else 2
+
+    _search(search)
     status, _, stats = _kernel.run(
-        len(p.letters), p.relation_ids, caps.max_classes, caps.max_steps, watch, stop
+        n_letters, relations, caps.max_classes, caps.max_steps, watch, stop
     )
     if status == _kernel.STATUS_WATCH_MERGED:
         stop[0] = 1  # ends the search
         return True
     if status == _kernel.STATUS_COMPLETE:  # and the search found no action
         return False
-    outcome = reply.get()
-    if isinstance(outcome, BaseException):
-        raise outcome
-    table, nodes = outcome
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    table, nodes = outcome[0]
     if table is None and status == _kernel.STATUS_STOPPED:
         raise RuntimeError(
             "the run was stopped although the witness search found no action: "
@@ -308,56 +327,30 @@ def is_consequence(
     return False
 
 
-# the helper thread that runs the witness searches, and its queue of
+# the helper thread that runs is_consequence's searches, and its queue of
 # them: started by the first search, and again when it is not alive
 _helper = None
 _jobs = None
 
 
-def _search(*args):
-    """Queue a witness schedule, (witness, n_letters, relations, watch,
-    stop), for the helper thread.  The queue returned receives its
-    (table, nodes), or what it raised."""
+def _search(job):
+    """Queue job, a callable, for the helper thread, which is started
+    first when it is not alive (the first call, or in a forked child)."""
     global _helper, _jobs
-    import queue  # here: importing dimon loads no more modules
-
     if _helper is None or not _helper.is_alive():
+        import queue  # here: importing dimon loads no more modules
+
         _jobs = queue.SimpleQueue()
         _helper = threading.Thread(target=_serve, args=(_jobs,), daemon=True,
                                    name="dimon-witness")
         _helper.start()
-    reply = queue.SimpleQueue()
-    _jobs.put((args, reply))
-    return reply
+    _jobs.put(job)
 
 
 def _serve(jobs):
-    """The helper thread: each queued witness schedule in turn, on at
-    most 2 points and then on at most WITNESS_POINTS, until it finds an
-    action or the run merges (the flag is then 1).  Once it ends, it
-    sets the flag to 1 for an action, which stops the run, and to 2
-    otherwise, which lets a capped or complete run return."""
+    """The helper thread: runs each queued job in turn."""
     while True:
-        (witness, n_letters, relations, watch, stop), reply = jobs.get()
-        if stop[0]:  # the run merged first: no one waits for this search
-            continue
-        found = False
-        try:
-            nodes = 0
-            for points in (2, WITNESS_POINTS):
-                table, searched = witness(
-                    n_letters, relations, watch, points, WITNESS_NODES, stop
-                )
-                nodes += searched
-                if table is not None or stop[0]:
-                    break
-            found = table is not None
-            outcome = (table, nodes)
-        except BaseException as e:  # raised again by is_consequence
-            outcome = e
-        # after a merged run no one reads the flag, so this may overwrite it
-        stop[0] = 1 if found else 2
-        reply.put(outcome)
+        jobs.get()()
 
 
 def _separates(p: Presentation, rel: Relation, table: bytes) -> bool:

@@ -781,11 +781,8 @@ def delete_relation(p: Presentation, rel: Relation, caps=None) -> Presentation:
     checked by congruence.is_consequence: ValueError when it is not,
     because the watched run completed without merging its sides or a
     small action of the letters separates them; and IndeterminateError
-    when the run capped and no such action turned up.  is_consequence
-    searches for the action on a helper thread while the run goes on: a
-    run that merges ends the search, an action stops the run, and a run
-    that caps or completes first waits for the search.  The answers are
-    those of the run followed by the search.
+    when the run capped and no such action turned up (how the two race
+    is in dimon.congruence's module docstring).
     """
     # a relation's cells, 4 bytes each, are its two lengths and its letters
     start = 0

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -848,6 +849,61 @@ def test_a_forked_child_starts_its_own_helper():
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_a_search_that_raises_leaves_no_run_waiting(monkeypatch, kernel):
+    """witness raises MemoryError on the helper thread.  The search
+    writes the flag in a finally, so no run waits for good: a capped
+    call raises that error, a run that merges still answers True and one
+    that completes False, and with witness restored the same helper
+    answers the next capped call False."""
+    monkeypatch.setattr(congruence, "_kernel", kernel)
+    witness = kernel.witness
+
+    def fail(*args):
+        raise MemoryError("no room for the search")
+
+    p, rel = reflection(), Relation(("x",), ("y",), "")
+    caps = EnumerationCaps(max_classes=3000, max_steps=10**6)
+    finite = Presentation("t", ("a",), (Relation(("a", "a"), ("a",), "sq"),))
+    got = []
+
+    def answer(q, r, c=None):
+        try:
+            got.append(is_consequence(q, r, c))
+        except MemoryError as e:
+            got.append(e)
+
+    def calls():
+        monkeypatch.setattr(kernel, "witness", fail)
+        answer(p, rel, caps)
+        helper = congruence._helper
+        answer(finite, Relation(("a", "a", "a"), ("a",), ""))
+        answer(finite, Relation(("a",), (), ""))
+        monkeypatch.setattr(kernel, "witness", witness)
+        answer(p, rel, caps)
+        got.append(congruence._helper is helper and helper.is_alive())
+
+    thread = threading.Thread(target=calls, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), f"a run still waits after {got}"
+    assert isinstance(got[0], MemoryError) and str(got[0]) == "no room for the search"
+    assert got[1:] == [True, False, False, True]
+
+
+def test_importing_dimon_starts_no_thread_and_loads_no_queue():
+    """The helper thread and the queue module wait for the first
+    is_consequence: importing dimon and its command line, in a fresh
+    interpreter, starts no thread and loads neither queue nor
+    concurrent.futures."""
+    src = os.path.dirname(os.path.dirname(congruence.__file__))
+    code = ("import sys, threading; sys.path.insert(0, sys.argv[1]); "
+            "import dimon, dimon.cli; print(threading.active_count(), "
+            "'queue' in sys.modules, 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["1", "False", "False"]
 
 
 def test_a_preset_stop_flag_stops_both_kernels_alike(compiled_kernel):
